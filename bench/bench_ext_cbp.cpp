@@ -24,11 +24,11 @@ avgSpeedup(CritPredictor pred, std::uint32_t width,
     double sum = 0.0;
     int count = 0;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
         SystemConfig cfg = withPredictor(parallelBase(), pred, 64);
         cfg.crit.counterWidth = width;
         cfg.crit.probShift = probShift;
-        sum += speedup(base, runParallel(cfg, app, q));
+        sum += speedup(base, runApp(cfg, app, q));
         ++count;
     }
     return sum / count;

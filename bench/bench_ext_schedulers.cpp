@@ -32,17 +32,17 @@ main()
 
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
         std::vector<double> row;
         for (const SchedAlgo algo : algos) {
             SystemConfig cfg = parallelBase();
             cfg.sched.algo = algo;
-            row.push_back(speedup(base, runParallel(cfg, app, q)));
+            row.push_back(speedup(base, runApp(cfg, app, q)));
         }
         row.push_back(speedup(
-            base, runParallel(withPredictor(parallelBase(),
-                                            CritPredictor::CbpMaxStall),
-                              app, q)));
+            base, runApp(withPredictor(parallelBase(),
+                                       CritPredictor::CbpMaxStall),
+                         app, q)));
         printRow(app.name, row);
         avg.add(row);
     }

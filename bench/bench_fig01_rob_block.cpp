@@ -23,7 +23,7 @@ main()
 
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult r = runParallel(parallelBase(), app, q);
+        const RunResult r = runApp(parallelBase(), app, q);
         const std::vector<double> row = {
             100.0 * static_cast<double>(r.blockingLoads) /
                 static_cast<double>(r.dynamicLoads),

@@ -26,20 +26,20 @@ sweep(SchedAlgo algo, std::uint64_t q)
 
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
         std::vector<double> row;
         row.push_back(speedup(
-            base, runParallel(withPredictor(parallelBase(),
-                                            CritPredictor::ClptBinary,
-                                            1024, algo),
-                              app, q)));
+            base, runApp(withPredictor(parallelBase(),
+                                       CritPredictor::ClptBinary,
+                                       1024, algo),
+                         app, q)));
         for (const std::uint32_t size : sizes) {
             row.push_back(speedup(
                 base,
-                runParallel(withPredictor(parallelBase(),
-                                          CritPredictor::CbpBinary,
-                                          size, algo),
-                            app, q)));
+                runApp(withPredictor(parallelBase(),
+                                     CritPredictor::CbpBinary,
+                                     size, algo),
+                       app, q)));
         }
         printRow(app.name, row);
         avg.add(row);

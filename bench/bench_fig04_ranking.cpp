@@ -30,15 +30,15 @@ main()
 
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
         std::vector<double> row;
         for (const CritPredictor pred : preds) {
             const std::uint32_t entries =
                 pred == CritPredictor::ClptConsumers ? 1024 : 64;
             row.push_back(speedup(
-                base, runParallel(
-                          withPredictor(parallelBase(), pred, entries),
-                          app, q)));
+                base,
+                runApp(withPredictor(parallelBase(), pred, entries),
+                       app, q)));
         }
         printRow(app.name, row);
         avg.add(row);

@@ -24,14 +24,14 @@ main()
     const std::vector<std::uint32_t> sizes = {64, 256, 1024, 0};
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
         std::vector<double> row;
         for (const std::uint32_t size : sizes) {
             row.push_back(speedup(
-                base, runParallel(withPredictor(parallelBase(),
-                                                CritPredictor::CbpMaxStall,
-                                                size),
-                                  app, q)));
+                base, runApp(withPredictor(parallelBase(),
+                                           CritPredictor::CbpMaxStall,
+                                           size),
+                             app, q)));
         }
         printRow(app.name, row);
         avg.add(row);

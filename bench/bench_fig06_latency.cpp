@@ -29,14 +29,14 @@ main()
     for (const AppParams &app : parallelApps()) {
         // FR-FCFS with a passive MaxStallTime predictor: requests are
         // classified but the arbiter ignores criticality.
-        const RunResult frf = runParallel(
+        const RunResult frf = runApp(
             withPredictor(parallelBase(), CritPredictor::CbpMaxStall,
                           64, SchedAlgo::FrFcfs),
             app, q);
-        const RunResult bin = runParallel(
+        const RunResult bin = runApp(
             withPredictor(parallelBase(), CritPredictor::CbpBinary),
             app, q);
-        const RunResult max = runParallel(
+        const RunResult max = runApp(
             withPredictor(parallelBase(), CritPredictor::CbpMaxStall),
             app, q);
         const std::vector<double> row = {

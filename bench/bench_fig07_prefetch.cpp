@@ -31,16 +31,16 @@ main()
 
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
 
         SystemConfig pref = parallelBase();
         pref.prefetch.enabled = true;
         std::vector<double> row = {
-            speedup(base, runParallel(pref, app, q))};
+            speedup(base, runApp(pref, app, q))};
         for (const CritPredictor pred : preds) {
             SystemConfig cfg = withPredictor(parallelBase(), pred, 64);
             cfg.prefetch.enabled = true;
-            row.push_back(speedup(base, runParallel(cfg, app, q)));
+            row.push_back(speedup(base, runApp(cfg, app, q)));
         }
         printRow(app.name, row);
         avg.add(row);

@@ -42,7 +42,7 @@ main()
         // Per-app single-rank baselines.
         std::vector<RunResult> base1;
         for (const AppParams &app : parallelApps())
-            base1.push_back(runParallel(configured(1), app, q));
+            base1.push_back(runApp(configured(1), app, q));
 
         for (const std::uint32_t ranks : {1u, 2u, 4u}) {
             std::vector<double> sums(3, 0.0);
@@ -50,17 +50,17 @@ main()
             for (const AppParams &app : parallelApps()) {
                 const SystemConfig frf = configured(ranks);
                 sums[0] +=
-                    speedup(base1[appIdx], runParallel(frf, app, q));
+                    speedup(base1[appIdx], runApp(frf, app, q));
                 sums[1] += speedup(
                     base1[appIdx],
-                    runParallel(withPredictor(
-                                    frf, CritPredictor::CbpBinary),
-                                app, q));
+                    runApp(withPredictor(
+                               frf, CritPredictor::CbpBinary),
+                           app, q));
                 sums[2] += speedup(
                     base1[appIdx],
-                    runParallel(withPredictor(
-                                    frf, CritPredictor::CbpMaxStall),
-                                app, q));
+                    runApp(withPredictor(
+                               frf, CritPredictor::CbpMaxStall),
+                           app, q));
                 ++appIdx;
             }
             for (double &sum : sums)

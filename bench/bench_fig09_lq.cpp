@@ -29,25 +29,23 @@ main()
 
     std::vector<RunResult> base32;
     for (const AppParams &app : parallelApps())
-        base32.push_back(runParallel(configured(32), app, q));
+        base32.push_back(runApp(configured(32), app, q));
 
     for (const std::uint32_t lq : {32u, 48u, 64u}) {
         std::vector<double> sums(4, 0.0);
         std::size_t appIdx = 0;
         for (const AppParams &app : parallelApps()) {
             const SystemConfig frf = configured(lq);
-            const RunResult frfRun = runParallel(frf, app, q);
+            const RunResult frfRun = runApp(frf, app, q);
             sums[0] += speedup(base32[appIdx], frfRun);
             sums[1] += speedup(
                 base32[appIdx],
-                runParallel(
-                    withPredictor(frf, CritPredictor::CbpBinary), app,
-                    q));
+                runApp(withPredictor(frf, CritPredictor::CbpBinary), app,
+                       q));
             sums[2] += speedup(
                 base32[appIdx],
-                runParallel(
-                    withPredictor(frf, CritPredictor::CbpMaxStall),
-                    app, q));
+                runApp(withPredictor(frf, CritPredictor::CbpMaxStall),
+                       app, q));
             sums[3] += 100.0 * static_cast<double>(frfRun.lqFullCycles) /
                 static_cast<double>(frfRun.coreCycles);
             ++appIdx;

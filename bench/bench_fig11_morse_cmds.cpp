@@ -27,7 +27,7 @@ main()
     // Per-app FR-FCFS baselines, computed once.
     std::vector<RunResult> base;
     for (const AppParams &app : parallelApps())
-        base.push_back(runParallel(parallelBase(), app, q));
+        base.push_back(runApp(parallelBase(), app, q));
 
     for (const std::uint32_t cmds : {6u, 9u, 12u, 15u, 18u, 21u, 24u}) {
         double sum = 0.0;
@@ -36,7 +36,7 @@ main()
             SystemConfig cfg = parallelBase();
             cfg.sched.algo = SchedAlgo::Morse;
             cfg.sched.morseMaxCommands = cmds;
-            sum += speedup(base[appIdx], runParallel(cfg, app, q));
+            sum += speedup(base[appIdx], runApp(cfg, app, q));
             ++appIdx;
         }
         printRow(std::to_string(cmds),

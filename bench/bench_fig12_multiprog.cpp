@@ -72,25 +72,16 @@ main()
 
     Averager avg;
     for (const Bundle &bundle : multiprogBundles()) {
-        // Alone-IPC baselines under the PAR-BS configuration.
-        std::array<double, 4> alone{};
-        for (std::size_t i = 0; i < bundle.apps.size(); ++i)
-            alone[i] =
-                sink.result("alone/" + bundle.apps[i]).ipc(0, q);
-
-        const double wsParbs = weightedSpeedup(
-            sink.result(bundle.name + "/parbs"), alone, q);
-
-        auto wsOf = [&](const char *key) {
-            return weightedSpeedup(sink.result(bundle.name + "/" + key),
-                                   alone, q) /
-                wsParbs;
+        // Against the alone-IPC baselines under PAR-BS.
+        const auto fairness = [&](const char *key) {
+            return bundleFairness(sink, bundle, key, q);
         };
-
-        const double slowdownRatio =
-            maxSlowdown(sink.result(bundle.name + "/maxstall"), alone,
-                        q) /
-            maxSlowdown(sink.result(bundle.name + "/tcm"), alone, q);
+        const double wsParbs = fairness("parbs").weightedSpeedup;
+        auto wsOf = [&](const char *key) {
+            return fairness(key).weightedSpeedup / wsParbs;
+        };
+        const double slowdownRatio = fairness("maxstall").maxSlowdown /
+            fairness("tcm").maxSlowdown;
 
         const std::vector<double> row = {
             wsOf("frfcfs"), wsOf("tcm"), wsOf("maxstall"),

@@ -23,8 +23,8 @@ main()
 
     Averager avg;
     for (const AppParams &app : parallelApps()) {
-        const RunResult base = runParallel(parallelBase(), app, q);
-        const RunResult naive = runParallel(
+        const RunResult base = runApp(parallelBase(), app, q);
+        const RunResult naive = runApp(
             withPredictor(parallelBase(), CritPredictor::NaiveForward),
             app, q);
         const std::vector<double> row = {speedup(base, naive)};

@@ -37,11 +37,11 @@ avgSpeedup(CritPredictor pred, std::uint32_t entries,
     for (const AppParams &app : parallelApps()) {
         if (isTrain(app.name) != train)
             continue;
-        const RunResult base = runParallel(parallelBase(), app, q);
+        const RunResult base = runApp(parallelBase(), app, q);
         SystemConfig cfg =
             withPredictor(parallelBase(), pred, entries);
         cfg.crit.resetInterval = reset;
-        sum += speedup(base, runParallel(cfg, app, q));
+        sum += speedup(base, runApp(cfg, app, q));
         ++count;
     }
     return sum / count;

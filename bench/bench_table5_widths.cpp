@@ -40,7 +40,7 @@ main()
     for (const CritPredictor pred : preds) {
         std::uint64_t maxObserved = 0;
         for (const AppParams &app : parallelApps()) {
-            const RunResult run = runParallel(
+            const RunResult run = runApp(
                 withPredictor(parallelBase(), pred, 64), app, q);
             maxObserved = std::max(maxObserved, run.maxCbpValue);
         }

@@ -117,15 +117,9 @@ main()
         double sum = 0.0;
         std::size_t count = 0;
         for (const Bundle &bundle : multiprogBundles()) {
-            std::array<double, 4> alone{};
-            for (std::size_t i = 0; i < bundle.apps.size(); ++i)
-                alone[i] =
-                    sink.result("alone/" + bundle.apps[i]).ipc(0, q);
-            sum += weightedSpeedup(
-                       sink.result(bundle.name + "/" + c.name), alone,
-                       q) /
-                weightedSpeedup(sink.result(bundle.name + "/parbs"),
-                                alone, q);
+            sum += bundleFairness(sink, bundle, c.name, q)
+                       .weightedSpeedup /
+                bundleFairness(sink, bundle, "parbs", q).weightedSpeedup;
             ++count;
         }
         return sum / static_cast<double>(count);

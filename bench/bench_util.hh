@@ -13,11 +13,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exec/job_runner.hh"
 #include "exec/table.hh"
+#include "fair/metrics.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
 #include "system/experiment.hh"
@@ -28,6 +28,7 @@ namespace critmem::bench
 
 // Row formatting lives in the exec layer (shared with critmem-sweep).
 using exec::Averager;
+using exec::makeJob;
 using exec::printHeader;
 using exec::printRow;
 
@@ -92,19 +93,29 @@ withPredictor(SystemConfig cfg, CritPredictor pred,
     return cfg;
 }
 
-/** One engine job for a bench campaign. */
-inline exec::JobSpec
-makeJob(std::string name, exec::RunKind kind, std::string workload,
-        SystemConfig cfg, std::uint64_t quota, bool multiprog = false)
+/** One Parallel job run serially: @p app on every core under @p cfg. */
+inline RunResult
+runApp(const SystemConfig &cfg, const AppParams &app, std::uint64_t q)
 {
-    exec::JobSpec spec;
-    spec.name = std::move(name);
-    spec.kind = kind;
-    spec.workload = std::move(workload);
-    spec.cfg = std::move(cfg);
-    spec.quota = quota;
-    spec.multiprogPreset = multiprog;
-    return spec;
+    return exec::executeJob(
+        makeJob(app.name, exec::RunKind::Parallel, app.name, cfg, q));
+}
+
+/**
+ * Fairness of bundle job "<bundle>/<variant>" in @p sink against the
+ * "alone/<app>" baselines of the same campaign.
+ */
+inline fair::FairnessMetrics
+bundleFairness(const exec::MemorySink &sink, const Bundle &bundle,
+               const std::string &variant, std::uint64_t q)
+{
+    std::vector<double> alone;
+    for (const std::string &app : bundle.apps)
+        alone.push_back(sink.result("alone/" + app).ipc(0, q));
+    return fair::computeFairness(
+        fair::sharedIpcs(sink.result(bundle.name + "/" + variant), q,
+                         static_cast<std::uint32_t>(alone.size())),
+        alone);
 }
 
 /**

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "exec/job.hh"
+#include "fair/metrics.hh"
 #include "sim/log.hh"
-#include "system/experiment.hh"
 
 using namespace critmem;
 
@@ -50,28 +52,38 @@ main(int argc, char **argv)
                 bundle->apps[3].c_str(),
                 static_cast<unsigned long long>(quota));
 
-    // Alone-IPC baselines under the PAR-BS configuration.
-    std::array<double, 4> alone{};
-    for (std::size_t i = 0; i < 4; ++i) {
-        alone[i] = runAlone(parbs, appParams(bundle->apps[i]), quota);
-        std::printf("  %-8s alone IPC %.3f\n", bundle->apps[i].c_str(),
-                    alone[i]);
+    // Alone-IPC baselines under the PAR-BS configuration: each app
+    // on core 0 with the other cores idle.
+    std::vector<double> alone;
+    for (const std::string &app : bundle->apps) {
+        alone.push_back(
+            exec::executeJob(exec::makeJob(app, exec::RunKind::Alone,
+                                           app, parbs, quota))
+                .ipc(0, quota));
+        std::printf("  %-8s alone IPC %.3f\n", app.c_str(),
+                    alone.back());
     }
     std::printf("\n%-18s %9s %9s", "scheduler", "wSpeedup", "maxSlow");
     for (std::size_t i = 0; i < 4; ++i)
         std::printf(" %9s", bundle->apps[i].c_str());
     std::printf("\n");
 
-    const RunResult base = runBundle(parbs, *bundle, quota);
-    const double wsBase = weightedSpeedup(base, alone, quota);
+    // Fairness of one bundle run against the alone baselines.
+    auto fairness = [&](const SystemConfig &cfg) {
+        const RunResult run = exec::executeJob(exec::makeJob(
+            bundle->name, exec::RunKind::Bundle, bundle->name, cfg,
+            quota));
+        return fair::computeFairness(
+            fair::sharedIpcs(run, quota, cfg.numCores), alone);
+    };
+    const double wsBase = fairness(parbs).weightedSpeedup;
 
     auto report = [&](const char *name, const SystemConfig &cfg) {
-        const RunResult run = runBundle(cfg, *bundle, quota);
+        const fair::FairnessMetrics m = fairness(cfg);
         std::printf("%-18s %9.4f %9.3f", name,
-                    weightedSpeedup(run, alone, quota) / wsBase,
-                    maxSlowdown(run, alone, quota));
-        for (std::uint32_t i = 0; i < 4; ++i)
-            std::printf(" %9.3f", alone[i] / run.ipc(i, quota));
+                    m.weightedSpeedup / wsBase, m.maxSlowdown);
+        for (const double slowdown : m.slowdown)
+            std::printf(" %9.3f", slowdown);
         std::printf("\n");
     };
 

@@ -11,8 +11,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "exec/job.hh"
 #include "sim/log.hh"
-#include "system/experiment.hh"
 
 using namespace critmem;
 
@@ -37,11 +37,14 @@ main(int argc, char **argv)
     std::cout << "app=" << app << " quota=" << quota
               << " instructions/core, 8 cores, DDR3-2133 x4ch\n";
 
-    const RunResult baseRun = runParallel(base, appParams(app), quota);
+    // One job per configuration: the app on all 8 cores to the quota.
+    const RunResult baseRun = exec::executeJob(
+        exec::makeJob(app, exec::RunKind::Parallel, app, base, quota));
     std::cout << "FR-FCFS:              " << baseRun.cycles
               << " cycles\n";
 
-    const RunResult critRun = runParallel(crit, appParams(app), quota);
+    const RunResult critRun = exec::executeJob(
+        exec::makeJob(app, exec::RunKind::Parallel, app, crit, quota));
     std::cout << "CASRAS-Crit/MaxStall: " << critRun.cycles
               << " cycles\n";
 

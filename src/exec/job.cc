@@ -1,8 +1,8 @@
 #include "exec/job.hh"
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "sched/registry.hh"
 #include "system/system.hh"
@@ -10,6 +10,157 @@
 
 namespace critmem::exec
 {
+
+namespace
+{
+
+[[noreturn]] void
+bad(const std::string &what)
+{
+    throw std::runtime_error(what);
+}
+
+std::uint32_t
+parseU32(const std::string &key, const std::string &value)
+{
+    const std::uint64_t parsed = parseUint(key, value);
+    if (parsed > 0xffffffffull)
+        bad("out-of-range number for " + key + ": '" + value + "'");
+    return static_cast<std::uint32_t>(parsed);
+}
+
+using Setter = void (*)(SystemConfig &cfg, const std::string &key,
+                        const std::string &value);
+
+/** One applySetting() key; also critmem-sim's --KEY flag. */
+struct Setting
+{
+    const char *key;
+    Setter apply;
+};
+
+const Setting kSettings[] = {
+    {"sched",
+     [](SystemConfig &cfg, const std::string &, const std::string &v) {
+         const auto algo = findSchedAlgo(v);
+         if (!algo)
+             bad("unknown scheduler '" + v + "'");
+         cfg.sched.algo = *algo;
+     }},
+    {"predictor",
+     [](SystemConfig &cfg, const std::string &, const std::string &v) {
+         const auto pred = findCritPredictor(v);
+         if (!pred)
+             bad("unknown predictor '" + v + "'");
+         cfg.crit.predictor = *pred;
+     }},
+    {"entries",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.crit.tableEntries = parseU32(k, v);
+     }},
+    {"reset",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.crit.resetInterval = parseUint(k, v);
+     }},
+    {"ranks",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.dram.ranksPerChannel = parseU32(k, v);
+     }},
+    {"channels",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.dram.channels = parseU32(k, v);
+     }},
+    {"speed",
+     [](SystemConfig &cfg, const std::string &, const std::string &v) {
+         const auto speed = findDramSpeed(v);
+         if (!speed)
+             bad("unknown speed grade '" + v + "'");
+         const DramConfig fresh = DramConfig::preset(*speed);
+         cfg.dram.t = fresh.t;
+         cfg.dram.busMHz = fresh.busMHz;
+         cfg.dram.speed = *speed;
+     }},
+    {"lq",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.core.lqEntries = parseU32(k, v);
+     }},
+    {"prefetch",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.prefetch.enabled = parseBool(k, v);
+     }},
+    {"closed-page",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.dram.closedPage = parseBool(k, v);
+     }},
+    {"split-wq",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.dram.unifiedQueue = !parseBool(k, v);
+     }},
+    {"morse-cmds",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.sched.morseMaxCommands = parseU32(k, v);
+     }},
+    {"cores",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.numCores = parseU32(k, v);
+     }},
+    {"seed",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.seed = parseUint(k, v);
+     }},
+    {"inject",
+     [](SystemConfig &cfg, const std::string &, const std::string &v) {
+         const auto fault = findFaultKind(v);
+         if (!fault)
+             bad("unknown fault kind '" + v + "'");
+         cfg.check.fault = *fault;
+         // A fault only shows through the checker.
+         cfg.check.enabled = true;
+     }},
+    {"inject-period",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.check.faultPeriod = parseUint(k, v);
+     }},
+};
+
+const Setting *
+findSetting(const std::string &key)
+{
+    for (const Setting &setting : kSettings) {
+        if (key == setting.key)
+            return &setting;
+    }
+    return nullptr;
+}
+
+/** "[NAME=]PATH" -> (name, path); the name defaults to the file stem. */
+std::pair<std::string, std::string>
+splitTraceArg(const std::string &arg)
+{
+    const std::size_t eq = arg.find('=');
+    if (eq != std::string::npos)
+        return {arg.substr(0, eq), arg.substr(eq + 1)};
+    const std::size_t slash = arg.find_last_of('/');
+    std::string name =
+        slash == std::string::npos ? arg : arg.substr(slash + 1);
+    return {name.substr(0, name.find('.')), arg};
+}
+
+/** The core count parseSimCommand() gives @p spec without --cores. */
+std::uint32_t
+defaultCores(const JobSpec &spec, const SystemConfig &base)
+{
+    if (spec.kind == RunKind::Bundle) {
+        if (const Bundle *bundle = findBundle(spec.workload))
+            return static_cast<std::uint32_t>(bundle->apps.size());
+    } else if (spec.kind == RunKind::Trace) {
+        if (const TraceWorkload *wl = findTraceWorkload(spec.workload))
+            return wl->numCores;
+    }
+    return base.numCores;
+}
+
+} // namespace
 
 const char *
 toString(RunKind kind)
@@ -54,6 +205,188 @@ parseJobStatus(const std::string &name, JobStatus &out)
     return false;
 }
 
+JobSpec
+makeJob(std::string name, RunKind kind, std::string workload,
+        SystemConfig cfg, std::uint64_t quota, bool multiprogPreset)
+{
+    JobSpec spec;
+    spec.name = std::move(name);
+    spec.kind = kind;
+    spec.workload = std::move(workload);
+    spec.cfg = std::move(cfg);
+    spec.quota = quota;
+    spec.multiprogPreset = multiprogPreset;
+    return spec;
+}
+
+std::uint64_t
+parseUint(const std::string &key, const std::string &value)
+{
+    // std::stoull alone would take leading blanks and wrap a '-'.
+    if (value.empty() || value[0] < '0' || value[0] > '9')
+        bad("unparsable number for " + key + ": '" + value + "'");
+    try {
+        std::size_t used = 0;
+        const std::uint64_t parsed = std::stoull(value, &used, 10);
+        if (used != value.size())
+            bad("trailing junk in " + key + " = '" + value + "'");
+        return parsed;
+    } catch (const std::out_of_range &) {
+        bad("out-of-range number for " + key + ": '" + value + "'");
+    }
+}
+
+bool
+parseBool(const std::string &key, const std::string &value)
+{
+    if (value == "1" || value == "true" || value == "yes")
+        return true;
+    if (value == "0" || value == "false" || value == "no")
+        return false;
+    bad("expected boolean for " + key + ", got '" + value + "'");
+}
+
+void
+applySetting(SystemConfig &cfg, const std::string &key,
+             const std::string &value)
+{
+    const Setting *setting = findSetting(key);
+    if (!setting)
+        bad("unknown setting '" + key + "'");
+    setting->apply(cfg, key, value);
+}
+
+SimCommand
+parseSimCommand(const std::vector<std::string> &args)
+{
+    SimCommand cmd;
+    JobSpec &spec = cmd.spec;
+    // The preset decides the base config every other flag overrides,
+    // so resolve it before the main flag pass.
+    for (std::size_t i = 0; i + 1 < args.size(); ++i) {
+        if (args[i] == "--preset")
+            spec.multiprogPreset = args[i + 1] == "multiprog";
+    }
+    const SystemConfig base = spec.multiprogPreset
+        ? SystemConfig::multiprogDefault()
+        : SystemConfig::parallelDefault();
+    spec.cfg = base;
+
+    std::string app;
+    std::string bundle;
+    bool alone = false;
+    bool coresSet = false;
+    std::vector<std::pair<std::string, std::string>> traces;
+    ingest::IngestOptions traceOpts;
+
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &flag = args[i];
+        const auto value = [&]() -> const std::string & {
+            if (i + 1 >= args.size())
+                bad("missing value");
+            return args[++i];
+        };
+        try {
+            if (flag == "--app") {
+                app = value();
+            } else if (flag == "--bundle") {
+                bundle = value();
+            } else if (flag == "--trace") {
+                const std::string &arg = value();
+                traces.push_back(splitTraceArg(arg));
+                if (traces.back().first.empty() ||
+                    traces.back().second.empty())
+                    bad("needs [NAME=]PATH, got '" + arg + "'");
+            } else if (flag == "--trace-format") {
+                const std::string &name = value();
+                if (!ingest::findTraceFormat(name, traceOpts.format))
+                    bad("unknown trace format '" + name + "'");
+            } else if (flag == "--trace-policy") {
+                const std::string &name = value();
+                if (!ingest::findRecoveryPolicy(name, traceOpts.policy))
+                    bad("unknown recovery policy '" + name + "'");
+            } else if (flag == "--trace-skip-budget") {
+                traceOpts.skipBudget = parseUint("skip-budget", value());
+            } else if (flag == "--alone") {
+                alone = true;
+            } else if (flag == "--fairness") {
+                cmd.fairness = true;
+            } else if (flag == "--preset") {
+                const std::string &preset = value();
+                if (preset != "parallel" && preset != "multiprog")
+                    bad("unknown preset '" + preset + "'");
+            } else if (flag == "--instrs") {
+                spec.quota = parseUint("instrs", value());
+            } else if (flag == "--warmup") {
+                spec.warmup = parseUint("warmup", value());
+            } else if (flag == "--prefetch" || flag == "--closed-page" ||
+                       flag == "--split-wq") {
+                applySetting(spec.cfg, flag.substr(2), "1");
+            } else if (flag == "--check") {
+                spec.cfg.check.enabled = true;
+            } else if (flag == "--no-cycle-skip") {
+                spec.cfg.fastForward = false;
+            } else if (flag == "--cycle-skip") {
+                spec.cfg.fastForward = true;
+            } else if (flag == "--stats") {
+                cmd.dumpStats = true;
+            } else if (flag == "--stats-json") {
+                cmd.statsJsonPath = value();
+            } else if (flag == "--list-workloads") {
+                cmd.listWorkloads = true;
+            } else if (flag == "--list-schedulers") {
+                cmd.listSchedulers = true;
+            } else if (flag == "--quiet") {
+                cmd.quiet = true;
+            } else if (flag == "--help" || flag == "-h") {
+                cmd.help = true;
+            } else if (flag.rfind("--", 0) == 0 &&
+                       findSetting(flag.substr(2))) {
+                applySetting(spec.cfg, flag.substr(2), value());
+                coresSet = coresSet || flag == "--cores";
+            } else {
+                bad("unknown option (see --help)");
+            }
+        } catch (const std::runtime_error &err) {
+            bad(flag + ": " + err.what());
+        }
+    }
+
+    for (const auto &[name, path] : traces) {
+        try {
+            registerTraceWorkload(name, path, traceOpts);
+        } catch (const std::exception &err) {
+            bad("--trace " + name + ": " + err.what());
+        }
+    }
+    if (cmd.help || cmd.listWorkloads || cmd.listSchedulers)
+        return cmd;
+
+    if (app.empty() && bundle.empty() && traces.size() == 1)
+        app = traces[0].first;
+    if (app.empty() == bundle.empty())
+        bad("give exactly one of --app, --bundle or a lone --trace");
+    if (alone && app.empty())
+        bad("--alone requires --app");
+    if (cmd.fairness && bundle.empty())
+        bad("--fairness requires --bundle");
+
+    spec.workload = app.empty() ? bundle : app;
+    spec.name = spec.workload;
+    if (!bundle.empty()) {
+        spec.kind = RunKind::Bundle;
+    } else if (findTraceWorkload(app)) {
+        if (alone)
+            bad("--alone does not apply to trace workloads");
+        spec.kind = RunKind::Trace;
+    } else {
+        spec.kind = alone ? RunKind::Alone : RunKind::Parallel;
+    }
+    if (!coresSet)
+        spec.cfg.numCores = defaultCores(spec, base);
+    return cmd;
+}
+
 std::string
 reproCommand(const JobSpec &spec)
 {
@@ -92,11 +425,16 @@ reproCommand(const JobSpec &spec)
     }
     if (spec.kind == RunKind::Alone)
         cmd << " --alone";
+    if (cfg.numCores != defaultCores(spec, base))
+        cmd << " --cores " << cfg.numCores;
     cmd << " --sched " << cliName(cfg.sched.algo);
-    if (cfg.crit.predictor != CritPredictor::None) {
-        cmd << " --predictor " << cliName(cfg.crit.predictor)
-            << " --entries " << cfg.crit.tableEntries;
-    }
+    if (cfg.sched.morseMaxCommands != base.sched.morseMaxCommands)
+        cmd << " --morse-cmds " << cfg.sched.morseMaxCommands;
+    if (cfg.crit.predictor != CritPredictor::None)
+        cmd << " --predictor " << cliName(cfg.crit.predictor);
+    if (cfg.crit.predictor != CritPredictor::None ||
+        cfg.crit.tableEntries != base.crit.tableEntries)
+        cmd << " --entries " << cfg.crit.tableEntries;
     if (cfg.crit.resetInterval != 0)
         cmd << " --reset " << cfg.crit.resetInterval;
     cmd << " --instrs " << spec.quota;
@@ -120,86 +458,79 @@ reproCommand(const JobSpec &spec)
     if (cfg.check.fault != FaultKind::None) {
         cmd << " --inject " << toString(cfg.check.fault)
             << " --inject-period " << cfg.check.faultPeriod;
-    } else if (cfg.check.enabled) {
-        cmd << " --check";
+    } else {
+        if (cfg.check.faultPeriod != base.check.faultPeriod)
+            cmd << " --inject-period " << cfg.check.faultPeriod;
+        if (cfg.check.enabled)
+            cmd << " --check";
     }
     return cmd.str();
 }
 
-RunResult
-executeJob(const JobSpec &spec, std::string *statsJson,
-           const std::atomic<bool> *cancel)
+std::unique_ptr<System>
+buildSystem(const JobSpec &spec)
 {
-    // Validate up front and throw instead of letting the harness
-    // fatal(): a malformed job must not take the campaign down.
+    // Validate up front and throw instead of letting System's
+    // constructor fatal(): a malformed job must not take the
+    // campaign down.
     const ConfigErrors errors = spec.cfg.validate();
     if (!errors.empty()) {
         std::ostringstream msg;
         msg << "invalid config for job '" << spec.name << "':";
         for (const ConfigError &err : errors)
             msg << ' ' << err.field << ": " << err.message << ';';
-        throw std::runtime_error(msg.str());
+        bad(msg.str());
     }
 
-    std::unique_ptr<System> sys;
-    bool stopAtQuota = true;
     switch (spec.kind) {
       case RunKind::Parallel:
       case RunKind::Alone: {
-        if (!haveApp(spec.workload)) {
-            throw std::runtime_error("unknown application '" +
-                                     spec.workload + "'");
-        }
+        if (!haveApp(spec.workload))
+            bad("unknown application '" + spec.workload + "'");
         const AppParams &app = appParams(spec.workload);
-        if (spec.kind == RunKind::Parallel) {
-            sys = std::make_unique<System>(spec.cfg, app);
-        } else {
-            std::vector<AppParams> perCore(spec.cfg.numCores);
-            perCore[0] = app;
-            sys = std::make_unique<System>(spec.cfg, perCore);
-        }
-        break;
+        if (spec.kind == RunKind::Parallel)
+            return std::make_unique<System>(spec.cfg, app);
+        // The other cores stay idle: default AppParams, empty name.
+        std::vector<AppParams> perCore(spec.cfg.numCores);
+        perCore[0] = app;
+        return std::make_unique<System>(spec.cfg, perCore);
       }
       case RunKind::Bundle: {
         const Bundle *bundle = findBundle(spec.workload);
-        if (!bundle) {
-            throw std::runtime_error("unknown bundle '" +
-                                     spec.workload + "'");
-        }
+        if (!bundle)
+            bad("unknown bundle '" + spec.workload + "'");
         if (spec.cfg.numCores != bundle->apps.size()) {
-            throw std::runtime_error(
-                "bundle job '" + spec.name + "' needs " +
+            bad("bundle job '" + spec.name + "' needs " +
                 std::to_string(bundle->apps.size()) + " cores");
         }
         std::vector<AppParams> perCore;
         for (const std::string &name : bundle->apps)
             perCore.push_back(appParams(name));
-        sys = std::make_unique<System>(spec.cfg, perCore);
-        stopAtQuota = false;
-        break;
+        return std::make_unique<System>(spec.cfg, perCore);
       }
       case RunKind::Trace: {
         const TraceWorkload *wl = findTraceWorkload(spec.workload);
-        if (!wl) {
-            throw std::runtime_error("unknown trace workload '" +
-                                     spec.workload + "'");
-        }
+        if (!wl)
+            bad("unknown trace workload '" + spec.workload + "'");
         if (spec.cfg.numCores != wl->numCores) {
-            throw std::runtime_error(
-                "trace job '" + spec.name + "' needs " +
+            bad("trace job '" + spec.name + "' needs " +
                 std::to_string(wl->numCores) + " cores (config has " +
                 std::to_string(spec.cfg.numCores) + ")");
         }
-        sys = std::make_unique<System>(spec.cfg, *wl);
-        break;
+        return std::make_unique<System>(spec.cfg, *wl);
       }
     }
-    if (!sys)
-        throw std::runtime_error("unknown run kind");
-    sys->setAbortFlag(cancel);
+    bad("unknown run kind");
+}
 
+RunResult
+executeJob(const JobSpec &spec, std::string *statsJson,
+           const std::atomic<bool> *cancel)
+{
+    const std::unique_ptr<System> sys = buildSystem(spec);
+    sys->setAbortFlag(cancel);
     const RunResult result =
-        runSystem(*sys, spec.quota, spec.warmup, stopAtQuota);
+        runSystem(*sys, spec.quota, spec.warmup, spec.stopAtQuota());
     if (statsJson && spec.captureStats) {
         std::ostringstream os;
         sys->statsRoot().printJson(os);

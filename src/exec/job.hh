@@ -16,7 +16,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "fair/metrics.hh"
 #include "sim/config.hh"
@@ -25,12 +27,15 @@
 namespace critmem::exec
 {
 
-/** Which experiment-harness entry point a job drives. */
+/** Which System a job builds and which methodology drives it. */
 enum class RunKind
 {
-    Parallel, ///< runParallel: all cores run one app to the quota
-    Bundle,   ///< runBundle: Table 4 multiprogrammed methodology
-    Alone,    ///< runAloneResult: app on core 0, others idle
+    Parallel, ///< every core runs one thread of the app; cores stop
+              ///< at the quota and the run time is the result
+    Bundle,   ///< Table 4 bundle, one app per core; cores keep
+              ///< running for contention until all reach the quota
+    Alone,    ///< the app on core 0 with the other cores idle (the
+              ///< weighted-speedup baseline of a bundle app)
     Trace,    ///< external trace: every core replays its slice
 };
 
@@ -76,7 +81,18 @@ struct JobSpec
     bool captureStats = false;
     /** Free-form labels a driver can attach (figure row/column...). */
     std::map<std::string, std::string> tags;
+
+    /**
+     * Cores stop fetching at the quota (the parallel methodology);
+     * bundles keep every core running until all reach it.
+     */
+    bool stopAtQuota() const { return kind != RunKind::Bundle; }
 };
+
+/** A job at the default warmup, with no stats capture or tags. */
+JobSpec makeJob(std::string name, RunKind kind, std::string workload,
+                SystemConfig cfg, std::uint64_t quota,
+                bool multiprogPreset = false);
 
 /** Outcome of one job, as delivered to the result sinks. */
 struct JobRecord
@@ -111,14 +127,75 @@ struct JobRecord
 };
 
 /**
+ * Parse a decimal unsigned number; throws std::runtime_error naming
+ * @p key on anything else (empty, sign, junk, overflow).
+ */
+std::uint64_t parseUint(const std::string &key, const std::string &value);
+
+/** Parse 1/true/yes or 0/false/no; throws naming @p key otherwise. */
+bool parseBool(const std::string &key, const std::string &value);
+
+/**
+ * Apply one configuration setting. The keys are both the .sweep
+ * variant settings and critmem-sim's config flags (--KEY VALUE):
+ * sched, predictor, entries, reset, ranks, channels, speed, lq,
+ * prefetch, closed-page, split-wq, morse-cmds, cores, seed, inject
+ * (implies the checker) and inject-period. Throws std::runtime_error
+ * on unknown keys or unparsable values.
+ */
+void applySetting(SystemConfig &cfg, const std::string &key,
+                  const std::string &value);
+
+/** A critmem-sim invocation: the job plus what to do with it. */
+struct SimCommand
+{
+    JobSpec spec;
+    /** --fairness: also run each bundle app alone. */
+    bool fairness = false;
+    /** --stats: print the stats tree. */
+    bool dumpStats = false;
+    /** --stats-json FILE ('-' = stdout); empty = none. */
+    std::string statsJsonPath;
+    bool listWorkloads = false;
+    bool listSchedulers = false;
+    bool quiet = false;
+    bool help = false;
+};
+
+/**
+ * Parse critmem-sim's arguments (argv without the program name): the
+ * inverse of reproCommand(). Every config flag --KEY VALUE is
+ * applySetting(cfg, KEY, VALUE); --prefetch, --closed-page and
+ * --split-wq pass "1". Registers the --trace sources (after the flag
+ * pass, so the recovery flags apply wherever they appear). Unless a
+ * listing or --help was asked for, resolves the workload: exactly
+ * one of --app, --bundle or a lone --trace. The core count defaults
+ * to the run kind's (the bundle's app count, the trace's core count,
+ * else the preset's); --cores overrides it. Throws std::runtime_error
+ * naming the offending flag.
+ */
+SimCommand parseSimCommand(const std::vector<std::string> &args);
+
+/**
  * A critmem-sim command line reproducing @p spec in isolation —
  * attached to every failure record so a crash found mid-campaign can
- * be replayed immediately.
+ * be replayed immediately. parseSimCommand() of it rebuilds the
+ * spec's kind, workload, quota, warmup, preset and config.
  */
 std::string reproCommand(const JobSpec &spec);
 
 /**
- * Execute one job synchronously in the calling thread.
+ * Build the System @p spec describes, ready for runSystem() with
+ * spec.quota, spec.warmup and spec.stopAtQuota(). Throws
+ * std::runtime_error on an invalid config, an unknown workload or a
+ * core count the workload cannot use, and TraceError when a trace
+ * fails to decode.
+ */
+std::unique_ptr<System> buildSystem(const JobSpec &spec);
+
+/**
+ * Execute one job synchronously in the calling thread: buildSystem()
+ * then runSystem().
  * Throws CheckViolation / TraceError / std::runtime_error; the
  * JobRunner maps those onto JobStatus (callers running jobs by hand
  * get the raw exception).

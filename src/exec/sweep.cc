@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sched/registry.hh"
 #include "trace/workloads.hh"
 
 namespace critmem::exec
@@ -27,32 +26,6 @@ namespace
 bad(const std::string &what)
 {
     throw std::runtime_error(what);
-}
-
-std::uint64_t
-parseUint(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t used = 0;
-        const std::uint64_t parsed = std::stoull(value, &used, 10);
-        if (used != value.size())
-            bad("trailing junk in " + key + " = '" + value + "'");
-        return parsed;
-    } catch (const std::invalid_argument &) {
-        bad("unparsable number for " + key + ": '" + value + "'");
-    } catch (const std::out_of_range &) {
-        bad("out-of-range number for " + key + ": '" + value + "'");
-    }
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "1" || value == "true" || value == "yes")
-        return true;
-    if (value == "0" || value == "false" || value == "no")
-        return false;
-    bad("expected boolean for " + key + ", got '" + value + "'");
 }
 
 std::string
@@ -80,70 +53,6 @@ splitList(const std::string &text)
 }
 
 } // namespace
-
-void
-applySetting(SystemConfig &cfg, const std::string &key,
-             const std::string &value)
-{
-    if (key == "sched") {
-        const auto algo = findSchedAlgo(value);
-        if (!algo)
-            bad("unknown scheduler '" + value + "'");
-        cfg.sched.algo = *algo;
-    } else if (key == "predictor") {
-        const auto pred = findCritPredictor(value);
-        if (!pred)
-            bad("unknown predictor '" + value + "'");
-        cfg.crit.predictor = *pred;
-    } else if (key == "entries") {
-        cfg.crit.tableEntries =
-            static_cast<std::uint32_t>(parseUint(key, value));
-    } else if (key == "reset") {
-        cfg.crit.resetInterval = parseUint(key, value);
-    } else if (key == "ranks") {
-        cfg.dram.ranksPerChannel =
-            static_cast<std::uint32_t>(parseUint(key, value));
-    } else if (key == "channels") {
-        cfg.dram.channels =
-            static_cast<std::uint32_t>(parseUint(key, value));
-    } else if (key == "speed") {
-        const auto speed = findDramSpeed(value);
-        if (!speed)
-            bad("unknown speed grade '" + value + "'");
-        const DramConfig fresh = DramConfig::preset(*speed);
-        cfg.dram.t = fresh.t;
-        cfg.dram.busMHz = fresh.busMHz;
-        cfg.dram.speed = *speed;
-    } else if (key == "lq") {
-        cfg.core.lqEntries =
-            static_cast<std::uint32_t>(parseUint(key, value));
-    } else if (key == "prefetch") {
-        cfg.prefetch.enabled = parseBool(key, value);
-    } else if (key == "closed-page") {
-        cfg.dram.closedPage = parseBool(key, value);
-    } else if (key == "split-wq") {
-        cfg.dram.unifiedQueue = !parseBool(key, value);
-    } else if (key == "morse-cmds") {
-        cfg.sched.morseMaxCommands =
-            static_cast<std::uint32_t>(parseUint(key, value));
-    } else if (key == "cores") {
-        cfg.numCores = static_cast<std::uint32_t>(parseUint(key, value));
-    } else if (key == "seed") {
-        cfg.seed = parseUint(key, value);
-    } else if (key == "inject") {
-        const auto fault = findFaultKind(value);
-        if (!fault)
-            bad("unknown fault kind '" + value + "'");
-        cfg.check.fault = *fault;
-        // Mirror critmem-sim --inject, which implies --check, so the
-        // failure record's repro command reproduces the same config.
-        cfg.check.enabled = true;
-    } else if (key == "inject-period") {
-        cfg.check.faultPeriod = parseUint(key, value);
-    } else {
-        bad("unknown setting '" + key + "'");
-    }
-}
 
 bool
 globMatch(const std::string &pattern, const std::string &text)

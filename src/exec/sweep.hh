@@ -68,16 +68,6 @@ struct TraceDecl
     ingest::IngestOptions options;
 };
 
-/**
- * Apply one spec setting to a job under construction. Supported keys:
- * sched, predictor, entries, reset, ranks, channels, speed, lq,
- * prefetch, closed-page, split-wq, morse-cmds, cores, seed, inject,
- * inject-period (fault injection, mirroring critmem-sim --inject).
- * Throws std::runtime_error on unknown keys or unparsable values.
- */
-void applySetting(SystemConfig &cfg, const std::string &key,
-                  const std::string &value);
-
 /** A declarative experiment campaign. */
 struct SweepSpec
 {

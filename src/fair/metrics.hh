@@ -8,8 +8,7 @@
  * IPC_shared,i: how much slower application i runs when sharing the
  * memory system than when running alone on the same hardware. The
  * metrics work on plain vectors so 2-, 4- and 8-core systems all use
- * the same code path (generalizing the fixed 4-wide helpers in
- * system/experiment.hh).
+ * the same code path.
  */
 
 #ifndef CRITMEM_FAIR_METRICS_HH

@@ -92,75 +92,4 @@ runSystem(System &sys, std::uint64_t quota, std::uint64_t warmup,
     return collect(sys);
 }
 
-RunResult
-runParallel(const SystemConfig &cfg, const AppParams &app,
-            std::uint64_t quota, std::uint64_t warmup)
-{
-    validateOrFatal(cfg);
-    System sys(cfg, app);
-    return runSystem(sys, quota, warmup, /*stopAtQuota=*/true);
-}
-
-RunResult
-runBundle(const SystemConfig &cfg, const Bundle &bundle,
-          std::uint64_t quota, std::uint64_t warmup)
-{
-    validateOrFatal(cfg);
-    if (cfg.numCores != bundle.apps.size())
-        fatal("bundle '", bundle.name, "' needs ", bundle.apps.size(),
-              " cores, config has ", cfg.numCores);
-    std::vector<AppParams> perCore;
-    for (const std::string &name : bundle.apps)
-        perCore.push_back(appParams(name));
-    System sys(cfg, perCore);
-    return runSystem(sys, quota, warmup, /*stopAtQuota=*/false);
-}
-
-RunResult
-runAloneResult(const SystemConfig &cfg, const AppParams &app,
-               std::uint64_t quota, std::uint64_t warmup)
-{
-    validateOrFatal(cfg);
-    std::vector<AppParams> perCore(cfg.numCores);
-    perCore[0] = app;
-    // Remaining cores stay idle: default AppParams with empty name.
-    System sys(cfg, perCore);
-    return runSystem(sys, quota, warmup, /*stopAtQuota=*/true);
-}
-
-double
-runAlone(const SystemConfig &cfg, const AppParams &app,
-         std::uint64_t quota)
-{
-    return runAloneResult(cfg, app, quota).ipc(0, quota);
-}
-
-double
-weightedSpeedup(const RunResult &run,
-                const std::array<double, 4> &aloneIpc,
-                std::uint64_t quota)
-{
-    double sum = 0.0;
-    for (std::size_t i = 0; i < aloneIpc.size(); ++i) {
-        if (aloneIpc[i] > 0.0)
-            sum += run.ipc(static_cast<std::uint32_t>(i), quota) /
-                aloneIpc[i];
-    }
-    return sum;
-}
-
-double
-maxSlowdown(const RunResult &run,
-            const std::array<double, 4> &aloneIpc, std::uint64_t quota)
-{
-    double worst = 0.0;
-    for (std::size_t i = 0; i < aloneIpc.size(); ++i) {
-        const double shared =
-            run.ipc(static_cast<std::uint32_t>(i), quota);
-        if (shared > 0.0)
-            worst = std::max(worst, aloneIpc[i] / shared);
-    }
-    return worst;
-}
-
 } // namespace critmem

@@ -1,14 +1,14 @@
 /**
  * @file
- * Experiment harness helpers shared by the benches and examples:
- * single-run drivers, result aggregation, speedup and
- * weighted-speedup computation (Snavely/Tullsen [24]).
+ * The measurement methodology shared by every run: the prewarm /
+ * warmup / measured-window sequence, result aggregation and speedup.
+ * Runs are described and built by exec::JobSpec (exec/job.hh);
+ * fairness metrics live in fair/metrics.hh.
  */
 
 #ifndef CRITMEM_SYSTEM_EXPERIMENT_HH
 #define CRITMEM_SYSTEM_EXPERIMENT_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -79,45 +79,15 @@ RunResult collect(System &sys);
 /**
  * Drive an already-constructed System through the standard
  * methodology — cache prewarm, warmup window, measured run — and
- * collect the result. The primitive under runParallel/runBundle/
- * runAloneResult; callers that need the System afterwards (stats
- * export, diagnostics) use it directly.
+ * collect the result. The System outlives the call, so callers can
+ * export its stats or diagnostics afterwards.
+ * @param warmup Warmup micro-ops; kDefaultWarmup reads the
+ *        CRITMEM_WARMUP environment (else half the quota).
  * @param stopAtQuota See System::run().
  */
 RunResult runSystem(System &sys, std::uint64_t quota,
                     std::uint64_t warmup = kDefaultWarmup,
                     bool stopAtQuota = true);
-
-/**
- * Run one parallel application (all cores) to its quota.
- * @param cfg Complete configuration (scheduler, predictor, ...).
- * @param warmup Warmup micro-ops; kDefaultWarmup reads the
- *        CRITMEM_WARMUP environment (else half the quota).
- */
-RunResult runParallel(const SystemConfig &cfg, const AppParams &app,
-                      std::uint64_t quota,
-                      std::uint64_t warmup = kDefaultWarmup);
-
-/** Run a Table 4 bundle with the multiprogrammed methodology. */
-RunResult runBundle(const SystemConfig &cfg, const Bundle &bundle,
-                    std::uint64_t quota,
-                    std::uint64_t warmup = kDefaultWarmup);
-
-/**
- * Run @p app alone on core 0 of the multiprogrammed system (other
- * cores idle), for weighted-speedup baselining. The alone-IPC is
- * result.ipc(0, quota).
- */
-RunResult runAloneResult(const SystemConfig &cfg, const AppParams &app,
-                         std::uint64_t quota,
-                         std::uint64_t warmup = kDefaultWarmup);
-
-/**
- * Convenience wrapper around runAloneResult().
- * @return the app's alone-IPC.
- */
-double runAlone(const SystemConfig &cfg, const AppParams &app,
-                std::uint64_t quota);
 
 /** baseCycles / testCycles. */
 inline double
@@ -126,19 +96,6 @@ speedup(const RunResult &base, const RunResult &test)
     return static_cast<double>(base.cycles) /
         static_cast<double>(test.cycles);
 }
-
-/**
- * Weighted speedup of a bundle run: sum over apps of IPC_shared /
- * IPC_alone.
- */
-double weightedSpeedup(const RunResult &run,
-                       const std::array<double, 4> &aloneIpc,
-                       std::uint64_t quota);
-
-/** Maximum per-app slowdown (IPC_alone / IPC_shared). */
-double maxSlowdown(const RunResult &run,
-                   const std::array<double, 4> &aloneIpc,
-                   std::uint64_t quota);
 
 } // namespace critmem
 

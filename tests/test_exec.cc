@@ -3,8 +3,8 @@
  * Tests of the experiment-execution engine (src/exec/): deterministic
  * results independent of worker-thread count, failure isolation with
  * bounded retry, sweep-spec parsing and expansion, seed derivation,
- * JSON stats emission, and equivalence with the serial experiment
- * harness the figure benches used to call directly.
+ * JSON stats emission, and equivalence with a System built by its
+ * public constructors and driven by runSystem().
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,12 @@
 #include <vector>
 
 #include "exec/job_runner.hh"
+#include "fair/baseline_cache.hh"
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
 #include "sim/stats.hh"
 #include "system/experiment.hh"
+#include "system/system.hh"
 #include "trace/workloads.hh"
 
 using namespace critmem;
@@ -70,6 +72,156 @@ runToJsonl(const std::vector<exec::JobSpec> &jobs, unsigned threads,
     exec::JobRunner runner(opts);
     runner.run(jobs, {&sink});
     return out.str();
+}
+
+/** parseSimCommand() over a command line split on blanks. */
+exec::SimCommand
+parseLine(const std::string &line)
+{
+    std::istringstream in(line);
+    std::vector<std::string> args;
+    std::string word;
+    in >> word; // the program name
+    while (in >> word)
+        args.push_back(word);
+    return exec::parseSimCommand(args);
+}
+
+/** parseSimCommand(reproCommand(spec)) rebuilds @p spec. */
+void
+expectRoundTrip(const exec::JobSpec &spec)
+{
+    const std::string repro = exec::reproCommand(spec);
+    const exec::JobSpec back = parseLine(repro).spec;
+    EXPECT_EQ(back.kind, spec.kind) << repro;
+    EXPECT_EQ(back.workload, spec.workload) << repro;
+    EXPECT_EQ(back.quota, spec.quota) << repro;
+    EXPECT_EQ(back.warmup, spec.warmup) << repro;
+    EXPECT_EQ(back.multiprogPreset, spec.multiprogPreset) << repro;
+    EXPECT_EQ(fair::configHash(back.cfg), fair::configHash(spec.cfg))
+        << repro;
+    // The checker settings sit outside the config hash.
+    EXPECT_EQ(back.cfg.check.enabled, spec.cfg.check.enabled) << repro;
+    EXPECT_EQ(back.cfg.check.fault, spec.cfg.check.fault) << repro;
+    EXPECT_EQ(back.cfg.check.faultPeriod, spec.cfg.check.faultPeriod)
+        << repro;
+}
+
+TEST(ExecRepro, RoundTripsShippedSpecs)
+{
+    for (const char *file :
+         {"fig10.sweep", "arena.sweep", "isolation.sweep"}) {
+        const std::vector<exec::JobSpec> jobs =
+            exec::parseSweepFile(std::string(CRITMEM_REPO_ROOT) +
+                                 "/specs/" + file)
+                .expand();
+        ASSERT_FALSE(jobs.empty()) << file;
+        for (const exec::JobSpec &job : jobs)
+            expectRoundTrip(job);
+    }
+}
+
+TEST(ExecRepro, RoundTripsEverySetting)
+{
+    // One non-default value per applySetting() key.
+    const std::vector<std::pair<std::string, std::string>> settings = {
+        {"sched", "tcm"},          {"predictor", "binary"},
+        {"entries", "32"},         {"reset", "100000"},
+        {"ranks", "2"},            {"channels", "2"},
+        {"speed", "ddr3-1600"},    {"lq", "48"},
+        {"prefetch", "1"},         {"closed-page", "1"},
+        {"split-wq", "1"},         {"morse-cmds", "8"},
+        {"cores", "4"},            {"seed", "7"},
+        {"inject", "early-cas"},   {"inject-period", "5"},
+    };
+    const std::string plain = exec::reproCommand(
+        parallelJob("art", "art", SchedAlgo::FrFcfs, 3000));
+    for (const auto &[key, value] : settings) {
+        exec::JobSpec job = parallelJob("art/" + key, "art",
+                                        SchedAlgo::FrFcfs, 3000);
+        exec::applySetting(job.cfg, key, value);
+        EXPECT_NE(exec::reproCommand(job), plain) << key;
+        expectRoundTrip(job);
+    }
+
+    // The remaining spec fields and run kinds.
+    exec::JobSpec warm = parallelJob("warm", "mg", SchedAlgo::FrFcfs,
+                                     2000);
+    warm.warmup = 300;
+    expectRoundTrip(warm);
+    for (const exec::RunKind kind :
+         {exec::RunKind::Bundle, exec::RunKind::Alone}) {
+        exec::JobSpec job;
+        job.kind = kind;
+        job.workload = kind == exec::RunKind::Bundle ? "RFGI" : "mcf";
+        job.cfg = SystemConfig::multiprogDefault();
+        job.multiprogPreset = true;
+        expectRoundTrip(job);
+        job.cfg.numCores = 2;
+        expectRoundTrip(job);
+    }
+}
+
+TEST(ExecSimCommand, ConfigFlagsAreSettings)
+{
+    const exec::SimCommand cmd = parseLine(
+        "critmem-sim --app art --sched morse --morse-cmds 8 --prefetch"
+        " --split-wq --entries 0 --instrs 5000 --stats-json - --quiet");
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"sched", "morse"}, {"morse-cmds", "8"}, {"prefetch", "1"},
+             {"split-wq", "1"}, {"entries", "0"}})
+        exec::applySetting(cfg, key, value);
+    EXPECT_EQ(fair::configHash(cmd.spec.cfg), fair::configHash(cfg));
+    EXPECT_EQ(cmd.spec.kind, exec::RunKind::Parallel);
+    EXPECT_EQ(cmd.spec.quota, 5000u);
+    EXPECT_EQ(cmd.spec.warmup, kDefaultWarmup);
+    EXPECT_EQ(cmd.statsJsonPath, "-");
+    EXPECT_TRUE(cmd.quiet);
+
+    // The core count follows the run kind unless --cores says.
+    EXPECT_EQ(parseLine("critmem-sim --bundle RFGI").spec.cfg.numCores,
+              4u);
+    EXPECT_EQ(parseLine("critmem-sim --bundle RFGI --cores 2")
+                  .spec.cfg.numCores,
+              2u);
+    EXPECT_EQ(parseLine("critmem-sim --app mg --alone").spec.kind,
+              exec::RunKind::Alone);
+}
+
+TEST(ExecSimCommand, MalformedNumbersNameTheFlag)
+{
+    for (const char *flag :
+         {"--entries", "--seed", "--instrs", "--warmup", "--cores"}) {
+        for (const char *value : {"abc", "12x", "x", "-1", " 5", ""}) {
+            try {
+                exec::parseSimCommand({"--app", "art", flag, value});
+                ADD_FAILURE() << flag << " '" << value << "' parsed";
+            } catch (const std::runtime_error &err) {
+                EXPECT_EQ(std::string(err.what()).rfind(
+                              std::string(flag) + ":", 0),
+                          0u)
+                    << err.what();
+            }
+        }
+    }
+}
+
+TEST(ExecSimCommand, RejectsBadCommandLines)
+{
+    for (const char *line :
+         {"critmem-sim", "critmem-sim --app art --bundle RFGI",
+          "critmem-sim --app art --bogus 1", "critmem-sim --app art --sched",
+          "critmem-sim --app art --sched nope", "critmem-sim --bundle RFGI"
+          " --alone", "critmem-sim --app art --fairness",
+          "critmem-sim --app art --preset huge",
+          "critmem-sim --app art --prefetch 1"}) {
+        EXPECT_THROW(parseLine(line), std::runtime_error) << line;
+    }
+    // Listings and --help need no workload.
+    EXPECT_TRUE(parseLine("critmem-sim --list-schedulers").listSchedulers);
+    EXPECT_TRUE(parseLine("critmem-sim --help").help);
 }
 
 TEST(ExecSeed, DerivationIsStableAndDecorrelated)
@@ -283,14 +435,15 @@ TEST(ExecRunner, MatchesSerialExperimentHarness)
     exec::JobRunner runner;
     runner.run({job}, {&sink});
 
-    const RunResult serial = runParallel(cfg, appParams("art"), q);
+    System serialSys(cfg, appParams("art"));
+    const RunResult serial = runSystem(serialSys, q);
     const RunResult &engine = sink.result("art/maxstall");
     EXPECT_EQ(engine.cycles, serial.cycles);
     EXPECT_EQ(engine.finishCycles, serial.finishCycles);
     EXPECT_EQ(engine.dynamicLoads, serial.dynamicLoads);
     EXPECT_EQ(engine.rowHits, serial.rowHits);
 
-    // Alone runs must agree with runAlone (weighted-speedup baseline).
+    // Alone runs: the app on core 0 with the other cores idle.
     exec::JobSpec alone;
     alone.name = "alone/ammp";
     alone.kind = exec::RunKind::Alone;
@@ -300,10 +453,30 @@ TEST(ExecRunner, MatchesSerialExperimentHarness)
     alone.multiprogPreset = true;
     exec::MemorySink aloneSink;
     runner.run({alone}, {&aloneSink});
-    EXPECT_DOUBLE_EQ(
-        aloneSink.result("alone/ammp").ipc(0, q),
-        runAlone(SystemConfig::multiprogDefault(), appParams("ammp"),
-                 q));
+    std::vector<AppParams> perCore(alone.cfg.numCores);
+    perCore[0] = appParams("ammp");
+    System aloneSys(alone.cfg, perCore);
+    EXPECT_DOUBLE_EQ(aloneSink.result("alone/ammp").ipc(0, q),
+                     runSystem(aloneSys, q).ipc(0, q));
+
+    // Bundles keep every core running until all reach the quota.
+    const Bundle &rfgi = *findBundle("RFGI");
+    exec::JobSpec bundle = alone;
+    bundle.name = "RFGI/parbs";
+    bundle.kind = exec::RunKind::Bundle;
+    bundle.workload = rfgi.name;
+    bundle.cfg.sched.algo = SchedAlgo::ParBs;
+    exec::MemorySink bundleSink;
+    runner.run({bundle}, {&bundleSink});
+    std::vector<AppParams> apps;
+    for (const std::string &app : rfgi.apps)
+        apps.push_back(appParams(app));
+    System bundleSys(bundle.cfg, apps);
+    const RunResult shared =
+        runSystem(bundleSys, q, kDefaultWarmup, /*stopAtQuota=*/false);
+    EXPECT_EQ(bundleSink.result("RFGI/parbs").cycles, shared.cycles);
+    EXPECT_EQ(bundleSink.result("RFGI/parbs").finishCycles,
+              shared.finishCycles);
 }
 
 TEST(ExecRunner, CapturedStatsAreValidJson)
@@ -399,10 +572,10 @@ TEST(ExecReport, Fig10SweepSpecMatchesSerialBench)
     maxStall.crit.predictor = CritPredictor::CbpMaxStall;
     maxStall.crit.tableEntries = 64;
 
-    const RunResult serialBase =
-        runParallel(base, appParams("art"), 600);
-    const RunResult serialMax =
-        runParallel(maxStall, appParams("art"), 600);
+    System baseSys(base, appParams("art"));
+    System maxSys(maxStall, appParams("art"));
+    const RunResult serialBase = runSystem(baseSys, 600);
+    const RunResult serialMax = runSystem(maxSys, 600);
     EXPECT_EQ(sink.result("art/base").cycles, serialBase.cycles);
     EXPECT_EQ(sink.result("art/maxstall").cycles, serialMax.cycles);
 }

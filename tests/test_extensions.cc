@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "crit/cbp.hh"
 #include "dram/dram.hh"
@@ -161,8 +164,14 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
+        // Unique per process and test: ctest -jN runs every test in
+        // its own process, all sharing one temp directory.
         path_ = std::filesystem::temp_directory_path() /
-            "critmem_trace_test.bin";
+            ("critmem_trace_test." + std::to_string(::getpid()) + "." +
+             ::testing::UnitTest::GetInstance()
+                 ->current_test_info()
+                 ->name() +
+             ".bin");
     }
 
     void TearDown() override { std::filesystem::remove(path_); }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/job.hh"
 #include "system/experiment.hh"
 #include "trace/workloads.hh"
 
@@ -38,14 +39,22 @@ cbp(CritPredictor pred, std::uint32_t entries = 64,
     return cfg;
 }
 
+/** @p app on every core under @p cfg, to kQuota. */
+RunResult
+run(const SystemConfig &cfg, const AppParams &app)
+{
+    return exec::executeJob(exec::makeJob(
+        app.name, exec::RunKind::Parallel, app.name, cfg, kQuota));
+}
+
 double
 suiteSpeedup(const SystemConfig &cfg,
              const std::vector<std::string> &apps)
 {
     double sum = 0.0;
     for (const std::string &name : apps) {
-        const RunResult b = runParallel(base(), appParams(name), kQuota);
-        const RunResult r = runParallel(cfg, appParams(name), kQuota);
+        const RunResult b = run(base(), appParams(name));
+        const RunResult r = run(cfg, appParams(name));
         sum += speedup(b, r);
     }
     return sum / static_cast<double>(apps.size());
@@ -63,7 +72,7 @@ TEST(PaperShape, Fig1_MinorityOfLoadsBlockMajorityOfTime)
     double loadFrac = 0.0, timeFrac = 0.0;
     int count = 0;
     for (const AppParams &app : parallelApps()) {
-        const RunResult r = runParallel(base(), app, kQuota);
+        const RunResult r = run(base(), app);
         loadFrac += static_cast<double>(r.blockingLoads) /
             static_cast<double>(r.dynamicLoads);
         timeFrac += static_cast<double>(r.robBlockedCycles) /
@@ -132,11 +141,9 @@ TEST(PaperShape, Fig6_SchedulerShiftsLatencyTowardCriticals)
 {
     // Critical misses get faster, non-critical slack is consumed.
     const AppParams &app = appParams("radix");
-    const RunResult passive = runParallel(
-        cbp(CritPredictor::CbpMaxStall, 64, SchedAlgo::FrFcfs), app,
-        kQuota);
-    const RunResult active = runParallel(
-        cbp(CritPredictor::CbpMaxStall), app, kQuota);
+    const RunResult passive = run(
+        cbp(CritPredictor::CbpMaxStall, 64, SchedAlgo::FrFcfs), app);
+    const RunResult active = run(cbp(CritPredictor::CbpMaxStall), app);
     EXPECT_LT(active.l2MissLatCrit, passive.l2MissLatCrit * 1.02);
     EXPECT_GT(active.l2MissLatNonCrit, active.l2MissLatCrit);
 }
@@ -153,10 +160,10 @@ TEST(PaperShape, Fig8_FewerRanksLargerBenefit)
     double benefit1 = 0.0, benefit4 = 0.0;
     for (const std::string &name : kProbe) {
         const AppParams &app = appParams(name);
-        benefit1 += speedup(runParallel(withRanks(1, false), app, kQuota),
-                            runParallel(withRanks(1, true), app, kQuota));
-        benefit4 += speedup(runParallel(withRanks(4, false), app, kQuota),
-                            runParallel(withRanks(4, true), app, kQuota));
+        benefit1 += speedup(run(withRanks(1, false), app),
+                            run(withRanks(1, true), app));
+        benefit4 += speedup(run(withRanks(4, false), app),
+                            run(withRanks(4, true), app));
     }
     EXPECT_GT(benefit1, benefit4 - 0.02);
 }
@@ -170,9 +177,8 @@ TEST(PaperShape, Fig9_SpeedupSurvivesLargerLoadQueue)
     bigLqBase.core.lqEntries = 64;
     double sum = 0.0;
     for (const std::string &name : kProbe) {
-        sum += speedup(
-            runParallel(bigLqBase, appParams(name), kQuota),
-            runParallel(bigLq, appParams(name), kQuota));
+        sum += speedup(run(bigLqBase, appParams(name)),
+                       run(bigLq, appParams(name)));
     }
     EXPECT_GT(sum / kProbe.size(), 1.02);
 }
@@ -208,8 +214,8 @@ TEST(PaperShape, Table5_StallCountersFitPublishedWidths)
     // these run lengths.
     std::uint64_t maxObserved = 0;
     for (const std::string &name : kProbe) {
-        const RunResult r = runParallel(
-            cbp(CritPredictor::CbpMaxStall), appParams(name), kQuota);
+        const RunResult r =
+            run(cbp(CritPredictor::CbpMaxStall), appParams(name));
         maxObserved = std::max(maxObserved, r.maxCbpValue);
     }
     EXPECT_LE(maxObserved, 16383u); // 14 bits (paper: 13,475 max)

@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 
+#include "exec/job.hh"
+#include "fair/metrics.hh"
 #include "sched/crit_frfcfs.hh"
 #include "system/experiment.hh"
 #include "system/system.hh"
@@ -23,6 +25,26 @@ smallParallel(SchedAlgo algo = SchedAlgo::FrFcfs,
     cfg.sched.algo = algo;
     cfg.crit.predictor = pred;
     return cfg;
+}
+
+/** One engine job run in the calling thread. */
+RunResult
+runJob(exec::RunKind kind, const std::string &workload,
+       const SystemConfig &cfg, std::uint64_t quota)
+{
+    return exec::executeJob(
+        exec::makeJob(workload, kind, workload, cfg, quota));
+}
+
+/** Fairness of @p run against per-app alone IPCs. */
+fair::FairnessMetrics
+fairness(const RunResult &run, const std::vector<double> &alone,
+         std::uint64_t quota)
+{
+    return fair::computeFairness(
+        fair::sharedIpcs(run, quota,
+                         static_cast<std::uint32_t>(alone.size())),
+        alone);
 }
 
 } // namespace
@@ -195,8 +217,8 @@ TEST(SystemDeath, WrongPerCoreCountIsFatal)
 TEST(Experiment, CollectAggregatesAreConsistent)
 {
     const std::uint64_t quota = 2000;
-    const RunResult r =
-        runParallel(smallParallel(), appParams("equake"), quota);
+    const RunResult r = runJob(exec::RunKind::Parallel, "equake",
+                               smallParallel(), quota);
     EXPECT_GT(r.cycles, 0u);
     ASSERT_EQ(r.finishCycles.size(), 8u);
     for (std::uint32_t i = 0; i < 8; ++i) {
@@ -223,18 +245,20 @@ TEST(Experiment, WeightedSpeedupAndMaxSlowdown)
     run.finishCycles = {1000, 2000, 1000, 4000};
     const std::uint64_t quota = 1000;
     // shared IPCs: 1.0, 0.5, 1.0, 0.25
-    const std::array<double, 4> alone = {1.0, 1.0, 2.0, 0.5};
+    const std::vector<double> alone = {1.0, 1.0, 2.0, 0.5};
+    const fair::FairnessMetrics m = fairness(run, alone, quota);
     // WS = 1 + 0.5 + 0.5 + 0.5 = 2.5
-    EXPECT_NEAR(weightedSpeedup(run, alone, quota), 2.5, 1e-9);
+    EXPECT_NEAR(m.weightedSpeedup, 2.5, 1e-9);
     // slowdowns: 1, 2, 2, 2 -> max 2
-    EXPECT_NEAR(maxSlowdown(run, alone, quota), 2.0, 1e-9);
+    EXPECT_NEAR(m.maxSlowdown, 2.0, 1e-9);
 }
 
 TEST(Experiment, RunAloneGivesPositiveIpc)
 {
     SystemConfig cfg = SystemConfig::multiprogDefault();
     cfg.sched.algo = SchedAlgo::ParBs;
-    const double ipc = runAlone(cfg, appParams("crafty"), 1500);
+    const double ipc =
+        runJob(exec::RunKind::Alone, "crafty", cfg, 1500).ipc(0, 1500);
     EXPECT_GT(ipc, 0.3);
     EXPECT_LT(ipc, 4.0);
 }
@@ -243,7 +267,8 @@ TEST(Experiment, RunBundleMeasuresEveryApp)
 {
     SystemConfig cfg = SystemConfig::multiprogDefault();
     cfg.sched.algo = SchedAlgo::ParBs;
-    const RunResult r = runBundle(cfg, multiprogBundles()[0], 1200);
+    const RunResult r = runJob(exec::RunKind::Bundle,
+                               multiprogBundles()[0].name, cfg, 1200);
     for (std::uint32_t i = 0; i < 4; ++i)
         EXPECT_GT(r.ipc(i, 1200), 0.0);
 }
@@ -263,7 +288,8 @@ TEST(Experiment, NaiveForwardingRunsEndToEnd)
 {
     SystemConfig cfg =
         smallParallel(SchedAlgo::CasRasCrit, CritPredictor::NaiveForward);
-    const RunResult r = runParallel(cfg, appParams("scalparc"), 1500);
+    const RunResult r =
+        runJob(exec::RunKind::Parallel, "scalparc", cfg, 1500);
     EXPECT_GT(r.cycles, 0u);
     // Forwarding marks some in-flight misses critical.
     EXPECT_GT(r.critMissCount + r.nonCritMissCount, 0u);
@@ -303,14 +329,18 @@ TEST(Experiment, WeightedSpeedupWithinSaneBounds)
     cfg.sched.algo = SchedAlgo::ParBs;
     const std::uint64_t quota = 1500;
     const Bundle &bundle = multiprogBundles()[0];
-    std::array<double, 4> alone{};
-    for (std::size_t i = 0; i < 4; ++i)
-        alone[i] = runAlone(cfg, appParams(bundle.apps[i]), quota);
-    const RunResult run = runBundle(cfg, bundle, quota);
-    const double ws = weightedSpeedup(run, alone, quota);
-    EXPECT_GT(ws, 0.5);
-    EXPECT_LE(ws, 4.0); // each app can at best match running alone
-    EXPECT_GE(maxSlowdown(run, alone, quota), 1.0 - 1e-6);
+    std::vector<double> alone;
+    for (const std::string &app : bundle.apps) {
+        alone.push_back(
+            runJob(exec::RunKind::Alone, app, cfg, quota).ipc(0, quota));
+    }
+    const fair::FairnessMetrics m = fairness(
+        runJob(exec::RunKind::Bundle, bundle.name, cfg, quota), alone,
+        quota);
+    EXPECT_GT(m.weightedSpeedup, 0.5);
+    // each app can at best match running alone
+    EXPECT_LE(m.weightedSpeedup, 4.0);
+    EXPECT_GE(m.maxSlowdown, 1.0 - 1e-6);
 }
 
 TEST(Experiment, TcmHybridRunsOnBundles)
@@ -319,8 +349,7 @@ TEST(Experiment, TcmHybridRunsOnBundles)
     cfg.sched.algo = SchedAlgo::TcmCrit;
     cfg.crit.predictor = CritPredictor::CbpMaxStall;
     cfg.crit.tableEntries = 64;
-    const RunResult run =
-        runBundle(cfg, multiprogBundles()[5], 1200); // RFEV
+    const RunResult run = runJob(exec::RunKind::Bundle, "RFEV", cfg, 1200);
     for (std::uint32_t i = 0; i < 4; ++i)
         EXPECT_GT(run.ipc(i, 1200), 0.0);
 }
@@ -330,10 +359,11 @@ TEST(Experiment, CriticalityHelpsTheProbeAppEndToEnd)
     // The repository's one-line acceptance check: the paper's
     // mechanism produces a real speedup on a chase-heavy app.
     const std::uint64_t quota = 6000;
-    const RunResult base = runParallel(
-        smallParallel(), appParams("scalparc"), quota);
-    const RunResult crit = runParallel(
+    const RunResult base = runJob(exec::RunKind::Parallel, "scalparc",
+                                  smallParallel(), quota);
+    const RunResult crit = runJob(
+        exec::RunKind::Parallel, "scalparc",
         smallParallel(SchedAlgo::CasRasCrit, CritPredictor::CbpMaxStall),
-        appParams("scalparc"), quota);
+        quota);
     EXPECT_GT(speedup(base, crit), 1.01);
 }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -27,8 +29,15 @@ class TraceErrorTest : public ::testing::Test
     void
     SetUp() override
     {
+        // Unique per process and test: ctest -jN runs every test in
+        // its own process, all sharing one temp directory.
         path_ = std::filesystem::temp_directory_path() /
-            "critmem_trace_error_test.bin";
+            ("critmem_trace_error_test." + std::to_string(::getpid()) +
+             "." +
+             ::testing::UnitTest::GetInstance()
+                 ->current_test_info()
+                 ->name() +
+             ".bin");
     }
 
     void TearDown() override { std::filesystem::remove(path_); }

@@ -1,11 +1,21 @@
 #include <cstdio>
 #include <cstdlib>
+#include "exec/job.hh"
 #include "sim/log.hh"
-#include "system/experiment.hh"
 using namespace critmem;
 
+static exec::JobSpec job(const SystemConfig& cfg, const AppParams& app, std::uint64_t quota) {
+    return exec::makeJob(app.name, exec::RunKind::Parallel, app.name, cfg, quota);
+}
+
+static RunResult run(const SystemConfig& cfg, const AppParams& app, std::uint64_t quota) {
+    return exec::executeJob(job(cfg, app, quota));
+}
+
+// Queue occupancy of a cold run (no prewarm or warmup window).
 static double occ(const SystemConfig& cfg, const AppParams& app, std::uint64_t quota, double* util, double* lat) {
-    System sys(cfg, app);
+    const std::unique_ptr<System> built = exec::buildSystem(job(cfg, app, quota));
+    System& sys = *built;
     sys.run(quota, true);
     double o = 0, l = 0; std::uint64_t cyc = 0, busy = 0, n = 0;
     for (std::uint32_t c = 0; c < sys.dram().numChannels(); ++c) {
@@ -28,22 +38,22 @@ int main(int argc, char** argv) {
     for (const AppParams& app : parallelApps()) {
         SystemConfig base = SystemConfig::parallelDefault();
         base.sched.algo = SchedAlgo::FrFcfs;
-        RunResult b = runParallel(base, app, quota);
+        RunResult b = run(base, app, quota);
         double util=0, lat=0;
         double qocc = occ(base, app, quota, &util, &lat);
 
         SystemConfig cbin = base;
         cbin.sched.algo = SchedAlgo::CasRasCrit;
         cbin.crit.predictor = CritPredictor::CbpBinary;
-        RunResult rbin = runParallel(cbin, app, quota);
+        RunResult rbin = run(cbin, app, quota);
 
         SystemConfig cmax = cbin;
         cmax.crit.predictor = CritPredictor::CbpMaxStall;
-        RunResult rmax = runParallel(cmax, app, quota);
+        RunResult rmax = run(cmax, app, quota);
 
         SystemConfig c1 = cmax;
         c1.sched.algo = SchedAlgo::CritCasRas;
-        RunResult r1 = runParallel(c1, app, quota);
+        RunResult r1 = run(c1, app, quota);
 
         const double ipc = (double)(quota * base.numCores) / b.cycles;
         std::printf("%-10s %6.3f %7.2f %7.2f %7.2f %6.2f %6.1f %7.1f %7.3f %7.3f %7.3f %8.1f %8.1f %8.2f\n",

@@ -4,7 +4,10 @@
  *
  * Runs one workload / configuration and prints either a summary line
  * or the full statistics tree — the "drive anything without writing
- * C++" entry point for downstream users.
+ * C++" entry point for downstream users. The command line is one
+ * exec::JobSpec (exec::parseSimCommand, the inverse of the repro lines
+ * campaign failure records carry), built and run by the same
+ * buildSystem()/runSystem() path as every campaign job.
  *
  *   critmem-sim --app art --sched casras-crit --predictor maxstall \
  *               --instrs 50000 --stats
@@ -14,22 +17,18 @@
  */
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "exec/job.hh"
 #include "fair/baseline_cache.hh"
 #include "fair/fairness_stats.hh"
 #include "sched/registry.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
-#include "system/experiment.hh"
 #include "trace/workloads.hh"
 
 using namespace critmem;
@@ -37,12 +36,13 @@ using namespace critmem;
 namespace
 {
 
-[[noreturn]] void
+void
 usage()
 {
-    std::fprintf(
-        stderr,
+    std::printf(
         "usage: critmem-sim [options]\n"
+        "One simulation job; failure records of critmem-sweep carry\n"
+        "the critmem-sim line that reproduces them.\n"
         "  --app NAME         parallel application (see"
         " --list-workloads)\n"
         "  --bundle NAME      Table 4 bundle instead (AELV CMLI GAMV"
@@ -75,22 +75,25 @@ usage()
         "  --reset N          CBP reset interval, CPU cycles"
         " (default 0)\n"
         "  --instrs N         commit quota per core (default 24000)\n"
-        "  --warmup N         warmup instructions (default half)\n"
+        "  --warmup N         warmup instructions (default\n"
+        "                     CRITMEM_WARMUP, else half the quota)\n"
         "  --seed N           simulation seed (default 1)\n"
         "  --ranks N          ranks per channel (default 4)\n"
         "  --channels N       DRAM channels (default 4; bundles 2)\n"
         "  --speed NAME       ddr3-1066 | ddr3-1600 | ddr3-2133\n"
         "  --lq N             load queue entries (default 32)\n"
+        "  --morse-cmds N     MORSE commands evaluated per pick\n"
+        "  --cores N          cores (default: the preset's, the\n"
+        "                     bundle's apps or the trace's cores)\n"
         "  --prefetch         enable the L2 stream prefetcher\n"
         "  --closed-page      closed-page row policy\n"
         "  --split-wq         modern split write buffer\n"
+        "                     (every config flag --KEY VALUE above is\n"
+        "                     the .sweep variant setting KEY=VALUE;\n"
+        "                     the last three are KEY=1)\n"
         "  --stats            dump the full statistics tree\n"
         "  --stats-json FILE  write the stats tree as JSON;"
         " '-' = stdout\n"
-        "  --perf             add a host-dependent 'perf' stats group\n"
-        "                     (wall ms, cycles/sec, DRAM cmds/sec);\n"
-        "                     also via CRITMEM_PERF=1. Off by default\n"
-        "                     so stats output stays deterministic\n"
         "  --no-cycle-skip    force the tick-every-cycle loop (results\n"
         "                     are identical either way; this only\n"
         "                     changes simulator speed)\n"
@@ -113,8 +116,8 @@ usage()
         "                     itself — for critmem-sweep --isolate"
         " drills)\n"
         "  --inject-period N  mean opportunities between faults"
-        " (default 64)\n");
-    std::exit(1);
+        " (default 64)\n"
+        "  --help             print this text and exit\n");
 }
 
 void
@@ -178,253 +181,38 @@ listSchedulers()
 int
 main(int argc, char **argv)
 {
-    // The preset decides the base config every other flag overrides,
-    // so resolve it before the main flag pass.
-    bool multiprogPreset = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--preset") == 0 && i + 1 < argc)
-            multiprogPreset =
-                std::strcmp(argv[i + 1], "multiprog") == 0;
+    exec::SimCommand cmd;
+    try {
+        cmd = exec::parseSimCommand({argv + 1, argv + argc});
+    } catch (const std::exception &err) {
+        fatal(err.what());
     }
-
-    std::string app;
-    std::string bundleName;
-    std::string statsJsonPath;
-    SystemConfig cfg = multiprogPreset
-        ? SystemConfig::multiprogDefault()
-        : SystemConfig::parallelDefault();
-    std::uint64_t instrs = 24000;
-    std::uint64_t warmup = ~std::uint64_t{0};
-    bool dumpStats = false;
-    const char *perfEnv = std::getenv("CRITMEM_PERF");
-    bool perfStats = perfEnv != nullptr && perfEnv[0] == '1';
-    bool alone = false;
-    bool fairness = false;
-    bool speedSet = false;
-    DramSpeed speed = DramSpeed::DDR3_2133;
-    // Trace sources register after the flag pass so the recovery
-    // flags apply no matter where they appear on the command line,
-    // and so --list-workloads can include them.
-    std::vector<std::pair<std::string, std::string>> traceArgs;
-    ingest::IngestOptions traceOpts;
-    bool doListWorkloads = false;
-    bool doListSchedulers = false;
-
-    auto nextArg = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage();
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--app") {
-            app = nextArg(i);
-        } else if (arg == "--bundle") {
-            bundleName = nextArg(i);
-        } else if (arg == "--trace") {
-            const std::string spec = nextArg(i);
-            const std::size_t eq = spec.find('=');
-            std::string name;
-            std::string path;
-            if (eq != std::string::npos) {
-                name = spec.substr(0, eq);
-                path = spec.substr(eq + 1);
-            } else {
-                path = spec;
-                const std::size_t slash = path.find_last_of('/');
-                name = slash == std::string::npos
-                    ? path
-                    : path.substr(slash + 1);
-                const std::size_t dot = name.find('.');
-                if (dot != std::string::npos)
-                    name = name.substr(0, dot);
-            }
-            if (name.empty() || path.empty())
-                fatal("--trace needs [NAME=]PATH, got '", spec, "'");
-            traceArgs.emplace_back(name, path);
-        } else if (arg == "--trace-format") {
-            const std::string name = nextArg(i);
-            if (!ingest::findTraceFormat(name, traceOpts.format))
-                fatal("unknown trace format '", name, "'");
-        } else if (arg == "--trace-policy") {
-            const std::string name = nextArg(i);
-            if (!ingest::findRecoveryPolicy(name, traceOpts.policy))
-                fatal("unknown trace recovery policy '", name, "'");
-        } else if (arg == "--trace-skip-budget") {
-            traceOpts.skipBudget = std::strtoull(nextArg(i), nullptr,
-                                                 10);
-        } else if (arg == "--alone") {
-            alone = true;
-        } else if (arg == "--fairness") {
-            fairness = true;
-        } else if (arg == "--preset") {
-            const std::string preset = nextArg(i);
-            if (preset != "parallel" && preset != "multiprog")
-                fatal("unknown preset '", preset, "'");
-        } else if (arg == "--sched") {
-            const std::string name = nextArg(i);
-            const auto algo = findSchedAlgo(name);
-            if (!algo)
-                fatal("unknown scheduler '", name, "'");
-            cfg.sched.algo = *algo;
-        } else if (arg == "--predictor") {
-            const std::string name = nextArg(i);
-            const auto pred = findCritPredictor(name);
-            if (!pred)
-                fatal("unknown predictor '", name, "'");
-            cfg.crit.predictor = *pred;
-        } else if (arg == "--entries") {
-            cfg.crit.tableEntries =
-                static_cast<std::uint32_t>(std::atoll(nextArg(i)));
-        } else if (arg == "--reset") {
-            cfg.crit.resetInterval = std::strtoull(nextArg(i), nullptr,
-                                                   10);
-        } else if (arg == "--instrs") {
-            instrs = std::strtoull(nextArg(i), nullptr, 10);
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(nextArg(i), nullptr, 10);
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(nextArg(i), nullptr, 10);
-        } else if (arg == "--ranks") {
-            cfg.dram.ranksPerChannel =
-                static_cast<std::uint32_t>(std::atoi(nextArg(i)));
-        } else if (arg == "--channels") {
-            cfg.dram.channels =
-                static_cast<std::uint32_t>(std::atoi(nextArg(i)));
-        } else if (arg == "--speed") {
-            const std::string name = nextArg(i);
-            const auto grade = findDramSpeed(name);
-            if (!grade)
-                fatal("unknown speed grade '", name, "'");
-            speed = *grade;
-            speedSet = true;
-        } else if (arg == "--lq") {
-            cfg.core.lqEntries =
-                static_cast<std::uint32_t>(std::atoi(nextArg(i)));
-        } else if (arg == "--prefetch") {
-            cfg.prefetch.enabled = true;
-        } else if (arg == "--closed-page") {
-            cfg.dram.closedPage = true;
-        } else if (arg == "--split-wq") {
-            cfg.dram.unifiedQueue = false;
-        } else if (arg == "--perf") {
-            perfStats = true;
-        } else if (arg == "--no-cycle-skip") {
-            cfg.fastForward = false;
-        } else if (arg == "--cycle-skip") {
-            cfg.fastForward = true;
-        } else if (arg == "--stats") {
-            dumpStats = true;
-        } else if (arg == "--stats-json") {
-            statsJsonPath = nextArg(i);
-        } else if (arg == "--list-workloads") {
-            doListWorkloads = true;
-        } else if (arg == "--list-schedulers") {
-            doListSchedulers = true;
-        } else if (arg == "--check") {
-            cfg.check.enabled = true;
-        } else if (arg == "--inject") {
-            const std::string name = nextArg(i);
-            const auto fault = findFaultKind(name);
-            if (!fault)
-                fatal("unknown fault kind '", name, "'");
-            cfg.check.enabled = true;
-            cfg.check.fault = *fault;
-        } else if (arg == "--inject-period") {
-            cfg.check.faultPeriod = std::strtoull(nextArg(i), nullptr,
-                                                  10);
-        } else if (arg == "--quiet") {
-            setQuiet(true);
-        } else {
-            usage();
-        }
+    if (cmd.quiet)
+        setQuiet(true);
+    if (cmd.help) {
+        usage();
+        return 0;
     }
-    // Register trace sources before anything that can consult the
-    // registry (the listings below, workload resolution).
-    for (const auto &[name, path] : traceArgs) {
-        try {
-            registerTraceWorkload(name, path, traceOpts);
-        } catch (const std::exception &err) {
-            fatal("cannot register trace '", name, "': ", err.what());
-        }
-    }
-    if (doListWorkloads || doListSchedulers) {
-        if (doListWorkloads)
+    if (cmd.listWorkloads || cmd.listSchedulers) {
+        if (cmd.listWorkloads)
             listWorkloads();
-        if (doListSchedulers)
+        if (cmd.listSchedulers)
             listSchedulers();
         return 0;
     }
-    // A lone --trace with neither --app nor --bundle is itself the
-    // workload to run.
-    if (app.empty() && bundleName.empty() && traceArgs.size() == 1)
-        app = traceArgs[0].first;
-    if (app.empty() == bundleName.empty())
-        usage(); // exactly one of --app / --bundle / a lone --trace
-    if (alone && app.empty())
-        fatal("--alone requires --app");
-    if (fairness && bundleName.empty())
-        fatal("--fairness requires --bundle");
 
-    if (speedSet) {
-        const DramConfig fresh = DramConfig::preset(speed);
-        cfg.dram.t = fresh.t;
-        cfg.dram.busMHz = fresh.busMHz;
-        cfg.dram.speed = speed;
-    }
-    if (warmup == ~std::uint64_t{0})
-        warmup = instrs / 2;
-
-    validateOrFatal(cfg);
-
+    const exec::JobSpec &spec = cmd.spec;
+    const SystemConfig &cfg = spec.cfg;
     std::unique_ptr<System> sys;
-    if (!app.empty()) {
-        if (const TraceWorkload *wl = findTraceWorkload(app)) {
-            if (alone)
-                fatal("--alone does not apply to trace workloads");
-            // The trace file dictates the core count.
-            cfg.numCores = wl->numCores;
-            sys = std::make_unique<System>(cfg, *wl);
-        } else if (!haveApp(app)) {
-            fatal("unknown application '", app, "'");
-        } else if (alone) {
-            std::vector<AppParams> perCore(cfg.numCores);
-            perCore[0] = appParams(app);
-            sys = std::make_unique<System>(cfg, perCore);
-        } else {
-            sys = std::make_unique<System>(cfg, appParams(app));
-        }
-    } else {
-        const Bundle *bundle = findBundle(bundleName);
-        if (!bundle)
-            fatal("unknown bundle '", bundleName, "'");
-        cfg.numCores = 4;
-        std::vector<AppParams> perCore;
-        for (const std::string &name : bundle->apps)
-            perCore.push_back(appParams(name));
-        sys = std::make_unique<System>(cfg, perCore);
+    try {
+        sys = exec::buildSystem(spec);
+    } catch (const std::exception &err) {
+        fatal(err.what());
     }
 
-    double wallMs = 0.0;
+    RunResult r;
     try {
-        sys->prewarmCaches();
-        if (warmup > 0) {
-            sys->run(warmup, /*stopAtQuota=*/false);
-            sys->resetStatsWindow();
-        }
-        // lint:allow(wall-clock): host throughput measurement for the
-        // opt-in --perf group; never feeds simulated behaviour.
-        const auto wallStart = std::chrono::steady_clock::now();
-        sys->run(instrs,
-                 /*stopAtQuota=*/!bundleName.empty() ? false : true);
-        // lint:allow(wall-clock): see above.
-        const auto wallEnd = std::chrono::steady_clock::now();
-        wallMs = std::chrono::duration<double, std::milli>(
-                     wallEnd - wallStart)
-                     .count();
-        // Requests still queued at the quota are in flight, not lost.
-        sys->finalizeChecks(/*requireDrained=*/false);
+        r = runSystem(*sys, spec.quota, spec.warmup, spec.stopAtQuota());
     } catch (const CheckViolation &err) {
         std::fprintf(stderr, "CHECK FAILED: %s\n", err.what());
         if (sys->checker())
@@ -442,18 +230,17 @@ main(int argc, char **argv)
                          : "");
     }
 
-    const RunResult r = collect(*sys);
     // An alone run only commits on core 0; everything else reports
     // whole-machine throughput.
-    const double ipc = alone
-        ? static_cast<double>(instrs) /
+    const double ipc = spec.kind == exec::RunKind::Alone
+        ? static_cast<double>(spec.quota) /
               static_cast<double>(r.finishCycles[0])
-        : static_cast<double>(instrs) * cfg.numCores /
+        : static_cast<double>(spec.quota) * cfg.numCores /
               static_cast<double>(r.cycles);
     std::printf("workload=%s sched=%s predictor=%s cycles=%llu "
                 "ipc=%.4f\n",
-                app.empty() ? bundleName.c_str() : app.c_str(),
-                toString(cfg.sched.algo), toString(cfg.crit.predictor),
+                spec.workload.c_str(), toString(cfg.sched.algo),
+                toString(cfg.crit.predictor),
                 static_cast<unsigned long long>(r.cycles), ipc);
     std::printf("loads=%llu blocking=%llu (%.2f%%) robBlocked=%.2f%% "
                 "l2missLat crit/non = %.1f / %.1f\n",
@@ -472,19 +259,21 @@ main(int argc, char **argv)
     // baseline once), derive the fairness metrics against the shared
     // run, and attach them to the stats tree before either dump.
     std::optional<fair::FairnessStats> fairStats;
-    if (fairness) {
-        const Bundle &bundle = *findBundle(bundleName);
+    if (cmd.fairness) {
         fair::AloneBaselineCache baselines;
         std::vector<double> aloneIpc;
-        aloneIpc.reserve(bundle.apps.size());
-        for (const std::string &name : bundle.apps) {
+        for (const std::string &name : findBundle(spec.workload)->apps) {
             aloneIpc.push_back(baselines.getOrCompute(
-                name, cfg, instrs, [&] {
-                    return runAlone(cfg, appParams(name), instrs);
+                name, cfg, spec.quota, [&] {
+                    exec::JobSpec alone = spec;
+                    alone.name = "alone/" + name;
+                    alone.kind = exec::RunKind::Alone;
+                    alone.workload = name;
+                    return exec::executeJob(alone).ipc(0, spec.quota);
                 }));
         }
         const fair::FairnessMetrics m = fair::computeFairness(
-            fair::sharedIpcs(r, instrs, cfg.numCores), aloneIpc);
+            fair::sharedIpcs(r, spec.quota, cfg.numCores), aloneIpc);
         fairStats.emplace(&sys->statsRoot(), cfg.numCores);
         fairStats->set(m);
         if (m.valid) {
@@ -500,65 +289,21 @@ main(int argc, char **argv)
         }
     }
 
-    // Host-throughput group, opt-in (--perf / CRITMEM_PERF=1): these
-    // values are wall-clock-dependent, so keeping them out of the
-    // default output preserves the byte-identical stats-json
-    // determinism contract. Lives here so it outlasts both dumps.
-    struct PerfGroup
-    {
-        PerfGroup(stats::Group &parent)
-            : group("perf", &parent),
-              wallMs(group, "wallMs",
-                     "host milliseconds for the measured run"),
-              cyclesPerSec(group, "cyclesPerSec",
-                           "simulated CPU cycles per host second"),
-              dramCmdsPerSec(group, "dramCmdsPerSec",
-                             "DRAM commands issued per host second")
-        {
-        }
-
-        stats::Group group;
-        stats::Scalar wallMs;
-        stats::Scalar cyclesPerSec;
-        stats::Scalar dramCmdsPerSec;
-    };
-    std::optional<PerfGroup> perf;
-    if (perfStats) {
-        std::uint64_t dramCmds = 0;
-        for (std::uint32_t c = 0; c < sys->dram().numChannels(); ++c) {
-            const auto &ch = sys->dram().channel(c).channelStats();
-            dramCmds += ch.activates.value() + ch.reads.value() +
-                        ch.writes.value() + ch.precharges.value() +
-                        ch.refreshes.value();
-        }
-        const double wallSec = std::max(wallMs, 1e-6) / 1000.0;
-        perf.emplace(sys->statsRoot());
-        perf->wallMs.set(static_cast<std::uint64_t>(
-            std::llround(wallMs)));
-        perf->cyclesPerSec.set(static_cast<std::uint64_t>(
-            static_cast<double>(r.cycles) / wallSec));
-        perf->dramCmdsPerSec.set(static_cast<std::uint64_t>(
-            static_cast<double>(dramCmds) / wallSec));
-        std::fprintf(stderr,
-                     "perf: wall=%.1fms cycles/s=%.3g dramCmds/s=%.3g\n",
-                     wallMs, static_cast<double>(r.cycles) / wallSec,
-                     static_cast<double>(dramCmds) / wallSec);
-    }
-
-    if (dumpStats)
+    if (cmd.dumpStats)
         sys->statsRoot().print(std::cout);
-    if (!statsJsonPath.empty()) {
-        if (statsJsonPath == "-") {
+    if (!cmd.statsJsonPath.empty()) {
+        if (cmd.statsJsonPath == "-") {
             sys->statsRoot().printJson(std::cout);
             std::cout << '\n';
         } else {
             // Atomic temp+fsync+rename write: a crash mid-dump never
             // leaves a truncated JSON file at the target path.
             try {
-                stats::writeJsonFile(statsJsonPath, sys->statsRoot());
+                stats::writeJsonFile(cmd.statsJsonPath,
+                                     sys->statsRoot());
             } catch (const std::exception &err) {
                 fatal("cannot write --stats-json file '",
-                      statsJsonPath, "': ", err.what());
+                      cmd.statsJsonPath, "': ", err.what());
             }
         }
     }
