@@ -11,8 +11,12 @@
 # bundle, an --alone run (7 of 8 cores permanently idle, the
 # best-case skip), a modern-controller config (closed page + split
 # write queue + prefetcher), a checked run (the protocol checker and
-# watchdogs must observe the exact same cycles), and a trace-backed
-# job replaying an external trace file.
+# watchdogs must observe the exact same cycles), a trace-backed
+# job replaying an external trace file, and two single-channel runs
+# whose DRAM queue overflows (blocked L2 misses and writebacks wait
+# in the hierarchy's per-channel FIFOs; each of these must report
+# dramRejects > 0, so the matrix cannot silently stop covering the
+# blocked path).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -40,6 +44,21 @@ check() {
     echo "skip-equivalence: $name byte-identical"
 }
 
+# Like check, then require that the run blocked DRAM requests.
+check_saturated() {
+    local name=$1
+    check "$@"
+    local rejects
+    rejects=$(grep -o '"dramRejects": *[0-9]*' "$tmp/on.json" |
+              grep -o '[0-9]*$' || true)
+    if [ -z "$rejects" ] || [ "$rejects" -eq 0 ]; then
+        echo "FAIL: $name: expected a saturated run, but" \
+             "dramRejects=${rejects:-missing}" >&2
+        exit 1
+    fi
+    echo "skip-equivalence: $name blocked $rejects DRAM requests"
+}
+
 check "parallel art + casras-crit/maxstall" \
     --app art --sched casras-crit --predictor maxstall --instrs 6000
 check "bundle RFGI + parbs/binary" \
@@ -55,5 +74,10 @@ check "ocean + atlas/totalstall --check" \
 check "trace mix4 + casras-crit/maxstall" \
     --trace "$root/tests/trace/fixtures/mix4.ctext" \
     --sched casras-crit --predictor maxstall --instrs 2000
+check_saturated "saturated fft + parbs, 1 channel" \
+    --app fft --sched parbs --channels 1 --instrs 6000
+check_saturated "saturated art + casras-crit/maxstall, 1 channel 1 rank" \
+    --app art --sched casras-crit --predictor maxstall --channels 1 \
+    --ranks 1 --instrs 6000
 
 echo "cycle-skip equivalence: all configs byte-identical"

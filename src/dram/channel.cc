@@ -52,14 +52,19 @@ DramChannel::DramChannel(const DramConfig &cfg, std::uint32_t id,
 }
 
 bool
+DramChannel::hasRoom(ReqType type) const
+{
+    const std::size_t used = cfg_.unifiedQueue
+        ? readQ_.size() + writeQ_.size()
+        : (type == ReqType::Write ? writeQ_ : readQ_).size();
+    return used < cfg_.queueEntries;
+}
+
+bool
 DramChannel::enqueue(MemRequest req, const DramCoord &coord,
                      DramCycle now)
 {
-    auto &queue = req.type == ReqType::Write ? writeQ_ : readQ_;
-    const std::size_t used = cfg_.unifiedQueue
-        ? readQ_.size() + writeQ_.size()
-        : queue.size();
-    if (used >= cfg_.queueEntries) {
+    if (!hasRoom(req.type)) {
         ++stats_.enqueueRejects;
         if (observer_)
             observer_->onReject(id_, req, now);
@@ -68,6 +73,7 @@ DramChannel::enqueue(MemRequest req, const DramCoord &coord,
     sched_.onEnqueue(id_, req, coord, now);
     if (observer_)
         observer_->onEnqueue(id_, req, coord, now);
+    auto &queue = req.type == ReqType::Write ? writeQ_ : readQ_;
     queue.push_back(Transaction{std::move(req), coord, now});
     return true;
 }

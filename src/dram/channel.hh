@@ -104,8 +104,15 @@ class DramChannel
                 Scheduler &sched, stats::Group &parent);
 
     /**
+     * @return true when a transaction of @p type would be accepted:
+     *         its queue (the shared one under unifiedQueue) has a
+     *         free entry. Only issuing a CAS frees an entry.
+     */
+    bool hasRoom(ReqType type) const;
+
+    /**
      * Try to append a transaction.
-     * @return false when the appropriate queue is full.
+     * @return false (counted in enqueueRejects) when !hasRoom(type).
      */
     bool enqueue(MemRequest req, const DramCoord &coord, DramCycle now);
 

@@ -20,9 +20,12 @@ bool
 DramSystem::enqueue(MemRequest req)
 {
     const DramCoord coord = map_.decode(req.addr);
-    req.id = nextId_++;
-    return channels_[coord.channel]->enqueue(std::move(req), coord,
-                                             lastNow_ + 1);
+    req.id = nextId_;
+    if (!channels_[coord.channel]->enqueue(std::move(req), coord,
+                                           lastNow_ + 1))
+        return false;
+    ++nextId_;
+    return true;
 }
 
 void

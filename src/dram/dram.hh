@@ -37,10 +37,25 @@ class DramSystem
      * Decode and enqueue a transaction. Arrival is stamped with the
      * DRAM subsystem's own clock (the last ticked cycle), keeping
      * queue ages monotonic regardless of the caller's clock domain.
-     * @return false when the destination queue is full (caller
-     *         retries; the L2 MSHR keeps the request alive).
+     * Request ids are assigned on accept only, so the accepted
+     * requests carry ids 0, 1, 2, ... in arrival order.
+     * @return false when the destination queue is full. The request
+     *         is dropped; callers that must not lose it check
+     *         hasRoom() first and hold it until there is room.
      */
     bool enqueue(MemRequest req);
+
+    /** Channel that @p addr decodes to. */
+    std::uint32_t channelOf(Addr addr) const
+    {
+        return map_.decode(addr).channel;
+    }
+
+    /** @return true when @p channel would accept a @p type request. */
+    bool hasRoom(std::uint32_t channel, ReqType type) const
+    {
+        return channels_[channel]->hasRoom(type);
+    }
 
     /** Advance every channel one DRAM cycle. */
     void tick(DramCycle now);

@@ -186,6 +186,7 @@ toString(JobStatus status)
       case JobStatus::Crashed:        return "crashed";
       case JobStatus::Oom:            return "oom";
       case JobStatus::Exit:           return "exit";
+      case JobStatus::CycleLimit:     return "cycle_limit";
     }
     return "?";
 }
@@ -196,7 +197,8 @@ parseJobStatus(const std::string &name, JobStatus &out)
     for (const JobStatus status :
          {JobStatus::Ok, JobStatus::CheckViolation,
           JobStatus::TraceError, JobStatus::Error, JobStatus::Timeout,
-          JobStatus::Crashed, JobStatus::Oom, JobStatus::Exit}) {
+          JobStatus::Crashed, JobStatus::Oom, JobStatus::Exit,
+          JobStatus::CycleLimit}) {
         if (name == toString(status)) {
             out = status;
             return true;

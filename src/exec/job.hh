@@ -52,6 +52,7 @@ enum class JobStatus
     Crashed,        ///< isolated worker died on a signal (--isolate)
     Oom,            ///< per-job memory budget exhausted (--job-mem-mb)
     Exit,           ///< isolated worker exited nonzero without a record
+    CycleLimit,     ///< stopped at the safety cycle limit (truncated)
 };
 
 /** Parse a toString(JobStatus) name back; false on unknown names. */

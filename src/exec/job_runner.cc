@@ -370,6 +370,9 @@ struct Campaign
             } catch (const TraceError &err) {
                 record.status = JobStatus::TraceError;
                 record.error = err.what();
+            } catch (const CycleLimitError &err) {
+                record.status = JobStatus::CycleLimit;
+                record.error = err.what();
             } catch (const std::bad_alloc &) {
                 // Same taxonomy as an isolated worker that hit its
                 // budget, minus the RLIMIT (in-thread jobs share the

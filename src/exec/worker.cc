@@ -247,6 +247,9 @@ runWorkerChild(const JobSpec &spec, std::size_t index,
     } catch (const TraceError &err) {
         rec.status = JobStatus::TraceError;
         rec.error = err.what();
+    } catch (const CycleLimitError &err) {
+        rec.status = JobStatus::CycleLimit;
+        rec.error = err.what();
     } catch (const std::exception &err) {
         rec.status = JobStatus::Error;
         rec.error = err.what();

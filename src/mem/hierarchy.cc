@@ -15,7 +15,11 @@ MemHierarchy::Stats::Stats(stats::Group &parent)
       l1MshrFull(group, "l1MshrFull", "accesses rejected: L1 MSHR full"),
       l2MshrFull(group, "l2MshrFull", "misses delayed: L2 MSHR full"),
       dramRejects(group, "dramRejects",
-                  "DRAM enqueue attempts rejected (queue full)"),
+                  "distinct requests that found their DRAM queue full "
+                  "(counted once)"),
+      dramBlockedCycles(group, "dramBlockedCycles",
+                        "CPU cycles blocked requests waited for a DRAM "
+                        "queue entry (summed at accept)"),
       demandMisses(group, "demandMisses", "demand L2 misses sent to DRAM"),
       coherenceTransfers(group, "coherenceTransfers",
                          "dirty cache-to-cache transfers"),
@@ -31,7 +35,9 @@ MemHierarchy::Stats::Stats(stats::Group &parent)
 MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
                            stats::Group &parent)
     : cfg_(cfg), dram_(dram), group_("hier", &parent),
-      iMshr_(cfg.numCores), dMshr_(cfg.numCores), stats_(group_)
+      iMshr_(cfg.numCores), dMshr_(cfg.numCores),
+      blockedReads_(dram.numChannels()),
+      blockedWrites_(dram.numChannels()), stats_(group_)
 {
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         il1_.push_back(std::make_unique<Cache>(
@@ -271,6 +277,24 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
 bool
 MemHierarchy::sendToDram(Addr l2Block, L2Entry &entry)
 {
+    const std::uint32_t channel = dram_.channelOf(l2Block);
+    if (dram_.hasRoom(channel, entry.demand ? ReqType::Read
+                                            : ReqType::Prefetch)) {
+        enqueueRead(l2Block, entry);
+        return true;
+    }
+    ++stats_.dramRejects;
+    if (entry.demand) {
+        blockedReads_[channel].push_back(
+            Blocked{blockedSeq_++, l2Block, now_});
+        ++blockedCount_;
+    }
+    return false;
+}
+
+void
+MemHierarchy::enqueueRead(Addr l2Block, L2Entry &entry)
+{
     MemRequest req;
     req.addr = l2Block;
     req.type = entry.demand ? ReqType::Read : ReqType::Prefetch;
@@ -279,29 +303,34 @@ MemHierarchy::sendToDram(Addr l2Block, L2Entry &entry)
     req.onComplete = [this, l2Block](const MemRequest &) {
         l2Fill(l2Block);
     };
-    if (dram_.enqueue(std::move(req))) {
-        entry.sentToDram = true;
-        return true;
-    }
-    ++stats_.dramRejects;
-    dramRetry_.push_back(l2Block);
-    return false;
+    if (!dram_.enqueue(std::move(req)))
+        panic("DRAM rejected an L2 miss its queue had room for");
+    entry.sentToDram = true;
 }
 
 void
-MemHierarchy::writebackToDram(Addr l2Block, CoreId core)
+MemHierarchy::writebackToDram(Addr l2Block)
+{
+    const std::uint32_t channel = dram_.channelOf(l2Block);
+    if (dram_.hasRoom(channel, ReqType::Write)) {
+        enqueueWriteback(l2Block);
+        return;
+    }
+    ++stats_.dramRejects;
+    blockedWrites_[channel].push_back(
+        Blocked{blockedSeq_++, l2Block, now_});
+    ++blockedCount_;
+}
+
+void
+MemHierarchy::enqueueWriteback(Addr l2Block)
 {
     MemRequest req;
     req.addr = l2Block;
     req.type = ReqType::Write;
-    req.core = core;
-    if (!dram_.enqueue(std::move(req))) {
-        ++stats_.dramRejects;
-        req.addr = l2Block;
-        req.type = ReqType::Write;
-        req.core = core;
-        writebackRetry_.push_back(std::move(req));
-    }
+    req.core = kNoCore;
+    if (!dram_.enqueue(std::move(req)))
+        panic("DRAM rejected a writeback its queue had room for");
 }
 
 void
@@ -324,8 +353,7 @@ MemHierarchy::issuePrefetches(Addr l2Block)
         entry.started = now_;
         entry.firstCore = 0;
         if (!sendToDram(target, entry)) {
-            // Prefetches are best-effort: drop instead of retrying.
-            dramRetry_.pop_back();
+            // Prefetches are best-effort: drop instead of waiting.
             l2Mshr_.erase(target);
         }
     }
@@ -354,7 +382,7 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
             il1_[c]->invalidate(sub);
     }
     if (dirty)
-        writebackToDram(victim.addr, kNoCore);
+        writebackToDram(victim.addr);
 }
 
 void
@@ -460,7 +488,7 @@ bool
 MemHierarchy::quiescent() const
 {
     if (!events_.empty() || !l2Mshr_.empty() || !l2MshrRetry_.empty() ||
-        !dramRetry_.empty() || !writebackRetry_.empty()) {
+        blockedCount_ != 0) {
         return false;
     }
     for (const auto &mshr : dMshr_) {
@@ -477,12 +505,69 @@ MemHierarchy::quiescent() const
 Cycle
 MemHierarchy::nextEventCycle(Cycle now) const
 {
-    if (!l2MshrRetry_.empty() || !dramRetry_.empty() ||
-        !writebackRetry_.empty())
+    if (!l2MshrRetry_.empty() || drainable())
         return now + 1;
     if (events_.empty())
         return kNoCycle;
     return std::max(events_.top().at, now + 1);
+}
+
+bool
+MemHierarchy::drainable() const
+{
+    if (blockedCount_ == 0)
+        return false;
+    for (std::uint32_t c = 0; c < blockedReads_.size(); ++c) {
+        if ((!blockedReads_[c].empty() &&
+             dram_.hasRoom(c, ReqType::Read)) ||
+            (!blockedWrites_[c].empty() &&
+             dram_.hasRoom(c, ReqType::Write)))
+            return true;
+    }
+    return false;
+}
+
+void
+MemHierarchy::drainBlocked()
+{
+    // Blocked reads go before blocked writebacks; within each kind
+    // the request that blocked first, across all channels whose queue
+    // has room, goes next. Queues only shrink in a DRAM tick, so this
+    // accepts exactly the requests, in exactly the order, that
+    // re-offering every blocked request each cycle would.
+    if (blockedCount_ == 0)
+        return;
+    for (const ReqType type : {ReqType::Read, ReqType::Write}) {
+        auto &fifos =
+            type == ReqType::Read ? blockedReads_ : blockedWrites_;
+        while (true) {
+            std::uint32_t pick = 0;
+            bool found = false;
+            for (std::uint32_t c = 0; c < fifos.size(); ++c) {
+                if (!fifos[c].empty() &&
+                    (!found ||
+                     fifos[c].front().seq < fifos[pick].front().seq) &&
+                    dram_.hasRoom(c, type)) {
+                    pick = c;
+                    found = true;
+                }
+            }
+            if (!found)
+                break;
+            const Blocked blocked = fifos[pick].front();
+            fifos[pick].pop_front();
+            --blockedCount_;
+            stats_.dramBlockedCycles += now_ - blocked.since;
+            if (type == ReqType::Write) {
+                enqueueWriteback(blocked.block);
+                continue;
+            }
+            const auto it = l2Mshr_.find(blocked.block);
+            if (it == l2Mshr_.end() || it->second.sentToDram)
+                panic("blocked L2 miss lost its MSHR entry");
+            enqueueRead(blocked.block, it->second);
+        }
+    }
 }
 
 void
@@ -495,9 +580,9 @@ MemHierarchy::tick(Cycle now)
         fn();
     }
 
-    // The retry lists swap into persistent scratch buffers instead of
-    // per-tick locals so the steady state never touches the heap (the
-    // retry loops below may push back into the live lists).
+    // The retry list swaps into a persistent scratch buffer instead of
+    // a per-tick local so the steady state never touches the heap (the
+    // retry loop below may push back into the live list).
     if (!l2MshrRetry_.empty()) {
         l2RetryScratch_.clear();
         l2RetryScratch_.swap(l2MshrRetry_);
@@ -505,30 +590,7 @@ MemHierarchy::tick(Cycle now)
             l2Access(waiter.core, waiter.l1Block, waiter.isInst,
                      waiter.rfo);
     }
-    if (!dramRetry_.empty()) {
-        dramRetryScratch_.clear();
-        dramRetryScratch_.swap(dramRetry_);
-        for (const Addr block : dramRetryScratch_) {
-            const auto it = l2Mshr_.find(block);
-            if (it != l2Mshr_.end() && !it->second.sentToDram)
-                sendToDram(block, it->second);
-        }
-    }
-    if (!writebackRetry_.empty()) {
-        wbRetryScratch_.clear();
-        wbRetryScratch_.swap(writebackRetry_);
-        for (MemRequest &req : wbRetryScratch_) {
-            const Addr block = req.addr;
-            if (!dram_.enqueue(std::move(req))) {
-                ++stats_.dramRejects;
-                MemRequest again;
-                again.addr = block;
-                again.type = ReqType::Write;
-                again.core = kNoCore;
-                writebackRetry_.push_back(std::move(again));
-            }
-        }
-    }
+    drainBlocked();
 }
 
 } // namespace critmem

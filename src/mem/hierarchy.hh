@@ -8,14 +8,16 @@
  * latency. A dL1 miss reaches the L2 after the dL1 latency; an L2 hit
  * returns after the L2 round-trip latency; an L2 miss pays a quarter
  * of the L2 latency to the controller, the DRAM service time, and a
- * quarter of the L2 latency back. MSHR capacity and DRAM queue
- * capacity exert backpressure through retry lists.
+ * quarter of the L2 latency back. A full L2 MSHR file delays misses
+ * through a retry list. A full DRAM queue parks the L2 miss or
+ * writeback in a per-channel FIFO until the channel frees an entry.
  */
 
 #ifndef CRITMEM_MEM_HIERARCHY_HH
 #define CRITMEM_MEM_HIERARCHY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -46,7 +48,8 @@ class MemHierarchy
     /**
      * Issue a data load.
      * @param crit Criticality magnitude to piggyback on an L2 miss.
-     * @return false when the dL1 MSHR file is full (retry next cycle).
+     * @return false when the dL1 MSHR file is full: nothing was
+     *         queued, and the caller must issue the load again.
      */
     bool load(CoreId core, Addr addr, CritLevel crit, Done done);
 
@@ -63,15 +66,22 @@ class MemHierarchy
      */
     bool fetchProbe(CoreId core, Addr pc);
 
-    /** Advance one CPU cycle: fire due events, run retry lists. */
+    /**
+     * Advance one CPU cycle: fire due events, retry misses waiting
+     * for an L2 MSHR, then move blocked requests into DRAM queues
+     * that have room.
+     */
     void tick(Cycle now);
 
     /**
      * Earliest CPU cycle > @p now at which tick() would do anything:
-     * the next scheduled event, or "next cycle" while any retry list
-     * is non-empty (retries run every tick until they drain).
-     * kNoCycle when fully quiescent. tick() has no per-cycle
-     * accounting, so skipping cycles before this bound is free.
+     * the next scheduled event, or "next cycle" while a miss waits
+     * for an L2 MSHR or a blocked request's DRAM queue has room.
+     * A blocked request whose queue is full adds no bound: only a
+     * DRAM tick can free an entry, and the DRAM's own next event
+     * bounds that. kNoCycle when fully quiescent. tick() has no
+     * per-cycle accounting, so skipping cycles before this bound is
+     * free.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -101,6 +111,7 @@ class MemHierarchy
         stats::Scalar l1MshrFull;
         stats::Scalar l2MshrFull;
         stats::Scalar dramRejects;
+        stats::Scalar dramBlockedCycles;
         stats::Scalar demandMisses;
         stats::Scalar coherenceTransfers;
         stats::Scalar prefetchUseful;
@@ -150,7 +161,11 @@ class MemHierarchy
     void l2Fill(Addr l2Block);
     void deliverToL1(const L2Waiter &waiter);
     bool sendToDram(Addr l2Block, L2Entry &entry);
-    void writebackToDram(Addr l2Block, CoreId core);
+    void enqueueRead(Addr l2Block, L2Entry &entry);
+    void writebackToDram(Addr l2Block);
+    void enqueueWriteback(Addr l2Block);
+    bool drainable() const;
+    void drainBlocked();
     void issuePrefetches(Addr l2Block);
     void evictFromL2(const Cache::Victim &victim);
     void invalidateSharers(Addr l1Block, CoreId except);
@@ -188,19 +203,31 @@ class MemHierarchy
 
     /** (core, l1Block, isInst, rfo) waiting for an L2 MSHR slot. */
     std::vector<L2Waiter> l2MshrRetry_;
-    /** L2 blocks whose DRAM enqueue was rejected. */
-    std::vector<Addr> dramRetry_;
-    /** Writebacks whose DRAM enqueue was rejected. */
-    std::vector<MemRequest> writebackRetry_;
-
     /**
-     * tick()'s drain loops swap the retry lists into these persistent
-     * scratch buffers; reusing their capacity keeps the per-cycle
-     * path free of heap allocation (the hot-path-alloc lint rule).
+     * tick()'s MSHR retry loop swaps the list into this persistent
+     * scratch buffer; reusing its capacity keeps the per-cycle path
+     * free of heap allocation (the hot-path-alloc lint rule).
      */
     std::vector<L2Waiter> l2RetryScratch_;
-    std::vector<Addr> dramRetryScratch_;
-    std::vector<MemRequest> wbRetryScratch_;
+
+    /** An L2 miss or writeback that found its DRAM queue full. */
+    struct Blocked
+    {
+        std::uint64_t seq; ///< global block order, for the drain merge
+        Addr block;
+        Cycle since; ///< CPU cycle it found the queue full
+    };
+
+    /**
+     * Per DRAM channel, oldest first: demand L2 misses (their L2 MSHR
+     * entry holds crit and type until the send) and dirty writebacks
+     * waiting for a free queue entry. Prefetches never wait here.
+     */
+    std::vector<std::deque<Blocked>> blockedReads_;
+    std::vector<std::deque<Blocked>> blockedWrites_;
+    std::uint64_t blockedSeq_ = 0;
+    /** Entries across every blocked FIFO (0 = nothing to drain). */
+    std::size_t blockedCount_ = 0;
 
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         events_;

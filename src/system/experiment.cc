@@ -89,6 +89,12 @@ runSystem(System &sys, std::uint64_t quota, std::uint64_t warmup,
         sys.resetStatsWindow();
     }
     sys.run(quota, stopAtQuota);
+    if (sys.hitCycleLimit()) {
+        throw CycleLimitError(
+            "run stopped at the safety cycle limit (cycle " +
+            std::to_string(sys.cycle()) +
+            ") before every core reached its quota");
+    }
     return collect(sys);
 }
 

@@ -10,6 +10,7 @@
 #define CRITMEM_SYSTEM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,13 @@ inline constexpr std::uint64_t kDefaultWarmup = ~std::uint64_t{0};
 /** Collect a RunResult from a finished System. */
 RunResult collect(System &sys);
 
+/** A run stopped at System::run()'s safety cycle limit. */
+class CycleLimitError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /**
  * Drive an already-constructed System through the standard
  * methodology — cache prewarm, warmup window, measured run — and
@@ -84,6 +92,9 @@ RunResult collect(System &sys);
  * @param warmup Warmup micro-ops; kDefaultWarmup reads the
  *        CRITMEM_WARMUP environment (else half the quota).
  * @param stopAtQuota See System::run().
+ * @throws CycleLimitError when the warmup or the measured run stopped
+ *         at the safety cycle limit: the numbers would describe a
+ *         truncated run.
  */
 RunResult runSystem(System &sys, std::uint64_t quota,
                     std::uint64_t warmup = kDefaultWarmup,

@@ -316,6 +316,7 @@ System::runLoop(Cycle limit, bool skip, bool pollBounded,
         if (cycle_ >= limit) {
             warn("run() hit the ", limit - start,
                  "-cycle safety limit before all cores finished");
+            hitCycleLimit_ = true;
             break;
         }
         tickOnce();

@@ -61,11 +61,20 @@ class System
      *        completion time. False (multiprogrammed methodology):
      *        cores keep running for contention until all reach the
      *        quota; per-core IPCs come from finishCycle().
-     * @param maxCycles Safety limit; the run aborts with a warning.
+     * @param maxCycles Safety limit (0 = quota * 4000 + 10M cycles).
+     *        A run that reaches it stops with a warning and sets
+     *        hitCycleLimit().
      * @return total cycles elapsed.
      */
     Cycle run(std::uint64_t quotaPerCore, bool stopAtQuota = true,
               Cycle maxCycles = 0);
+
+    /**
+     * @return true once any run() on this System stopped at its
+     *         safety cycle limit before every core finished: the
+     *         statistics describe a truncated run.
+     */
+    bool hitCycleLimit() const { return hitCycleLimit_; }
 
     /**
      * Prefill the shared L2 with lines drawn from the threads' far
@@ -131,6 +140,8 @@ class System
     const stats::Group &statsRoot() const { return root_; }
     const SystemConfig &config() const { return cfg_; }
     Cycle cycle() const { return cycle_; }
+    /** Last DRAM cycle ticked (or skipped to). */
+    DramCycle dramCycle() const { return dramCycle_; }
 
   private:
     void buildShared();
@@ -196,6 +207,7 @@ class System
 
     Cycle cycle_ = 0;
     Cycle windowStart_ = 0;
+    bool hitCycleLimit_ = false;
     std::uint64_t dramAccum_ = 0;
     DramCycle dramCycle_ = 0;
 };

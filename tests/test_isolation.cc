@@ -255,7 +255,7 @@ TEST(Isolation, NewStatusStringsRoundTripTheWireProtocol)
 {
     for (const exec::JobStatus status :
          {exec::JobStatus::Crashed, exec::JobStatus::Oom,
-          exec::JobStatus::Exit}) {
+          exec::JobStatus::Exit, exec::JobStatus::CycleLimit}) {
         exec::JobRecord rec;
         rec.spec = parallelJob("wire", "art", 600);
         rec.index = 7;
@@ -277,4 +277,6 @@ TEST(Isolation, NewStatusStringsRoundTripTheWireProtocol)
     EXPECT_EQ(parsed, exec::JobStatus::Crashed);
     EXPECT_TRUE(exec::parseJobStatus("oom", parsed));
     EXPECT_EQ(parsed, exec::JobStatus::Oom);
+    EXPECT_TRUE(exec::parseJobStatus("cycle_limit", parsed));
+    EXPECT_EQ(parsed, exec::JobStatus::CycleLimit);
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 
+#include "dram/observer.hh"
 #include "exec/job.hh"
 #include "fair/metrics.hh"
 #include "sched/crit_frfcfs.hh"
@@ -45,6 +47,47 @@ fairness(const RunResult &run, const std::vector<double> &alone,
         fair::sharedIpcs(run, quota,
                          static_cast<std::uint32_t>(alone.size())),
         alone);
+}
+
+/** Records every request the DRAM accepts or rejects. */
+class AcceptLog : public ChannelObserver
+{
+  public:
+    void
+    onEnqueue(std::uint32_t channel, const MemRequest &req,
+              const DramCoord &coord, DramCycle now) override
+    {
+        (void)channel; (void)coord; (void)now;
+        ids.push_back(req.id);
+        if (req.type == ReqType::Write)
+            ++writes;
+    }
+
+    void
+    onReject(std::uint32_t channel, const MemRequest &req,
+             DramCycle now) override
+    {
+        (void)channel; (void)req; (void)now;
+        ++rejects;
+    }
+
+    std::vector<std::uint64_t> ids;
+    std::uint64_t writes = 0;
+    std::uint64_t rejects = 0;
+};
+
+/**
+ * fft under PAR-BS on a single channel: the DRAM queue overflows and
+ * hundreds of L2 misses and writebacks have to wait for an entry.
+ */
+exec::JobSpec
+saturatedJob(bool cycleSkip)
+{
+    return exec::parseSimCommand(
+               {"--app", "fft", "--sched", "parbs", "--channels", "1",
+                "--instrs", "6000",
+                cycleSkip ? "--cycle-skip" : "--no-cycle-skip"})
+        .spec;
 }
 
 } // namespace
@@ -366,4 +409,70 @@ TEST(Experiment, CriticalityHelpsTheProbeAppEndToEnd)
         smallParallel(SchedAlgo::CasRasCrit, CritPredictor::CbpMaxStall),
         quota);
     EXPECT_GT(speedup(base, crit), 1.01);
+}
+
+TEST(System, CycleLimitStopsTheRunAndFlagsIt)
+{
+    System sys(smallParallel(), appParams("mg"));
+    EXPECT_FALSE(sys.hitCycleLimit());
+    EXPECT_EQ(sys.run(2000, true, 500), 500u);
+    EXPECT_TRUE(sys.hitCycleLimit());
+    bool unfinished = false;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i)
+        unfinished = unfinished || !sys.core(i).finished();
+    EXPECT_TRUE(unfinished);
+}
+
+TEST(BackPressure, BlockedRequestsWaitInsteadOfBeingRejected)
+{
+    const exec::JobSpec spec = saturatedJob(true);
+    const std::unique_ptr<System> sys = exec::buildSystem(spec);
+    AcceptLog log;
+    sys->dram().setObserver(&log);
+    runSystem(*sys, spec.quota, spec.warmup, spec.stopAtQuota());
+
+    // The cores are done; tick the memory side until every blocked
+    // request has been accepted and served.
+    MemHierarchy &hier = sys->hierarchy();
+    DramSystem &dram = sys->dram();
+    Cycle now = sys->cycle();
+    DramCycle dramNow = sys->dramCycle();
+    for (int n = 0; n < 10'000'000 && !(hier.quiescent() && dram.idle());
+         ++n) {
+        hier.tick(++now);
+        if (now % 4 == 0)
+            dram.tick(++dramNow);
+    }
+    EXPECT_TRUE(hier.quiescent());
+    EXPECT_TRUE(dram.idle());
+
+    // The hierarchy only offers a request once its queue has room.
+    for (std::uint32_t c = 0; c < dram.numChannels(); ++c)
+        EXPECT_EQ(dram.channel(c).channelStats().enqueueRejects.value(),
+                  0u);
+    EXPECT_EQ(log.rejects, 0u);
+    // Ids are assigned on accept only: dense, in arrival order.
+    ASSERT_FALSE(log.ids.empty());
+    for (std::size_t i = 0; i < log.ids.size(); ++i)
+        ASSERT_EQ(log.ids[i], i);
+
+    // Each blocked request counts once: it is a demand miss of this
+    // window or a writeback the DRAM has since accepted.
+    const MemHierarchy::Stats &ms = hier.memStats();
+    EXPECT_GT(ms.dramRejects.value(), 0u);
+    EXPECT_GT(ms.dramBlockedCycles.value(), 0u);
+    EXPECT_LE(ms.dramRejects.value(),
+              ms.demandMisses.value() + log.writes);
+}
+
+TEST(BackPressure, SkippingKeepsSaturatedStatsIdentical)
+{
+    std::string json[2];
+    for (const bool skip : {false, true}) {
+        exec::JobSpec spec = saturatedJob(skip);
+        spec.captureStats = true;
+        exec::executeJob(spec, &json[skip]);
+    }
+    EXPECT_FALSE(json[0].empty());
+    EXPECT_EQ(json[0], json[1]);
 }

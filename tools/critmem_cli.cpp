@@ -117,7 +117,9 @@ usage()
         " drills)\n"
         "  --inject-period N  mean opportunities between faults"
         " (default 64)\n"
-        "  --help             print this text and exit\n");
+        "  --help             print this text and exit\n"
+        "exit status: 0 done, 1 bad invocation, 2 checker violation,\n"
+        "3 the run stopped at its safety cycle limit (truncated)\n");
 }
 
 void
@@ -218,6 +220,9 @@ main(int argc, char **argv)
         if (sys->checker())
             std::fputs(sys->checker()->report().c_str(), stderr);
         return 2;
+    } catch (const CycleLimitError &err) {
+        std::fprintf(stderr, "CYCLE LIMIT: %s\n", err.what());
+        return 3;
     }
     if (sys->checker()) {
         if (sys->checker()->totalViolations() != 0) {
