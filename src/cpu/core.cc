@@ -99,9 +99,15 @@ Core::markComplete(RobEntry &entry, Cycle)
 void
 Core::completeStage(Cycle now)
 {
-    while (!fuCompletions_.empty() && fuCompletions_.top().first <= now) {
-        const SeqNum seq = fuCompletions_.top().second;
-        fuCompletions_.pop();
+    // Complete in (cycle, seq) order: a wheel slot keeps issue order,
+    // and a younger op with a shorter latency can share a slot with an
+    // older one.
+    fuDue_.clear();
+    fuCompletions_.drain(now, [this](Cycle at, SeqNum seq) {
+        fuDue_.emplace_back(at, seq);
+    });
+    std::sort(fuDue_.begin(), fuDue_.end());
+    for (const auto &[at, seq] : fuDue_) {
         RobEntry &entry = entryOf(seq);
         if (entry.op.cls == OpClass::Branch) {
             --unresolvedBranches_;
@@ -191,7 +197,7 @@ Core::issueLoad(RobEntry &entry, Cycle now, bool &accepted)
     if (pendingStoreAddrs_.contains(wordAlign(entry.op.addr))) {
         ++stats_.loadsForwarded;
         entry.state = EntryState::Issued;
-        fuCompletions_.emplace(now + 1, entry.seq);
+        fuCompletions_.push(now + 1, entry.seq);
         accepted = true;
         return;
     }
@@ -257,8 +263,7 @@ Core::issueStage(Cycle now)
             if (stores < c.storePorts) {
                 ++stores;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(now + entry.op.latency, entry.seq);
                 ok = true;
             }
             break;
@@ -266,8 +271,7 @@ Core::issueStage(Cycle now)
             if (branches < c.branchUnits) {
                 ++branches;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(now + entry.op.latency, entry.seq);
                 ok = true;
             }
             break;
@@ -275,8 +279,7 @@ Core::issueStage(Cycle now)
             if (intAlu < c.intAlus) {
                 ++intAlu;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(now + entry.op.latency, entry.seq);
                 ok = true;
             }
             break;
@@ -284,8 +287,7 @@ Core::issueStage(Cycle now)
             if (intMul < c.intMuls) {
                 ++intMul;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(now + entry.op.latency, entry.seq);
                 ok = true;
             }
             break;
@@ -293,8 +295,7 @@ Core::issueStage(Cycle now)
             if (fpAlu < c.fpAlus) {
                 ++fpAlu;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(now + entry.op.latency, entry.seq);
                 ok = true;
             }
             break;
@@ -302,8 +303,7 @@ Core::issueStage(Cycle now)
             if (fpMul < c.fpMuls) {
                 ++fpMul;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(now + entry.op.latency, entry.seq);
                 ok = true;
             }
             break;
@@ -551,8 +551,7 @@ Core::nextEventCycle(Cycle now) const
     Cycle next = kNoCycle;
     if (cbp_)
         next = std::min(next, cbp_->nextResetAt());
-    if (!fuCompletions_.empty())
-        next = std::min(next, fuCompletions_.top().first);
+    next = std::min(next, fuCompletions_.next(now));
 
     const DispatchState d = dispatchState();
     if (d != DispatchState::Idle) {

@@ -25,6 +25,7 @@
 #include <memory>
 #include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crit/cbp.hh"
@@ -32,6 +33,7 @@
 #include "mem/hierarchy.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
+#include "sim/timing_wheel.hh"
 #include "sim/types.hh"
 #include "trace/generator.hh"
 
@@ -259,10 +261,13 @@ class Core
     /** Store addresses (8B-aligned) visible for forwarding. */
     std::unordered_map<Addr, std::uint32_t> pendingStoreAddrs_;
 
-    /** Non-memory completion times. */
-    std::priority_queue<std::pair<Cycle, SeqNum>,
-                        std::vector<std::pair<Cycle, SeqNum>>,
-                        std::greater<>> fuCompletions_;
+    /**
+     * Non-memory completions by cycle. The ring grows to the longest
+     * op latency the trace supplies (at most 255).
+     */
+    TimingWheel<SeqNum> fuCompletions_{1};
+    /** completeStage()'s due (cycle, seq) pairs; reused every cycle. */
+    std::vector<std::pair<Cycle, SeqNum>> fuDue_;
 
     std::vector<std::uint32_t> readyList_;
     /** issueStage()'s not-issued survivors; reused every cycle. */

@@ -37,7 +37,10 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
     : cfg_(cfg), dram_(dram), group_("hier", &parent),
       iMshr_(cfg.numCores), dMshr_(cfg.numCores),
       blockedReads_(dram.numChannels()),
-      blockedWrites_(dram.numChannels()), stats_(group_)
+      blockedWrites_(dram.numChannels()),
+      events_(std::max({cfg.il1.latency, cfg.dl1.latency, cfg.l2.latency,
+                        cfg.l2.latency / 4})),
+      stats_(group_)
 {
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         il1_.push_back(std::make_unique<Cache>(
@@ -53,9 +56,16 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
 }
 
 void
-MemHierarchy::schedule(Cycle at, std::function<void()> fn)
+MemHierarchy::schedule(Cycle delay, EventKind kind, const L2Waiter &waiter)
 {
-    events_.push(Event{at, eventOrder_++, std::move(fn)});
+    events_.push(now_ + delay, Event{kind, waiter, {}});
+}
+
+void
+MemHierarchy::scheduleDone(Cycle delay, Done done)
+{
+    events_.push(now_ + delay,
+                 Event{EventKind::CoreDone, {}, std::move(done)});
 }
 
 bool
@@ -64,7 +74,7 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
     ++stats_.loads;
     const Addr l1Block = dl1_[core]->blockAlign(addr);
     if (dl1_[core]->access(l1Block)) {
-        schedule(now_ + cfg_.dl1.latency, std::move(done));
+        scheduleDone(cfg_.dl1.latency, std::move(done));
         return true;
     }
     auto &mshr = dMshr_[core];
@@ -83,9 +93,8 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
     L1Entry &entry = mshr[l1Block];
     entry.waiters.push_back(std::move(done));
     entry.crit = crit;
-    schedule(now_ + cfg_.dl1.latency, [this, core, l1Block] {
-        l2Access(core, l1Block, false, false);
-    });
+    schedule(cfg_.dl1.latency, EventKind::L2Access,
+             L2Waiter{core, l1Block, false, false});
     return true;
 }
 
@@ -100,7 +109,7 @@ MemHierarchy::store(CoreId core, Addr addr, Done done)
         if (state == LineState::Shared)
             invalidateSharers(l1Block, core);
         dl1_[core]->setState(l1Block, LineState::Modified);
-        schedule(now_ + cfg_.dl1.latency, std::move(done));
+        scheduleDone(cfg_.dl1.latency, std::move(done));
         return true;
     }
     dl1_[core]->access(l1Block); // count the miss
@@ -117,9 +126,8 @@ MemHierarchy::store(CoreId core, Addr addr, Done done)
     L1Entry &entry = mshr[l1Block];
     entry.waiters.push_back(std::move(done));
     entry.rfo = true;
-    schedule(now_ + cfg_.dl1.latency, [this, core, l1Block] {
-        l2Access(core, l1Block, false, true);
-    });
+    schedule(cfg_.dl1.latency, EventKind::L2Access,
+             L2Waiter{core, l1Block, false, true});
     return true;
 }
 
@@ -140,7 +148,7 @@ MemHierarchy::fetch(CoreId core, Addr pc, Done done)
     ++stats_.fetches;
     const Addr block = il1_[core]->blockAlign(pc);
     if (il1_[core]->access(block)) {
-        schedule(now_ + cfg_.il1.latency, std::move(done));
+        scheduleDone(cfg_.il1.latency, std::move(done));
         return true;
     }
     auto &mshr = iMshr_[core];
@@ -153,9 +161,8 @@ MemHierarchy::fetch(CoreId core, Addr pc, Done done)
         return false;
     }
     mshr[block].waiters.push_back(std::move(done));
-    schedule(now_ + cfg_.il1.latency, [this, core, block] {
-        l2Access(core, block, true, false);
-    });
+    schedule(cfg_.il1.latency, EventKind::L2Access,
+             L2Waiter{core, block, true, false});
     return true;
 }
 
@@ -195,8 +202,9 @@ MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
 }
 
 void
-MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
+MemHierarchy::l2Access(const L2Waiter &waiter)
 {
+    const auto [core, l1Block, isInst, rfo] = waiter;
     const Addr l2Block = l2_->blockAlign(l1Block);
 
     if (!isInst) {
@@ -212,10 +220,8 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
                 dl1_[owner]->invalidate(l1Block);
             else
                 dl1_[owner]->setState(l1Block, LineState::Shared);
-            schedule(now_ + cfg_.l2.latency, [this, core, l1Block,
-                                              isInst] {
-                deliverToL1(L2Waiter{core, l1Block, isInst, false});
-            });
+            schedule(cfg_.l2.latency, EventKind::DeliverL1,
+                     L2Waiter{core, l1Block, isInst, false});
             return;
         }
     }
@@ -227,9 +233,8 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
             if (prefetcher_)
                 prefetcher_->onUseful();
         }
-        schedule(now_ + cfg_.l2.latency, [this, core, l1Block, isInst] {
-            deliverToL1(L2Waiter{core, l1Block, isInst, false});
-        });
+        schedule(cfg_.l2.latency, EventKind::DeliverL1,
+                 L2Waiter{core, l1Block, isInst, false});
         return;
     }
 
@@ -243,7 +248,7 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
 
     if (const auto it = l2Mshr_.find(l2Block); it != l2Mshr_.end()) {
         L2Entry &entry = it->second;
-        entry.waiters.push_back(L2Waiter{core, l1Block, isInst, rfo});
+        entry.waiters.push_back(waiter);
         if (!entry.demand) {
             // A prefetch in flight just turned into a demand miss.
             entry.demand = true;
@@ -257,12 +262,12 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
     }
     if (l2Mshr_.size() >= cfg_.l2.mshrs) {
         ++stats_.l2MshrFull;
-        l2MshrRetry_.push_back(L2Waiter{core, l1Block, isInst, rfo});
+        l2MshrRetry_.push_back(waiter);
         return;
     }
 
     L2Entry &entry = l2Mshr_[l2Block];
-    entry.waiters.push_back(L2Waiter{core, l1Block, isInst, rfo});
+    entry.waiters.push_back(waiter);
     entry.demand = true;
     entry.started = now_;
     entry.firstCore = core;
@@ -406,11 +411,8 @@ MemHierarchy::l2Fill(Addr l2Block)
         evictFromL2(victim);
 
     const Cycle returnLat = std::max<Cycle>(cfg_.l2.latency / 4, 1);
-    for (const L2Waiter &waiter : entry.waiters) {
-        schedule(now_ + returnLat, [this, waiter] {
-            deliverToL1(waiter);
-        });
-    }
+    for (const L2Waiter &waiter : entry.waiters)
+        schedule(returnLat, EventKind::DeliverL1, waiter);
 }
 
 void
@@ -507,9 +509,7 @@ MemHierarchy::nextEventCycle(Cycle now) const
 {
     if (!l2MshrRetry_.empty() || drainable())
         return now + 1;
-    if (events_.empty())
-        return kNoCycle;
-    return std::max(events_.top().at, now + 1);
+    return events_.next(now);
 }
 
 bool
@@ -574,11 +574,19 @@ void
 MemHierarchy::tick(Cycle now)
 {
     now_ = now;
-    while (!events_.empty() && events_.top().at <= now) {
-        auto fn = std::move(const_cast<Event &>(events_.top()).fn);
-        events_.pop();
-        fn();
-    }
+    events_.drain(now, [this](Cycle, const Event &event) {
+        switch (event.kind) {
+          case EventKind::CoreDone:
+            event.done();
+            break;
+          case EventKind::L2Access:
+            l2Access(event.waiter);
+            break;
+          case EventKind::DeliverL1:
+            deliverToL1(event.waiter);
+            break;
+        }
+    });
 
     // The retry list swaps into a persistent scratch buffer instead of
     // a per-tick local so the steady state never touches the heap (the
@@ -587,8 +595,7 @@ MemHierarchy::tick(Cycle now)
         l2RetryScratch_.clear();
         l2RetryScratch_.swap(l2MshrRetry_);
         for (const L2Waiter &waiter : l2RetryScratch_)
-            l2Access(waiter.core, waiter.l1Block, waiter.isInst,
-                     waiter.rfo);
+            l2Access(waiter);
     }
     drainBlocked();
 }

@@ -20,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "mem/request.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
+#include "sim/timing_wheel.hh"
 #include "sim/types.hh"
 
 namespace critmem
@@ -156,8 +156,24 @@ class MemHierarchy
         CoreId firstCore = 0;
     };
 
-    void schedule(Cycle at, std::function<void()> fn);
-    void l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo);
+    /** What a scheduled event does when it fires. */
+    enum class EventKind : std::uint8_t
+    {
+        CoreDone,  ///< run the caller's completion (an L1 hit)
+        L2Access,  ///< an L1 miss reaches the L2
+        DeliverL1, ///< an L2 hit or fill reaches the waiting L1 MSHR
+    };
+
+    struct Event
+    {
+        EventKind kind;
+        L2Waiter waiter; ///< L2Access, DeliverL1: the L1 MSHR entry
+        Done done;       ///< CoreDone only
+    };
+
+    void schedule(Cycle delay, EventKind kind, const L2Waiter &waiter);
+    void scheduleDone(Cycle delay, Done done);
+    void l2Access(const L2Waiter &waiter);
     void l2Fill(Addr l2Block);
     void deliverToL1(const L2Waiter &waiter);
     bool sendToDram(Addr l2Block, L2Entry &entry);
@@ -171,19 +187,6 @@ class MemHierarchy
     void invalidateSharers(Addr l1Block, CoreId except);
     /** @return core holding @p l1Block modified, or kNoCore. */
     CoreId modifiedOwner(Addr l1Block, CoreId except) const;
-
-    struct Event
-    {
-        Cycle at;
-        std::uint64_t order;
-        std::function<void()> fn;
-
-        bool
-        operator>(const Event &other) const
-        {
-            return at != other.at ? at > other.at : order > other.order;
-        }
-    };
 
     SystemConfig cfg_;
     DramSystem &dram_;
@@ -229,9 +232,12 @@ class MemHierarchy
     /** Entries across every blocked FIFO (0 = nothing to drain). */
     std::size_t blockedCount_ = 0;
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>>
-        events_;
-    std::uint64_t eventOrder_ = 0;
+    /**
+     * Every pending event, due in (cycle, schedule order). Sized so
+     * the longest delay (an L1 or L2 latency, or the fill return)
+     * never grows the ring.
+     */
+    TimingWheel<Event> events_;
     Cycle now_ = 0;
     std::uint64_t inFlight_ = 0;
     std::vector<Addr> prefetchScratch_;

@@ -349,6 +349,9 @@ CacheConfig::validate(const std::string &name,
         addError(errors, name + ".sizeBytes",
                  "must yield a nonzero power-of-two set count "
                  "(sizeBytes / (blockBytes * ways))");
+    if (latency == 0)
+        addError(errors, name + ".latency",
+                 "must be nonzero (an access takes at least a cycle)");
     if (mshrs == 0)
         addError(errors, name + ".mshrs", "must be nonzero");
     if (ports == 0)

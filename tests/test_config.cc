@@ -183,6 +183,19 @@ TEST(ConfigValidate, ZeroFieldsAreEachReported)
     EXPECT_GE(errors.size(), 5u);
 }
 
+TEST(ConfigValidate, ZeroCacheLatenciesAreRejected)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.il1.latency = 0;
+    cfg.dl1.latency = 0;
+    cfg.l2.latency = 0;
+    const ConfigErrors errors = cfg.validate();
+    EXPECT_TRUE(hasField(errors, "il1.latency"));
+    EXPECT_TRUE(hasField(errors, "dl1.latency"));
+    EXPECT_TRUE(hasField(errors, "l2.latency"));
+    EXPECT_EQ(errors.size(), 3u);
+}
+
 TEST(ConfigValidate, TimingRelationsAreEnforced)
 {
     SystemConfig cfg = SystemConfig::parallelDefault();

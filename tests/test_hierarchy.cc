@@ -73,6 +73,55 @@ TEST_F(HierarchyTest, L2HitLatency)
     EXPECT_EQ(*done, cfg_.dl1.latency + cfg_.l2.latency);
 }
 
+TEST_F(HierarchyTest, NextEventCycleNamesEachDeliveryCycle)
+{
+    build();
+    EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
+
+    // dL1 hit: the completion fires dl1.latency after the access.
+    hier_->dl1(0).insert(0x1000, LineState::Exclusive);
+    const Cycle hitAt = now_ + cfg_.dl1.latency;
+    const auto hit = load(0, 0x1000);
+    EXPECT_EQ(hier_->nextEventCycle(now_), hitAt);
+    tick(hitAt - now_ - 1);
+    EXPECT_EQ(*hit, kNoCycle);
+    tick(1);
+    EXPECT_EQ(*hit, hitAt);
+    EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
+
+    // L2 hit: the dL1 miss reaches the L2 after dl1.latency, the line
+    // returns l2.latency later.
+    hier_->l2().insert(0x2000, LineState::Exclusive);
+    const Cycle l2At = now_ + cfg_.dl1.latency;
+    const auto l2Hit = load(0, 0x2000);
+    EXPECT_EQ(hier_->nextEventCycle(now_), l2At);
+    tick(l2At - now_);
+    EXPECT_EQ(hier_->nextEventCycle(now_), l2At + cfg_.l2.latency);
+    tick(cfg_.l2.latency - 1);
+    EXPECT_EQ(*l2Hit, kNoCycle);
+    tick(1);
+    EXPECT_EQ(*l2Hit, l2At + cfg_.l2.latency);
+    EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
+
+    // DRAM fill: the line reaches the dL1 a quarter L2 latency after
+    // the cycle the DRAM completes the read and the L2 takes it.
+    const auto miss = load(0, 0x3000);
+    while (hier_->l2().probe(0x3000) == LineState::Invalid) {
+        ASSERT_LT(now_, 5000u) << "DRAM never filled the miss";
+        tick(1);
+    }
+    const Cycle fillAt = now_;
+    const Cycle returnLat = cfg_.l2.latency / 4;
+    EXPECT_EQ(*miss, kNoCycle);
+    EXPECT_EQ(hier_->nextEventCycle(now_), fillAt + returnLat);
+    tick(returnLat - 1);
+    EXPECT_EQ(*miss, kNoCycle);
+    tick(1);
+    EXPECT_EQ(*miss, fillAt + returnLat);
+    EXPECT_TRUE(hier_->quiescent());
+    EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
+}
+
 TEST_F(HierarchyTest, L2MissGoesToDramAndCompletes)
 {
     build();
