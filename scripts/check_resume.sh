@@ -10,7 +10,9 @@
 #    up) as soon as the journal holds a few completed jobs.
 # 3. Assert the kill left no torn result file (AtomicFile staging
 #    means the target paths must not exist yet).
-# 4. --resume DIR, then byte-compare JSONL and CSV against the
+# 4. --resume DIR --report with a typo must be rejected before any
+#    job is dispatched.
+# 5. --resume DIR, then byte-compare JSONL and CSV against the
 #    reference.
 #
 # CRITMEM_RESUME_QUOTA scales the per-core quota (default 2000); the
@@ -74,6 +76,21 @@ if [ "$killed" = "1" ]; then
         fi
     done
 fi
+
+# A mistyped --report on --resume is a usage error, checked against
+# the manifest's spec before any job is dispatched: exit 1 with the
+# message, and the journal untouched.
+journaled=$(wc -l < "$journal")
+rc=0
+err=$("$sweep" --resume "$camp" --jobs 4 --report speedup:bsae 2>&1 \
+    >/dev/null) || rc=$?
+if [ "$rc" != 1 ] || [[ "$err" != *"unknown --report 'speedup:bsae'"* ]] \
+    || [ "$(wc -l < "$journal")" != "$journaled" ]; then
+    echo "FAIL: --resume --report speedup:bsae was not rejected up" \
+        "front (exit $rc): $err" >&2
+    exit 1
+fi
+echo "resume: --report typo rejected before dispatch"
 
 "$sweep" --resume "$camp" --jobs 4 >/dev/null 2>&1
 for ext in jsonl csv; do

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate every artifact: build, test suite (plain and sanitized),
-# checked bench smoke runs, then all benches.
-# CRITMEM_INSTRS / CRITMEM_WARMUP scale simulation length.
+# checked smoke runs, then every figure spec and bench.
+# CRITMEM_INSTRS scales simulation length (the per-core quota of the
+# benches and the --quota of the figure specs); CRITMEM_WARMUP the
+# benches' warmup.
 # CRITMEM_SKIP_ASAN=1 / CRITMEM_SKIP_TSAN=1 skip the sanitizer passes
 # (e.g. no clean rebuild budget); CRITMEM_SKIP_CHECKED=1 skips the
 # checked smoke runs.
@@ -78,9 +80,10 @@ if [ "${CRITMEM_SKIP_TSAN:-0}" != "1" ]; then
         --quota 1000 --jobs 4 --out /dev/null
 fi
 
-# Protocol-checked smoke runs: one figure per scheduler family with
-# the invariant checker attached (CRITMEM_CHECK=1 aborts the bench on
-# any violation), plus a CLI run per scheduler.
+# Protocol-checked smoke runs: the Fig. 10 campaign (one job per
+# scheduler family and app) with the invariant checker attached to
+# every job (a violation fails the job and critmem-sweep exits 2),
+# plus a CLI run per scheduler.
 if [ "${CRITMEM_SKIP_CHECKED:-0}" != "1" ]; then
     for sched in fcfs frfcfs crit-casras casras-crit parbs tcm \
                  tcm-crit ahb morse crit-rl atlas minimalist \
@@ -88,16 +91,27 @@ if [ "${CRITMEM_SKIP_CHECKED:-0}" != "1" ]; then
         ./build/examples/critmem-sim --app art --sched "$sched" \
             --instrs 4000 --check --quiet >/dev/null
     done
-    CRITMEM_CHECK=1 CRITMEM_INSTRS="${CRITMEM_INSTRS:-8000}" \
-        ./build/bench/bench_fig10_schedulers > /dev/null
+    ./build/examples/critmem-sweep --spec specs/fig10.sweep --check \
+        --quota "${CRITMEM_INSTRS:-8000}" > /dev/null
 fi
 
 {
+    # The speedup-vs-FR-FCFS figures are sweep specs.
+    for spec in specs/fig*.sweep specs/sec*.sweep specs/ext-*.sweep; do
+        echo "=== $spec ==="
+        ./build/examples/critmem-sweep --spec "$spec" \
+            ${CRITMEM_INSTRS:+--quota "$CRITMEM_INSTRS"} \
+            --report speedup:base --jobs "$(nproc)"
+    done
     for b in $(find ./build/bench -maxdepth 1 -type f -executable | sort); do
         name=$(basename "$b")
         # bench_micro runs separately below through run_bench.sh so
         # its JSON feeds the perf regression gate.
         if [ "$name" = "bench_micro" ]; then
+            continue
+        fi
+        # A reused build tree may still hold a deleted program.
+        if [ ! -f "bench/$name.cpp" ]; then
             continue
         fi
         echo "=== $name ==="

@@ -159,9 +159,8 @@ class PresetConfigRule : public DataRule
 /**
  * trace-fixture: every checked-in trace under tests/trace/fixtures/
  * must decode cleanly — the goldens the tests and the fuzz corpus
- * mutate from must themselves be valid. CTMT replay traces (.bin)
- * validate through TraceReader; everything else through the ingest
- * scanner. Gzip fixtures are skipped when zlib is unavailable.
+ * mutate from must themselves be valid under the ingest scanner.
+ * Gzip fixtures are skipped when zlib is unavailable.
  */
 class TraceFixtureRule : public DataRule
 {
@@ -196,12 +195,8 @@ class TraceFixtureRule : public DataRule
             if (file.extension() == ".gz" && !ingest::haveGzip())
                 continue;
             try {
-                if (file.extension() == ".bin") {
-                    TraceReader reader(file.string());
-                } else {
-                    ingest::scanTrace(file.string(),
-                                      ingest::IngestOptions{});
-                }
+                ingest::scanTrace(file.string(),
+                                  ingest::IngestOptions{});
             } catch (const std::exception &err) {
                 out.push_back({meta().id, meta().severity, rel, 0,
                                err.what()});

@@ -434,14 +434,18 @@ ProtocolChecker::scanStarvation(DramCycle now)
     for (auto &[id, pending] : outstanding_) {
         if (pending.starvationFlagged)
             continue;
-        if (now - pending.enqueued > check_.starvationCycles) {
+        // DramSystem::enqueue stamps the next DRAM cycle, so a request
+        // enqueued during tick `now` (a writeback evicted by a fill)
+        // can carry `now + 1`: it has waited 0 cycles.
+        const DramCycle waited =
+            now > pending.enqueued ? now - pending.enqueued : 0;
+        if (waited > check_.starvationCycles) {
             pending.starvationFlagged = true;
             record(RuleId::Starvation, pending.channel, now,
                    "request id " + std::to_string(id) + " from core " +
                        std::to_string(pending.core) + " (addr " +
                        std::to_string(pending.addr) +
-                       ") outstanding for " +
-                       std::to_string(now - pending.enqueued) +
+                       ") outstanding for " + std::to_string(waited) +
                        " cycles (bound " +
                        std::to_string(check_.starvationCycles) + ")");
         }

@@ -13,7 +13,7 @@
 #include "exec/console.hh"
 #include "exec/worker.hh"
 #include "sim/random.hh"
-#include "trace/trace_file.hh"
+#include "trace/ingest/ingest.hh"
 
 namespace critmem::exec
 {

@@ -16,7 +16,7 @@
 
 #include "check/check.hh"
 #include "exec/campaign.hh"
-#include "trace/trace_file.hh"
+#include "trace/ingest/ingest.hh"
 
 namespace critmem::exec
 {

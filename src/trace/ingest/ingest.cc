@@ -15,6 +15,15 @@
 
 namespace critmem
 {
+
+TraceError::TraceError(const std::string &message,
+                       std::uint64_t byteOffset)
+    : std::runtime_error(message + " (byte offset " +
+                         std::to_string(byteOffset) + ")"),
+      byteOffset_(byteOffset)
+{
+}
+
 namespace ingest
 {
 
@@ -491,14 +500,15 @@ class DecoderImpl
             format_ = TraceFormat::Text;
             return;
         }
-        // The record/replay format's little-endian magic, for a
-        // friendlier redirect than "unrecognized".
+        // The retired record/replay format's little-endian magic,
+        // for a friendlier message than "unrecognized".
         static const std::uint8_t ctmt[4] = {0x54, 0x4d, 0x54, 0x43};
         if (got >= 4 && std::memcmp(magic, ctmt, 4) == 0) {
             throw TraceError(
                 "'" + path_ +
-                    "' is a critmem record/replay trace (CTMT); "
-                    "ingest reads ctext/cbin",
+                    "' is a legacy critmem record/replay trace "
+                    "(CTMT), which is no longer supported; ingest "
+                    "reads ctext/cbin",
                 0);
         }
         throw TraceError("unrecognized trace format in '" + path_ +

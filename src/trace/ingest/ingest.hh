@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,10 +44,26 @@
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/generator.hh"
-#include "trace/trace_file.hh"
 
 namespace critmem
 {
+
+/**
+ * A malformed or unreadable trace file. Carries the byte offset of
+ * the offending field so tooling can point at the corruption.
+ */
+class TraceError : public std::runtime_error
+{
+  public:
+    TraceError(const std::string &message, std::uint64_t byteOffset);
+
+    /** Offset into the file of the field that failed validation. */
+    std::uint64_t byteOffset() const { return byteOffset_; }
+
+  private:
+    std::uint64_t byteOffset_;
+};
+
 namespace ingest
 {
 

@@ -464,6 +464,44 @@ TEST(CheckConservation, UnknownCompletionAndDuplicateIdAreReported)
     EXPECT_FALSE(checker.hasRule(RuleId::LostRequest));
 }
 
+TEST(CheckConservation, RequestStampedNextCycleIsNotStarved)
+{
+    // DramSystem::enqueue stamps lastNow_ + 1, so a writeback evicted
+    // by a fill inside DRAM tick `now` carries `now + 1` when a later
+    // command of the same tick scans for starvation at `now`. That
+    // request has waited 0 cycles, not 2^64 - 1.
+    CheckConfig check;
+    check.enabled = true;
+    check.failFast = false;
+    check.starvationCycles = 2000;
+    DramConfig dcfg = DramConfig::preset(DramSpeed::DDR3_2133);
+    dcfg.channels = 1;
+    ProtocolChecker checker(check, dcfg);
+
+    const DramCycle now = 10000;
+    DramCoord coord;
+    MemRequest starved;
+    starved.id = 1;
+    starved.core = 3;
+    checker.onEnqueue(0, starved, coord, 1);
+    MemRequest fresh;
+    fresh.id = 2;
+    fresh.type = ReqType::Write;
+    checker.onEnqueue(0, fresh, coord, now + 1);
+    checker.onCommand(0, DramCmd::Act, coord, now);
+
+    std::size_t starvations = 0;
+    for (const Violation &v : checker.violations()) {
+        if (v.rule != RuleId::Starvation)
+            continue;
+        ++starvations;
+        EXPECT_NE(v.message.find("request id 1 from core 3"),
+                  std::string::npos)
+            << v.message;
+    }
+    EXPECT_EQ(starvations, 1u) << checker.report();
+}
+
 TEST(CheckConservation, FailFastThrowsOnFirstViolation)
 {
     CheckConfig check;

@@ -1,13 +1,9 @@
 /** @file Tests for the extension features: ATLAS / Minimalist / FCFS
- *  scheduling, the closed-page row policy, trace record/replay, and
- *  the saturating/probabilistic CBP counters. */
+ *  scheduling, the closed-page row policy, and the
+ *  saturating/probabilistic CBP counters. */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "crit/cbp.hh"
@@ -16,7 +12,6 @@
 #include "sched/frfcfs.hh"
 #include "sched/minimalist.hh"
 #include "system/experiment.hh"
-#include "trace/trace_file.hh"
 #include "trace/workloads.hh"
 
 using namespace critmem;
@@ -156,114 +151,6 @@ TEST(ClosedPage, EndToEndRunStillCorrect)
     EXPECT_GT(cycles, 0u);
     for (std::uint32_t i = 0; i < sys.numCores(); ++i)
         EXPECT_TRUE(sys.core(i).finished());
-}
-
-class TraceFileTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        // Unique per process and test: ctest -jN runs every test in
-        // its own process, all sharing one temp directory.
-        path_ = std::filesystem::temp_directory_path() /
-            ("critmem_trace_test." + std::to_string(::getpid()) + "." +
-             ::testing::UnitTest::GetInstance()
-                 ->current_test_info()
-                 ->name() +
-             ".bin");
-    }
-
-    void TearDown() override { std::filesystem::remove(path_); }
-
-    std::filesystem::path path_;
-};
-
-TEST_F(TraceFileTest, RoundTripPreservesEveryField)
-{
-    {
-        TraceWriter writer(path_.string());
-        MicroOp op;
-        op.cls = OpClass::Load;
-        op.pc = 0x400123;
-        op.addr = 0xdeadbeef00;
-        op.latency = 3;
-        op.dep1 = 7;
-        op.dep2 = 999;
-        op.mispredict = false;
-        writer.append(op);
-        op.cls = OpClass::Branch;
-        op.mispredict = true;
-        op.addr = 0;
-        writer.append(op);
-        EXPECT_EQ(writer.written(), 2u);
-    }
-    TraceReader reader(path_.string());
-    ASSERT_EQ(reader.size(), 2u);
-    MicroOp op;
-    reader.next(op);
-    EXPECT_EQ(op.cls, OpClass::Load);
-    EXPECT_EQ(op.pc, 0x400123u);
-    EXPECT_EQ(op.addr, 0xdeadbeef00u);
-    EXPECT_EQ(op.dep1, 7u);
-    EXPECT_EQ(op.dep2, 999u);
-    EXPECT_FALSE(op.mispredict);
-    reader.next(op);
-    EXPECT_EQ(op.cls, OpClass::Branch);
-    EXPECT_TRUE(op.mispredict);
-}
-
-TEST_F(TraceFileTest, ReaderWrapsAround)
-{
-    {
-        TraceWriter writer(path_.string());
-        MicroOp op;
-        op.pc = 1;
-        writer.append(op);
-        op.pc = 2;
-        writer.append(op);
-    }
-    TraceReader reader(path_.string());
-    MicroOp op;
-    reader.next(op);
-    reader.next(op);
-    reader.next(op); // wrapped
-    EXPECT_EQ(op.pc, 1u);
-}
-
-TEST_F(TraceFileTest, RecordThenReplayMatchesGenerator)
-{
-    const AppParams &app = appParams("fft");
-    SyntheticApp original(app, 0, 8, 0, 77);
-    {
-        SyntheticApp source(app, 0, 8, 0, 77);
-        TraceWriter writer(path_.string());
-        RecordingGenerator recorder(source, writer);
-        MicroOp op;
-        for (int i = 0; i < 500; ++i)
-            recorder.next(op);
-    }
-    TraceReader replay(path_.string());
-    ASSERT_EQ(replay.size(), 500u);
-    for (int i = 0; i < 500; ++i) {
-        MicroOp a, b;
-        original.next(a);
-        replay.next(b);
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.addr, b.addr);
-        EXPECT_EQ(a.cls, b.cls);
-        EXPECT_EQ(a.dep1, b.dep1);
-    }
-}
-
-TEST_F(TraceFileTest, RejectsGarbage)
-{
-    {
-        std::FILE *f = std::fopen(path_.string().c_str(), "wb");
-        std::fputs("this is not a trace!", f);
-        std::fclose(f);
-    }
-    EXPECT_THROW({ TraceReader reader(path_.string()); }, TraceError);
 }
 
 TEST(CbpExt, SaturatingCounterCapsAtWidth)

@@ -488,7 +488,8 @@ TEST_F(IngestTest, AutoDetectGoldens)
     EXPECT_EQ(mustThrow(spill("x.trace", "hello world\n"))
                   .byteOffset(),
               0u);
-    // Legacy CTMT replay traces are recognized and redirected.
+    // Legacy CTMT replay traces are recognized and rejected as
+    // retired.
     std::string ctmt;
     const std::uint32_t magic = 0x43544d54;
     ctmt.resize(4);
@@ -497,6 +498,8 @@ TEST_F(IngestTest, AutoDetectGoldens)
     const TraceError err = mustThrow(spill("y.bin", ctmt));
     EXPECT_EQ(err.byteOffset(), 0u);
     EXPECT_NE(std::string(err.what()).find("CTMT"),
+              std::string::npos);
+    EXPECT_NE(std::string(err.what()).find("no longer supported"),
               std::string::npos);
 }
 

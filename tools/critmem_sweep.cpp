@@ -147,6 +147,27 @@ boolValue(bool b)
     return b ? "1" : "0";
 }
 
+/**
+ * Empty when @p report names a layout this spec can print, else the
+ * usage error. Checked before any job runs, so a typo fails fast
+ * instead of printing an empty table after the whole campaign.
+ */
+std::string
+reportError(const std::string &report, const exec::SweepSpec &spec)
+{
+    if (report.empty() || report == "arena" || report == "failures")
+        return "";
+    std::string variants;
+    for (const exec::SweepVariant &variant : spec.variants) {
+        if (report == "speedup:" + variant.name)
+            return "";
+        variants += (variants.empty() ? "" : ", ") + variant.name;
+    }
+    return "unknown --report '" + report +
+        "': expected arena, failures or speedup:VARIANT with VARIANT "
+        "one of " + variants;
+}
+
 } // namespace
 
 int
@@ -286,6 +307,11 @@ main(int argc, char **argv)
         }
     } catch (const std::exception &err) {
         std::fprintf(stderr, "critmem-sweep: %s\n", err.what());
+        return 1;
+    }
+    if (const std::string err = reportError(report, spec);
+        !err.empty()) {
+        std::fprintf(stderr, "critmem-sweep: %s\n", err.c_str());
         return 1;
     }
 

@@ -35,7 +35,6 @@
 #include "sim/atomic_file.hh"
 #include "sim/random.hh"
 #include "trace/ingest/ingest.hh"
-#include "trace/trace_file.hh"
 
 using namespace critmem;
 
@@ -60,31 +59,13 @@ usage()
     std::exit(1);
 }
 
-/** How a corpus entry is decoded and how its offsets are judged. */
-enum class Kind
-{
-    Ingest, ///< text/binary ingest formats, raw transport
-    Gzip,   ///< ingest behind gzip: error offsets are decompressed
-    Ctmt,   ///< legacy CTMT replay trace (TraceReader)
-};
-
 struct CorpusEntry
 {
     std::string name;
-    Kind kind = Kind::Ingest;
+    /** Behind gzip: error offsets are in the decompressed stream. */
+    bool gzip = false;
     std::vector<unsigned char> bytes;
 };
-
-Kind
-classify(const std::vector<unsigned char> &bytes)
-{
-    if (bytes.size() >= 2 && bytes[0] == 0x1f && bytes[1] == 0x8b)
-        return Kind::Gzip;
-    if (bytes.size() >= 4 && bytes[0] == 0x54 && bytes[1] == 0x4d &&
-        bytes[2] == 0x54 && bytes[3] == 0x43)
-        return Kind::Ctmt;
-    return Kind::Ingest;
-}
 
 std::vector<CorpusEntry>
 loadCorpus(const std::string &dir)
@@ -114,7 +95,8 @@ loadCorpus(const std::string &dir)
         while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
             entry.bytes.insert(entry.bytes.end(), buf, buf + got);
         std::fclose(f);
-        entry.kind = classify(entry.bytes);
+        entry.gzip = entry.bytes.size() >= 2 &&
+            entry.bytes[0] == 0x1f && entry.bytes[1] == 0x8b;
         corpus.push_back(std::move(entry));
     }
     return corpus;
@@ -266,28 +248,6 @@ gzipCompress(const std::string &raw)
 }
 #endif
 
-void
-writeCtmtTrace(const std::string &path, Rng &rng)
-{
-    TraceWriter writer(path);
-    for (int i = 0; i < 48; ++i) {
-        MicroOp op;
-        const std::uint64_t pick = rng.below(10);
-        op.cls = pick < 4 ? OpClass::Load
-            : pick < 6   ? OpClass::Store
-            : pick < 9   ? OpClass::IntAlu
-                         : OpClass::Branch;
-        op.pc = 0x400000ull + static_cast<std::uint64_t>(i) * 4;
-        op.addr = (1ull << 26) + (rng.below(1ull << 18) & ~63ull);
-        op.latency = static_cast<std::uint8_t>(1 + rng.below(4));
-        op.dep1 = static_cast<std::uint16_t>(rng.below(8));
-        op.mispredict =
-            op.cls == OpClass::Branch && rng.below(4) == 0;
-        writer.append(op);
-    }
-    writer.close();
-}
-
 int
 writeCorpus(const std::string &dir, std::uint64_t seed)
 {
@@ -302,7 +262,6 @@ writeCorpus(const std::string &dir, std::uint64_t seed)
     std::fprintf(stderr,
                  "note: zlib unavailable, skipping pair2.cbin.gz\n");
 #endif
-    writeCtmtTrace(dir + "/tiny.bin", rng);
     std::printf("corpus written to %s\n", dir.c_str());
     return 0;
 }
@@ -432,11 +391,7 @@ main(int argc, char **argv)
     for (const CorpusEntry &entry : corpus) {
         const std::string path = corpusDir + "/" + entry.name;
         try {
-            if (entry.kind == Kind::Ctmt) {
-                TraceReader reader(path);
-            } else {
-                ingest::scanTrace(path, ingest::IngestOptions{});
-            }
+            ingest::scanTrace(path, ingest::IngestOptions{});
         } catch (const std::exception &err) {
             std::fprintf(stderr, "seed corpus %s does not decode: %s\n",
                          entry.name.c_str(), err.what());
@@ -453,9 +408,8 @@ main(int argc, char **argv)
 
         // The fixed-layout header is where "lies" (plausible but
         // wrong counts/magics) live; everything after it is records.
-        const std::uint64_t headerSpan = entry.kind == Kind::Ctmt
-            ? 16
-            : 64; // binary header is 8 bytes, the text header line <64
+        // The binary header is 8 bytes, the text header line < 64.
+        const std::uint64_t headerSpan = 64;
         const std::uint64_t mutations = 1 + rng.below(3);
         std::uint64_t minStart = ~std::uint64_t{0};
         for (std::uint64_t m = 0; m < mutations; ++m)
@@ -487,11 +441,7 @@ main(int argc, char **argv)
         bool ok = true;
         std::string problem;
         try {
-            if (entry.kind == Kind::Ctmt) {
-                TraceReader reader(scratch);
-            } else {
-                ingest::scanTrace(scratch, opts);
-            }
+            ingest::scanTrace(scratch, opts);
             ++stats.accepted;
         } catch (const TraceError &err) {
             ++stats.rejected;
@@ -502,7 +452,7 @@ main(int argc, char **argv)
             // first mutated byte. Gzip offsets are in the
             // decompressed domain and cannot be window-checked
             // against compressed-file positions.
-            if (entry.kind != Kind::Gzip) {
+            if (!entry.gzip) {
                 const std::uint64_t slack = 4096 + 8;
                 const std::uint64_t windowLo =
                     minStart == ~std::uint64_t{0} || minStart < slack
