@@ -7,6 +7,8 @@
  * each one fires.
  */
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <regex>
 #include <set>
@@ -528,7 +530,10 @@ class DurableWriteRule : public SourceRule
  * construction and local STL container declarations inside any
  * function whose name contains "tick". One-time or error-path
  * allocations may carry an inline allow naming this rule, with
- * the justification.
+ * the justification. The core, cache and DRAM layers (src/cpu,
+ * src/mem, src/dram) are the per-cycle path as a whole: there any
+ * std::function or std::unordered_map/unordered_set is a finding,
+ * wherever it appears (typed tokens and sim/flat_map.hh instead).
  */
 class HotPathAllocRule : public SourceRule
 {
@@ -565,9 +570,40 @@ class HotPathAllocRule : public SourceRule
                 continue;
             scanBody(file, joined, (*it)[1], open, close, out);
         }
+        checkHotLayer(file, out);
     }
 
   private:
+    /** src/cpu, src/mem, src/dram: no type-erased call, no node map. */
+    void
+    checkHotLayer(const SourceFile &file, std::vector<Finding> &out) const
+    {
+        static const char *const kHotLayers[] = {"src/cpu/", "src/mem/",
+                                                 "src/dram/"};
+        if (std::none_of(std::begin(kHotLayers), std::end(kHotLayers),
+                         [&](const char *dir) {
+                             return file.path.rfind(dir, 0) == 0;
+                         }))
+            return;
+        static const std::regex kBanned(
+            "\\bstd\\s*::\\s*(function|unordered_map|unordered_set)\\b");
+        for (std::size_t li = 0; li < file.code.size(); ++li) {
+            for (auto it = std::sregex_iterator(file.code[li].begin(),
+                                                file.code[li].end(),
+                                                kBanned);
+                 it != std::sregex_iterator(); ++it) {
+                out.push_back(
+                    {meta().id, meta().severity, file.path,
+                     static_cast<int>(li + 1),
+                     "'std::" + (*it)[1].str() + "' in the per-cycle "
+                     "core/cache/DRAM layers: use a typed token or "
+                     "event instead of a type-erased callback, and "
+                     "FlatMap (sim/flat_map.hh) instead of a node "
+                     "hash table"});
+            }
+        }
+    }
+
     void
     scanBody(const SourceFile &file, const std::string &joined,
              const std::string &fn, std::size_t open,

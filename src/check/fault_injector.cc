@@ -33,7 +33,7 @@ ScriptedFaultInjector::dropCompletion(const MemRequest &req,
                                       DramCycle now)
 {
     (void)now;
-    // Only reads have a consumer waiting on the callback; dropping a
+    // Only reads have a consumer waiting on the fill; dropping a
     // writeback completion would be invisible to the processor side.
     if (kind_ != FaultKind::DropCompletion || req.type == ReqType::Write)
         return false;

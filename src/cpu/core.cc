@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/log.hh"
 
@@ -56,8 +57,11 @@ Core::Stats::Stats(stats::Group &parent, CoreId id)
 Core::Core(const SystemConfig &cfg, CoreId id, TraceGenerator &gen,
            MemHierarchy &mem, stats::Group &parent)
     : cfg_(cfg), id_(id), gen_(gen), mem_(mem),
-      rob_(cfg.core.robEntries), stats_(parent, id)
+      rob_(std::bit_ceil(cfg.core.robEntries)), robMask_(rob_.size() - 1),
+      pendingStoreAddrs_(cfg.core.sqEntries, "store queue"),
+      stats_(parent, id)
 {
+    mem.attach(id, *this);
     const CritConfig &crit = cfg.crit;
     if (isCbp(crit.predictor)) {
         cbp_ = std::make_unique<CommitBlockPredictor>(
@@ -82,7 +86,7 @@ Core::criticalityOf(const MicroOp &op) const
 }
 
 void
-Core::markComplete(RobEntry &entry, Cycle)
+Core::markComplete(RobEntry &entry)
 {
     entry.state = EntryState::Complete;
     for (const std::uint32_t idx : entry.waiters) {
@@ -116,7 +120,7 @@ Core::completeStage(Cycle now)
                 fetchResumeAt_ = now + cfg_.core.mispredictPenalty;
             }
         }
-        markComplete(entry, now);
+        markComplete(entry);
     }
 }
 
@@ -188,8 +192,8 @@ Core::commitStage(Cycle now)
     }
 }
 
-void
-Core::issueLoad(RobEntry &entry, Cycle now, bool &accepted)
+bool
+Core::issueLoad(RobEntry &entry, Cycle now)
 {
     // Perfect disambiguation with store-to-load forwarding: a load
     // whose word matches an in-flight older store gets its value from
@@ -198,27 +202,20 @@ Core::issueLoad(RobEntry &entry, Cycle now, bool &accepted)
         ++stats_.loadsForwarded;
         entry.state = EntryState::Issued;
         fuCompletions_.push(now + 1, entry.seq);
-        accepted = true;
-        return;
+        return true;
     }
 
     const CritLevel crit = criticalityOf(entry.op);
-    const SeqNum seq = entry.seq;
-    const bool ok = mem_.load(id_, entry.op.addr, crit, [this, seq] {
-        wake();
-        RobEntry &done = entryOf(seq);
-        markComplete(done, now_);
-    });
-    if (!ok) {
+    if (!mem_.load(id_, entry.op.addr, crit,
+                   MemToken{MemToken::Kind::Load, entry.seq})) {
         ++stats_.loadRetries;
-        accepted = false;
-        return;
+        return false;
     }
     ++stats_.loadsIssued;
     if (crit > 0)
         ++stats_.critLoadsIssued;
     entry.state = EntryState::Issued;
-    accepted = true;
+    return true;
 }
 
 void
@@ -253,10 +250,8 @@ Core::issueStage(Cycle now)
         switch (entry.op.cls) {
           case OpClass::Load:
             if (loads < c.loadPorts) {
-                bool accepted = false;
-                issueLoad(entry, now, accepted);
+                ok = issueLoad(entry, now);
                 ++loads; // the port is consumed either way
-                ok = accepted;
             }
             break;
           case OpClass::Store:
@@ -322,20 +317,12 @@ Core::issueStage(Cycle now)
 }
 
 void
-Core::drainStores(Cycle now)
+Core::drainStores()
 {
-    (void)now;
     std::uint32_t drained = 0;
     while (!storeDrain_.empty() && drained < cfg_.core.storePorts) {
         const Addr addr = storeDrain_.front();
-        const bool ok = mem_.store(id_, addr, [this, addr] {
-            wake();
-            --sqCount_;
-            const auto it = pendingStoreAddrs_.find(wordAlign(addr));
-            if (it != pendingStoreAddrs_.end() && --it->second == 0)
-                pendingStoreAddrs_.erase(it);
-        });
-        if (!ok)
+        if (!mem_.store(id_, addr, MemToken{MemToken::Kind::Store, addr}))
             return;
         storeDrain_.pop();
         ++drained;
@@ -356,7 +343,7 @@ Core::dispatchStage(Cycle now)
         return; // waiting on an unresolved mispredicted branch
 
     for (std::uint32_t n = 0; n < c.fetchWidth; ++n) {
-        if (robCount_ >= rob_.size()) {
+        if (robCount_ >= c.robEntries) {
             ++stats_.robFullCycles;
             return;
         }
@@ -376,13 +363,9 @@ Core::dispatchStage(Cycle now)
             if (mem_.fetchProbe(id_, op.pc)) {
                 fetchedBlock_ = block;
             } else {
-                if (mem_.fetch(id_, op.pc, [this, block] {
-                        wake();
-                        fetchBlockedOnIcache_ = false;
-                        fetchedBlock_ = block;
-                    })) {
+                if (mem_.fetch(id_, op.pc,
+                               MemToken{MemToken::Kind::Fetch, block}))
                     fetchBlockedOnIcache_ = true;
-                }
                 return; // miss (or iL1 MSHRs full): retry later
             }
         }
@@ -488,7 +471,7 @@ Core::tick(Cycle now)
     completeStage(now);
     commitStage(now);
     issueStage(now);
-    drainStores(now);
+    drainStores();
     dispatchStage(now);
 }
 
@@ -498,15 +481,15 @@ Core::dispatchState() const
     // Mirrors dispatchStage()'s decision order exactly, minus the
     // fetchResumeAt_ time gate (the caller handles time) and with no
     // side effects. Every input is frozen between events: the counts
-    // only change on commits, issues, drains, or memory callbacks.
+    // only change on commits, issues, drains, or memory completions.
     if (stopAtQuota_ && quota_ != 0 && fetched_ >= quota_ &&
         !hasPendingOp_)
         return DispatchState::Idle;
     if (fetchBlockedOnIcache_)
-        return DispatchState::Idle; // woken by the iL1 fill callback
+        return DispatchState::Idle; // woken by the iL1 fill's token
     if (redirectBranch_ != ~SeqNum{0})
         return DispatchState::Idle; // woken by the branch completing
-    if (robCount_ >= rob_.size())
+    if (robCount_ >= cfg_.core.robEntries)
         return DispatchState::RobFull;
     if (!hasPendingOp_)
         return DispatchState::Busy; // would fetch a new micro-op
@@ -612,13 +595,29 @@ Core::skipTo(Cycle to)
 }
 
 void
-Core::wake()
+Core::memDone(MemToken token)
 {
     // The hierarchy's clock is the cycle being ticked right now; the
     // skipped window's accounting must be replayed against the state
-    // the caller is about to mutate.
+    // this completion is about to mutate.
     skipTo(mem_.now() - 1);
     poked_ = true;
+    switch (token.kind) {
+      case MemToken::Kind::Load:
+        markComplete(entryOf(token.value));
+        break;
+      case MemToken::Kind::Store:
+        --sqCount_;
+        if (std::uint32_t *stores =
+                pendingStoreAddrs_.find(wordAlign(token.value));
+            stores && --*stores == 0)
+            pendingStoreAddrs_.erase(stores);
+        break;
+      case MemToken::Kind::Fetch:
+        fetchBlockedOnIcache_ = false;
+        fetchedBlock_ = token.value;
+        break;
+    }
 }
 
 } // namespace critmem

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "crit/clpt.hh"
 #include "mem/hierarchy.hh"
 #include "sim/config.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/timing_wheel.hh"
 #include "sim/types.hh"
@@ -41,10 +41,11 @@ namespace critmem
 {
 
 /** One out-of-order core. */
-class Core
+class Core : private MemClient
 {
   public:
     /**
+     * Attaches itself to @p mem as core @p id's MemClient.
      * @param cfg Whole-system configuration (core + crit sections).
      * @param id This core's id.
      * @param gen Micro-op source; must outlive the core.
@@ -192,7 +193,7 @@ class Core
 
     std::uint32_t robIndex(SeqNum seq) const
     {
-        return static_cast<std::uint32_t>(seq % rob_.size());
+        return static_cast<std::uint32_t>(seq & robMask_);
     }
 
     RobEntry &entryOf(SeqNum seq) { return rob_[robIndex(seq)]; }
@@ -222,21 +223,22 @@ class Core
     DispatchState dispatchState() const;
 
     /**
-     * First statement of every memory-completion callback: replay the
-     * idle accounting up to the cycle before the delivering event
-     * (while the pre-completion state the skipped window saw is still
-     * intact) and flag the core for a real tick this cycle.
+     * A load, store or fetch completed. First replays the idle
+     * accounting up to the cycle before the delivering event (while
+     * the pre-completion state the skipped window saw is still
+     * intact) and flags the core for a real tick this cycle.
      */
-    void wake();
+    void memDone(MemToken token) override;
 
     void commitStage(Cycle now);
     void completeStage(Cycle now);
     void issueStage(Cycle now);
-    void drainStores(Cycle now);
+    void drainStores();
     void dispatchStage(Cycle now);
 
-    void markComplete(RobEntry &entry, Cycle now);
-    void issueLoad(RobEntry &entry, Cycle now, bool &portUsed);
+    void markComplete(RobEntry &entry);
+    /** @return false when the hierarchy rejected the load. */
+    bool issueLoad(RobEntry &entry, Cycle now);
     CritLevel criticalityOf(const MicroOp &op) const;
 
     SystemConfig cfg_;
@@ -244,7 +246,12 @@ class Core
     TraceGenerator &gen_;
     MemHierarchy &mem_;
 
+    /**
+     * A ring of bit_ceil(robEntries) slots indexed by seq & robMask_;
+     * robCount_ against robEntries, not the ring size, bounds it.
+     */
     std::vector<RobEntry> rob_;
+    SeqNum robMask_;
     SeqNum headSeq_ = 0;
     SeqNum nextSeq_ = 0;
     std::uint32_t robCount_ = 0;
@@ -257,9 +264,11 @@ class Core
 
     /** Committed stores awaiting their dL1 write. */
     std::queue<Addr> storeDrain_;
-    std::uint32_t storeDrainInFlight_ = 0;
-    /** Store addresses (8B-aligned) visible for forwarding. */
-    std::unordered_map<Addr, std::uint32_t> pendingStoreAddrs_;
+    /**
+     * Store addresses (8B-aligned) visible for forwarding, with their
+     * in-flight store count; at most sqEntries keys.
+     */
+    FlatMap<std::uint32_t> pendingStoreAddrs_;
 
     /**
      * Non-memory completions by cycle. The ring grows to the longest
@@ -280,9 +289,6 @@ class Core
     Addr fetchedBlock_ = kNoAddr;
     MicroOp pendingOp_;
     bool hasPendingOp_ = false;
-
-    /** Head-block tracking (the CBP counter logic of Fig. 2). */
-    SeqNum trackedHead_ = ~SeqNum{0};
 
     std::uint64_t quota_ = 0;
     std::uint64_t fetched_ = 0;

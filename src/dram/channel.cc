@@ -40,6 +40,7 @@ DramChannel::DramChannel(const DramConfig &cfg, std::uint32_t id,
     : cfg_(cfg), id_(id), sched_(sched),
       banks_(std::size_t{cfg.ranksPerChannel} * cfg.banksPerRank),
       ranks_(cfg.ranksPerChannel),
+      completions_(std::max(cfg.t.tCL, cfg.t.tWL) + cfg.t.dataCycles()),
       stats_(parent, id)
 {
     // Stagger refresh deadlines so the ranks don't refresh in
@@ -110,25 +111,19 @@ DramChannel::dataBusFreeFor(std::uint32_t rank) const
 void
 DramChannel::popCompletions(DramCycle now)
 {
-    while (!completions_.empty() && completions_.top().at <= now) {
-        // top() only exposes const access; the heap entry is dead after
-        // pop, so moving the request out is safe.
-        auto &entry = const_cast<Completion &>(completions_.top());
-        MemRequest req = std::move(entry.req);
-        const DramCycle arrival = entry.arrival;
-        const DramCycle at = entry.at;
-        completions_.pop();
+    completions_.drain(now, [&](DramCycle at, const Completion &done) {
+        const MemRequest &req = done.req;
         if (injector_ && injector_->dropCompletion(req, now))
-            continue; // fault: the data burst vanishes untraced
+            return; // fault: the data burst vanishes untraced
         lastProgress_ = now;
         if (req.type != ReqType::Write)
-            stats_.readLatency.sample(at - arrival);
+            stats_.readLatency.sample(at - done.arrival);
         sched_.onComplete(id_, req, now);
         if (observer_)
             observer_->onComplete(id_, req, now);
-        if (req.onComplete)
-            req.onComplete(req);
-    }
+        if (fill_ && req.type != ReqType::Write)
+            fill_->onFill(req);
+    });
 }
 
 bool
@@ -423,10 +418,8 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
         ++stats_.rowHits;
         Transaction trans = std::move(queue[cand.queueIndex]);
         queue.erase(queue.begin() + cand.queueIndex);
-        completions_.push(Completion{now + t.tCL + t.dataCycles(),
-                                     completionOrder_++,
-                                     std::move(trans.req),
-                                     trans.arrival});
+        completions_.push(now + t.tCL + t.dataCycles(),
+                          Completion{trans.req, trans.arrival});
         maybeAutoPrecharge(cand.coord, now);
         break;
       }
@@ -437,10 +430,8 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
         ++stats_.rowHits;
         Transaction trans = std::move(queue[cand.queueIndex]);
         queue.erase(queue.begin() + cand.queueIndex);
-        completions_.push(Completion{now + t.tWL + t.dataCycles(),
-                                     completionOrder_++,
-                                     std::move(trans.req),
-                                     trans.arrival});
+        completions_.push(now + t.tWL + t.dataCycles(),
+                          Completion{trans.req, trans.arrival});
         maybeAutoPrecharge(cand.coord, now);
         break;
       }
@@ -505,9 +496,7 @@ DramChannel::nextEventCycle(DramCycle now) const
     if (injector_)
         return now + 1; // faults are probed every cycle: never skip
 
-    DramCycle next = kNoCycle;
-    if (!completions_.empty())
-        next = std::min(next, completions_.top().at);
+    DramCycle next = completions_.next(now);
 
     // Refresh engine events: a rank crossing its tREFI deadline, a
     // pending refresh becoming able to PRE an open bank, or REF

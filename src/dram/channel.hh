@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "dram/command.hh"
@@ -18,6 +17,7 @@
 #include "sched/scheduler.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
+#include "sim/timing_wheel.hh"
 #include "sim/types.hh"
 
 namespace critmem
@@ -180,6 +180,12 @@ class DramChannel
     /** Attach a fault injector (nullptr = honest channel). */
     void setFaultInjector(FaultInjector *inj) { injector_ = inj; }
 
+    /**
+     * Hand every finished read and prefetch to @p listener (nullptr
+     * detaches); it must outlive its attachment.
+     */
+    void setFillListener(FillListener *listener) { fill_ = listener; }
+
     /** Capture a diagnostic snapshot of all channel state. */
     ChannelSnapshot snapshot(DramCycle now) const;
 
@@ -219,18 +225,11 @@ class DramChannel
         DramCycle arrival = 0;
     };
 
+    /** A CAS-issued transaction waiting for its data burst to end. */
     struct Completion
     {
-        DramCycle at;
-        std::uint64_t order;
         MemRequest req;
         DramCycle arrival;
-
-        bool
-        operator>(const Completion &other) const
-        {
-            return at != other.at ? at > other.at : order > other.order;
-        }
     };
 
     std::uint32_t bankIdx(std::uint32_t rank, std::uint32_t bank) const
@@ -282,18 +281,18 @@ class DramChannel
     std::vector<RankState> ranks_;
     std::vector<Transaction> readQ_;
     std::vector<Transaction> writeQ_;
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<>> completions_;
+    /** In-flight bursts, due in (end cycle, CAS issue) order. */
+    TimingWheel<Completion> completions_;
     std::vector<SchedCandidate> cands_;
 
     /** End (exclusive) of the latest scheduled data burst. */
     DramCycle busFreeAt_ = 0;
     std::uint32_t lastBusRank_ = 0;
     bool draining_ = false;
-    std::uint64_t completionOrder_ = 0;
 
     ChannelObserver *observer_ = nullptr;
     FaultInjector *injector_ = nullptr;
+    FillListener *fill_ = nullptr;
     /** Last cycle this channel issued, completed, or was work-free. */
     DramCycle lastProgress_ = 0;
     /** Most recent tick() cycle (timestamps promote() events). */

@@ -94,4 +94,11 @@ DramSystem::setFaultInjector(FaultInjector *injector)
         channel->setFaultInjector(injector);
 }
 
+void
+DramSystem::setFillListener(FillListener *listener)
+{
+    for (auto &channel : channels_)
+        channel->setFillListener(listener);
+}
+
 } // namespace critmem

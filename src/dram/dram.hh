@@ -103,6 +103,9 @@ class DramSystem
     /** Attach @p injector to every channel (nullptr detaches). */
     void setFaultInjector(FaultInjector *injector);
 
+    /** Hand every channel's finished reads to @p listener. */
+    void setFillListener(FillListener *listener);
+
   private:
     DramConfig cfg_;
     AddressMap map_;

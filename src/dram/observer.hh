@@ -164,7 +164,7 @@ class FaultInjector
   public:
     virtual ~FaultInjector() = default;
 
-    /** Swallow this read completion (no callback, no notification)? */
+    /** Swallow this read completion (no fill, no notification)? */
     virtual bool
     dropCompletion(const MemRequest &req, DramCycle now)
     {

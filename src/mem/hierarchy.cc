@@ -35,7 +35,12 @@ MemHierarchy::Stats::Stats(stats::Group &parent)
 MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
                            stats::Group &parent)
     : cfg_(cfg), dram_(dram), group_("hier", &parent),
-      iMshr_(cfg.numCores), dMshr_(cfg.numCores),
+      clients_(cfg.numCores, nullptr),
+      l2Mshr_(cfg.l2.mshrs, "L2 MSHR file"),
+      directory_(std::size_t{cfg.numCores} *
+                     (cfg.dl1.sizeBytes / cfg.dl1.blockBytes +
+                      cfg.dl1.mshrs),
+                 "L1 directory"),
       blockedReads_(dram.numChannels()),
       blockedWrites_(dram.numChannels()),
       events_(std::max({cfg.il1.latency, cfg.dl1.latency, cfg.l2.latency,
@@ -43,6 +48,8 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
       stats_(group_)
 {
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
+        iMshr_.emplace_back(cfg.il1.mshrs, "iL1 MSHR file");
+        dMshr_.emplace_back(cfg.dl1.mshrs, "dL1 MSHR file");
         il1_.push_back(std::make_unique<Cache>(
             cfg.il1, "il1_" + std::to_string(c), group_));
         dl1_.push_back(std::make_unique<Cache>(
@@ -53,6 +60,13 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
         prefetcher_ = std::make_unique<StreamPrefetcher>(
             cfg.prefetch, cfg.l2.blockBytes, group_);
     }
+    dram_.setFillListener(this);
+}
+
+void
+MemHierarchy::attach(CoreId core, MemClient &client)
+{
+    clients_.at(core) = &client;
 }
 
 void
@@ -62,26 +76,27 @@ MemHierarchy::schedule(Cycle delay, EventKind kind, const L2Waiter &waiter)
 }
 
 void
-MemHierarchy::scheduleDone(Cycle delay, Done done)
+MemHierarchy::scheduleDone(Cycle delay, CoreId core, MemToken token)
 {
     events_.push(now_ + delay,
-                 Event{EventKind::CoreDone, {}, std::move(done)});
+                 Event{EventKind::CoreDone, L2Waiter{core, 0, false, false},
+                       token});
 }
 
 bool
-MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
+MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, MemToken token)
 {
     ++stats_.loads;
     const Addr l1Block = dl1_[core]->blockAlign(addr);
     if (dl1_[core]->access(l1Block)) {
-        scheduleDone(cfg_.dl1.latency, std::move(done));
+        scheduleDone(cfg_.dl1.latency, core, token);
         return true;
     }
     auto &mshr = dMshr_[core];
-    if (const auto it = mshr.find(l1Block); it != mshr.end()) {
-        it->second.waiters.push_back(std::move(done));
-        if (crit > it->second.crit) {
-            it->second.crit = crit;
+    if (L1Entry *merged = mshr.find(l1Block)) {
+        merged->waiters.push_back(token);
+        if (crit > merged->crit) {
+            merged->crit = crit;
             promote(core, addr, crit);
         }
         return true;
@@ -91,7 +106,7 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
         return false;
     }
     L1Entry &entry = mshr[l1Block];
-    entry.waiters.push_back(std::move(done));
+    entry.waiters.push_back(token);
     entry.crit = crit;
     schedule(cfg_.dl1.latency, EventKind::L2Access,
              L2Waiter{core, l1Block, false, false});
@@ -99,7 +114,7 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
 }
 
 bool
-MemHierarchy::store(CoreId core, Addr addr, Done done)
+MemHierarchy::store(CoreId core, Addr addr, MemToken token)
 {
     ++stats_.stores;
     const Addr l1Block = dl1_[core]->blockAlign(addr);
@@ -109,14 +124,14 @@ MemHierarchy::store(CoreId core, Addr addr, Done done)
         if (state == LineState::Shared)
             invalidateSharers(l1Block, core);
         dl1_[core]->setState(l1Block, LineState::Modified);
-        scheduleDone(cfg_.dl1.latency, std::move(done));
+        scheduleDone(cfg_.dl1.latency, core, token);
         return true;
     }
     dl1_[core]->access(l1Block); // count the miss
     auto &mshr = dMshr_[core];
-    if (const auto it = mshr.find(l1Block); it != mshr.end()) {
-        it->second.waiters.push_back(std::move(done));
-        it->second.rfo = true;
+    if (L1Entry *merged = mshr.find(l1Block)) {
+        merged->waiters.push_back(token);
+        merged->rfo = true;
         return true;
     }
     if (mshr.size() >= cfg_.dl1.mshrs) {
@@ -124,7 +139,7 @@ MemHierarchy::store(CoreId core, Addr addr, Done done)
         return false;
     }
     L1Entry &entry = mshr[l1Block];
-    entry.waiters.push_back(std::move(done));
+    entry.waiters.push_back(token);
     entry.rfo = true;
     schedule(cfg_.dl1.latency, EventKind::L2Access,
              L2Waiter{core, l1Block, false, true});
@@ -143,24 +158,24 @@ MemHierarchy::fetchProbe(CoreId core, Addr pc)
 }
 
 bool
-MemHierarchy::fetch(CoreId core, Addr pc, Done done)
+MemHierarchy::fetch(CoreId core, Addr pc, MemToken token)
 {
     ++stats_.fetches;
     const Addr block = il1_[core]->blockAlign(pc);
     if (il1_[core]->access(block)) {
-        scheduleDone(cfg_.il1.latency, std::move(done));
+        scheduleDone(cfg_.il1.latency, core, token);
         return true;
     }
     auto &mshr = iMshr_[core];
-    if (const auto it = mshr.find(block); it != mshr.end()) {
-        it->second.waiters.push_back(std::move(done));
+    if (L1Entry *merged = mshr.find(block)) {
+        merged->waiters.push_back(token);
         return true;
     }
     if (mshr.size() >= cfg_.il1.mshrs) {
         ++stats_.l1MshrFull;
         return false;
     }
-    mshr[block].waiters.push_back(std::move(done));
+    mshr[block].waiters.push_back(token);
     schedule(cfg_.il1.latency, EventKind::L2Access,
              L2Waiter{core, block, true, false});
     return true;
@@ -169,11 +184,11 @@ MemHierarchy::fetch(CoreId core, Addr pc, Done done)
 CoreId
 MemHierarchy::modifiedOwner(Addr l1Block, CoreId except) const
 {
-    const auto it = directory_.find(l1Block);
-    if (it == directory_.end())
+    const std::uint32_t *sharers = directory_.find(l1Block);
+    if (!sharers)
         return kNoCore;
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c != except && (it->second & (1u << c)) &&
+        if (c != except && (*sharers & (1u << c)) &&
             dl1_[c]->probe(l1Block) == LineState::Modified) {
             return c;
         }
@@ -184,11 +199,11 @@ MemHierarchy::modifiedOwner(Addr l1Block, CoreId except) const
 void
 MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
 {
-    const auto it = directory_.find(l1Block);
-    if (it == directory_.end())
+    std::uint32_t *sharers = directory_.find(l1Block);
+    if (!sharers)
         return;
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c != except && (it->second & (1u << c))) {
+        if (c != except && (*sharers & (1u << c))) {
             // A modified copy's data lives on in the inclusive L2.
             if (dl1_[c]->probe(l1Block) == LineState::Modified)
                 l2_->setState(l2_->blockAlign(l1Block),
@@ -196,9 +211,9 @@ MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
             dl1_[c]->invalidate(l1Block);
         }
     }
-    it->second &= 1u << except;
-    if (it->second == 0)
-        directory_.erase(it);
+    *sharers &= 1u << except;
+    if (*sharers == 0)
+        directory_.erase(sharers);
 }
 
 void
@@ -242,12 +257,12 @@ MemHierarchy::l2Access(const L2Waiter &waiter)
     const CritLevel crit = [&]() -> CritLevel {
         if (isInst)
             return 0;
-        const auto it = dMshr_[core].find(l1Block);
-        return it != dMshr_[core].end() ? it->second.crit : 0;
+        const L1Entry *l1 = dMshr_[core].find(l1Block);
+        return l1 ? l1->crit : 0;
     }();
 
-    if (const auto it = l2Mshr_.find(l2Block); it != l2Mshr_.end()) {
-        L2Entry &entry = it->second;
+    if (L2Entry *merged = l2Mshr_.find(l2Block)) {
+        L2Entry &entry = *merged;
         entry.waiters.push_back(waiter);
         if (!entry.demand) {
             // A prefetch in flight just turned into a demand miss.
@@ -305,10 +320,7 @@ MemHierarchy::enqueueRead(Addr l2Block, L2Entry &entry)
     req.type = entry.demand ? ReqType::Read : ReqType::Prefetch;
     req.core = entry.firstCore;
     req.crit = entry.crit;
-    req.onComplete = [this, l2Block](const MemRequest &) {
-        l2Fill(l2Block);
-    };
-    if (!dram_.enqueue(std::move(req)))
+    if (!dram_.enqueue(req))
         panic("DRAM rejected an L2 miss its queue had room for");
     entry.sentToDram = true;
 }
@@ -334,7 +346,7 @@ MemHierarchy::enqueueWriteback(Addr l2Block)
     req.addr = l2Block;
     req.type = ReqType::Write;
     req.core = kNoCore;
-    if (!dram_.enqueue(std::move(req)))
+    if (!dram_.enqueue(req))
         panic("DRAM rejected a writeback its queue had room for");
 }
 
@@ -359,7 +371,7 @@ MemHierarchy::issuePrefetches(Addr l2Block)
         entry.firstCore = 0;
         if (!sendToDram(target, entry)) {
             // Prefetches are best-effort: drop instead of waiting.
-            l2Mshr_.erase(target);
+            l2Mshr_.erase(&entry);
         }
     }
 }
@@ -372,16 +384,15 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
     // modified L1 copy folds into the writeback.
     for (Addr sub = victim.addr; sub < victim.addr + cfg_.l2.blockBytes;
          sub += cfg_.dl1.blockBytes) {
-        const auto it = directory_.find(sub);
-        if (it != directory_.end()) {
+        if (std::uint32_t *sharers = directory_.find(sub)) {
             for (CoreId c = 0; c < cfg_.numCores; ++c) {
-                if (it->second & (1u << c)) {
+                if (*sharers & (1u << c)) {
                     if (dl1_[c]->probe(sub) == LineState::Modified)
                         dirty = true;
                     dl1_[c]->invalidate(sub);
                 }
             }
-            directory_.erase(it);
+            directory_.erase(sharers);
         }
         for (CoreId c = 0; c < cfg_.numCores; ++c)
             il1_[c]->invalidate(sub);
@@ -391,13 +402,14 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
 }
 
 void
-MemHierarchy::l2Fill(Addr l2Block)
+MemHierarchy::onFill(const MemRequest &req)
 {
-    const auto it = l2Mshr_.find(l2Block);
-    if (it == l2Mshr_.end())
+    const Addr l2Block = req.addr;
+    L2Entry *pending = l2Mshr_.find(l2Block);
+    if (!pending)
         panic("DRAM fill for unknown L2 MSHR block");
-    L2Entry entry = std::move(it->second);
-    l2Mshr_.erase(it);
+    L2Entry entry = std::move(*pending);
+    l2Mshr_.erase(pending);
 
     if (entry.demand) {
         auto &stat = entry.crit > 0 ? stats_.l2MissLatCrit
@@ -420,11 +432,11 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
 {
     auto &mshr =
         waiter.isInst ? iMshr_[waiter.core] : dMshr_[waiter.core];
-    const auto it = mshr.find(waiter.l1Block);
-    if (it == mshr.end())
+    L1Entry *pending = mshr.find(waiter.l1Block);
+    if (!pending)
         return; // already satisfied (e.g. duplicate delivery)
-    L1Entry entry = std::move(it->second);
-    mshr.erase(it);
+    L1Entry entry = std::move(*pending);
+    mshr.erase(pending);
 
     if (waiter.isInst) {
         il1_[waiter.core]->insert(waiter.l1Block, LineState::Shared);
@@ -432,10 +444,9 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
         if (entry.rfo)
             invalidateSharers(waiter.l1Block, waiter.core);
         bool sharedElsewhere = false;
-        if (const auto dit = directory_.find(waiter.l1Block);
-            dit != directory_.end()) {
-            sharedElsewhere =
-                (dit->second & ~(1u << waiter.core)) != 0;
+        if (const std::uint32_t *sharers =
+                directory_.find(waiter.l1Block)) {
+            sharedElsewhere = (*sharers & ~(1u << waiter.core)) != 0;
         }
         const LineState state = entry.rfo
             ? LineState::Modified
@@ -454,11 +465,10 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
         const Cache::Victim victim =
             dl1_[waiter.core]->insert(waiter.l1Block, state);
         if (victim.valid) {
-            if (const auto dit = directory_.find(victim.addr);
-                dit != directory_.end()) {
-                dit->second &= ~(1u << waiter.core);
-                if (dit->second == 0)
-                    directory_.erase(dit);
+            if (std::uint32_t *sharers = directory_.find(victim.addr)) {
+                *sharers &= ~(1u << waiter.core);
+                if (*sharers == 0)
+                    directory_.erase(sharers);
             }
             if (victim.dirty) {
                 l2_->setState(l2_->blockAlign(victim.addr),
@@ -468,20 +478,21 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
         directory_[waiter.l1Block] |= 1u << waiter.core;
     }
 
-    for (Done &done : entry.waiters)
-        done();
+    MemClient &client = *clients_[waiter.core];
+    for (const MemToken token : entry.waiters)
+        client.memDone(token);
 }
 
 void
 MemHierarchy::promote(CoreId core, Addr addr, CritLevel crit)
 {
     const Addr l2Block = l2_->blockAlign(addr);
-    const auto it = l2Mshr_.find(l2Block);
-    if (it == l2Mshr_.end())
+    L2Entry *entry = l2Mshr_.find(l2Block);
+    if (!entry)
         return;
-    if (crit > it->second.crit) {
-        it->second.crit = crit;
-        dram_.promote(l2Block, it->second.firstCore, crit);
+    if (crit > entry->crit) {
+        entry->crit = crit;
+        dram_.promote(l2Block, entry->firstCore, crit);
     }
     (void)core;
 }
@@ -562,10 +573,10 @@ MemHierarchy::drainBlocked()
                 enqueueWriteback(blocked.block);
                 continue;
             }
-            const auto it = l2Mshr_.find(blocked.block);
-            if (it == l2Mshr_.end() || it->second.sentToDram)
+            L2Entry *entry = l2Mshr_.find(blocked.block);
+            if (!entry || entry->sentToDram)
                 panic("blocked L2 miss lost its MSHR entry");
-            enqueueRead(blocked.block, it->second);
+            enqueueRead(blocked.block, *entry);
         }
     }
 }
@@ -577,7 +588,7 @@ MemHierarchy::tick(Cycle now)
     events_.drain(now, [this](Cycle, const Event &event) {
         switch (event.kind) {
           case EventKind::CoreDone:
-            event.done();
+            clients_[event.waiter.core]->memDone(event.token);
             break;
           case EventKind::L2Access:
             l2Access(event.waiter);

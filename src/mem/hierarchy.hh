@@ -18,9 +18,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/dram.hh"
@@ -28,6 +26,7 @@
 #include "mem/prefetcher.hh"
 #include "mem/request.hh"
 #include "sim/config.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/timing_wheel.hh"
 #include "sim/types.hh"
@@ -35,15 +34,44 @@
 namespace critmem
 {
 
-/** Completion callback for a core-side access. */
-using Done = std::function<void()>;
+/**
+ * Names a core-side access: the hierarchy hands it back to the
+ * issuing core's MemClient when the access completes.
+ */
+struct MemToken
+{
+    enum class Kind : std::uint8_t
+    {
+        Load,  ///< value = the load's ROB sequence number
+        Store, ///< value = the committed store's address
+        Fetch, ///< value = the fetched iL1 block
+    };
 
-/** Caches + directory + prefetcher + DRAM connection. */
-class MemHierarchy
+    Kind kind = Kind::Load;
+    std::uint64_t value = 0;
+};
+
+/** The core side of the hierarchy: receives completed tokens. */
+class MemClient
 {
   public:
+    virtual ~MemClient() = default;
+    virtual void memDone(MemToken token) = 0;
+};
+
+/** Caches + directory + prefetcher + DRAM connection. */
+class MemHierarchy : private FillListener
+{
+  public:
+    /** Registers itself as @p dram's fill listener. */
     MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
                  stats::Group &parent);
+
+    /**
+     * Deliver @p core's completed tokens to @p client (a core does
+     * this in its constructor); it must outlive the hierarchy's use.
+     */
+    void attach(CoreId core, MemClient &client);
 
     /**
      * Issue a data load.
@@ -51,13 +79,13 @@ class MemHierarchy
      * @return false when the dL1 MSHR file is full: nothing was
      *         queued, and the caller must issue the load again.
      */
-    bool load(CoreId core, Addr addr, CritLevel crit, Done done);
+    bool load(CoreId core, Addr addr, CritLevel crit, MemToken token);
 
     /** Issue a committed store (write-allocate, write-back). */
-    bool store(CoreId core, Addr addr, Done done);
+    bool store(CoreId core, Addr addr, MemToken token);
 
     /** Issue an instruction fetch for the block holding @p pc. */
-    bool fetch(CoreId core, Addr pc, Done done);
+    bool fetch(CoreId core, Addr pc, MemToken token);
 
     /**
      * Pipelined-fetch fast path: probe the iL1 for @p pc's block,
@@ -128,13 +156,13 @@ class MemHierarchy
     /** A miss outstanding at L1 level (one per core x block). */
     struct L1Entry
     {
-        std::vector<Done> waiters;
+        std::vector<MemToken> waiters; ///< completed in push order
         CritLevel crit = 0;
         bool rfo = false; ///< a store needs exclusive ownership
     };
 
-    /** Key for per-core L1 MSHR maps: the L1-aligned block address. */
-    using L1MshrMap = std::unordered_map<Addr, L1Entry>;
+    /** Per-core L1 MSHR file, keyed by the L1-aligned block address. */
+    using L1MshrMap = FlatMap<L1Entry>;
 
     /** Identifies one L1 MSHR entry waiting on an L2 fill. */
     struct L2Waiter
@@ -159,7 +187,7 @@ class MemHierarchy
     /** What a scheduled event does when it fires. */
     enum class EventKind : std::uint8_t
     {
-        CoreDone,  ///< run the caller's completion (an L1 hit)
+        CoreDone,  ///< hand the token to its core (an L1 hit)
         L2Access,  ///< an L1 miss reaches the L2
         DeliverL1, ///< an L2 hit or fill reaches the waiting L1 MSHR
     };
@@ -167,14 +195,16 @@ class MemHierarchy
     struct Event
     {
         EventKind kind;
-        L2Waiter waiter; ///< L2Access, DeliverL1: the L1 MSHR entry
-        Done done;       ///< CoreDone only
+        /** L2Access, DeliverL1: the L1 MSHR entry; CoreDone: the core. */
+        L2Waiter waiter;
+        MemToken token; ///< CoreDone only
     };
 
     void schedule(Cycle delay, EventKind kind, const L2Waiter &waiter);
-    void scheduleDone(Cycle delay, Done done);
+    void scheduleDone(Cycle delay, CoreId core, MemToken token);
     void l2Access(const L2Waiter &waiter);
-    void l2Fill(Addr l2Block);
+    /** A DRAM read or prefetch of the L2 block req.addr finished. */
+    void onFill(const MemRequest &req) override;
     void deliverToL1(const L2Waiter &waiter);
     bool sendToDram(Addr l2Block, L2Entry &entry);
     void enqueueRead(Addr l2Block, L2Entry &entry);
@@ -197,12 +227,22 @@ class MemHierarchy
     std::unique_ptr<Cache> l2_;
     std::unique_ptr<StreamPrefetcher> prefetcher_;
 
+    /** Who receives each core's tokens (MemHierarchy::attach). */
+    std::vector<MemClient *> clients_;
+
+    /** Bounded by il1.mshrs / dl1.mshrs, l2.mshrs. */
     std::vector<L1MshrMap> iMshr_;
     std::vector<L1MshrMap> dMshr_;
-    std::unordered_map<Addr, L2Entry> l2Mshr_;
+    FlatMap<L2Entry> l2Mshr_;
 
-    /** dL1-block address -> bitmask of cores with a copy. */
-    std::unordered_map<Addr, std::uint32_t> directory_;
+    /**
+     * dL1-block address -> bitmask of cores with a copy. Every entry
+     * has a bit set; each set bit is a valid dL1 line, or the owner
+     * a store miss's dirty transfer just invalidated, until that
+     * miss's dL1 MSHR entry delivers. So numCores x (dL1 lines + dL1
+     * MSHRs) bounds it.
+     */
+    FlatMap<std::uint32_t> directory_;
 
     /** (core, l1Block, isInst, rfo) waiting for an L2 MSHR slot. */
     std::vector<L2Waiter> l2MshrRetry_;

@@ -13,7 +13,6 @@
 #define CRITMEM_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hh"
 
@@ -43,11 +42,17 @@ struct MemRequest
     CritLevel crit = 0;
     /** Unique id; also the request's global age for FCFS ordering. */
     std::uint64_t id = 0;
-    /**
-     * Completion callback, invoked once the data burst finishes (reads
-     * and prefetches). Writebacks may leave it empty.
-     */
-    std::function<void(const MemRequest &)> onComplete;
+};
+
+/**
+ * Receives every read and prefetch whose data burst has finished
+ * (DramSystem::setFillListener). Writebacks complete silently.
+ */
+class FillListener
+{
+  public:
+    virtual ~FillListener() = default;
+    virtual void onFill(const MemRequest &req) = 0;
 };
 
 } // namespace critmem

@@ -306,7 +306,7 @@ struct SchedConfig
 enum class FaultKind
 {
     None,            ///< no fault injection
-    DropCompletion,  ///< swallow a finished read's completion callback
+    DropCompletion,  ///< swallow a finished read's fill
     EarlyCas,        ///< issue a CAS one DRAM cycle before it is legal
     SkipRefresh,     ///< silently skip a due refresh
     StarveCore,      ///< never schedule requests from a victim core

@@ -32,7 +32,7 @@
 namespace critmem
 {
 
-/** Items of type T due at a CPU cycle, popped in (cycle, push) order. */
+/** Items of type T due at a cycle, popped in (cycle, push) order. */
 template <typename T>
 class TimingWheel
 {

@@ -190,6 +190,44 @@ TEST(LintHotPathAlloc, IgnoresNonTickFunctions)
     EXPECT_EQ(countRule(analyzeFile(file), "hot-path-alloc"), 0u);
 }
 
+/** Lint fixture @p name as if it were the repo file @p path. */
+std::vector<Finding>
+lintFixtureAs(const std::string &name, const std::string &path)
+{
+    return analyzeFile(loadSourceFile(kFixtures + name, path));
+}
+
+TEST(LintHotPathAlloc, FiresOnCallbacksAndNodeMapsInHotLayers)
+{
+    // The Done alias, the node map and set members, the callback
+    // member: four findings in each per-cycle layer.
+    for (const char *dir : {"src/cpu/", "src/mem/", "src/dram/"}) {
+        const auto findings = lintFixtureAs(
+            "hot_layer_types_bad.cc", std::string(dir) + "layer.cc");
+        EXPECT_EQ(countRule(findings, "hot-path-alloc"), 4u) << dir;
+    }
+}
+
+TEST(LintHotPathAlloc, HotLayerRuleIsScopedToThoseLayers)
+{
+    // The same code elsewhere (campaign tooling, the crit layer's
+    // unlimited CBP table) is not per-cycle plumbing.
+    for (const char *path : {"src/exec/layer.cc", "src/crit/layer.cc",
+                             "tests/analysis/fixtures/layer.cc"}) {
+        EXPECT_EQ(countRule(lintFixtureAs("hot_layer_types_bad.cc", path),
+                            "hot-path-alloc"),
+                  0u)
+            << path;
+    }
+}
+
+TEST(LintHotPathAlloc, SilentOnTypedHotLayerFixture)
+{
+    EXPECT_EQ(lintFixtureAs("hot_layer_types_good.cc", "src/mem/layer.cc")
+                  .size(),
+              0u);
+}
+
 TEST(LintNoTerminate, FiresOnBadFixture)
 {
     const auto findings = lintFixture("no_terminate_bad.cc");

@@ -27,7 +27,7 @@ namespace
 {
 
 /** Standalone DramSystem + checker + deterministic traffic mix. */
-class CheckHarness
+class CheckHarness : public FillListener
 {
   public:
     CheckHarness(SchedAlgo algo, const CheckConfig &check,
@@ -44,6 +44,7 @@ class CheckHarness
                                              root_);
         checker_ = std::make_unique<ProtocolChecker>(check,
                                                      sysCfg_.dram);
+        dram_->setFillListener(this);
         checker_->attach(*dram_);
         if (check.fault != FaultKind::None) {
             injector_ =
@@ -68,17 +69,14 @@ class CheckHarness
                     ? static_cast<CritLevel>(rnd() % 1000)
                     : 0;
                 const bool isRead = req.type == ReqType::Read;
-                if (isRead) {
-                    req.onComplete = [this](const MemRequest &) {
-                        ++completed_;
-                    };
-                }
                 if (dram_->enqueue(std::move(req)) && isRead)
                     ++accepted_;
             }
             dram_->tick(now_);
         }
     }
+
+    void onFill(const MemRequest &) override { ++completed_; }
 
     /** Tick without new traffic until idle (bounded). */
     void

@@ -27,13 +27,18 @@ class ScriptedTrace : public TraceGenerator
     {
         op = ops_[pos_];
         pos_ = (pos_ + 1) % ops_.size();
+        ++fetched_;
     }
 
     const std::string &name() const override { return name_; }
 
+    /** Micro-ops handed to the core so far. */
+    std::uint64_t fetched() const { return fetched_; }
+
   private:
     std::vector<MicroOp> ops_;
     std::size_t pos_ = 0;
+    std::uint64_t fetched_ = 0;
     std::string name_ = "scripted";
 };
 
@@ -311,3 +316,58 @@ TEST_F(CoreTest, DrainedAfterRun)
     }
     EXPECT_TRUE(core_->drained());
 }
+
+/**
+ * The ROB is a power-of-two ring, but the configured size bounds it:
+ * with 96 or 100 entries (a 128-slot ring) dispatch stops at exactly
+ * robEntries ops in flight, and robFullCycles starts counting there.
+ */
+class CoreRobSizeTest : public CoreTest,
+                        public ::testing::WithParamInterface<std::uint32_t>
+{
+};
+
+TEST_P(CoreRobSizeTest, DispatchStopsAtRobEntries)
+{
+    const std::uint32_t robEntries = GetParam();
+    // A DRAM miss at the head, then independent ALU ops that complete
+    // but cannot commit past it. Roomy issue queues keep every
+    // fetched op dispatched (no op waits in the front end).
+    std::vector<MicroOp> ops;
+    ops.push_back(ld(0x400000, 0x10000000));
+    for (int i = 1; i < 256; ++i)
+        ops.push_back(alu(0x400000 + (i % 16) * 4)); // one iL1 block
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.core.robEntries = robEntries;
+    cfg.core.intIqEntries = 256;
+    build(std::move(ops), cfg);
+    core_->setQuota(1000);
+
+    const Core::Stats &stats = core_->coreStats();
+    while (stats.robFullCycles.value() == 0 && now_ < 5000) {
+        ++now_;
+        hier_->tick(now_);
+        core_->tick(now_);
+        if (now_ % 4 == 0)
+            dram_->tick(now_ / 4);
+    }
+    ASSERT_EQ(stats.robFullCycles.value(), 1u);
+    ASSERT_EQ(stats.committedOps.value(), 0u) << "the miss returned early";
+    EXPECT_EQ(gen_->fetched(), robEntries);
+    // Ten more cycles under the miss: nothing more is fetched, and
+    // each cycle is one more ROB-full stall.
+    for (int i = 0; i < 10; ++i) {
+        ++now_;
+        hier_->tick(now_);
+        core_->tick(now_);
+    }
+    EXPECT_EQ(stats.committedOps.value(), 0u);
+    EXPECT_EQ(gen_->fetched(), robEntries);
+    EXPECT_EQ(stats.robFullCycles.value(), 11u);
+    // Once the miss returns, the whole window commits.
+    run(robEntries + 50);
+    EXPECT_GE(stats.committedOps.value(), robEntries + 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(NonPowerOfTwo, CoreRobSizeTest,
+                         ::testing::Values(96u, 100u));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "dram/dram.hh"
 #include "sched/frfcfs.hh"
@@ -14,7 +16,7 @@ namespace
 {
 
 /** Single-channel, single-rank harness with manual clocking. */
-class DramTest : public ::testing::Test
+class DramTest : public ::testing::Test, public FillListener
 {
   protected:
     void
@@ -24,6 +26,7 @@ class DramTest : public ::testing::Test
         cfg_.channels = channels;
         cfg_.ranksPerChannel = ranks;
         dram_ = std::make_unique<DramSystem>(cfg_, sched_, root_);
+        dram_->setFillListener(this);
     }
 
     /** Enqueue a read; returns a handle to its completion cycle. */
@@ -35,11 +38,21 @@ class DramTest : public ::testing::Test
         req.addr = addr;
         req.type = ReqType::Read;
         req.crit = crit;
-        req.onComplete = [this, done](const MemRequest &) {
-            *done = now_;
-        };
         EXPECT_TRUE(dram_->enqueue(std::move(req)));
+        reads_.emplace_back(addr, done);
         return done;
+    }
+
+    /** Stamp the oldest unfinished read() of the filled address. */
+    void
+    onFill(const MemRequest &req) override
+    {
+        for (auto &[addr, done] : reads_) {
+            if (addr == req.addr && *done == 0) {
+                *done = now_;
+                return;
+            }
+        }
     }
 
     void
@@ -54,6 +67,7 @@ class DramTest : public ::testing::Test
     DramConfig cfg_;
     std::unique_ptr<DramSystem> dram_;
     DramCycle now_ = 0;
+    std::vector<std::pair<Addr, std::shared_ptr<DramCycle>>> reads_;
 };
 
 } // namespace
@@ -242,6 +256,12 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
     sysCfg.dram.ranksPerChannel = 2;
     const auto sched = makeScheduler(sysCfg);
     DramSystem dram(sysCfg.dram, *sched, root);
+    struct Counter : FillListener
+    {
+        std::uint64_t fills = 0;
+        void onFill(const MemRequest &) override { ++fills; }
+    } completed;
+    dram.setFillListener(&completed);
 
     std::uint64_t state = 0x51ab1e;
     auto rnd = [&state] {
@@ -249,7 +269,6 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
         return state >> 33;
     };
 
-    std::uint64_t completed = 0;
     std::uint64_t accepted = 0;
     DramCycle now = 0;
     for (int round = 0; round < 4000; ++round) {
@@ -262,11 +281,6 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
             req.core = rnd() % 8;
             req.crit = rnd() % 5 == 0 ? rnd() % 1000 : 0;
             const bool isRead = req.type == ReqType::Read;
-            if (isRead) {
-                req.onComplete = [&completed](const MemRequest &) {
-                    ++completed;
-                };
-            }
             if (dram.enqueue(std::move(req)) && isRead)
                 ++accepted;
         }
@@ -276,7 +290,7 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
     for (int i = 0; i < 20000 && !dram.idle(); ++i)
         dram.tick(++now);
     EXPECT_TRUE(dram.idle()) << toString(GetParam());
-    EXPECT_EQ(completed, accepted) << toString(GetParam());
+    EXPECT_EQ(completed.fills, accepted) << toString(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "sched/frfcfs.hh"
+#include "sim/random.hh"
 
 using namespace critmem;
 
@@ -15,12 +19,44 @@ namespace
 class HierarchyTest : public ::testing::Test
 {
   protected:
+    /** Stands in for core @c id: logs and stamps each token. */
+    struct Client : MemClient
+    {
+        HierarchyTest *test = nullptr;
+        CoreId id = 0;
+
+        void
+        memDone(MemToken token) override
+        {
+            test->log_.emplace_back(id, token);
+            *test->handles_.at(token.value) = test->now_;
+        }
+    };
+
     void
     build(SystemConfig cfg = SystemConfig::parallelDefault())
     {
         cfg_ = cfg;
         dram_ = std::make_unique<DramSystem>(cfg_.dram, sched_, root_);
         hier_ = std::make_unique<MemHierarchy>(cfg_, *dram_, root_);
+        clients_ = std::vector<Client>(cfg_.numCores);
+        for (CoreId c = 0; c < cfg_.numCores; ++c) {
+            clients_[c].test = this;
+            clients_[c].id = c;
+            hier_->attach(c, clients_[c]);
+        }
+    }
+
+    /**
+     * A fresh token of @p kind whose value indexes handles_; its
+     * completion cycle lands in *@p done (kNoCycle until then).
+     */
+    MemToken
+    track(MemToken::Kind kind, std::shared_ptr<Cycle> &done)
+    {
+        done = std::make_shared<Cycle>(kNoCycle);
+        handles_.push_back(done);
+        return MemToken{kind, handles_.size() - 1};
     }
 
     /** Advance the CPU clock, crossing to DRAM every 4th cycle. */
@@ -39,10 +75,29 @@ class HierarchyTest : public ::testing::Test
     std::shared_ptr<Cycle>
     load(CoreId core, Addr addr, CritLevel crit = 0)
     {
-        auto done = std::make_shared<Cycle>(kNoCycle);
+        std::shared_ptr<Cycle> done;
         EXPECT_TRUE(hier_->load(core, addr, crit,
-                                [this, done] { *done = now_; }));
+                                track(MemToken::Kind::Load, done)));
         return done;
+    }
+
+    /** Issue a store; the returned handle records completion time. */
+    std::shared_ptr<Cycle>
+    store(CoreId core, Addr addr)
+    {
+        std::shared_ptr<Cycle> done;
+        EXPECT_TRUE(
+            hier_->store(core, addr, track(MemToken::Kind::Store, done)));
+        return done;
+    }
+
+    /** @return whether the hierarchy accepted a load of @p addr. */
+    bool
+    tryLoad(CoreId core, Addr addr)
+    {
+        std::shared_ptr<Cycle> done;
+        return hier_->load(core, addr, 0,
+                           track(MemToken::Kind::Load, done));
     }
 
     stats::Group root_;
@@ -50,6 +105,10 @@ class HierarchyTest : public ::testing::Test
     SystemConfig cfg_;
     std::unique_ptr<DramSystem> dram_;
     std::unique_ptr<MemHierarchy> hier_;
+    std::vector<Client> clients_;
+    std::vector<std::shared_ptr<Cycle>> handles_;
+    /** Every delivered token, in delivery order. */
+    std::vector<std::pair<CoreId, MemToken>> log_;
     Cycle now_ = 0;
 };
 
@@ -173,19 +232,18 @@ TEST_F(HierarchyTest, L1MshrCapacityRejects)
     SystemConfig cfg = SystemConfig::parallelDefault();
     cfg.dl1.mshrs = 2;
     build(cfg);
-    EXPECT_TRUE(hier_->load(0, 0x10000, 0, [] {}));
-    EXPECT_TRUE(hier_->load(0, 0x20000, 0, [] {}));
-    EXPECT_FALSE(hier_->load(0, 0x30000, 0, [] {}));
+    EXPECT_TRUE(tryLoad(0, 0x10000));
+    EXPECT_TRUE(tryLoad(0, 0x20000));
+    EXPECT_FALSE(tryLoad(0, 0x30000));
     EXPECT_EQ(hier_->memStats().l1MshrFull.value(), 1u);
 }
 
 TEST_F(HierarchyTest, StoreMakesLineModified)
 {
     build();
-    bool done = false;
-    EXPECT_TRUE(hier_->store(0, 0x6000, [&done] { done = true; }));
+    const auto done = store(0, 0x6000);
     tick(1000);
-    EXPECT_TRUE(done);
+    EXPECT_NE(*done, kNoCycle);
     EXPECT_EQ(hier_->dl1(0).probe(0x6000), LineState::Modified);
 }
 
@@ -198,10 +256,9 @@ TEST_F(HierarchyTest, StoreInvalidatesOtherSharers)
     tick(1000);
     // Both cores share the line now.
     EXPECT_EQ(hier_->dl1(0).probe(0x7000), LineState::Shared);
-    bool done = false;
-    hier_->store(1, 0x7000, [&done] { done = true; });
+    const auto done = store(1, 0x7000);
     tick(100);
-    EXPECT_TRUE(done);
+    EXPECT_NE(*done, kNoCycle);
     EXPECT_EQ(hier_->dl1(0).probe(0x7000), LineState::Invalid);
     EXPECT_EQ(hier_->dl1(1).probe(0x7000), LineState::Modified);
 }
@@ -209,10 +266,9 @@ TEST_F(HierarchyTest, StoreInvalidatesOtherSharers)
 TEST_F(HierarchyTest, DirtyTransferServedByOwner)
 {
     build();
-    bool stored = false;
-    hier_->store(0, 0x8000, [&stored] { stored = true; });
+    const auto stored = store(0, 0x8000);
     tick(1000);
-    ASSERT_TRUE(stored);
+    ASSERT_NE(*stored, kNoCycle);
     ASSERT_EQ(hier_->dl1(0).probe(0x8000), LineState::Modified);
     const auto done = load(1, 0x8000);
     tick(200);
@@ -240,10 +296,11 @@ TEST_F(HierarchyTest, FetchPathFillsIl1)
 {
     build();
     EXPECT_FALSE(hier_->fetchProbe(0, 0x400000));
-    bool done = false;
-    EXPECT_TRUE(hier_->fetch(0, 0x400000, [&done] { done = true; }));
+    std::shared_ptr<Cycle> done;
+    EXPECT_TRUE(
+        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, done)));
     tick(1000);
-    EXPECT_TRUE(done);
+    EXPECT_NE(*done, kNoCycle);
     EXPECT_TRUE(hier_->fetchProbe(0, 0x400000));
 }
 
@@ -313,10 +370,9 @@ TEST_F(HierarchyTest, DirtyL2EvictionWritesBack)
     build(cfg);
     const std::uint32_t sets = cfg.l2.sets();
     const Addr stride = static_cast<Addr>(sets) * cfg.l2.blockBytes;
-    bool stored = false;
-    hier_->store(0, 0, [&stored] { stored = true; });
+    const auto stored = store(0, 0);
     tick(1500);
-    ASSERT_TRUE(stored);
+    ASSERT_NE(*stored, kNoCycle);
     for (std::uint32_t i = 1; i <= cfg.l2.ways + 1; ++i) {
         load(0, stride * i);
         tick(1500);
@@ -368,8 +424,114 @@ TEST_F(HierarchyTest, InstructionAndDataMshrsIndependent)
     cfg.dl1.mshrs = 1;
     build(cfg);
     // Exhaust the single data MSHR; a fetch must still be accepted.
-    EXPECT_TRUE(hier_->load(0, 0x30000, 0, [] {}));
-    EXPECT_FALSE(hier_->load(0, 0x40000, 0, [] {}));
-    EXPECT_TRUE(hier_->fetch(0, 0x400000, [] {}));
+    EXPECT_TRUE(tryLoad(0, 0x30000));
+    EXPECT_FALSE(tryLoad(0, 0x40000));
+    std::shared_ptr<Cycle> fetched;
+    EXPECT_TRUE(
+        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, fetched)));
     tick(2000);
+}
+
+TEST_F(HierarchyTest, L1MshrFileRejectsAtExactlyItsSize)
+{
+    // A non-power-of-two MSHR count: the flat table behind the file
+    // has 16 slots, but the configured 5 entries bound it.
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.dl1.mshrs = 5;
+    build(cfg);
+    for (Addr i = 0; i < 5; ++i)
+        EXPECT_TRUE(tryLoad(0, 0x100000 + i * 0x1000)) << i;
+    EXPECT_FALSE(tryLoad(0, 0x200000));
+    EXPECT_EQ(hier_->memStats().l1MshrFull.value(), 1u);
+    // A load to a block already outstanding merges: no new entry.
+    EXPECT_TRUE(tryLoad(0, 0x100000 + 8));
+    // Another core's file is independent.
+    EXPECT_TRUE(tryLoad(1, 0x200000));
+    tick(2000);
+    EXPECT_TRUE(hier_->quiescent());
+    // Every entry was freed: the file takes five new misses again.
+    for (Addr i = 0; i < 5; ++i)
+        EXPECT_TRUE(tryLoad(0, 0x300000 + i * 0x1000)) << i;
+    EXPECT_FALSE(tryLoad(0, 0x400000));
+    EXPECT_EQ(hier_->memStats().l1MshrFull.value(), 2u);
+}
+
+TEST_F(HierarchyTest, L2MshrFileHoldsExactlyItsSize)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.l2.mshrs = 3;
+    cfg.prefetch.enabled = false;
+    build(cfg);
+    // Four misses to distinct L2 blocks reach the L2 together.
+    const auto a = load(0, 0x100000);
+    const auto b = load(0, 0x101000);
+    const auto c = load(1, 0x102000);
+    const auto d = load(1, 0x103000);
+    tick(cfg.dl1.latency);
+    EXPECT_EQ(hier_->memStats().demandMisses.value(), 3u);
+    EXPECT_GT(hier_->memStats().l2MshrFull.value(), 0u);
+    // A same-block miss from another core merges into a full file.
+    const auto e = load(2, 0x100020);
+    tick(cfg.dl1.latency);
+    EXPECT_EQ(hier_->memStats().demandMisses.value(), 3u);
+    // The fourth miss retries until a fill frees an entry.
+    tick(3000);
+    for (const auto &done : {a, b, c, d, e})
+        EXPECT_NE(*done, kNoCycle);
+    EXPECT_EQ(hier_->memStats().demandMisses.value(), 4u);
+    EXPECT_GT(*d, std::min({*a, *b, *c}));
+    EXPECT_TRUE(hier_->quiescent());
+}
+
+TEST_F(HierarchyTest, MshrWaitersCompleteInPushOrder)
+{
+    build();
+    // Loads, a store and another load on one dL1 block: one MSHR
+    // entry, five waiters, all handed back in push order on the fill.
+    const auto first = load(0, 0x500000);
+    const auto second = load(0, 0x500008);
+    const auto stored = store(0, 0x500010);
+    const auto third = load(0, 0x500018, 3);
+    const auto fourth = load(0, 0x500000);
+    tick(2000);
+    EXPECT_EQ(hier_->memStats().demandMisses.value(), 1u);
+    ASSERT_EQ(log_.size(), 5u);
+    for (std::size_t i = 0; i < log_.size(); ++i) {
+        EXPECT_EQ(log_[i].first, 0u);
+        EXPECT_EQ(log_[i].second.value, i);
+    }
+    EXPECT_EQ(log_[2].second.kind, MemToken::Kind::Store);
+    for (const auto &done : {second, stored, third, fourth})
+        EXPECT_EQ(*done, *first);
+    // The merged store took ownership for the whole entry.
+    EXPECT_EQ(hier_->dl1(0).probe(0x500000), LineState::Modified);
+}
+
+TEST_F(HierarchyTest, DirectoryStaysWithinItsBoundUnderDirtySharing)
+{
+    // Tiny dL1s (16 lines) kept full of private blocks, plus stores to
+    // a few shared blocks: dirty transfers invalidate owners while the
+    // directory is at its valid-line count. The directory's FlatMap
+    // panics if its bound is ever too small.
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.dl1.sizeBytes = 512;
+    cfg.prefetch.enabled = false;
+    build(cfg);
+    Rng rng(0xd1c7);
+    std::shared_ptr<Cycle> done;
+    for (int i = 0; i < 40000; ++i) {
+        const CoreId core = static_cast<CoreId>(rng.below(cfg.numCores));
+        const bool shared = rng.below(4) == 0;
+        const Addr addr = shared
+            ? 0x900000 + rng.below(8) * 32
+            : 0x100000 * (core + 1) + rng.below(64) * 32;
+        if (shared || rng.below(4) == 0)
+            hier_->store(core, addr, track(MemToken::Kind::Store, done));
+        else
+            hier_->load(core, addr, 0, track(MemToken::Kind::Load, done));
+        tick(1 + rng.below(2));
+    }
+    tick(20000);
+    EXPECT_TRUE(hier_->quiescent());
+    EXPECT_GT(hier_->memStats().coherenceTransfers.value(), 1000u);
 }
