@@ -8,10 +8,10 @@
 # 1. critmem-sim twice with the same seed: --stats-json output must be
 #    byte-identical.
 # 2. critmem-sweep over SPEC_FILE with --jobs 1 vs --jobs 4: result
-#    files and the --report speedup:base table (the layout every
-#    figure spec prints; SPEC_FILE needs a variant named base) must be
-#    byte-identical (the scheduler hands results to the sink in spec
-#    order regardless of completion order).
+#    files and the --report speedup:base and stat: tables (SPEC_FILE
+#    needs a variant named base) must be byte-identical (the scheduler
+#    hands results to the sink in spec order regardless of completion
+#    order).
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -38,10 +38,12 @@ if ! cmp -s "$tmp/sim_a.json" "$tmp/sim_b.json"; then
 fi
 echo "sim: two identical-seed runs byte-identical"
 
-"$sweep" --spec "$spec" --quota 1000 --jobs 1 --out "$tmp/sweep_1.jsonl" \
-    --report speedup:base >"$tmp/report_1.txt" 2>/dev/null
-"$sweep" --spec "$spec" --quota 1000 --jobs 4 --out "$tmp/sweep_4.jsonl" \
-    --report speedup:base >"$tmp/report_4.txt" 2>/dev/null
+for jobs in 1 4; do
+    "$sweep" --spec "$spec" --quota 1000 --jobs "$jobs" \
+        --out "$tmp/sweep_$jobs.jsonl" --report speedup:base \
+        --report stat:blockingLoads/dynamicLoads,l2MissLatCrit \
+        >"$tmp/report_$jobs.txt" 2>/dev/null
+done
 for out in sweep_1.jsonl:sweep_4.jsonl report_1.txt:report_4.txt; do
     if ! cmp -s "$tmp/${out%%:*}" "$tmp/${out##*:}"; then
         echo "FAIL: critmem-sweep ${out%%:*} depends on --jobs" >&2
@@ -49,11 +51,12 @@ for out in sweep_1.jsonl:sweep_4.jsonl report_1.txt:report_4.txt; do
         exit 1
     fi
 done
-if ! grep -q '^Average ' "$tmp/report_1.txt"; then
-    echo "FAIL: --report speedup:base printed no Average row" >&2
+if [ "$(grep -c '^Average ' "$tmp/report_1.txt")" != 2 ] ||
+    ! grep -q '^Max ' "$tmp/report_1.txt"; then
+    echo "FAIL: the speedup and stat reports lack their Average/Max rows" >&2
     exit 1
 fi
-echo "sweep: --jobs 1 and --jobs 4 results and speedup report byte-identical"
+echo "sweep: --jobs 1 and --jobs 4 results, speedup and stat reports byte-identical"
 
 # 3. Crash safety is determinism across a process boundary: a
 #    campaign SIGKILLed mid-flight and resumed must reproduce the

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate every artifact: build, test suite (plain and sanitized),
-# checked smoke runs, then every figure spec and bench.
-# CRITMEM_INSTRS scales simulation length (the per-core quota of the
-# benches and the --quota of the figure specs); CRITMEM_WARMUP the
-# benches' warmup.
+# checked smoke runs, then every figure spec and the micro-benchmarks.
+# CRITMEM_INSTRS scales simulation length (the --quota of the figure
+# specs); CRITMEM_WARMUP their warmup.
 # CRITMEM_SKIP_ASAN=1 / CRITMEM_SKIP_TSAN=1 skip the sanitizer passes
 # (e.g. no clean rebuild budget); CRITMEM_SKIP_CHECKED=1 skips the
 # checked smoke runs.
@@ -96,26 +95,16 @@ if [ "${CRITMEM_SKIP_CHECKED:-0}" != "1" ]; then
 fi
 
 {
-    # The speedup-vs-FR-FCFS figures are sweep specs.
-    for spec in specs/fig*.sweep specs/sec*.sweep specs/ext-*.sweep; do
+    # Every reproduced figure and table is a sweep spec; each runs
+    # with the --report layout(s) named in its header.
+    for spec in specs/fig*.sweep specs/sec*.sweep specs/ext-*.sweep \
+                specs/table*.sweep specs/ablation-*.sweep; do
+        reports=$(grep '^#' "$spec" | grep -oE -- '--report [^ \\]+')
         echo "=== $spec ==="
+        # shellcheck disable=SC2086  # one word per flag and layout
         ./build/examples/critmem-sweep --spec "$spec" \
             ${CRITMEM_INSTRS:+--quota "$CRITMEM_INSTRS"} \
-            --report speedup:base --jobs "$(nproc)"
-    done
-    for b in $(find ./build/bench -maxdepth 1 -type f -executable | sort); do
-        name=$(basename "$b")
-        # bench_micro runs separately below through run_bench.sh so
-        # its JSON feeds the perf regression gate.
-        if [ "$name" = "bench_micro" ]; then
-            continue
-        fi
-        # A reused build tree may still hold a deleted program.
-        if [ ! -f "bench/$name.cpp" ]; then
-            continue
-        fi
-        echo "=== $name ==="
-        "$b"
+            $reports --jobs "$(nproc)"
     done
 } | tee bench_output.txt
 

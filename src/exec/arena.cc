@@ -1,7 +1,6 @@
 #include "exec/arena.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "fair/fairness_stats.hh"
@@ -74,105 +73,6 @@ spliceFairStats(const std::string &statsJson,
     out += stats.json();
     out += statsJson.substr(close);
     return out;
-}
-
-namespace
-{
-
-/** One scheduler's metrics on one workload. */
-struct ArenaCell
-{
-    std::string variant;
-    fair::FairnessMetrics metrics;
-};
-
-void
-printRanking(const std::vector<ArenaCell> &cells)
-{
-    std::printf("  %4s %-18s %10s %10s %10s %10s\n", "rank", "sched",
-                "ws", "hs", "maxslow", "unfair");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const fair::FairnessMetrics &m = cells[i].metrics;
-        std::printf("  %4zu %-18s %10.4f %10.4f %10.4f %10.4f\n",
-                    i + 1, cells[i].variant.c_str(), m.weightedSpeedup,
-                    m.harmonicSpeedup, m.maxSlowdown, m.unfairness);
-    }
-}
-
-/** Rank by weighted speedup (desc), then name — fully deterministic. */
-void
-sortCells(std::vector<ArenaCell> &cells)
-{
-    std::sort(cells.begin(), cells.end(),
-              [](const ArenaCell &a, const ArenaCell &b) {
-                  if (a.metrics.weightedSpeedup !=
-                      b.metrics.weightedSpeedup) {
-                      return a.metrics.weightedSpeedup >
-                          b.metrics.weightedSpeedup;
-                  }
-                  return a.variant < b.variant;
-              });
-}
-
-} // namespace
-
-void
-printArenaReport(const SweepSpec &spec, const MemorySink &memory)
-{
-    // Group valid bundle records by workload, in submission order so
-    // the report bytes are independent of thread count.
-    std::vector<std::string> workloadOrder;
-    std::map<std::string, std::vector<ArenaCell>> byWorkload;
-    for (const JobRecord &rec : memory.records()) {
-        if (rec.spec.kind != RunKind::Bundle || !rec.fairness.valid)
-            continue;
-        const auto tag = rec.spec.tags.find("variant");
-        if (tag == rec.spec.tags.end())
-            continue;
-        auto [it, fresh] = byWorkload.try_emplace(rec.spec.workload);
-        if (fresh)
-            workloadOrder.push_back(rec.spec.workload);
-        it->second.push_back({tag->second, rec.fairness});
-    }
-
-    std::printf("# arena leaderboard (quota=%llu/core, %zu workloads)\n",
-                static_cast<unsigned long long>(spec.quota),
-                workloadOrder.size());
-    for (const std::string &workload : workloadOrder) {
-        std::vector<ArenaCell> &cells = byWorkload[workload];
-        sortCells(cells);
-        std::printf("== %s ==\n", workload.c_str());
-        printRanking(cells);
-    }
-
-    // Overall: mean metrics per scheduler across the workloads it
-    // completed, ranked like the per-workload tables.
-    std::map<std::string, std::pair<fair::FairnessMetrics, std::size_t>>
-        totals;
-    for (const std::string &workload : workloadOrder) {
-        for (const ArenaCell &cell : byWorkload[workload]) {
-            auto &[sum, count] = totals[cell.variant];
-            sum.weightedSpeedup += cell.metrics.weightedSpeedup;
-            sum.harmonicSpeedup += cell.metrics.harmonicSpeedup;
-            sum.maxSlowdown += cell.metrics.maxSlowdown;
-            sum.unfairness += cell.metrics.unfairness;
-            ++count;
-        }
-    }
-    std::vector<ArenaCell> overall;
-    overall.reserve(totals.size());
-    for (const auto &[variant, total] : totals) {
-        ArenaCell cell{variant, total.first};
-        const double n = static_cast<double>(total.second);
-        cell.metrics.weightedSpeedup /= n;
-        cell.metrics.harmonicSpeedup /= n;
-        cell.metrics.maxSlowdown /= n;
-        cell.metrics.unfairness /= n;
-        overall.push_back(std::move(cell));
-    }
-    sortCells(overall);
-    std::printf("== overall (mean across workloads) ==\n");
-    printRanking(overall);
 }
 
 } // namespace critmem::exec

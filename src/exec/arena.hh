@@ -1,7 +1,7 @@
 /**
  * @file
- * The scheduler arena: fairness annotation + leaderboard reporting on
- * top of the campaign engine.
+ * The scheduler arena's fairness annotation on top of the campaign
+ * engine (its leaderboard is --report arena, exec/report.hh).
  *
  * A FairnessAnnotator plugs into RunnerOptions::annotate. Sweep
  * expansion emits every alone-run baseline before the bundle jobs
@@ -10,11 +10,6 @@
  * IPC in an AloneBaselineCache and decorates every later Bundle
  * record with fair::FairnessMetrics — deterministically, for any
  * --jobs count, on fresh and journal-replayed records alike.
- *
- * printArenaReport renders the post-campaign leaderboard behind
- * `critmem-sweep --report arena`: per-workload rankings plus an
- * overall table, ordered by weighted speedup with lexicographic
- * tiebreaks so the bytes never depend on thread count.
  */
 
 #ifndef CRITMEM_EXEC_ARENA_HH
@@ -26,7 +21,6 @@
 #include <utility>
 
 #include "exec/result_sink.hh"
-#include "exec/sweep.hh"
 #include "fair/baseline_cache.hh"
 
 namespace critmem::exec
@@ -65,13 +59,6 @@ class FairnessAnnotator
 std::string spliceFairStats(const std::string &statsJson,
                             const fair::FairnessMetrics &m,
                             std::uint32_t numCores);
-
-/**
- * Print the arena leaderboard from a finished campaign's in-memory
- * records: one ranking per workload, then the overall table (mean
- * metrics across workloads, ranked by mean weighted speedup).
- */
-void printArenaReport(const SweepSpec &spec, const MemorySink &memory);
 
 } // namespace critmem::exec
 

@@ -1,5 +1,6 @@
 #include "exec/job.hh"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -27,6 +28,29 @@ parseU32(const std::string &key, const std::string &value)
     if (parsed > 0xffffffffull)
         bad("out-of-range number for " + key + ": '" + value + "'");
     return static_cast<std::uint32_t>(parsed);
+}
+
+/** A plain decimal such as 0.35 or 1e-3; no sign, inf or nan. */
+double
+parseReal(const std::string &key, const std::string &value)
+{
+    double parsed = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+    // from_chars alone would take a leading '-', inf and nan.
+    if (ec != std::errc() || ptr != end ||
+        (value[0] != '.' && (value[0] < '0' || value[0] > '9')))
+        bad("unparsable number for " + key + ": '" + value + "'");
+    return parsed;
+}
+
+/** The shortest text parseReal() reads back as exactly @p value. */
+std::string
+realText(double value)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    return std::string(buf, res.ptr);
 }
 
 using Setter = void (*)(SystemConfig &cfg, const std::string &key,
@@ -80,9 +104,34 @@ const Setting kSettings[] = {
          cfg.dram.busMHz = fresh.busMHz;
          cfg.dram.speed = *speed;
      }},
+    {"counter-width",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.crit.counterWidth = parseU32(k, v);
+     }},
+    {"prob-shift",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.crit.probShift = parseU32(k, v);
+     }},
+    {"map",
+     [](SystemConfig &cfg, const std::string &, const std::string &v) {
+         if (v == "page")
+             cfg.dram.mapKind = AddressMapKind::PageInterleave;
+         else if (v == "block")
+             cfg.dram.mapKind = AddressMapKind::BlockInterleave;
+         else
+             bad("unknown address map '" + v + "' (page or block)");
+     }},
     {"lq",
      [](SystemConfig &cfg, const std::string &k, const std::string &v) {
          cfg.core.lqEntries = parseU32(k, v);
+     }},
+    {"dirty",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.prewarmDirtyFrac = parseReal(k, v);
+     }},
+    {"burstiness",
+     [](SystemConfig &cfg, const std::string &k, const std::string &v) {
+         cfg.burstiness = parseReal(k, v);
      }},
     {"prefetch",
      [](SystemConfig &cfg, const std::string &k, const std::string &v) {
@@ -209,7 +258,7 @@ parseJobStatus(const std::string &name, JobStatus &out)
 
 JobSpec
 makeJob(std::string name, RunKind kind, std::string workload,
-        SystemConfig cfg, std::uint64_t quota, bool multiprogPreset)
+        SystemConfig cfg, std::uint64_t quota)
 {
     JobSpec spec;
     spec.name = std::move(name);
@@ -217,7 +266,6 @@ makeJob(std::string name, RunKind kind, std::string workload,
     spec.workload = std::move(workload);
     spec.cfg = std::move(cfg);
     spec.quota = quota;
-    spec.multiprogPreset = multiprogPreset;
     return spec;
 }
 
@@ -439,6 +487,10 @@ reproCommand(const JobSpec &spec)
         cmd << " --entries " << cfg.crit.tableEntries;
     if (cfg.crit.resetInterval != 0)
         cmd << " --reset " << cfg.crit.resetInterval;
+    if (cfg.crit.counterWidth != base.crit.counterWidth)
+        cmd << " --counter-width " << cfg.crit.counterWidth;
+    if (cfg.crit.probShift != base.crit.probShift)
+        cmd << " --prob-shift " << cfg.crit.probShift;
     cmd << " --instrs " << spec.quota;
     if (spec.warmup != kDefaultWarmup)
         cmd << " --warmup " << spec.warmup;
@@ -449,8 +501,17 @@ reproCommand(const JobSpec &spec)
         cmd << " --channels " << cfg.dram.channels;
     if (cfg.dram.speed != base.dram.speed)
         cmd << " --speed " << cliName(cfg.dram.speed);
+    if (cfg.dram.mapKind != base.dram.mapKind)
+        cmd << " --map "
+            << (cfg.dram.mapKind == AddressMapKind::BlockInterleave
+                    ? "block"
+                    : "page");
     if (cfg.core.lqEntries != base.core.lqEntries)
         cmd << " --lq " << cfg.core.lqEntries;
+    if (cfg.prewarmDirtyFrac != base.prewarmDirtyFrac)
+        cmd << " --dirty " << realText(cfg.prewarmDirtyFrac);
+    if (cfg.burstiness)
+        cmd << " --burstiness " << realText(*cfg.burstiness);
     if (cfg.prefetch.enabled)
         cmd << " --prefetch";
     if (cfg.dram.closedPage)
@@ -484,17 +545,23 @@ buildSystem(const JobSpec &spec)
         bad(msg.str());
     }
 
+    // Synthetic apps, with the burstiness override applied.
+    const auto app = [&](const std::string &name) {
+        AppParams params = appParams(name);
+        if (spec.cfg.burstiness)
+            params.burstiness = *spec.cfg.burstiness;
+        return params;
+    };
     switch (spec.kind) {
       case RunKind::Parallel:
       case RunKind::Alone: {
         if (!haveApp(spec.workload))
             bad("unknown application '" + spec.workload + "'");
-        const AppParams &app = appParams(spec.workload);
         if (spec.kind == RunKind::Parallel)
-            return std::make_unique<System>(spec.cfg, app);
+            return std::make_unique<System>(spec.cfg, app(spec.workload));
         // The other cores stay idle: default AppParams, empty name.
         std::vector<AppParams> perCore(spec.cfg.numCores);
-        perCore[0] = app;
+        perCore[0] = app(spec.workload);
         return std::make_unique<System>(spec.cfg, perCore);
       }
       case RunKind::Bundle: {
@@ -507,13 +574,16 @@ buildSystem(const JobSpec &spec)
         }
         std::vector<AppParams> perCore;
         for (const std::string &name : bundle->apps)
-            perCore.push_back(appParams(name));
+            perCore.push_back(app(name));
         return std::make_unique<System>(spec.cfg, perCore);
       }
       case RunKind::Trace: {
         const TraceWorkload *wl = findTraceWorkload(spec.workload);
         if (!wl)
             bad("unknown trace workload '" + spec.workload + "'");
+        if (spec.cfg.burstiness)
+            bad("trace job '" + spec.name +
+                "': burstiness applies to synthetic apps only");
         if (spec.cfg.numCores != wl->numCores) {
             bad("trace job '" + spec.name + "' needs " +
                 std::to_string(wl->numCores) + " cores (config has " +

@@ -92,8 +92,7 @@ struct JobSpec
 
 /** A job at the default warmup, with no stats capture or tags. */
 JobSpec makeJob(std::string name, RunKind kind, std::string workload,
-                SystemConfig cfg, std::uint64_t quota,
-                bool multiprogPreset = false);
+                SystemConfig cfg, std::uint64_t quota);
 
 /** Outcome of one job, as delivered to the result sinks. */
 struct JobRecord
@@ -139,7 +138,9 @@ bool parseBool(const std::string &key, const std::string &value);
 /**
  * Apply one configuration setting. The keys are both the .sweep
  * variant settings and critmem-sim's config flags (--KEY VALUE):
- * sched, predictor, entries, reset, ranks, channels, speed, lq,
+ * sched, predictor, entries, reset, counter-width, prob-shift,
+ * ranks, channels, speed, map (page | block), lq, dirty (the
+ * prewarmed L2's dirty fraction), burstiness (overrides every app's),
  * prefetch, closed-page, split-wq, morse-cmds, cores, seed, inject
  * (implies the checker) and inject-period. Throws std::runtime_error
  * on unknown keys or unparsable values.

@@ -1,6 +1,7 @@
 #include "exec/result_sink.hh"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "sched/registry.hh"
 #include "sim/stats.hh"
@@ -31,6 +32,17 @@ aggregateIpc(const JobRecord &rec)
         return r.finishCycles.empty() ? 0.0 : r.ipc(0, rec.spec.quota);
     }
     return 0.0;
+}
+
+std::optional<double>
+findScalar(const RunResult &r, const std::string &name)
+{
+    std::optional<double> found;
+    forEachScalar(r, [&](const char *key, auto value) {
+        if (name == key)
+            found = static_cast<double>(value);
+    });
+    return found;
 }
 
 namespace
@@ -99,31 +111,13 @@ JsonlSink::consume(const JobRecord &rec)
         jsonUints(os_, r.finishCycles);
         jsonKey(os_, first, "committed");
         jsonUints(os_, r.committed);
-        const std::pair<const char *, std::uint64_t> scalars[] = {
-            {"dynamicLoads", r.dynamicLoads},
-            {"blockingLoads", r.blockingLoads},
-            {"robBlockedCycles", r.robBlockedCycles},
-            {"coreCycles", r.coreCycles},
-            {"loadsIssued", r.loadsIssued},
-            {"critLoadsIssued", r.critLoadsIssued},
-            {"lqFullCycles", r.lqFullCycles},
-            {"demandMisses", r.demandMisses},
-            {"critMissCount", r.critMissCount},
-            {"nonCritMissCount", r.nonCritMissCount},
-            {"rowHits", r.rowHits},
-            {"rowMisses", r.rowMisses},
-            {"dramReads", r.dramReads},
-            {"maxCbpValue", r.maxCbpValue},
-            {"cbpPopulated", r.cbpPopulated},
-        };
-        for (const auto &[key, value] : scalars) {
+        forEachScalar(r, [&](const char *key, auto value) {
             jsonKey(os_, first, key);
-            os_ << value;
-        }
-        jsonKey(os_, first, "l2MissLatCrit");
-        stats::jsonDouble(os_, r.l2MissLatCrit);
-        jsonKey(os_, first, "l2MissLatNonCrit");
-        stats::jsonDouble(os_, r.l2MissLatNonCrit);
+            if constexpr (std::is_same_v<decltype(value), double>)
+                stats::jsonDouble(os_, value);
+            else
+                os_ << value;
+        });
         if (rec.fairness.valid) {
             const fair::FairnessMetrics &m = rec.fairness;
             jsonKey(os_, first, "weightedSpeedup");

@@ -12,7 +12,11 @@
 #ifndef CRITMEM_EXEC_RESULT_SINK_HH
 #define CRITMEM_EXEC_RESULT_SINK_HH
 
+#include <cstdint>
+#include <optional>
 #include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/job.hh"
@@ -26,6 +30,43 @@ namespace critmem::exec
  * alone runs core 0's IPC.
  */
 double aggregateIpc(const JobRecord &rec);
+
+/**
+ * Visit every named RunResult scalar in the order JsonlSink writes
+ * them: visit(name, value), value a std::uint64_t counter or a double
+ * mean. The names are the JSONL keys and the stat:EXPR names of
+ * critmem-sweep --report.
+ */
+template <typename Visit>
+void
+forEachScalar(const RunResult &r, Visit &&visit)
+{
+    const std::pair<const char *, std::uint64_t> counters[] = {
+        {"dynamicLoads", r.dynamicLoads},
+        {"blockingLoads", r.blockingLoads},
+        {"robBlockedCycles", r.robBlockedCycles},
+        {"coreCycles", r.coreCycles},
+        {"loadsIssued", r.loadsIssued},
+        {"critLoadsIssued", r.critLoadsIssued},
+        {"lqFullCycles", r.lqFullCycles},
+        {"demandMisses", r.demandMisses},
+        {"critMissCount", r.critMissCount},
+        {"nonCritMissCount", r.nonCritMissCount},
+        {"rowHits", r.rowHits},
+        {"rowMisses", r.rowMisses},
+        {"dramReads", r.dramReads},
+        {"maxCbpValue", r.maxCbpValue},
+        {"cbpPopulated", r.cbpPopulated},
+    };
+    for (const auto &[name, value] : counters)
+        visit(name, value);
+    visit("l2MissLatCrit", r.l2MissLatCrit);
+    visit("l2MissLatNonCrit", r.l2MissLatNonCrit);
+}
+
+/** The forEachScalar() value named @p name; nullopt when none is. */
+std::optional<double> findScalar(const RunResult &r,
+                                 const std::string &name);
 
 /** Consumer of finished-job records. */
 class ResultSink
@@ -68,7 +109,7 @@ class CsvSink : public ResultSink
     std::ostream &os_;
 };
 
-/** Buffers every record for programmatic queries by the benches. */
+/** Buffers every record for programmatic queries and --report. */
 class MemorySink : public ResultSink
 {
   public:
@@ -85,8 +126,7 @@ class MemorySink : public ResultSink
 
     /**
      * The job's RunResult, insisting it succeeded (throws
-     * std::runtime_error naming the job and its error otherwise) —
-     * the query the figure benches build their tables from.
+     * std::runtime_error naming the job and its error otherwise).
      */
     const RunResult &result(const std::string &name) const;
 

@@ -126,6 +126,26 @@ SweepSpec::expand() const
         ? SystemConfig::parallelDefault()
         : SystemConfig::multiprogDefault();
 
+    const auto applyVariant = [&](SystemConfig &cfg,
+                                  const SweepVariant &variant) {
+        for (const auto &[key, value] : variant.settings) {
+            try {
+                applySetting(cfg, key, value);
+            } catch (const std::exception &err) {
+                bad("variant '" + variant.name + "': " + err.what());
+            }
+        }
+    };
+    const SweepVariant *aloneAt = nullptr;
+    if (!aloneVariant.empty()) {
+        const auto it = std::find_if(
+            variants.begin(), variants.end(),
+            [&](const SweepVariant &v) { return v.name == aloneVariant; });
+        if (it == variants.end())
+            bad("alone = " + aloneVariant + " names no variant");
+        aloneAt = &*it;
+    }
+
     const auto excluded = [&](const std::string &jobName) {
         return std::any_of(exclude.begin(), exclude.end(),
                            [&](const std::string &pattern) {
@@ -156,7 +176,7 @@ SweepSpec::expand() const
     };
 
     // Alone-run baselines first: one per distinct app, at the base
-    // (variant-free) configuration, shared by every bundle.
+    // configuration (or aloneVariant's), shared by every bundle.
     if (mode == Mode::Multiprog && alone) {
         std::set<std::string> seen;
         for (const std::string &bundleName : names) {
@@ -172,6 +192,8 @@ SweepSpec::expand() const
                 job.workload = app;
                 job.cfg = base;
                 job.cfg.seed = seedFor(job.name);
+                if (aloneAt)
+                    applyVariant(job.cfg, *aloneAt);
                 finishJob(job);
             }
         }
@@ -194,14 +216,7 @@ SweepSpec::expand() const
             job.cfg.seed = seedFor(job.name);
             job.tags["workload"] = workload;
             job.tags["variant"] = variant.name;
-            for (const auto &[key, value] : variant.settings) {
-                try {
-                    applySetting(job.cfg, key, value);
-                } catch (const std::exception &err) {
-                    bad("variant '" + variant.name +
-                        "': " + err.what());
-                }
-            }
+            applyVariant(job.cfg, variant);
             // The trace file dictates the core count, overriding any
             // 'cores=' variant setting.
             if (trace)
@@ -368,7 +383,15 @@ parseSweepSpec(std::istream &in)
             } else if (key == "stats") {
                 spec.captureStats = parseBool(key, value);
             } else if (key == "alone") {
-                spec.alone = parseBool(key, value);
+                // A boolean, else a variant name that expand()
+                // checks once every variant line has been read.
+                try {
+                    spec.alone = parseBool(key, value);
+                    spec.aloneVariant.clear();
+                } catch (const std::runtime_error &) {
+                    spec.alone = true;
+                    spec.aloneVariant = value;
+                }
             } else if (key == "exclude") {
                 spec.exclude = splitList(value);
             } else if (key == "scheds") {

@@ -2,11 +2,12 @@
  * @file
  * Declarative sweep specifications: a workload × variant cross-product
  * (with exclusion filters) that expands into the job list a campaign
- * executes. Specs can be built programmatically (the ported benches)
- * or parsed from the line-based ".sweep" format (critmem-sweep).
+ * executes. Specs can be built programmatically (perfbench's
+ * workloads) or parsed from the line-based ".sweep" format
+ * (critmem-sweep).
  *
  * Seeding discipline: with seedMode=fixed every job runs at the
- * campaign seed (what the serial figure benches do); with
+ * campaign seed (what every figure spec does); with
  * seedMode=derived each job's seed is deriveSeed(campaignSeed, name),
  * decorrelating jobs while keeping the whole campaign reproducible
  * from the single campaign seed.
@@ -100,6 +101,11 @@ struct SweepSpec
      * weighted-speedup post-processing.
      */
     bool alone = false;
+    /**
+     * With alone: the variant whose settings the baselines run at;
+     * empty runs them at the base (variant-free) configuration.
+     */
+    std::string aloneVariant;
     /** Glob patterns ('*' wildcard) against "workload/variant". */
     std::vector<std::string> exclude;
 
@@ -124,7 +130,7 @@ bool globMatch(const std::string &pattern, const std::string &text);
  *   seed = 1
  *   seed-mode = fixed | derived
  *   check = 0 | 1
- *   alone = 0 | 1
+ *   alone = 0 | 1 | VARIANT      (VARIANT: baselines at its settings)
  *   stats = 0 | 1
  *   exclude = art/morse, swim/morse   ('*' wildcards allowed)
  *   scheds = frfcfs, tcm         (shorthand: one variant per entry)

@@ -45,6 +45,9 @@ configHash(const SystemConfig &cfg)
     Fnv fnv;
     fnv.u64(cfg.numCores);
     fnv.u64(cfg.seed);
+    fnv.f64(cfg.prewarmDirtyFrac);
+    fnv.u64(cfg.burstiness.has_value());
+    fnv.f64(cfg.burstiness.value_or(0.0));
 
     const CoreConfig &core = cfg.core;
     fnv.u64(core.freqMHz);

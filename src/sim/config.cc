@@ -423,6 +423,10 @@ SystemConfig::validate() const
         if (prefetch.degree == 0)
             addError(errors, "prefetch.degree", "must be nonzero");
     }
+    if (prewarmDirtyFrac < 0.0 || prewarmDirtyFrac > 1.0)
+        addError(errors, "prewarmDirtyFrac", "must lie in [0, 1]");
+    if (burstiness && (*burstiness < 0.0 || *burstiness > 1.0))
+        addError(errors, "burstiness", "must lie in [0, 1]");
     if (crit.probShift >= 32)
         addError(errors, "crit.probShift", "must be below 32");
     if (crit.counterWidth > 64)

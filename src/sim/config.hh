@@ -237,8 +237,8 @@ struct CritConfig
      * Hardware counter width in bits; values saturate at 2^width - 1.
      * 0 = unbounded (the paper's main configurations, which instead
      * size the counter for the largest observed value, Table 5).
-     * Section 5.3 mentions saturation as an unexplored option; the
-     * bench_ext_cbp experiment explores it.
+     * Section 5.3 mentions saturation as an unexplored option;
+     * specs/ext-cbp.sweep explores it.
      */
     std::uint32_t counterWidth = 0;
     /**
@@ -367,6 +367,10 @@ struct SystemConfig
      * the plain tick-every-cycle loop when debugging.
      */
     bool fastForward = true;
+    /** Dirty share of the prewarmed L2 (sets the writeback share). */
+    double prewarmDirtyFrac = 0.12;
+    /** When set, every synthetic app's AppParams::burstiness. */
+    std::optional<double> burstiness;
     CoreConfig core;
     CacheConfig il1;
     CacheConfig dl1;

@@ -85,7 +85,10 @@ class System
      * @param fillFrac Fraction of L2 lines to populate.
      * @param dirtyFrac Probability a prefilled line is dirty.
      */
-    void prewarmCaches(double fillFrac = 0.9, double dirtyFrac = 0.12);
+    void prewarmCaches(double fillFrac, double dirtyFrac);
+
+    /** 90% of the L2, dirty at SystemConfig::prewarmDirtyFrac. */
+    void prewarmCaches() { prewarmCaches(0.9, cfg_.prewarmDirtyFrac); }
 
     /**
      * Close the warmup window: zero every statistic and restart the

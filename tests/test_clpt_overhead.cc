@@ -88,9 +88,12 @@ TEST(Overhead, MaxStallTimeMatchesPaperSection57)
 
 TEST(Overhead, TotalStallTimeMatchesPaperSection57)
 {
-    // 27-bit counters: 2605-3469 bytes for the whole system.
+    // 27-bit counters: 1741-2605 bits per core, 2605-3469 bytes for
+    // the whole system.
     const SystemConfig cfg = SystemConfig::parallelDefault();
     const OverheadReport r = storageOverhead(27, 64, cfg);
+    EXPECT_EQ(r.perCoreMinBits, 1741u);
+    EXPECT_EQ(r.perCoreMaxBits, 2605u);
     EXPECT_EQ(r.systemMinBytes, 2605u);
     EXPECT_EQ(r.systemMaxBytes, 3469u);
 }
@@ -112,4 +115,12 @@ TEST(Overhead, WidthDrivesTableCost)
     const OverheadReport wide = storageOverhead(27, 64, cfg);
     EXPECT_GT(wide.perCoreMinBits, narrow.perCoreMinBits);
     EXPECT_GT(wide.systemMaxBytes, narrow.systemMaxBytes);
+
+    // BlockCount at its published 21 bits: 1357-2029 bits per core,
+    // 2029-2701 bytes for the whole system.
+    const OverheadReport blockCount = storageOverhead(21, 64, cfg);
+    EXPECT_EQ(blockCount.perCoreMinBits, 1357u);
+    EXPECT_EQ(blockCount.perCoreMaxBits, 2029u);
+    EXPECT_EQ(blockCount.systemMinBytes, 2029u);
+    EXPECT_EQ(blockCount.systemMaxBytes, 2701u);
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -109,16 +110,19 @@ expectRoundTrip(const exec::JobSpec &spec)
 
 TEST(ExecRepro, RoundTripsShippedSpecs)
 {
-    for (const char *file :
-         {"fig10.sweep", "arena.sweep", "isolation.sweep"}) {
+    std::size_t specs = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(CRITMEM_REPO_ROOT) + "/specs")) {
+        if (entry.path().extension() != ".sweep")
+            continue;
+        ++specs;
         const std::vector<exec::JobSpec> jobs =
-            exec::parseSweepFile(std::string(CRITMEM_REPO_ROOT) +
-                                 "/specs/" + file)
-                .expand();
-        ASSERT_FALSE(jobs.empty()) << file;
+            exec::parseSweepFile(entry.path().string()).expand();
+        ASSERT_FALSE(jobs.empty()) << entry.path();
         for (const exec::JobSpec &job : jobs)
             expectRoundTrip(job);
     }
+    EXPECT_GE(specs, 30u);
 }
 
 TEST(ExecRepro, RoundTripsEverySetting)
@@ -133,6 +137,9 @@ TEST(ExecRepro, RoundTripsEverySetting)
         {"split-wq", "1"},         {"morse-cmds", "8"},
         {"cores", "4"},            {"seed", "7"},
         {"inject", "early-cas"},   {"inject-period", "5"},
+        {"counter-width", "8"},    {"prob-shift", "2"},
+        {"map", "block"},          {"dirty", "0.35"},
+        {"burstiness", "0"},
     };
     const std::string plain = exec::reproCommand(
         parallelJob("art", "art", SchedAlgo::FrFcfs, 3000));
@@ -193,7 +200,8 @@ TEST(ExecSimCommand, ConfigFlagsAreSettings)
 TEST(ExecSimCommand, MalformedNumbersNameTheFlag)
 {
     for (const char *flag :
-         {"--entries", "--seed", "--instrs", "--warmup", "--cores"}) {
+         {"--entries", "--seed", "--instrs", "--warmup", "--cores",
+          "--counter-width", "--prob-shift", "--dirty", "--burstiness"}) {
         for (const char *value : {"abc", "12x", "x", "-1", " 5", ""}) {
             try {
                 exec::parseSimCommand({"--app", "art", flag, value});
@@ -216,6 +224,9 @@ TEST(ExecSimCommand, RejectsBadCommandLines)
           "critmem-sim --app art --sched nope", "critmem-sim --bundle RFGI"
           " --alone", "critmem-sim --app art --fairness",
           "critmem-sim --app art --preset huge",
+          "critmem-sim --app art --map diagonal",
+          "critmem-sim --app art --dirty inf",
+          "critmem-sim --app art --burstiness 0x1",
           "critmem-sim --app art --prefetch 1"}) {
         EXPECT_THROW(parseLine(line), std::runtime_error) << line;
     }
@@ -305,6 +316,55 @@ TEST(ExecSweep, SchedsShorthandAndMultiprogAlone)
     EXPECT_EQ(jobs[4].name, "RFGI/parbs");
     EXPECT_EQ(jobs[4].kind, exec::RunKind::Bundle);
     EXPECT_EQ(jobs[5].cfg.sched.algo, SchedAlgo::Tcm);
+}
+
+TEST(ExecSweep, AloneVariantSetsTheBaselines)
+{
+    const auto expand = [](const std::string &alone) {
+        std::istringstream in("mode = multiprog\n"
+                              "workloads = RFGI\n"
+                              "alone = " + alone + "\n"
+                              "variant parbs : sched=parbs\n"
+                              "variant tcm : sched=tcm\n");
+        return exec::parseSweepSpec(in).expand();
+    };
+    // alone = 1: the baselines run at the variant-free base config.
+    EXPECT_EQ(expand("1")[0].cfg.sched.algo, SchedAlgo::FrFcfs);
+    const std::vector<exec::JobSpec> jobs = expand("parbs");
+    ASSERT_EQ(jobs.size(), 6u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(jobs[i].kind, exec::RunKind::Alone);
+        EXPECT_EQ(jobs[i].cfg.sched.algo, SchedAlgo::ParBs);
+    }
+    EXPECT_EQ(jobs[5].cfg.sched.algo, SchedAlgo::Tcm);
+    EXPECT_THROW(expand("parsb"), std::runtime_error);
+}
+
+TEST(ExecSweep, KnobSettingsReachTheRun)
+{
+    // dirty sets the prewarm's dirty fraction and burstiness every
+    // app's; both change the simulated result, and both are config.
+    const auto cycles = [](const std::string &setting) {
+        exec::JobSpec job = parallelJob("art", "art", SchedAlgo::FrFcfs,
+                                        1500);
+        if (!setting.empty()) {
+            const std::size_t eq = setting.find('=');
+            exec::applySetting(job.cfg, setting.substr(0, eq),
+                               setting.substr(eq + 1));
+        }
+        return exec::executeJob(job).cycles;
+    };
+    const Cycle plain = cycles("");
+    EXPECT_EQ(cycles("dirty=0.12"), plain);
+    EXPECT_NE(cycles("dirty=0.5"), plain);
+    EXPECT_NE(cycles("burstiness=0"), plain);
+
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    exec::applySetting(cfg, "dirty", "1.5");
+    EXPECT_FALSE(cfg.validate().empty());
+    cfg = SystemConfig::parallelDefault();
+    exec::applySetting(cfg, "burstiness", "2");
+    EXPECT_FALSE(cfg.validate().empty());
 }
 
 TEST(ExecSweep, ErrorsCarryLineNumbers)

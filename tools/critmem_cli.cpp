@@ -74,6 +74,10 @@ usage()
         " (default 64)\n"
         "  --reset N          CBP reset interval, CPU cycles"
         " (default 0)\n"
+        "  --counter-width N  saturating CBP counter bits"
+        " (default 0 = unbounded)\n"
+        "  --prob-shift N     probabilistic CBP updates at 2^-N"
+        " (default 0 = exact)\n"
         "  --instrs N         commit quota per core (default 24000)\n"
         "  --warmup N         warmup instructions (default\n"
         "                     CRITMEM_WARMUP, else half the quota)\n"
@@ -81,7 +85,13 @@ usage()
         "  --ranks N          ranks per channel (default 4)\n"
         "  --channels N       DRAM channels (default 4; bundles 2)\n"
         "  --speed NAME       ddr3-1066 | ddr3-1600 | ddr3-2133\n"
+        "  --map KIND         address interleaving: page (default)"
+        " | block\n"
         "  --lq N             load queue entries (default 32)\n"
+        "  --dirty F          dirty fraction of the prewarmed L2"
+        " (default 0.12)\n"
+        "  --burstiness F     override every app's burstiness"
+        " (0..1)\n"
         "  --morse-cmds N     MORSE commands evaluated per pick\n"
         "  --cores N          cores (default: the preset's, the\n"
         "                     bundle's apps or the trace's cores)\n"

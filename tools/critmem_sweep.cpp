@@ -4,8 +4,8 @@
  *
  * Expands a declarative sweep spec into a job list, executes it on
  * the work-stealing JobRunner, streams structured results to JSONL /
- * CSV sinks, and can post-process a speedup table straight from the
- * in-memory records:
+ * CSV sinks, and prints the --report tables (exec/report.hh) straight
+ * from the in-memory records:
  *
  *   critmem-sweep --spec specs/fig10.sweep --jobs $(nproc) \
  *                 --out fig10.jsonl --progress --report speedup:base
@@ -21,7 +21,6 @@
  * either the old file or the complete new one, never a torn write.
  */
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -29,7 +28,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
@@ -39,8 +37,8 @@
 #include "exec/campaign.hh"
 #include "exec/console.hh"
 #include "exec/job_runner.hh"
+#include "exec/report.hh"
 #include "exec/sweep.hh"
-#include "exec/table.hh"
 #include "exec/worker.hh"
 #include "sim/atomic_file.hh"
 #include "sim/log.hh"
@@ -120,20 +118,22 @@ usage()
         "                     the spec, verifies the manifest hash,"
         " replays\n"
         "                     journaled jobs and runs only the rest\n"
-        "  --report speedup:BASE\n"
-        "                     after the run, print per-workload cycle\n"
-        "                     speedups of every variant relative to\n"
-        "                     variant BASE (figure-bench layout)\n"
-        "  --report arena     after the run, print the scheduler\n"
-        "                     leaderboard: per-workload rankings and\n"
-        "                     the overall table by the fairness\n"
-        "                     metrics (needs alone=1 bundle sweeps,\n"
-        "                     e.g. specs/arena.sweep)\n"
-        "  --report failures  after the run, print the failure"
-        " summary table\n"
-        "                     (status x variant x workload) plus a"
-        " repro line\n"
-        "                     per permanently failed job\n"
+        "  --report LAYOUT    after the run, print a table (repeatable,"
+        " in order):\n"
+        "    speedup:BASE     per-workload cycle speedup of each variant"
+        " over BASE\n"
+        "    stat:EXPR[,...]  per-workload result scalars (JSONL names,"
+        " e.g.\n"
+        "                     blockingLoads) or NUM/DEN ratios; Average"
+        " and Max rows\n"
+        "    fairness:BASE    per-bundle weighted speedup and max slowdown"
+        " over\n"
+        "                     BASE's (multiprog specs with alone)\n"
+        "    arena            the scheduler leaderboard"
+        " (specs/arena.sweep)\n"
+        "    failures         failures by status x variant x workload,"
+        " plus a\n"
+        "                     repro line per permanently failed job\n"
         "  --list             print the expanded job list and exit\n"
         "exit status: 0 all jobs ok, 2 some jobs failed permanently,\n"
         "             3 interrupted by SIGINT/SIGTERM (resumable with"
@@ -147,25 +147,16 @@ boolValue(bool b)
     return b ? "1" : "0";
 }
 
-/**
- * Empty when @p report names a layout this spec can print, else the
- * usage error. Checked before any job runs, so a typo fails fast
- * instead of printing an empty table after the whole campaign.
- */
-std::string
-reportError(const std::string &report, const exec::SweepSpec &spec)
+/** parseUint() of @p flag's value; exit 1 naming the flag if bad. */
+std::uint64_t
+numberArg(const std::string &flag, const std::string &value)
 {
-    if (report.empty() || report == "arena" || report == "failures")
-        return "";
-    std::string variants;
-    for (const exec::SweepVariant &variant : spec.variants) {
-        if (report == "speedup:" + variant.name)
-            return "";
-        variants += (variants.empty() ? "" : ", ") + variant.name;
+    try {
+        return exec::parseUint(flag, value);
+    } catch (const std::exception &err) {
+        std::fprintf(stderr, "critmem-sweep: %s\n", err.what());
+        std::exit(1);
     }
-    return "unknown --report '" + report +
-        "': expected arena, failures or speedup:VARIANT with VARIANT "
-        "one of " + variants;
 }
 
 } // namespace
@@ -176,7 +167,7 @@ main(int argc, char **argv)
     std::string specPath;
     std::string outPath;
     std::string csvPath;
-    std::string report;
+    std::vector<std::string> reports;
     std::string campaignDir;
     bool resume = false;
     exec::RunnerOptions opts;
@@ -200,10 +191,10 @@ main(int argc, char **argv)
             specPath = nextArg(i);
         } else if (arg == "--jobs") {
             opts.threads =
-                static_cast<unsigned>(std::atoi(nextArg(i)));
+                static_cast<unsigned>(numberArg(arg, nextArg(i)));
         } else if (arg == "--retries") {
             opts.maxAttempts =
-                1 + static_cast<unsigned>(std::atoi(nextArg(i)));
+                1 + static_cast<unsigned>(numberArg(arg, nextArg(i)));
         } else if (arg == "--out") {
             outPath = nextArg(i);
         } else if (arg == "--csv") {
@@ -213,34 +204,33 @@ main(int argc, char **argv)
         } else if (arg == "--progress") {
             opts.progress = true;
         } else if (arg == "--quota") {
-            quotaOverride = std::strtoull(nextArg(i), nullptr, 10);
+            quotaOverride = numberArg(arg, nextArg(i));
         } else if (arg == "--seed") {
-            seedOverride = std::strtoull(nextArg(i), nullptr, 10);
+            seedOverride = numberArg(arg, nextArg(i));
             seedSet = true;
         } else if (arg == "--check") {
             forceCheck = true;
         } else if (arg == "--timeout") {
-            opts.jobTimeoutMs = 1000 *
-                std::strtoull(nextArg(i), nullptr, 10);
+            opts.jobTimeoutMs = 1000 * numberArg(arg, nextArg(i));
         } else if (arg == "--isolate") {
             opts.isolate = true;
         } else if (arg == "--job-mem-mb") {
-            opts.jobMemMb = std::strtoull(nextArg(i), nullptr, 10);
+            opts.jobMemMb = numberArg(arg, nextArg(i));
         } else if (arg == "--max-failures") {
             const std::string value = nextArg(i);
             if (!value.empty() && value.back() == '%')
-                opts.maxFailuresPct =
-                    static_cast<unsigned>(std::atoi(value.c_str()));
+                opts.maxFailuresPct = static_cast<unsigned>(numberArg(
+                    arg, value.substr(0, value.size() - 1)));
             else
-                opts.maxFailures = static_cast<std::size_t>(
-                    std::strtoull(value.c_str(), nullptr, 10));
+                opts.maxFailures =
+                    static_cast<std::size_t>(numberArg(arg, value));
         } else if (arg == "--campaign") {
             campaignDir = nextArg(i);
         } else if (arg == "--resume") {
             campaignDir = nextArg(i);
             resume = true;
         } else if (arg == "--report") {
-            report = nextArg(i);
+            reports.push_back(nextArg(i));
         } else if (arg == "--list") {
             listOnly = true;
         } else {
@@ -271,11 +261,9 @@ main(int argc, char **argv)
             specPath = *field;
             spec = exec::parseSweepFile(specPath);
             if ((field = manifest.find("quota")) != nullptr)
-                spec.quota =
-                    std::strtoull(field->c_str(), nullptr, 10);
+                spec.quota = exec::parseUint("quota", *field);
             if ((field = manifest.find("seed")) != nullptr)
-                spec.campaignSeed =
-                    std::strtoull(field->c_str(), nullptr, 10);
+                spec.campaignSeed = exec::parseUint("seed", *field);
             if ((field = manifest.find("check")) != nullptr)
                 spec.check = *field == "1" || spec.check;
             if ((field = manifest.find("stats")) != nullptr)
@@ -309,10 +297,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "critmem-sweep: %s\n", err.what());
         return 1;
     }
-    if (const std::string err = reportError(report, spec);
-        !err.empty()) {
-        std::fprintf(stderr, "critmem-sweep: %s\n", err.c_str());
-        return 1;
+    for (const std::string &report : reports) {
+        if (const std::string err = exec::reportError(report, spec);
+            !err.empty()) {
+            std::fprintf(stderr, "critmem-sweep: %s\n", err.c_str());
+            return 1;
+        }
     }
 
     if (listOnly) {
@@ -467,81 +457,8 @@ main(int argc, char **argv)
         return 3;
     }
 
-    if (report == "arena") {
-        exec::printArenaReport(spec, memory);
-    } else if (report == "failures") {
-        // Deterministic for any --jobs: memory.records() is in
-        // submission order and the map sorts the summary cells, so
-        // two runs of the same campaign print identical bytes.
-        std::map<std::array<std::string, 3>, std::size_t> cells;
-        std::size_t failures = 0;
-        for (const exec::JobRecord &rec : memory.records()) {
-            if (rec.ok())
-                continue;
-            ++failures;
-            const auto tag = rec.spec.tags.find("variant");
-            ++cells[{toString(rec.status),
-                     tag != rec.spec.tags.end() ? tag->second : "-",
-                     rec.spec.workload}];
-        }
-        if (failures == 0) {
-            std::printf("# failures: none\n");
-        } else {
-            std::printf("# failures: %zu of %zu job(s)\n", failures,
-                        summary.total);
-            std::printf("%-10s %-14s %-16s %s\n", "status",
-                        "variant", "workload", "count");
-            for (const auto &cell : cells)
-                std::printf("%-10s %-14s %-16s %zu\n",
-                            cell.first[0].c_str(),
-                            cell.first[1].c_str(),
-                            cell.first[2].c_str(), cell.second);
-            std::printf("# repro\n");
-            for (const exec::JobRecord &rec : memory.records()) {
-                if (!rec.ok())
-                    std::printf(
-                        "%s\n", exec::reproCommand(rec.spec).c_str());
-            }
-        }
-    } else if (report.rfind("speedup:", 0) == 0) {
-        const std::string baseVariant = report.substr(8);
-        std::vector<std::string> columns;
-        for (const exec::SweepVariant &variant : spec.variants) {
-            if (variant.name != baseVariant)
-                columns.push_back(variant.name);
-        }
-        std::printf("# speedup vs %s (quota=%llu/core)\n",
-                    baseVariant.c_str(),
-                    static_cast<unsigned long long>(spec.quota));
-        exec::printHeader(columns);
-        exec::Averager avg;
-        for (const exec::JobRecord &rec : memory.records()) {
-            // One row per workload, keyed off its base-variant job.
-            const auto tag = rec.spec.tags.find("variant");
-            if (tag == rec.spec.tags.end() ||
-                tag->second != baseVariant || !rec.ok())
-                continue;
-            const std::string &workload = rec.spec.workload;
-            std::vector<double> row;
-            bool complete = true;
-            for (const std::string &col : columns) {
-                const exec::JobRecord *other =
-                    memory.find(workload + "/" + col);
-                if (!other || !other->ok()) {
-                    complete = false;
-                    break;
-                }
-                row.push_back(
-                    static_cast<double>(rec.result.cycles) /
-                    static_cast<double>(other->result.cycles));
-            }
-            if (!complete)
-                continue;
-            exec::printRow(workload, row);
-            avg.add(row);
-        }
-        exec::printRow("Average", avg.average());
-    }
+    for (const std::string &report : reports)
+        exec::printReport(stdout, report, spec, memory);
 
     return summary.failed == 0 ? 0 : 2;
 }
