@@ -21,6 +21,20 @@ namespace critmem::analysis
 namespace
 {
 
+/**
+ * @p code in single quotes, the way findings cite source text. Built
+ * by appending: GCC 12 at -O2 warns falsely (-Wrestrict) on
+ * "'" + std::string.
+ */
+std::string
+quoted(const std::string &code)
+{
+    std::string out = "'";
+    out += code;
+    out += '\'';
+    return out;
+}
+
 /** Shared helper: flag every regex hit on the blanked-code view. */
 void
 flagPattern(const SourceFile &file, const RuleMeta &meta,
@@ -32,7 +46,7 @@ flagPattern(const SourceFile &file, const RuleMeta &meta,
         if (std::regex_search(file.code[li], match, pattern)) {
             out.push_back({meta.id, meta.severity, file.path,
                            static_cast<int>(li + 1),
-                           "'" + match.str() + "' " + reason});
+                           quoted(match.str()) + " " + reason});
         }
     }
 }
@@ -492,8 +506,8 @@ class DurableWriteRule : public SourceRule
                 out.push_back(
                     {meta().id, meta().severity, file.path,
                      static_cast<int>(li + 1),
-                     "'" + match.str() +
-                         "' writes without crash atomicity; a death "
+                     quoted(match.str()) +
+                         " writes without crash atomicity; a death "
                          "mid-write leaves a torn file. Use "
                          "AtomicFile (sim/atomic_file.hh) or add "
                          "lint:allow(durable-write) with the "
@@ -720,8 +734,8 @@ class NoTerminateRule : public SourceRule
                 out.push_back(
                     {meta().id, meta().severity, file.path,
                      static_cast<int>(li + 1),
-                     "'" + (*it)[2].str() +
-                         ")' terminates the process from library "
+                     quoted((*it)[2].str() + ")") +
+                         " terminates the process from library "
                          "code; a failure here must surface as an "
                          "exception / classified job record, not "
                          "kill the campaign. Throw instead, move the "

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "exec/result_sink.hh"
+#include "fair/baseline_cache.hh"
 #include "sched/registry.hh"
 #include "sim/atomic_file.hh"
 #include "trace/workloads.hh"
@@ -123,31 +125,6 @@ parseU64(const std::string &field, const char *what,
     return value;
 }
 
-/** Doubles travel as bit-exact 16-digit hex of their IEEE-754 bits. */
-double
-parseDoubleBits(const std::string &field, const char *what,
-                std::uint64_t offset)
-{
-    if (field.size() != 16)
-        throw CampaignError(std::string("journal record has a "
-                                        "malformed ") + what +
-                            " field '" + field + "'", offset);
-    std::uint64_t bits = 0;
-    for (const char c : field) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            throw CampaignError(std::string("journal record has a "
-                                            "malformed ") + what +
-                                " field '" + field + "'", offset);
-        bits = (bits << 4) | static_cast<std::uint64_t>(digit);
-    }
-    return std::bit_cast<double>(bits);
-}
-
 std::string
 joinU64s(const std::vector<std::uint64_t> &values)
 {
@@ -198,6 +175,46 @@ parseHex64(const std::string &field, std::uint64_t &out)
         out = (out << 4) | static_cast<std::uint64_t>(digit);
     }
     return true;
+}
+
+/** Doubles travel as bit-exact 16-digit hex of their IEEE-754 bits. */
+double
+parseDoubleBits(const std::string &field, const char *what,
+                std::uint64_t offset)
+{
+    std::uint64_t bits = 0;
+    if (!parseHex64(field, bits))
+        throw CampaignError(std::string("journal record has a "
+                                        "malformed ") + what +
+                            " field '" + field + "'", offset);
+    return std::bit_cast<double>(bits);
+}
+
+/**
+ * Check one journal line's `r1 <checksum> ` framing and checksum.
+ * Returns what is damaged (empty when intact); an intact line's
+ * payload goes to @p payload.
+ */
+std::string
+lineDamage(const std::string &line, std::string &payload)
+{
+    const std::size_t magicLen = std::strlen(kRecordMagic);
+    const std::size_t headerLen = magicLen + 1 + 16 + 1;
+    std::uint64_t want = 0;
+    if (line.size() < headerLen ||
+        line.compare(0, magicLen, kRecordMagic) != 0 ||
+        line[magicLen] != ' ' || line[headerLen - 1] != ' ' ||
+        !parseHex64(line.substr(magicLen + 1, 16), want)) {
+        return "journal record does not start with '" +
+            std::string(kRecordMagic) + " <checksum> '";
+    }
+    payload = line.substr(headerLen);
+    const std::uint64_t have = lineChecksum(payload);
+    if (have != want) {
+        return "journal record fails its checksum (expected " +
+            hashHex(want) + ", computed " + hashHex(have) + ")";
+    }
+    return {};
 }
 
 std::string
@@ -251,19 +268,10 @@ decodePayload(const std::string &payload, std::uint64_t offset)
     r.cycles = parseU64(fields[f++], "cycles", offset);
     r.finishCycles = splitU64s(fields[f++], "finishCycles", offset);
     r.committed = splitU64s(fields[f++], "committed", offset);
-    std::uint64_t *const scalars[] = {
-        &r.dynamicLoads, &r.blockingLoads, &r.robBlockedCycles,
-        &r.coreCycles, &r.loadsIssued, &r.critLoadsIssued,
-        &r.lqFullCycles, &r.demandMisses, &r.critMissCount,
-        &r.nonCritMissCount, &r.rowHits, &r.rowMisses, &r.dramReads,
-        &r.maxCbpValue, &r.cbpPopulated,
-    };
-    for (std::uint64_t *scalar : scalars)
-        *scalar = parseU64(fields[f++], "result", offset);
-    r.l2MissLatCrit =
-        parseDoubleBits(fields[f++], "l2MissLatCrit", offset);
-    r.l2MissLatNonCrit =
-        parseDoubleBits(fields[f++], "l2MissLatNonCrit", offset);
+    for (const auto &field : kResultCounters)
+        r.*field.member = parseU64(fields[f++], "result", offset);
+    for (const auto &field : kResultMeans)
+        r.*field.member = parseDoubleBits(fields[f++], field.name, offset);
     rec.error = unescapeField(fields[f++], offset);
     rec.statsJson = unescapeField(fields[f++], offset);
     return rec;
@@ -327,9 +335,9 @@ campaignHash(const std::vector<JobSpec> &jobs)
         fnv.u64(spec.cfg.seed);
         fnv.str(toString(spec.kind));
         fnv.str(spec.workload);
-        fnv.str(cliName(spec.cfg.sched.algo));
-        fnv.str(cliName(spec.cfg.crit.predictor));
-        fnv.u64(spec.cfg.crit.tableEntries);
+        fnv.u64(fair::configHash(spec.cfg));
+        fnv.u64(static_cast<std::uint64_t>(spec.cfg.check.fault));
+        fnv.u64(spec.cfg.check.faultPeriod);
         fnv.u64(spec.quota);
         fnv.u64(spec.warmup);
     }
@@ -436,15 +444,10 @@ encodeJournalRecord(const JobRecord &rec)
     add(std::to_string(r.cycles));
     add(joinU64s(r.finishCycles));
     add(joinU64s(r.committed));
-    for (const std::uint64_t scalar :
-         {r.dynamicLoads, r.blockingLoads, r.robBlockedCycles,
-          r.coreCycles, r.loadsIssued, r.critLoadsIssued,
-          r.lqFullCycles, r.demandMisses, r.critMissCount,
-          r.nonCritMissCount, r.rowHits, r.rowMisses, r.dramReads,
-          r.maxCbpValue, r.cbpPopulated})
-        add(std::to_string(scalar));
-    add(hashHex(std::bit_cast<std::uint64_t>(r.l2MissLatCrit)));
-    add(hashHex(std::bit_cast<std::uint64_t>(r.l2MissLatNonCrit)));
+    for (const auto &field : kResultCounters)
+        add(std::to_string(r.*field.member));
+    for (const auto &field : kResultMeans)
+        add(hashHex(std::bit_cast<std::uint64_t>(r.*field.member)));
     add(escapeField(rec.error));
     add(escapeField(rec.statsJson));
 
@@ -458,25 +461,10 @@ decodeJournalRecord(const std::string &rawLine, std::uint64_t offset)
     std::string line = rawLine;
     if (!line.empty() && line.back() == '\n')
         line.pop_back();
-    const std::size_t headerLen = std::strlen(kRecordMagic) + 1 + 16 + 1;
-    std::uint64_t want = 0;
-    if (line.size() < headerLen ||
-        line.compare(0, std::strlen(kRecordMagic), kRecordMagic) != 0 ||
-        line[std::strlen(kRecordMagic)] != ' ' ||
-        line[headerLen - 1] != ' ' ||
-        !parseHex64(line.substr(std::strlen(kRecordMagic) + 1, 16),
-                    want)) {
-        throw CampaignError("journal record does not start with '" +
-                            std::string(kRecordMagic) +
-                            " <checksum> '", offset);
-    }
-    const std::string payload = line.substr(headerLen);
-    if (lineChecksum(payload) != want) {
-        throw CampaignError(
-            "journal record fails its checksum (expected " +
-            hashHex(want) + ", computed " +
-            hashHex(lineChecksum(payload)) + ")", offset);
-    }
+    std::string payload;
+    const std::string damage = lineDamage(line, payload);
+    if (!damage.empty())
+        throw CampaignError(damage, offset);
     return decodePayload(payload, offset);
 }
 
@@ -499,31 +487,10 @@ loadJournal(const std::string &path, bool strict)
         // Structural damage — short line, bad magic, checksum
         // mismatch, missing newline — is a torn tail when (and only
         // when) it is the last line of the file.
-        std::string damage;
-        std::uint64_t want = 0;
-        const std::size_t headerLen =
-            std::strlen(kRecordMagic) + 1 + 16 + 1;
-        if (!hasNewline) {
-            damage = "journal record is missing its newline";
-        } else if (line.size() < headerLen ||
-                   line.compare(0, std::strlen(kRecordMagic),
-                                kRecordMagic) != 0 ||
-                   line[std::strlen(kRecordMagic)] != ' ' ||
-                   line[headerLen - 1] != ' ' ||
-                   !parseHex64(
-                       line.substr(std::strlen(kRecordMagic) + 1, 16),
-                       want)) {
-            damage = "journal record does not start with '" +
-                std::string(kRecordMagic) + " <checksum> '";
-        }
         std::string payload;
-        if (damage.empty()) {
-            payload = line.substr(headerLen);
-            if (lineChecksum(payload) != want)
-                damage = "journal record fails its checksum "
-                         "(expected " + hashHex(want) + ", computed " +
-                         hashHex(lineChecksum(payload)) + ")";
-        }
+        const std::string damage = hasNewline
+            ? lineDamage(line, payload)
+            : "journal record is missing its newline";
         if (!damage.empty()) {
             if (!strict && finalLine) {
                 load.tornTail = true;

@@ -71,7 +71,8 @@ std::string hashHex(std::uint64_t value);
 /**
  * Identity hash of a fully expanded campaign: folds every field of
  * every job that the result files depend on (name, seed, kind,
- * workload, scheduler, predictor, quota, warmup) plus the registry
+ * workload, quota, warmup, the whole simulation config via
+ * fair::configHash, and the injected fault) plus the registry
  * contents (scheduler/app/bundle name lists), so a code or spec
  * change that would alter the job list changes the hash.
  */

@@ -5,8 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "check/check.hh"
 #include "sched/registry.hh"
 #include "system/system.hh"
+#include "trace/ingest/ingest.hh"
 #include "trace/workloads.hh"
 
 namespace critmem::exec
@@ -609,6 +611,55 @@ executeJob(const JobSpec &spec, std::string *statsJson,
         *statsJson = os.str();
     }
     return result;
+}
+
+JobRecord
+newRecord(const JobSpec &spec, std::size_t index, std::uint32_t attempt)
+{
+    JobRecord rec;
+    rec.index = index;
+    rec.spec = spec;
+    rec.attempts = attempt;
+    rec.warmupUsed = spec.warmup == kDefaultWarmup
+        ? defaultWarmup(spec.quota)
+        : spec.warmup;
+    return rec;
+}
+
+// lint:thread(worker): runs on a pool thread or in a forked worker.
+JobRecord
+runJob(const JobSpec &spec, std::size_t index, std::uint32_t attempt,
+       const std::atomic<bool> *cancel, std::uint64_t memBudgetMb)
+{
+    JobRecord rec = newRecord(spec, index, attempt);
+    try {
+        rec.result = executeJob(spec, &rec.statsJson, cancel);
+        rec.status = JobStatus::Ok;
+    } catch (const CheckViolation &err) {
+        rec.status = JobStatus::CheckViolation;
+        rec.error = err.what();
+    } catch (const TraceError &err) {
+        rec.status = JobStatus::TraceError;
+        rec.error = err.what();
+    } catch (const CycleLimitError &err) {
+        rec.status = JobStatus::CycleLimit;
+        rec.error = err.what();
+    } catch (const std::bad_alloc &) {
+        // Under a budget, RLIMIT_AS refusing the allocator more
+        // address space surfaces here. (The System and any
+        // fault-injector ballast were freed during unwinding, so
+        // building the record has headroom again.)
+        rec.status = JobStatus::Oom;
+        rec.error = memBudgetMb != 0
+            ? "std::bad_alloc: per-job memory budget exhausted "
+              "(RLIMIT_AS, --job-mem-mb " +
+                  std::to_string(memBudgetMb) + ")"
+            : "std::bad_alloc (no --job-mem-mb budget set)";
+    } catch (const std::exception &err) {
+        rec.status = JobStatus::Error;
+        rec.error = err.what();
+    }
+    return rec;
 }
 
 std::uint64_t

@@ -198,9 +198,9 @@ std::unique_ptr<System> buildSystem(const JobSpec &spec);
 /**
  * Execute one job synchronously in the calling thread: buildSystem()
  * then runSystem().
- * Throws CheckViolation / TraceError / std::runtime_error; the
- * JobRunner maps those onto JobStatus (callers running jobs by hand
- * get the raw exception).
+ * Throws CheckViolation / TraceError / std::runtime_error; runJob()
+ * maps those onto JobStatus (callers running jobs by hand get the
+ * raw exception).
  * @param statsJson When non-null and spec.captureStats, receives the
  *        finished System's stats tree as JSON.
  * @param cancel When non-null, polled by the simulation loop; setting
@@ -211,6 +211,27 @@ std::unique_ptr<System> buildSystem(const JobSpec &spec);
 RunResult executeJob(const JobSpec &spec,
                      std::string *statsJson = nullptr,
                      const std::atomic<bool> *cancel = nullptr);
+
+/**
+ * The record of attempt @p attempt of job @p index before it runs:
+ * index, spec, attempt count and the resolved warmup.
+ */
+JobRecord newRecord(const JobSpec &spec, std::size_t index,
+                    std::uint32_t attempt);
+
+/**
+ * Run one attempt of job @p index and classify its outcome — the one
+ * execution path of the in-thread runner and of a forked --isolate
+ * worker alike. executeJob()'s exceptions become statuses:
+ * CheckViolation, TraceError, CycleLimitError, std::bad_alloc -> Oom
+ * (naming @p memBudgetMb, the --job-mem-mb budget the job runs under;
+ * 0 = none) and any other std::exception -> Error. @p cancel is
+ * executeJob()'s cooperative-cancel flag. wallMs is left to the
+ * caller.
+ */
+JobRecord runJob(const JobSpec &spec, std::size_t index,
+                 std::uint32_t attempt, const std::atomic<bool> *cancel,
+                 std::uint64_t memBudgetMb = 0);
 
 /**
  * Derive a per-job seed from a campaign seed and the job's name —

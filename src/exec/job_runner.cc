@@ -1,19 +1,17 @@
 #include "exec/job_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 
-#include "check/check.hh"
 #include "exec/console.hh"
 #include "exec/worker.hh"
 #include "sim/random.hh"
-#include "trace/ingest/ingest.hh"
 
 namespace critmem::exec
 {
@@ -26,11 +24,16 @@ namespace
 // serialized into result files (see JobRecord).
 using Clock = std::chrono::steady_clock;
 
-// CancelReason lives in exec/worker.hh: the isolated-worker monitor
-// interprets the same flags the watchdog raises for in-thread jobs.
+/** Why the watchdog raised a job's cooperative cancel flag. */
+enum class CancelReason : int
+{
+    None = 0,
+    Timeout = 1, ///< per-job wall-clock budget exceeded
+    Drain = 2,   ///< graceful-shutdown drain deadline expired
+};
 
 /**
- * An externally SIGKILLed worker is re-dispatched at the same attempt
+ * An externally SIGKILLed worker runs its job again at the same attempt
  * number (the execution "never happened"), but only this many times:
  * a job that keeps attracting SIGKILL — e.g. the kernel OOM killer
  * with no --job-mem-mb budget set — must eventually be recorded as
@@ -38,21 +41,11 @@ using Clock = std::chrono::steady_clock;
  */
 constexpr std::uint32_t kMaxRespawns = 3;
 
-/** One queued execution: which job and which attempt this is. */
-struct Task
-{
-    std::size_t index;
-    std::uint32_t attempt;
-    /** External-SIGKILL re-dispatches of this attempt so far. */
-    std::uint32_t respawns = 0;
-};
+/** Upper bound of the exponential retry backoff delay, ms. */
+constexpr std::uint64_t kBackoffCapMs = 5000;
 
-/** A worker's deque: owner pops the back, thieves pop the front. */
-struct WorkerQueue
-{
-    std::mutex mutex;
-    std::deque<Task> tasks;
-};
+/** ms allowed for in-flight jobs to drain after a stop request. */
+constexpr std::int64_t kDrainDeadlineMs = 20000;
 
 /**
  * Watchdog-visible state of one worker. The worker publishes what it
@@ -64,7 +57,7 @@ struct WorkerSlot
     static constexpr std::size_t kIdle = ~std::size_t{0};
 
     std::atomic<std::size_t> jobIndex{kIdle};
-    /** Clock::now() at dispatch, in ms since the clock's epoch. */
+    /** Start of the current attempt, in ms since the clock's epoch. */
     std::atomic<std::int64_t> startMs{0};
     std::atomic<bool> cancel{false};
     std::atomic<int> reason{static_cast<int>(CancelReason::None)};
@@ -83,17 +76,15 @@ struct Campaign
 {
     const std::vector<JobSpec> &jobs;
     const RunnerOptions &opts;
-    unsigned threads;
     CampaignLog *log;
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
     std::vector<std::unique_ptr<WorkerSlot>> slots;
 
-    // Sleep/wake coordination for workers with empty deques.
-    std::mutex idleMutex;
-    std::condition_variable idleCv;
-    std::atomic<std::size_t> queuedTasks{0};
-    std::atomic<std::size_t> unfinishedJobs{0};
+    // The jobs left to run, in submission order; each worker takes the
+    // next one by advancing the cursor and keeps it until it has a
+    // final record.
+    std::vector<std::size_t> pending;
+    std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> retries{0};
     std::atomic<std::size_t> respawns{0};
     std::atomic<unsigned> activeWorkers{0};
@@ -116,14 +107,21 @@ struct Campaign
     std::size_t replayed = 0;
 
     explicit Campaign(const std::vector<JobSpec> &jobs_,
-                      const RunnerOptions &opts_, unsigned threads_,
+                      const RunnerOptions &opts_, unsigned threads,
                       CampaignLog *log_)
-        : jobs(jobs_), opts(opts_), threads(threads_), log(log_),
-          records(jobs_.size())
+        : jobs(jobs_), opts(opts_), log(log_), records(jobs_.size())
     {
-        for (unsigned i = 0; i < threads; ++i) {
-            queues.push_back(std::make_unique<WorkerQueue>());
+        for (unsigned i = 0; i < threads; ++i)
             slots.push_back(std::make_unique<WorkerSlot>());
+        // Slot replayed records; everything else runs.
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const JobRecord *old = log ? log->replay(i) : nullptr;
+            if (old == nullptr) {
+                pending.push_back(i);
+                continue;
+            }
+            records[i] = std::make_unique<JobRecord>(*old);
+            ++replayed;
         }
     }
 
@@ -154,101 +152,7 @@ struct Campaign
                 "circuit breaker: " + std::to_string(failures) +
                 " permanent failure(s) reached the --max-failures "
                 "threshold; aborting dispatch");
-            idleCv.notify_all();
             recordCv.notify_one();
-        }
-    }
-
-    /**
-     * Slot replayed records and queue the rest. Returns the number of
-     * jobs that still need to run.
-     */
-    std::size_t
-    seed()
-    {
-        std::size_t fresh = 0;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const JobRecord *old = log ? log->replay(i) : nullptr;
-            if (old != nullptr) {
-                records[i] = std::make_unique<JobRecord>(*old);
-                ++replayed;
-                continue;
-            }
-            ++fresh;
-        }
-        unfinishedJobs.store(fresh);
-        // Round-robin the fresh jobs across the workers *after* the
-        // replay scan so the seeding is balanced on resume too.
-        std::size_t next = 0;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (records[i] != nullptr)
-                continue;
-            push(static_cast<unsigned>(next % threads),
-                 {i, /*attempt=*/1});
-            ++next;
-        }
-        return fresh;
-    }
-
-    void
-    push(unsigned worker, Task task)
-    {
-        {
-            std::lock_guard<std::mutex> lock(queues[worker]->mutex);
-            queues[worker]->tasks.push_back(task);
-        }
-        queuedTasks.fetch_add(1);
-        idleCv.notify_one();
-    }
-
-    bool
-    popOwn(unsigned worker, Task &task)
-    {
-        std::lock_guard<std::mutex> lock(queues[worker]->mutex);
-        if (queues[worker]->tasks.empty())
-            return false;
-        task = queues[worker]->tasks.back();
-        queues[worker]->tasks.pop_back();
-        return true;
-    }
-
-    bool
-    steal(unsigned thief, Task &task)
-    {
-        for (unsigned i = 1; i < threads; ++i) {
-            WorkerQueue &victim = *queues[(thief + i) % threads];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.tasks.empty()) {
-                task = victim.tasks.front();
-                victim.tasks.pop_front();
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** Blocking acquire; false when finished or dispatch stopped. */
-    bool
-    acquire(unsigned worker, Task &task)
-    {
-        for (;;) {
-            // Graceful shutdown: stop handing out work. Queued jobs
-            // stay unrun (pending) and are re-run on --resume.
-            if (stopping())
-                return false;
-            if (popOwn(worker, task) || steal(worker, task)) {
-                queuedTasks.fetch_sub(1);
-                return true;
-            }
-            std::unique_lock<std::mutex> lock(idleMutex);
-            if (unfinishedJobs.load() == 0)
-                return false;
-            idleCv.wait_for(lock, std::chrono::milliseconds(50), [&] {
-                return queuedTasks.load() > 0 ||
-                    unfinishedJobs.load() == 0 || stopping();
-            });
-            if (unfinishedJobs.load() == 0 && queuedTasks.load() == 0)
-                return false;
         }
     }
 
@@ -267,11 +171,9 @@ struct Campaign
             records[index] =
                 std::make_unique<JobRecord>(std::move(record));
         }
-        unfinishedJobs.fetch_sub(1);
         if (failed)
             noteFailure();
         recordCv.notify_one();
-        idleCv.notify_all();
     }
 
     // lint:thread(worker): runs on a pool thread; must never reach
@@ -279,9 +181,14 @@ struct Campaign
     void
     workerLoop(unsigned worker)
     {
-        Task task;
-        while (acquire(worker, task))
-            execute(worker, task);
+        // Graceful shutdown stops dispatch: the jobs past the cursor
+        // stay unrun (pending) and are re-run on --resume.
+        while (!stopping()) {
+            const std::size_t next = cursor.fetch_add(1);
+            if (next >= pending.size())
+                break;
+            runToCompletion(worker, pending[next]);
+        }
         activeWorkers.fetch_sub(1);
         // The aggregator may be waiting for a record that will now
         // never arrive (drain-abandoned job); let it re-check.
@@ -302,11 +209,11 @@ struct Campaign
         std::uint64_t delay = opts.backoffBaseMs;
         for (std::uint32_t i = 1; i + 1 < nextAttempt; ++i) {
             delay *= 2;
-            if (delay >= opts.backoffCapMs)
+            if (delay >= kBackoffCapMs)
                 break;
         }
-        if (delay > opts.backoffCapMs)
-            delay = opts.backoffCapMs;
+        if (delay > kBackoffCapMs)
+            delay = kBackoffCapMs;
         Rng rng(deriveSeed(opts.backoffSeed + nextAttempt, spec.name));
         const std::uint64_t half = delay / 2;
         delay = half + rng.below(half + 1);
@@ -320,157 +227,126 @@ struct Campaign
         return !stopping();
     }
 
+    /**
+     * Run job @p index until it has a final record, which goes to
+     * finish(). Retries (after their backoff) and external-SIGKILL
+     * respawns loop here, so a job is never re-queued. A job
+     * abandoned by the shutdown drain deadline gets no record at all:
+     * it stays out of the journal and the sinks, and --resume re-runs
+     * it from scratch.
+     */
     // lint:thread(worker): runs on a pool thread via workerLoop.
     void
-    execute(unsigned worker, Task task)
+    runToCompletion(unsigned worker, std::size_t index)
     {
-        const JobSpec &spec = jobs[task.index];
+        const JobSpec &spec = jobs[index];
         WorkerSlot &slot = *slots[worker];
-        JobRecord record;
-        record.index = task.index;
-        record.spec = spec;
-        record.attempts = task.attempt;
-        record.warmupUsed = spec.warmup == kDefaultWarmup
-            ? defaultWarmup(spec.quota)
-            : spec.warmup;
+        std::uint32_t attempt = 1;
+        std::uint32_t respawnCount = 0;
+        for (;;) {
+            slot.cancel.store(false);
+            slot.reason.store(static_cast<int>(CancelReason::None));
+            slot.startMs.store(nowMs());
+            slot.jobIndex.store(index);
 
-        slot.cancel.store(false);
-        slot.reason.store(static_cast<int>(CancelReason::None));
-        slot.startMs.store(nowMs());
-        slot.jobIndex.store(task.index);
-
-        const Clock::time_point start = Clock::now();
-        bool abandoned = false;
-        bool externalKill = false;
-        if (opts.isolate) {
-            // Out-of-process: the job runs in a forked worker; a
-            // crash, OOM or wedge is contained to that process and
-            // comes back as a classified record. The watchdog's
-            // cancel flags steer the worker monitor exactly like the
-            // in-thread cooperative cancel.
-            WorkerLimits limits;
-            limits.memMb = opts.jobMemMb;
-            if (opts.jobTimeoutMs != 0)
-                limits.cpuSeconds = opts.jobTimeoutMs / 1000 * 2 + 5;
-            IsolatedRun run = runJobIsolated(
-                spec, task.index, task.attempt, limits, &slot.cancel,
-                &slot.reason);
-            abandoned = run.abandoned;
-            externalKill = run.externalKill;
-            if (!abandoned)
+            const Clock::time_point start = Clock::now();
+            JobRecord record;
+            bool externalKill = false;
+            if (opts.isolate) {
+                // Out-of-process: the job runs in a forked worker; a
+                // crash, OOM or wedge is contained to that process
+                // and comes back as a classified record. The
+                // watchdog's cancel flags steer the worker monitor
+                // exactly like the in-thread cooperative cancel.
+                WorkerLimits limits;
+                limits.memMb = opts.jobMemMb;
+                if (opts.jobTimeoutMs != 0)
+                    limits.cpuSeconds = opts.jobTimeoutMs / 1000 * 2 + 5;
+                IsolatedRun run = runJobIsolated(spec, index, attempt,
+                                                 limits, &slot.cancel);
+                externalKill = run.externalKill;
                 record = std::move(run.record);
-        } else {
-            try {
-                record.result =
-                    executeJob(spec, &record.statsJson, &slot.cancel);
-                record.status = JobStatus::Ok;
-            } catch (const CheckViolation &err) {
-                record.status = JobStatus::CheckViolation;
-                record.error = err.what();
-            } catch (const TraceError &err) {
-                record.status = JobStatus::TraceError;
-                record.error = err.what();
-            } catch (const CycleLimitError &err) {
-                record.status = JobStatus::CycleLimit;
-                record.error = err.what();
-            } catch (const std::bad_alloc &) {
-                // Same taxonomy as an isolated worker that hit its
-                // budget, minus the RLIMIT (in-thread jobs share the
-                // supervisor's address space).
-                record.status = JobStatus::Oom;
-                record.error =
-                    "std::bad_alloc (no --job-mem-mb budget set)";
-            } catch (const std::exception &err) {
-                record.status = JobStatus::Error;
-                record.error = err.what();
+            } else {
+                record = runJob(spec, index, attempt, &slot.cancel);
             }
-        }
-        record.wallMs = std::chrono::duration<double, std::milli>(
-                            Clock::now() - start)
-                            .count();
-        slot.jobIndex.store(WorkerSlot::kIdle);
+            record.wallMs = std::chrono::duration<double, std::milli>(
+                                Clock::now() - start)
+                                .count();
+            slot.jobIndex.store(WorkerSlot::kIdle);
 
-        if (abandoned) {
-            // Drain deadline killed the worker: not a result at all
-            // (mirrors the in-thread CancelReason::Drain path below).
+            if (externalKill && respawnCount < kMaxRespawns &&
+                !stopping()) {
+                // An external SIGKILL (operator, kernel OOM killer)
+                // is an environmental event, not a property of the
+                // job: run it again at the same attempt number so the
+                // final record — and the result files — are
+                // byte-identical to a run where nobody interfered.
+                ++respawnCount;
+                respawns.fetch_add(1);
+                if (opts.progress) {
+                    Console::instance().line(
+                        "respawn " + spec.name +
+                        " (worker killed externally, respawn " +
+                        std::to_string(respawnCount) + "/" +
+                        std::to_string(kMaxRespawns) + ")");
+                }
+                continue;
+            }
+
+            if (!record.ok() && slot.cancel.load()) {
+                const auto reason =
+                    static_cast<CancelReason>(slot.reason.load());
+                if (reason == CancelReason::Drain)
+                    return; // abandoned: no record at all
+                if (reason == CancelReason::Timeout) {
+                    record.status = JobStatus::Timeout;
+                    // A rerun would be just as slow: never retried.
+                    finish(index, std::move(record));
+                    return;
+                }
+            }
+
+            if (!record.ok() && attempt < opts.maxAttempts &&
+                !stopping()) {
+                // Bounded retry after a jittered exponential backoff.
+                // The rerun is deterministic, so this only helps
+                // against transient environmental failures — which is
+                // exactly the point of recording the attempt count.
+                retries.fetch_add(1);
+                if (opts.progress) {
+                    Console::instance().line(
+                        "retry " + spec.name + " (attempt " +
+                        std::to_string(attempt + 1) + "/" +
+                        std::to_string(opts.maxAttempts) + ")");
+                }
+                if (backoff(spec, attempt + 1)) {
+                    ++attempt;
+                    respawnCount = 0;
+                    continue;
+                }
+                // Shutdown arrived mid-backoff: the retry will not
+                // run; record the failure we already have.
+            }
+            if (!record.ok() && opts.maxAttempts > 1 &&
+                attempt >= opts.maxAttempts &&
+                (record.status == JobStatus::Crashed ||
+                 record.status == JobStatus::Oom ||
+                 record.status == JobStatus::Exit)) {
+                // Repeat offender: every allowed attempt died at the
+                // process level. The record is permanent — this run
+                // will never dispatch the job again — and says so.
+                record.error += "; quarantined after " +
+                    std::to_string(attempt) + " failed attempts";
+            }
+            finish(index, std::move(record));
             return;
         }
-        if (externalKill && task.respawns < kMaxRespawns &&
-            !stopping()) {
-            // An external SIGKILL (operator, kernel OOM killer) is an
-            // environmental event, not a property of the job:
-            // re-dispatch at the same attempt number so the final
-            // record — and the result files — are byte-identical to a
-            // run where nobody interfered.
-            respawns.fetch_add(1);
-            if (opts.progress) {
-                Console::instance().line(
-                    "respawn " + spec.name +
-                    " (worker killed externally, respawn " +
-                    std::to_string(task.respawns + 1) + "/" +
-                    std::to_string(kMaxRespawns) + ")");
-            }
-            push(worker, {task.index, task.attempt,
-                          task.respawns + 1});
-            return;
-        }
-
-        if (!record.ok() && slot.cancel.load()) {
-            const auto reason =
-                static_cast<CancelReason>(slot.reason.load());
-            if (reason == CancelReason::Drain) {
-                // Abandoned by the shutdown drain deadline: not a
-                // result at all. Leave it out of the journal and the
-                // sinks; --resume re-runs it from scratch.
-                return;
-            }
-            if (reason == CancelReason::Timeout) {
-                record.status = JobStatus::Timeout;
-                // A rerun would be just as slow: never retried.
-                finish(task.index, std::move(record));
-                return;
-            }
-        }
-
-        if (!record.ok() && task.attempt < opts.maxAttempts &&
-            !stopping()) {
-            // Bounded retry: requeue locally and try again after a
-            // jittered exponential backoff. The rerun is
-            // deterministic, so this only helps against transient
-            // environmental failures — which is exactly the point of
-            // recording the attempt count.
-            retries.fetch_add(1);
-            if (opts.progress) {
-                Console::instance().line(
-                    "retry " + spec.name + " (attempt " +
-                    std::to_string(task.attempt + 1) + "/" +
-                    std::to_string(opts.maxAttempts) + ")");
-            }
-            if (backoff(spec, task.attempt + 1)) {
-                push(worker, {task.index, task.attempt + 1});
-                return;
-            }
-            // Shutdown arrived mid-backoff: the retry will not run;
-            // record the failure we already have.
-        }
-        if (!record.ok() && opts.maxAttempts > 1 &&
-            task.attempt >= opts.maxAttempts &&
-            (record.status == JobStatus::Crashed ||
-             record.status == JobStatus::Oom ||
-             record.status == JobStatus::Exit)) {
-            // Repeat offender: every allowed attempt died at the
-            // process level. The record is permanent — this run will
-            // never dispatch the job again — and says so.
-            record.error += "; quarantined after " +
-                std::to_string(task.attempt) + " failed attempts";
-        }
-        finish(task.index, std::move(record));
     }
 
     /**
      * Cancellation watchdog: raises per-worker cancel flags when a
      * job exceeds its wall-clock budget (reason Timeout) and, after a
-     * shutdown request has been pending for drainDeadlineMs, on every
+     * shutdown request has been pending for kDrainDeadlineMs, on every
      * still-running job (reason Drain).
      */
     void
@@ -487,7 +363,7 @@ struct Campaign
                 stopSeenMs = now;
             const bool drainExpired = stopSeenMs >= 0 &&
                 now - stopSeenMs >=
-                    static_cast<std::int64_t>(opts.drainDeadlineMs);
+                    kDrainDeadlineMs;
             for (const auto &slot : slots) {
                 const std::size_t index = slot->jobIndex.load();
                 if (index == WorkerSlot::kIdle)
@@ -541,7 +417,7 @@ struct Campaign
                         break;
                     }
                     // A shutdown can leave this slot permanently
-                    // empty (job still queued, or abandoned by the
+                    // empty (job never started, or abandoned by the
                     // drain deadline). Once every worker has exited
                     // no further record can arrive: stop here so the
                     // sinks keep a clean submission-order prefix.
@@ -608,23 +484,17 @@ JobRunner::run(const std::vector<JobSpec> &jobs,
                const std::vector<ResultSink *> &sinks,
                CampaignLog *log)
 {
-    unsigned threads = opts_.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    if (threads > jobs.size() && !jobs.empty())
-        threads = static_cast<unsigned>(jobs.size());
-    if (threads == 0)
-        threads = 1;
+    const std::size_t wanted = opts_.threads != 0
+        ? opts_.threads
+        : std::thread::hardware_concurrency();
+    const auto threads = static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min(wanted, jobs.size())));
 
     RunnerOptions opts = opts_;
     if (opts.maxAttempts == 0)
         opts.maxAttempts = 1;
 
     Campaign campaign(jobs, opts, threads, log);
-    campaign.seed();
 
     for (ResultSink *sink : sinks)
         sink->begin(jobs.size());

@@ -1,20 +1,24 @@
 /**
  * @file
- * Work-stealing parallel job runner for simulation campaigns.
+ * Parallel job runner for simulation campaigns.
  *
- * Each worker owns a deque seeded round-robin; owners pop from the
- * back, idle workers steal from the front of a victim's deque. Every
+ * Workers take the pending jobs in submission order from one shared
+ * cursor, and each keeps its job until it has a final record. Every
  * job constructs its own System, so workers share no simulation
  * state and a campaign's numbers are independent of thread count and
  * scheduling order. A single aggregation thread releases finished
- * records to the sinks in submission order.
+ * records to the sinks in submission order; since dispatch follows
+ * that order too, records reach the sinks as soon as the jobs before
+ * them are done.
  *
- * Failure isolation: CheckViolation / TraceError / std::exception
- * from a job is caught, recorded (with a repro command line) and —
- * under the bounded retry policy, after a jittered exponential
- * backoff — the job is re-queued; the campaign itself never aborts.
- * A per-job wall-clock timeout cooperatively cancels wedged jobs
- * (diagnostics snapshots attached to the failure record).
+ * Failure isolation: every execution goes through runJob() (in the
+ * worker thread, or in a forked worker under --isolate), which turns
+ * a CheckViolation / TraceError / std::exception into a record (with
+ * a repro command line). Under the bounded retry policy the worker
+ * runs the job again after a jittered exponential backoff; the
+ * campaign itself never aborts. A per-job wall-clock timeout
+ * cooperatively cancels wedged jobs (diagnostics snapshots attached
+ * to the failure record).
  *
  * Crash safety: a CampaignLog (the durable journal behind
  * critmem-sweep --campaign/--resume) can pre-supply completed
@@ -80,24 +84,20 @@ struct RunnerOptions
     /**
      * Base of the jittered exponential backoff between retry
      * attempts, ms; 0 disables the delay (retries stay immediate).
-     * Attempt k waits in [d/2, d] where d = min(base << (k-1), cap).
+     * Attempt k waits in [d/2, d] where d = min(base << (k-1), 5 s).
      */
     std::uint64_t backoffBaseMs = 0;
-    /** Upper bound of the exponential backoff delay, ms. */
-    std::uint64_t backoffCapMs = 5000;
     /** Seed of the (deterministic) backoff jitter stream. */
     std::uint64_t backoffSeed = 1;
 
     /**
      * Graceful-shutdown request. nullptr or 0 = run normally; any
-     * nonzero value stops dispatch: queued jobs are left unrun,
-     * in-flight jobs drain (bounded by drainDeadlineMs, then
-     * cooperative cancel), finished records are journaled/flushed,
-     * and the summary comes back with interrupted = true.
+     * nonzero value stops dispatch: jobs not yet started are left
+     * unrun, in-flight jobs drain (for up to 20 s, then cooperative
+     * cancel), finished records are journaled/flushed, and the
+     * summary comes back with interrupted = true.
      */
     const std::atomic<int> *stopRequested = nullptr;
-    /** ms allowed for in-flight jobs to drain after a stop request. */
-    std::uint64_t drainDeadlineMs = 20000;
 
     /**
      * Record decorator invoked on the aggregation thread, in
@@ -143,12 +143,12 @@ struct CampaignSummary
     std::size_t failed = 0;
     /** Jobs replayed from a CampaignLog instead of executed. */
     std::size_t replayed = 0;
-    /** Jobs never completed (graceful shutdown left them queued). */
+    /** Jobs never completed (graceful shutdown left them unrun). */
     std::size_t pending = 0;
     /** Extra executions spent on retries (attempts beyond the first). */
     std::size_t retries = 0;
-    /** Isolated workers killed by an external SIGKILL and
-     *  re-dispatched at the same attempt number. */
+    /** Isolated workers killed by an external SIGKILL and run
+     *  again at the same attempt number. */
     std::size_t respawned = 0;
     /** True when a stop request cut the campaign short. */
     bool interrupted = false;
@@ -157,7 +157,7 @@ struct CampaignSummary
     double wallMs = 0.0;
 };
 
-/** Executes a batch of jobs across a work-stealing thread pool. */
+/** Executes a batch of jobs across a pool of worker threads. */
 class JobRunner
 {
   public:

@@ -16,7 +16,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exec/job.hh"
@@ -31,37 +30,52 @@ namespace critmem::exec
  */
 double aggregateIpc(const JobRecord &rec);
 
+/** A named RunResult field: its JSONL key and stat:EXPR name. */
+template <typename T>
+struct ResultField
+{
+    const char *name;
+    T RunResult::*member;
+};
+
 /**
- * Visit every named RunResult scalar in the order JsonlSink writes
- * them: visit(name, value), value a std::uint64_t counter or a double
- * mean. The names are the JSONL keys and the stat:EXPR names of
- * critmem-sweep --report.
+ * The named RunResult scalars, in the order JsonlSink and the
+ * campaign journal write them: the counters, then the means.
+ */
+inline constexpr ResultField<std::uint64_t> kResultCounters[] = {
+    {"dynamicLoads", &RunResult::dynamicLoads},
+    {"blockingLoads", &RunResult::blockingLoads},
+    {"robBlockedCycles", &RunResult::robBlockedCycles},
+    {"coreCycles", &RunResult::coreCycles},
+    {"loadsIssued", &RunResult::loadsIssued},
+    {"critLoadsIssued", &RunResult::critLoadsIssued},
+    {"lqFullCycles", &RunResult::lqFullCycles},
+    {"demandMisses", &RunResult::demandMisses},
+    {"critMissCount", &RunResult::critMissCount},
+    {"nonCritMissCount", &RunResult::nonCritMissCount},
+    {"rowHits", &RunResult::rowHits},
+    {"rowMisses", &RunResult::rowMisses},
+    {"dramReads", &RunResult::dramReads},
+    {"maxCbpValue", &RunResult::maxCbpValue},
+    {"cbpPopulated", &RunResult::cbpPopulated},
+};
+inline constexpr ResultField<double> kResultMeans[] = {
+    {"l2MissLatCrit", &RunResult::l2MissLatCrit},
+    {"l2MissLatNonCrit", &RunResult::l2MissLatNonCrit},
+};
+
+/**
+ * Visit every named RunResult scalar in table order: visit(name,
+ * value), value a std::uint64_t counter or a double mean.
  */
 template <typename Visit>
 void
 forEachScalar(const RunResult &r, Visit &&visit)
 {
-    const std::pair<const char *, std::uint64_t> counters[] = {
-        {"dynamicLoads", r.dynamicLoads},
-        {"blockingLoads", r.blockingLoads},
-        {"robBlockedCycles", r.robBlockedCycles},
-        {"coreCycles", r.coreCycles},
-        {"loadsIssued", r.loadsIssued},
-        {"critLoadsIssued", r.critLoadsIssued},
-        {"lqFullCycles", r.lqFullCycles},
-        {"demandMisses", r.demandMisses},
-        {"critMissCount", r.critMissCount},
-        {"nonCritMissCount", r.nonCritMissCount},
-        {"rowHits", r.rowHits},
-        {"rowMisses", r.rowMisses},
-        {"dramReads", r.dramReads},
-        {"maxCbpValue", r.maxCbpValue},
-        {"cbpPopulated", r.cbpPopulated},
-    };
-    for (const auto &[name, value] : counters)
-        visit(name, value);
-    visit("l2MissLatCrit", r.l2MissLatCrit);
-    visit("l2MissLatNonCrit", r.l2MissLatNonCrit);
+    for (const auto &field : kResultCounters)
+        visit(field.name, r.*field.member);
+    for (const auto &field : kResultMeans)
+        visit(field.name, r.*field.member);
 }
 
 /** The forEachScalar() value named @p name; nullopt when none is. */

@@ -14,9 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "check/check.hh"
 #include "exec/campaign.hh"
-#include "trace/ingest/ingest.hh"
 
 namespace critmem::exec
 {
@@ -219,43 +217,8 @@ runWorkerChild(const JobSpec &spec, std::size_t index,
         ::setrlimit(RLIMIT_CPU, &lim);
     }
 
-    JobRecord rec;
-    rec.index = index;
-    rec.spec = spec;
-    rec.attempts = attempt;
-    rec.warmupUsed = spec.warmup == kDefaultWarmup
-        ? defaultWarmup(spec.quota)
-        : spec.warmup;
-    try {
-        rec.result = executeJob(spec, &rec.statsJson, nullptr);
-        rec.status = JobStatus::Ok;
-    } catch (const std::bad_alloc &) {
-        // The budget fired: allocation failure surfaces as
-        // std::bad_alloc once RLIMIT_AS refuses the allocator more
-        // address space. (The System and any fault-injector ballast
-        // were freed during unwinding, so building the record below
-        // has headroom again.)
-        rec.status = JobStatus::Oom;
-        rec.error = limits.memMb != 0
-            ? "std::bad_alloc: per-job memory budget exhausted "
-              "(RLIMIT_AS, --job-mem-mb " +
-                  std::to_string(limits.memMb) + ")"
-            : "std::bad_alloc (no --job-mem-mb budget set)";
-    } catch (const CheckViolation &err) {
-        rec.status = JobStatus::CheckViolation;
-        rec.error = err.what();
-    } catch (const TraceError &err) {
-        rec.status = JobStatus::TraceError;
-        rec.error = err.what();
-    } catch (const CycleLimitError &err) {
-        rec.status = JobStatus::CycleLimit;
-        rec.error = err.what();
-    } catch (const std::exception &err) {
-        rec.status = JobStatus::Error;
-        rec.error = err.what();
-    }
-
-    const std::string line = encodeJournalRecord(rec);
+    const std::string line = encodeJournalRecord(
+        runJob(spec, index, attempt, nullptr, limits.memMb));
     writeAllFd(fd, line.data(), line.size());
     // lint:allow(no-terminate): the post-fork worker child must
     // terminate here; returning would run the supervisor's stack
@@ -321,17 +284,10 @@ killWorkerGroups()
 IsolatedRun
 runJobIsolated(const JobSpec &spec, std::size_t index,
                std::uint32_t attempt, const WorkerLimits &limits,
-               const std::atomic<bool> *cancel,
-               const std::atomic<int> *cancelReason)
+               const std::atomic<bool> *cancel)
 {
-    IsolatedRun out;
+    IsolatedRun out{false, newRecord(spec, index, attempt)};
     JobRecord &rec = out.record;
-    rec.index = index;
-    rec.spec = spec;
-    rec.attempts = attempt;
-    rec.warmupUsed = spec.warmup == kDefaultWarmup
-        ? defaultWarmup(spec.quota)
-        : spec.warmup;
 
     const std::uint64_t memLimitBytes = limits.memMb == 0
         ? 0
@@ -408,13 +364,7 @@ runJobIsolated(const JobSpec &spec, std::size_t index,
     unregisterWorkerGroup(pid);
 
     if (killedByUs) {
-        const auto reason = cancelReason == nullptr
-            ? CancelReason::Timeout
-            : static_cast<CancelReason>(cancelReason->load());
-        if (reason == CancelReason::Drain) {
-            out.abandoned = true;
-            return out;
-        }
+        // A drain-deadline kill looks the same; the runner drops it.
         rec.status = JobStatus::Timeout;
         rec.error = "worker killed after exceeding the per-job "
                     "wall-clock budget (--timeout)";
@@ -459,7 +409,7 @@ runJobIsolated(const JobSpec &spec, std::size_t index,
 
     if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL) {
         // Not our kill (killedByUs was handled above): an operator or
-        // the kernel OOM killer. Let the caller re-dispatch.
+        // the kernel OOM killer. Let the caller run it again.
         out.externalKill = true;
     }
     rec.status = classifyWaitStatus(wstatus, limits, rec.error);

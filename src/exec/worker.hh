@@ -59,49 +59,33 @@ struct WorkerLimits
     std::uint64_t cpuSeconds = 0;
 };
 
-/** Why a job's cooperative cancel flag was raised. */
-enum class CancelReason : int
-{
-    None = 0,
-    Timeout = 1, ///< per-job wall-clock budget exceeded
-    Drain = 2,   ///< graceful-shutdown drain deadline expired
-};
-
 /** Outcome of one isolated (out-of-process) job execution. */
 struct IsolatedRun
 {
     /**
-     * The shutdown drain deadline killed the worker: there is no
-     * record at all — the job is left out of journal and sinks so a
-     * --resume re-runs it from scratch, exactly like an in-thread
-     * job abandoned by CancelReason::Drain.
-     */
-    bool abandoned = false;
-    /**
      * The worker died on a SIGKILL the supervisor did not send (an
      * operator, or the kernel OOM killer). The execution never
      * happened from the campaign's accounting viewpoint: the caller
-     * re-dispatches the job at the *same* attempt number, keeping
+     * runs the job again at the *same* attempt number, keeping
      * result files byte-identical to a run where nobody interfered.
      */
     bool externalKill = false;
-    /** The classified record (valid unless abandoned). */
+    /** The classified record. */
     JobRecord record;
 };
 
 /**
  * Run one job in a forked, resource-governed worker process and
- * block until it is reaped. @p cancel / @p cancelReason are the
- * WorkerSlot flags the watchdog raises: on cancel the worker's whole
- * process group is SIGKILLed and the outcome follows the reason
- * (Timeout -> status=timeout record, Drain -> abandoned).
+ * block until it is reaped. The child runs runJob() and streams its
+ * record back. When the runner raises @p cancel, the worker's whole
+ * process group is SIGKILLed and the record is a Timeout; the caller
+ * knows whether the cancel was a timeout or a shutdown drain.
  * Never throws: every failure mode becomes a classified record.
  */
 IsolatedRun runJobIsolated(const JobSpec &spec, std::size_t index,
                            std::uint32_t attempt,
                            const WorkerLimits &limits,
-                           const std::atomic<bool> *cancel,
-                           const std::atomic<int> *cancelReason);
+                           const std::atomic<bool> *cancel);
 
 /**
  * Classify a waitpid() status (for a worker that streamed no intact

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/campaign.hh"
@@ -432,6 +433,20 @@ TEST_F(CampaignTest, CampaignHashTracksJobIdentity)
 
     std::vector<exec::JobSpec> shorter(jobs.begin(), jobs.end() - 1);
     EXPECT_NE(exec::campaignHash(jobs), exec::campaignHash(shorter));
+
+    // Config-only edits a spec's variant settings can make: each one
+    // changes the results, so each must change the hash (else
+    // --resume would replay stale records).
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"morse-cmds", "2"}, {"ranks", "1"}, {"dirty", "0.5"},
+             {"lq", "16"}, {"closed-page", "1"},
+             {"inject", "skip-refresh"}}) {
+        std::vector<exec::JobSpec> edited = jobs;
+        exec::applySetting(edited[0].cfg, key, value);
+        EXPECT_NE(exec::campaignHash(jobs), exec::campaignHash(edited))
+            << key << "=" << value;
+    }
 }
 
 // ---------------------------------------------------------------

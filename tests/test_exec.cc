@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -73,6 +76,50 @@ runToJsonl(const std::vector<exec::JobSpec> &jobs, unsigned threads,
     exec::JobRunner runner(opts);
     runner.run(jobs, {&sink});
     return out.str();
+}
+
+/**
+ * A CampaignLog that replays nothing and keeps the job order of its
+ * record() calls; with stopAt set, its stopAt-th record() raises
+ * *stop (a deterministic mid-campaign SIGINT).
+ */
+class OrderLog : public exec::CampaignLog
+{
+  public:
+    const exec::JobRecord *
+    replay(std::size_t) const override
+    {
+        return nullptr;
+    }
+
+    void
+    record(const exec::JobRecord &rec) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        order.push_back(rec.index);
+        if (stop != nullptr && order.size() == stopAt)
+            stop->store(1);
+    }
+
+    std::vector<std::size_t> order;
+    std::atomic<int> *stop = nullptr;
+    std::size_t stopAt = 0;
+
+  private:
+    std::mutex mutex_;
+};
+
+/** Six small jobs of uneven size. */
+std::vector<exec::JobSpec>
+sixJobs()
+{
+    std::vector<exec::JobSpec> jobs;
+    for (int i = 0; i < 6; ++i) {
+        jobs.push_back(parallelJob(
+            "job" + std::to_string(i), i % 2 ? "art" : "mg",
+            SchedAlgo::FrFcfs, 150 + 40 * (i % 3), /*seed=*/i + 1));
+    }
+    return jobs;
 }
 
 /** parseSimCommand() over a command line split on blanks. */
@@ -397,7 +444,7 @@ TEST(ExecRunner, JsonlIdenticalAcrossThreadCounts)
 TEST(ExecRunner, ManyTinyJobsAllComplete)
 {
     // More jobs than workers with very uneven sizes: exercises the
-    // stealing path and the in-order aggregation.
+    // shared dispatch cursor and the in-order aggregation.
     std::vector<exec::JobSpec> jobs;
     for (int i = 0; i < 24; ++i) {
         jobs.push_back(parallelJob(
@@ -418,6 +465,45 @@ TEST(ExecRunner, ManyTinyJobsAllComplete)
         EXPECT_EQ(sink.records()[i].spec.name, jobs[i].name);
         EXPECT_TRUE(sink.records()[i].ok());
     }
+}
+
+TEST(ExecRunner, RunsJobsInSubmissionOrder)
+{
+    const std::vector<exec::JobSpec> jobs = sixJobs();
+    OrderLog log;
+    exec::MemorySink sink;
+    exec::RunnerOptions opts;
+    opts.threads = 1;
+    exec::JobRunner(opts).run(jobs, {&sink}, &log);
+    std::vector<std::size_t> want(jobs.size());
+    std::iota(want.begin(), want.end(), std::size_t{0});
+    EXPECT_EQ(log.order, want);
+    EXPECT_EQ(sink.records().size(), jobs.size());
+}
+
+TEST(ExecRunner, StopMidCampaignKeepsEveryFinishedRecord)
+{
+    // The stop request lands with the 2nd journaled record: the sinks
+    // must hold exactly the two finished jobs, and the other four
+    // count as pending.
+    const std::vector<exec::JobSpec> jobs = sixJobs();
+    std::atomic<int> stop{0};
+    OrderLog log;
+    log.stop = &stop;
+    log.stopAt = 2;
+    exec::MemorySink sink;
+    exec::RunnerOptions opts;
+    opts.threads = 1;
+    opts.stopRequested = &stop;
+    const exec::CampaignSummary summary =
+        exec::JobRunner(opts).run(jobs, {&sink}, &log);
+    EXPECT_EQ(log.order, (std::vector<std::size_t>{0, 1}));
+    ASSERT_EQ(sink.records().size(), 2u);
+    EXPECT_EQ(sink.records()[0].index, 0u);
+    EXPECT_EQ(sink.records()[1].index, 1u);
+    EXPECT_EQ(summary.ok, 2u);
+    EXPECT_EQ(summary.pending, jobs.size() - 2);
+    EXPECT_TRUE(summary.interrupted);
 }
 
 TEST(ExecRunner, FaultInjectionIsIsolatedAndRetried)

@@ -3,9 +3,10 @@
  * critmem-sweep: the unified campaign driver over src/exec/.
  *
  * Expands a declarative sweep spec into a job list, executes it on
- * the work-stealing JobRunner, streams structured results to JSONL /
- * CSV sinks, and prints the --report tables (exec/report.hh) straight
- * from the in-memory records:
+ * the JobRunner's thread pool (jobs start in submission order),
+ * streams structured results to JSONL / CSV sinks, and prints the
+ * --report tables (exec/report.hh) straight from the in-memory
+ * records:
  *
  *   critmem-sweep --spec specs/fig10.sweep --jobs $(nproc) \
  *                 --out fig10.jsonl --progress --report speedup:base
