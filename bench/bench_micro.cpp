@@ -196,10 +196,14 @@ BM_BankTimingUpdate(benchmark::State &state)
     }
 }
 
-/** Keep one channel ~16 transactions deep and measure tick(). */
+/**
+ * Keep one channel range(0) transactions deep and measure tick(); 64
+ * holds the unified queue full, the saturated case.
+ */
 void
 BM_DramChannelTick(benchmark::State &state)
 {
+    const auto depth = static_cast<std::uint32_t>(state.range(0));
     stats::Group root;
     SystemConfig sysCfg = SystemConfig::parallelDefault();
     sysCfg.dram.channels = 1;
@@ -211,7 +215,7 @@ BM_DramChannelTick(benchmark::State &state)
     for (auto _ : state) {
         while (dram.channel(0).readQueueSize() +
                    dram.channel(0).writeQueueSize() <
-               16) {
+               depth) {
             MemRequest req;
             req.addr = (rng.next() % (1u << 26)) & ~Addr{63};
             req.type = rng.next() % 4 == 0 ? ReqType::Write
@@ -349,7 +353,7 @@ BENCHMARK(BM_CbpPredict);
 BENCHMARK(BM_CbpUpdate);
 BENCHMARK(BM_CmacLookup);
 BENCHMARK(BM_BankTimingUpdate)->Arg(16)->Arg(64);
-BENCHMARK(BM_DramChannelTick);
+BENCHMARK(BM_DramChannelTick)->Arg(16)->Arg(64);
 BENCHMARK(BM_DramReadyScan);
 BENCHMARK(BM_SystemRunSkip)->Unit(benchmark::kMillisecond)
     ->Iterations(3)->Repetitions(3)->ReportAggregatesOnly(true);

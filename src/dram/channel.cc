@@ -74,8 +74,17 @@ DramChannel::enqueue(MemRequest req, const DramCoord &coord,
     sched_.onEnqueue(id_, req, coord, now);
     if (observer_)
         observer_->onEnqueue(id_, req, coord, now);
-    auto &queue = req.type == ReqType::Write ? writeQ_ : readQ_;
-    queue.push_back(Transaction{std::move(req), coord, now});
+    const bool isWrite = req.type == ReqType::Write;
+    if (!isWrite && req.crit > 0)
+        ++critQueued_;
+    Transaction &trans = (isWrite ? writeQ_ : readQ_)
+                             .emplace_back(std::move(req), coord, now);
+    // An arrival changes no bank state: fold it into current values.
+    if (!readyStale_ && !ranks_[coord.rank].refreshPending) {
+        trans.ready = txnReady(coord, isWrite);
+        DramCycle &min = isWrite ? minWrite_ : minRead_;
+        min = std::min(min, trans.ready.at);
+    }
     return true;
 }
 
@@ -90,6 +99,7 @@ DramChannel::promote(Addr addr, CoreId core, CritLevel crit)
             if (injector_ && injector_->corruptPromotion(lastTick_))
                 applied = 0;
             trans.req.crit = applied;
+            critQueued_ += (applied > 0) - (previous > 0);
             if (observer_) {
                 observer_->onPromote(id_, addr, core, previous, crit,
                                      applied, lastTick_);
@@ -139,6 +149,7 @@ DramChannel::refreshTick(DramCycle now)
                     continue;
                 }
                 rank.refreshPending = true;
+                readyStale_ = true;
             } else {
                 continue;
             }
@@ -177,6 +188,7 @@ DramChannel::refreshTick(DramCycle now)
                 banks_.readyAct[base + b] = now + cfg_.t.tRFC;
             rank.refreshPending = false;
             rank.refreshDue += cfg_.t.tREFI;
+            readyStale_ = true;
             ++stats_.refreshes;
             lastProgress_ = now;
             if (observer_) {
@@ -194,9 +206,9 @@ DramChannel::refreshTick(DramCycle now)
 }
 
 DramChannel::TxnReady
-DramChannel::txnReady(const DramCoord &c, bool isWrite,
-                      std::uint32_t slack) const
+DramChannel::txnReady(const DramCoord &c, bool isWrite) const
 {
+    ++readinessEvals_;
     const std::uint32_t bi = bankIdx(c.rank, c.bank);
     if (!banks_.open[bi]) {
         // ACT: the bank's own window plus the rank's tFAW window
@@ -210,20 +222,37 @@ DramChannel::txnReady(const DramCoord &c, bool isWrite,
                 std::max(banks_.readyAct[bi], fawReady)};
     }
     if (banks_.row[bi] == c.row) {
-        // CAS: the bank window and the shared data bus, both loosened
-        // by the injector's EarlyCas slack (saturating: a window the
-        // slack fully covers opened at cycle 0).
+        // CAS: the bank window and the shared data bus.
         const DramCycle ready =
             isWrite ? banks_.readyWrite[bi] : banks_.readyRead[bi];
         const DramCycle busFree = dataBusFreeFor(c.rank);
-        const DramCycle casLead =
-            (isWrite ? cfg_.t.tWL : cfg_.t.tCL) + slack;
+        const DramCycle casLead = isWrite ? cfg_.t.tWL : cfg_.t.tCL;
         const DramCycle at =
-            std::max(ready > slack ? ready - slack : 0,
-                     busFree > casLead ? busFree - casLead : 0);
+            std::max(ready, busFree > casLead ? busFree - casLead : 0);
         return {isWrite ? DramCmd::Write : DramCmd::Read, true, at};
     }
     return {DramCmd::Pre, false, banks_.readyPre[bi]};
+}
+
+void
+DramChannel::refreshReady() const
+{
+    readyStale_ = false;
+    // Entries on a refresh-pending rank are skipped: they are not
+    // candidates, and the REF that clears the pending flag marks the
+    // values stale again.
+    auto pass = [&](const std::vector<Transaction> &queue, bool isWrite) {
+        DramCycle min = kNoCycle;
+        for (const Transaction &trans : queue) {
+            if (ranks_[trans.coord.rank].refreshPending)
+                continue;
+            trans.ready = txnReady(trans.coord, isWrite);
+            min = std::min(min, trans.ready.at);
+        }
+        return min;
+    };
+    minRead_ = pass(readQ_, false);
+    minWrite_ = pass(writeQ_, true);
 }
 
 bool
@@ -259,10 +288,16 @@ DramChannel::buildCandidates(DramCycle now)
             draining_ = false;
     }
     const bool wElig = writesEligible();
+    if (readyStale_)
+        refreshReady();
+    if (!injector_ && std::min(minRead_, wElig ? minWrite_ : kNoCycle) > now)
+        return;
 
     // EarlyCas fault: pretend CAS timing windows open `slack` cycles
-    // sooner than they really do. issue() applies honest timings, so
-    // the shadow checker sees a genuinely premature command.
+    // sooner than they really do (saturating: a window the slack
+    // fully covers opened at cycle 0). issue() applies honest
+    // timings, so the shadow checker sees a genuinely premature
+    // command.
     const std::uint32_t slack = injector_ ? injector_->casSlack(now) : 0;
 
     auto consider = [&](const std::vector<Transaction> &queue,
@@ -275,8 +310,11 @@ DramChannel::buildCandidates(DramCycle now)
             if (injector_ && injector_->starveCore(trans.req.core))
                 continue; // fault: scheduler never sees this core
 
-            const TxnReady ready = txnReady(c, isWrite, slack);
-            if (ready.at > now)
+            const TxnReady &ready = trans.ready;
+            DramCycle at = ready.at;
+            if (ready.rowHit)
+                at = at > slack ? at - slack : 0;
+            if (at > now)
                 continue;
 
             SchedCandidate cand;
@@ -387,6 +425,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
     const std::uint32_t bi = bankIdx(cand.coord.rank, cand.coord.bank);
 
     lastProgress_ = now;
+    readyStale_ = true;
     if (observer_)
         observer_->onCommand(id_, cand.cmd, cand.coord, now);
 
@@ -418,6 +457,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
         ++stats_.rowHits;
         Transaction trans = std::move(queue[cand.queueIndex]);
         queue.erase(queue.begin() + cand.queueIndex);
+        critQueued_ -= trans.req.crit > 0;
         completions_.push(now + t.tCL + t.dataCycles(),
                           Completion{trans.req, trans.arrival});
         maybeAutoPrecharge(cand.coord, now);
@@ -457,10 +497,7 @@ DramChannel::tick(DramCycle now)
     popCompletions(now);
 
     stats_.readQueueOcc.sample(static_cast<double>(readQ_.size()));
-    std::uint32_t crit = 0;
-    for (const auto &trans : readQ_)
-        crit += trans.req.crit > 0 ? 1 : 0;
-    stats_.critInQueue.sample(static_cast<double>(crit));
+    stats_.critInQueue.sample(static_cast<double>(critQueued_));
 
     if (refreshTick(now))
         return;
@@ -528,22 +565,15 @@ DramChannel::nextEventCycle(DramCycle now) const
         if (cfg_.watchdogCycles != 0 && observer_)
             next = std::min(next, lastProgress_ + cfg_.watchdogCycles);
 
-        // Earliest cycle any queued transaction becomes issuable,
-        // using the same txnReady() formula buildCandidates() admits
-        // with. Transactions on refresh-pending ranks resurface via
-        // the refresh events above.
-        auto scan = [&](const std::vector<Transaction> &queue,
-                        bool isWrite) {
-            for (const Transaction &trans : queue) {
-                if (ranks_[trans.coord.rank].refreshPending)
-                    continue;
-                next = std::min(
-                    next, txnReady(trans.coord, isWrite, 0).at);
-            }
-        };
-        scan(readQ_, false);
+        // Earliest cycle any queued transaction becomes issuable: the
+        // cached minima buildCandidates() admits against.
+        // Transactions on refresh-pending ranks resurface via the
+        // refresh events above.
+        if (readyStale_)
+            refreshReady();
+        next = std::min(next, minRead_);
         if (writesEligible())
-            scan(writeQ_, true);
+            next = std::min(next, minWrite_);
     }
 
     if (next == kNoCycle)
@@ -563,10 +593,7 @@ DramChannel::skipTo(DramCycle to)
     // cycles: queue contents are frozen inside a certified window, so
     // every skipped cycle samples the same occupancy values.
     stats_.readQueueOcc.sampleN(static_cast<double>(readQ_.size()), n);
-    std::uint32_t crit = 0;
-    for (const auto &trans : readQ_)
-        crit += trans.req.crit > 0 ? 1 : 0;
-    stats_.critInQueue.sampleN(static_cast<double>(crit), n);
+    stats_.critInQueue.sampleN(static_cast<double>(critQueued_), n);
 
     if (readQ_.empty() && writeQ_.empty()) {
         // No queued work: idling is progress, not a stall.

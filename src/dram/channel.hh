@@ -27,11 +27,10 @@ namespace critmem
  * Timing state of every bank in a channel, stored struct-of-arrays:
  * one contiguous ready-time vector per command kind, indexed by
  * rank * banksPerRank + bank. The readyX vectors hold the earliest
- * DRAM cycle at which command X may be issued to that bank. The
- * layout keeps the per-tick ready-command scan (and the
- * nextEventCycle() min-scan that mirrors it) a branch-light linear
- * pass over contiguous arrays instead of strided loads through an
- * array of per-bank structs.
+ * DRAM cycle at which command X may be issued to that bank. They
+ * change only when a command issues or the refresh engine acts;
+ * DramChannel caches every queued transaction's readiness between
+ * those changes.
  */
 struct BankTimingSoA
 {
@@ -123,8 +122,9 @@ class DramChannel
      * Earliest DRAM cycle > the last ticked cycle at which tick()
      * could do anything besides static idle accounting: a completion
      * popping, a refresh action (or a rank crossing its tREFI
-     * deadline), a queued transaction's timing window opening, or the
-     * forward-progress watchdog tripping. Returns kNoCycle when the
+     * deadline), a queued transaction's timing window opening (the
+     * cached per-queue minimum buildCandidates() admits against), or
+     * the forward-progress watchdog tripping. Returns kNoCycle when the
      * channel is fully drained and no refresh is on the horizon.
      * With a fault injector attached every cycle is an event (faults
      * are probed per tick), so skipping is disabled.
@@ -217,12 +217,30 @@ class DramChannel
 
     const Stats &channelStats() const { return stats_; }
 
+    /** txnReady() evaluations so far: a work counter, not a stat. */
+    std::uint64_t readinessEvals() const { return readinessEvals_; }
+
   private:
+    /**
+     * The command a queued transaction wants under the current bank
+     * state, and the earliest DRAM cycle that command's timing
+     * windows open (without the injector's EarlyCas slack, which
+     * buildCandidates() subtracts from row-hit CASes when it reads).
+     */
+    struct TxnReady
+    {
+        DramCmd cmd;
+        bool rowHit;
+        DramCycle at;
+    };
+
     struct Transaction
     {
         MemRequest req;
         DramCoord coord;
         DramCycle arrival = 0;
+        /** txnReady() of this entry; current while !readyStale_. */
+        mutable TxnReady ready{};
     };
 
     /** A CAS-issued transaction waiting for its data burst to end. */
@@ -237,22 +255,15 @@ class DramChannel
         return rank * cfg_.banksPerRank + bank;
     }
 
-    /**
-     * The command a queued transaction wants under the current bank
-     * state, and the earliest DRAM cycle that command's timing
-     * windows open. buildCandidates() admits the candidate when
-     * at <= now; nextEventCycle() takes the min over all ats — one
-     * formula, so the scan and the skip bound cannot diverge.
-     */
-    struct TxnReady
-    {
-        DramCmd cmd;
-        bool rowHit;
-        DramCycle at;
-    };
+    TxnReady txnReady(const DramCoord &coord, bool isWrite) const;
 
-    TxnReady txnReady(const DramCoord &coord, bool isWrite,
-                      std::uint32_t slack) const;
+    /**
+     * Recompute every queued transaction's TxnReady and the minima
+     * over the ones whose rank has no refresh pending. Called on the
+     * first use after issue() or refreshTick() changed bank, rank or
+     * bus state.
+     */
+    void refreshReady() const;
 
     /** The write-drain watermark decision for the current queue sizes. */
     bool writesEligible() const;
@@ -297,6 +308,15 @@ class DramChannel
     DramCycle lastProgress_ = 0;
     /** Most recent tick() cycle (timestamps promote() events). */
     DramCycle lastTick_ = 0;
+
+    /** Queued reads with crit > 0 (the critInQueue sample). */
+    std::uint32_t critQueued_ = 0;
+    /** Some Transaction::ready and the minima below are out of date. */
+    mutable bool readyStale_ = false;
+    /** Earliest ready cycle per queue, refresh-pending ranks aside. */
+    mutable DramCycle minRead_ = kNoCycle;
+    mutable DramCycle minWrite_ = kNoCycle;
+    mutable std::uint64_t readinessEvals_ = 0;
 
     Stats stats_;
 };

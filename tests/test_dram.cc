@@ -20,11 +20,13 @@ class DramTest : public ::testing::Test, public FillListener
 {
   protected:
     void
-    build(std::uint32_t channels = 1, std::uint32_t ranks = 1)
+    build(std::uint32_t channels = 1, std::uint32_t ranks = 1,
+          bool closedPage = false)
     {
         cfg_ = DramConfig::preset(DramSpeed::DDR3_2133);
         cfg_.channels = channels;
         cfg_.ranksPerChannel = ranks;
+        cfg_.closedPage = closedPage;
         dram_ = std::make_unique<DramSystem>(cfg_, sched_, root_);
         dram_->setFillListener(this);
     }
@@ -69,6 +71,54 @@ class DramTest : public ::testing::Test, public FillListener
     DramCycle now_ = 0;
     std::vector<std::pair<Addr, std::shared_ptr<DramCycle>>> reads_;
 };
+
+/** Every command a channel puts on its bus, in issue order. */
+class CmdLog : public ChannelObserver
+{
+  public:
+    struct Entry
+    {
+        DramCmd cmd;
+        DramCoord coord;
+        DramCycle at;
+    };
+
+    void
+    onCommand(std::uint32_t, DramCmd cmd, const DramCoord &coord,
+              DramCycle now) override
+    {
+        entries.push_back({cmd, coord, now});
+    }
+
+    /**
+     * Cycle of the @p nth (0-based) @p cmd to (@p rank, @p bank), or
+     * 0 when there was none.
+     */
+    DramCycle
+    at(DramCmd cmd, std::uint32_t rank, std::uint32_t bank,
+       std::uint32_t nth = 0) const
+    {
+        for (const Entry &e : entries) {
+            if (e.cmd == cmd && e.coord.rank == rank &&
+                e.coord.bank == bank && nth-- == 0)
+                return e.at;
+        }
+        return 0;
+    }
+
+    std::vector<Entry> entries;
+};
+
+/**
+ * Address of column block @p col of (@p rank, @p bank, @p row) on a
+ * one-channel page-interleaved map with @p ranks ranks.
+ */
+Addr
+addrOf(std::uint32_t ranks, std::uint32_t rank, std::uint32_t bank,
+       std::uint64_t row, std::uint32_t col = 0)
+{
+    return ((row * ranks + rank) * 8 + bank) * 1024 + col * 64;
+}
 
 } // namespace
 
@@ -237,6 +287,152 @@ TEST_F(DramTest, ReadLatencyStatTracksCompletions)
     tick(200);
     EXPECT_EQ(dram_->channel(0).channelStats().readLatency.count(), 2u);
     EXPECT_GT(dram_->channel(0).channelStats().readLatency.mean(), 0.0);
+}
+
+/*
+ * The channel caches each queued transaction's ready cycle until a
+ * command issues or the refresh engine acts. Each test below pins an
+ * exact command cycle that a missed invalidation would move.
+ */
+
+TEST_F(DramTest, RowHitEnqueuedWhileReadinessIsCurrentIssuesAtOnce)
+{
+    build();
+    CmdLog log;
+    dram_->setObserver(&log);
+    read(addrOf(1, 0, 0, 1));
+    read(addrOf(1, 0, 0, 2)); // conflict: its PRE waits for tRAS
+    tick(20);
+    const DramCycle act = log.at(DramCmd::Act, 0, 0);
+    ASSERT_EQ(act, 1u);
+    ASSERT_EQ(log.at(DramCmd::Read, 0, 0), act + cfg_.t.tRCD);
+    // Nothing has issued since the CAS and the conflict's PRE is
+    // still tRAS away: the stored readiness is current.
+    ASSERT_EQ(log.entries.size(), 2u);
+    ASSERT_LT(now_ + 1, act + cfg_.t.tRAS);
+    ASSERT_GE(now_, act + cfg_.t.tRCD + cfg_.t.tCCD);
+    read(addrOf(1, 0, 0, 1, 1)); // row hit on the open row
+    const DramCycle enqueued = now_;
+    tick(1);
+    EXPECT_EQ(log.at(DramCmd::Read, 0, 0, 1), enqueued + 1);
+}
+
+TEST_F(DramTest, RefreshPendingRankReappearsAtRefPlusTrfc)
+{
+    build();
+    CmdLog log;
+    dram_->setObserver(&log);
+    // A opens bank 0 so that the conflicting T's PRE becomes legal
+    // exactly when the rank's first refresh falls due.
+    const DramCycle due = cfg_.t.tREFI;
+    tick(due - cfg_.t.tRAS - 1);
+    read(addrOf(1, 0, 0, 1)); // A
+    read(addrOf(1, 0, 0, 2)); // T
+    tick(due - now_);
+    const DramCycle actA = log.at(DramCmd::Act, 0, 0);
+    ASSERT_EQ(actA + cfg_.t.tRAS, due);
+    ASSERT_EQ(log.at(DramCmd::Read, 0, 0), actA + cfg_.t.tRCD);
+    // The refresh engine, not T, took the PRE on the due cycle.
+    EXPECT_EQ(log.at(DramCmd::Pre, 0, 0), due);
+    // With T hidden by the pending refresh, the next event is the
+    // REF, not T's stale PRE cycle.
+    const DramCycle ref = std::max(due + cfg_.t.tRP, actA + cfg_.t.tRC);
+    EXPECT_EQ(dram_->nextEventCycle(now_), ref);
+    tick(ref + cfg_.t.tRFC + cfg_.t.tRCD + 1 - now_);
+    EXPECT_EQ(log.at(DramCmd::Ref, 0, 0), ref);
+    EXPECT_EQ(log.at(DramCmd::Act, 0, 0, 1), ref + cfg_.t.tRFC);
+    EXPECT_EQ(log.at(DramCmd::Read, 0, 0, 1),
+              ref + cfg_.t.tRFC + cfg_.t.tRCD);
+}
+
+TEST_F(DramTest, FifthActivateWaitsForTfaw)
+{
+    build();
+    CmdLog log;
+    dram_->setObserver(&log);
+    for (std::uint32_t bank = 0; bank < 5; ++bank)
+        read(addrOf(1, 0, bank, 1));
+    tick(100);
+    const DramCycle first = log.at(DramCmd::Act, 0, 0);
+    ASSERT_EQ(first, 1u);
+    for (std::uint32_t bank = 1; bank < 4; ++bank)
+        EXPECT_EQ(log.at(DramCmd::Act, 0, bank), first + bank * cfg_.t.tRRD);
+    ASSERT_LT(first + 4 * cfg_.t.tRRD, first + cfg_.t.tFAW);
+    EXPECT_EQ(log.at(DramCmd::Act, 0, 4), first + cfg_.t.tFAW);
+}
+
+TEST_F(DramTest, CasOnOtherRankDelaysRowHitByTrtrs)
+{
+    build(1, 2);
+    CmdLog log;
+    dram_->setObserver(&log);
+    read(addrOf(2, 1, 0, 1));
+    read(addrOf(2, 0, 0, 1));
+    tick(100);
+    ASSERT_EQ(log.entries.size(), 4u); // two ACTs, two CASes
+    read(addrOf(2, 0, 0, 1, 1)); // rank 0 row hit, older
+    read(addrOf(2, 1, 0, 1, 1)); // rank 1 row hit
+    tick(20);
+    const DramCycle cas0 = log.at(DramCmd::Read, 0, 0, 1);
+    ASSERT_EQ(cas0, 101u);
+    EXPECT_EQ(log.at(DramCmd::Read, 1, 0, 1),
+              cas0 + cfg_.t.dataCycles() + cfg_.t.tRTRS);
+}
+
+TEST_F(DramTest, AutoPrechargeTurnsConflictIntoActivate)
+{
+    build(1, 1, /*closedPage=*/true);
+    CmdLog log;
+    dram_->setObserver(&log);
+    read(addrOf(1, 0, 0, 1));
+    read(addrOf(1, 0, 0, 2)); // other row: does not keep row 1 open
+    tick(200);
+    const DramCycle act = log.at(DramCmd::Act, 0, 0);
+    const DramCycle cas = log.at(DramCmd::Read, 0, 0);
+    ASSERT_EQ(cas, act + cfg_.t.tRCD);
+    const DramChannel::Stats &s = dram_->channel(0).channelStats();
+    EXPECT_EQ(s.autoPrecharges.value(), 2u);
+    EXPECT_EQ(s.precharges.value(), 0u);
+    const DramCycle restore =
+        std::max(act + cfg_.t.tRAS, cas + cfg_.t.tRTP) + cfg_.t.tRP;
+    EXPECT_EQ(log.at(DramCmd::Act, 0, 0, 1),
+              std::max(restore, act + cfg_.t.tRC));
+}
+
+TEST_F(DramTest, CritInQueueTracksPromotions)
+{
+    build();
+    // Zeroes every promotion while armed.
+    struct Corrupt : FaultInjector
+    {
+        bool armed = false;
+        bool corruptPromotion(DramCycle) override { return armed; }
+    } inj;
+    dram_->setFaultInjector(&inj);
+    // Three reads to one bank: all but the first wait on conflicts.
+    read(addrOf(1, 0, 0, 1), 0);
+    read(addrOf(1, 0, 0, 2), 4);
+    read(addrOf(1, 0, 0, 3), 0);
+    double expected = 0;
+    auto step = [&](DramCycle cycles) {
+        for (DramCycle i = 0; i < cycles; ++i) {
+            for (const auto &e : dram_->channel(0).snapshot(now_).readQ)
+                expected += e.crit > 0 ? 1 : 0;
+            tick(1);
+        }
+    };
+    step(5);
+    EXPECT_TRUE(dram_->promote(addrOf(1, 0, 0, 3), 0, 7));  // 0 -> 7
+    EXPECT_TRUE(dram_->promote(addrOf(1, 0, 0, 2), 0, 9));  // 4 -> 9
+    step(5);
+    inj.armed = true;
+    EXPECT_TRUE(dram_->promote(addrOf(1, 0, 0, 2), 0, 9));  // 9 -> 0
+    step(200);
+    EXPECT_TRUE(dram_->idle());
+    const stats::Average &crit =
+        dram_->channel(0).channelStats().critInQueue;
+    EXPECT_EQ(crit.count(), now_);
+    EXPECT_EQ(crit.sum(), expected);
 }
 
 /**

@@ -1,0 +1,83 @@
+/** @file Deterministic work-counter gates: simulator work per unit of
+ *  simulated output, counted exactly, so host speed cannot move them. */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "exec/job.hh"
+#include "system/experiment.hh"
+#include "system/system.hh"
+
+using namespace critmem;
+
+namespace
+{
+
+/** DRAM readiness work of one job, summed over its channels. */
+struct DramWork
+{
+    std::uint64_t evals = 0;
+    /** ACT + RD + WR + PRE (refresh precharges included). */
+    std::uint64_t cmds = 0;
+};
+
+/**
+ * Run the critmem-sim command @p args with no warmup, so the channel
+ * stats and the evaluation counter cover the same cycles.
+ */
+DramWork
+dramWork(std::vector<std::string> args)
+{
+    args.insert(args.end(), {"--warmup", "0"});
+    const exec::JobSpec spec = exec::parseSimCommand(args).spec;
+    const std::unique_ptr<System> sys = exec::buildSystem(spec);
+    runSystem(*sys, spec.quota, spec.warmup, spec.stopAtQuota());
+    DramWork work;
+    const DramSystem &dram = sys->dram();
+    for (std::uint32_t c = 0; c < dram.numChannels(); ++c) {
+        const DramChannel &channel = dram.channel(c);
+        const DramChannel::Stats &s = channel.channelStats();
+        work.evals += channel.readinessEvals();
+        work.cmds += s.activates.value() + s.reads.value() +
+            s.writes.value() + s.precharges.value();
+    }
+    return work;
+}
+
+} // namespace
+
+/**
+ * Readiness evaluations per issued DRAM command over an fft/PAR-BS
+ * run and an art/CASRAS-Crit run. Re-running txnReady()
+ * for every queued transaction on every tick and in every
+ * nextEventCycle() probe cost 34.57 evaluations per command on these
+ * jobs (673,585 for 19,483 commands); caching each transaction's
+ * ready cycle until a command issues or the refresh engine acts must
+ * at least halve that.
+ */
+TEST(Perf, DramReadinessEvals)
+{
+    const double kRescanPerCmd = 34.57;
+    DramWork total;
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"--app", "fft", "--sched", "parbs",
+                                   "--instrs", "6000"},
+          std::vector<std::string>{"--app", "art", "--sched",
+                                   "casras-crit", "--predictor",
+                                   "maxstall", "--instrs", "6000"}}) {
+        const DramWork work = dramWork(args);
+        ASSERT_GT(work.cmds, 0u) << args[1];
+        total.evals += work.evals;
+        total.cmds += work.cmds;
+    }
+    const double perCmd =
+        static_cast<double>(total.evals) / static_cast<double>(total.cmds);
+    RecordProperty("evals", std::to_string(total.evals));
+    RecordProperty("cmds", std::to_string(total.cmds));
+    EXPECT_LE(perCmd, kRescanPerCmd / 2)
+        << total.evals << " evaluations for " << total.cmds
+        << " commands";
+}

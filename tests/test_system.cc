@@ -10,6 +10,8 @@
 #include "exec/job.hh"
 #include "fair/metrics.hh"
 #include "sched/crit_frfcfs.hh"
+#include "sched/registry.hh"
+#include "sim/random.hh"
 #include "system/experiment.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
@@ -475,4 +477,49 @@ TEST(BackPressure, SkippingKeepsSaturatedStatsIdentical)
     }
     EXPECT_FALSE(json[0].empty());
     EXPECT_EQ(json[0], json[1]);
+}
+
+/**
+ * Seeded differential check of event-driven cycle skipping over
+ * random controller shapes: each registered scheduler in turn, 1-4
+ * channels and ranks, unified or split write queue, open or closed
+ * page, prefetch on or off. Each config's stats tree must be
+ * byte-identical with the skip on and off; a skip bound later than a
+ * ready command shows up here.
+ */
+TEST(SkipDifferential, SeededConfigsMatchNoSkip)
+{
+    const std::vector<SchedInfo> &scheds = schedulerRegistry();
+    const std::vector<AppParams> &apps = parallelApps();
+    const char *const pow2[] = {"1", "2", "4"};
+    Rng rng(0x5c1f);
+    for (std::size_t i = 0; i < 24; ++i) {
+        const SchedInfo &sched = scheds[i % scheds.size()];
+        std::vector<std::string> args = {
+            "--app", apps[rng.below(apps.size())].name,
+            "--sched", sched.cliName,
+            "--channels", pow2[rng.below(3)],
+            "--ranks", pow2[rng.below(3)],
+            "--instrs", std::to_string(rng.range(2000, 4000)),
+            "--seed", std::to_string(rng.below(1000))};
+        for (const char *flag :
+             {"--split-wq", "--closed-page", "--prefetch"}) {
+            if (rng.chance(0.5))
+                args.push_back(flag);
+        }
+        if (std::string(sched.cliName).find("crit") != std::string::npos)
+            args.insert(args.end(), {"--predictor", "maxstall"});
+        std::string json[2];
+        for (const bool skip : {false, true}) {
+            exec::JobSpec spec = exec::parseSimCommand(args).spec;
+            spec.cfg.fastForward = skip;
+            spec.captureStats = true;
+            exec::executeJob(spec, &json[skip]);
+        }
+        std::string cmd;
+        for (const std::string &arg : args)
+            cmd += " " + arg;
+        ASSERT_FALSE(json[0].empty()) << cmd;
+        EXPECT_EQ(json[0], json[1]) << cmd;
+    }
 }
