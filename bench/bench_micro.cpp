@@ -9,8 +9,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cpu/core.hh"
 #include "crit/cbp.hh"
 #include "dram/dram.hh"
+#include "mem/hierarchy.hh"
 #include "sched/ahb.hh"
 #include "sched/crit_frfcfs.hh"
 #include "sched/frfcfs.hh"
@@ -323,6 +325,85 @@ BM_SystemRunNoSkip(benchmark::State &state)
     runSystem(state, false);
 }
 
+/** Replays a fixed micro-op loop forever. */
+class LoopTrace : public TraceGenerator
+{
+  public:
+    explicit LoopTrace(std::vector<MicroOp> ops) : ops_(std::move(ops)) {}
+
+    void
+    next(MicroOp &op) override
+    {
+        op = ops_[pos_];
+        if (++pos_ == ops_.size())
+            pos_ = 0;
+    }
+
+    const std::string &name() const override { return name_; }
+
+  private:
+    std::vector<MicroOp> ops_;
+    std::size_t pos_ = 0;
+    std::string name_ = "loop";
+};
+
+/**
+ * A loop that is mostly integer ALU ops: every eight hold a
+ * cache-resident load, an FP op that uses it and a branch, and every
+ * sixteen a store. The two integer ALUs bound throughput below the
+ * 4-wide issue, so ready ops pile up in the issue queue and every
+ * cycle's oldest-first select walks a backlog larger than the issue
+ * width.
+ */
+std::vector<MicroOp>
+aluBoundMix()
+{
+    std::vector<MicroOp> ops(64);
+    for (std::uint32_t i = 0; i < ops.size(); ++i) {
+        MicroOp &op = ops[i];
+        op.pc = 0x400000 + i * 4;
+        if (i % 8 == 0) {
+            op.cls = OpClass::Load;
+            op.addr = 0x10000 + (i % 32) * 64;
+        } else if (i % 16 == 3) {
+            op.cls = OpClass::Store;
+            op.addr = 0x20000 + (i % 32) * 64;
+        } else if (i % 8 == 5) {
+            op.cls = OpClass::FpAlu;
+            op.latency = 3;
+            op.dep1 = 5; // the load
+        } else if (i % 8 == 7) {
+            op.cls = OpClass::Branch;
+        } else {
+            op.dep1 = i % 3 == 0 ? 2 : 0; // IntAlu
+        }
+    }
+    return ops;
+}
+
+/** One core and its hierarchy on aluBoundMix(), a CPU cycle a step. */
+void
+BM_CoreTick(benchmark::State &state)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    stats::Group root;
+    FrFcfsScheduler sched;
+    DramSystem dram(cfg.dram, sched, root);
+    MemHierarchy hier(cfg, dram, root);
+    LoopTrace trace(aluBoundMix());
+    Core core(cfg, 0, trace, hier, root);
+    Cycle now = 0;
+    for (auto _ : state) {
+        ++now;
+        hier.tick(now);
+        core.tick(now);
+        if (now % 4 == 0)
+            dram.tick(now / 4);
+    }
+    state.counters["ipc"] = static_cast<double>(core.committed()) /
+        static_cast<double>(now);
+}
+
 void
 BM_SystemTick(benchmark::State &state)
 {
@@ -359,6 +440,7 @@ BENCHMARK(BM_SystemRunSkip)->Unit(benchmark::kMillisecond)
     ->Iterations(3)->Repetitions(3)->ReportAggregatesOnly(true);
 BENCHMARK(BM_SystemRunNoSkip)->Unit(benchmark::kMillisecond)
     ->Iterations(3)->Repetitions(3)->ReportAggregatesOnly(true);
+BENCHMARK(BM_CoreTick);
 BENCHMARK(BM_SystemTick)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

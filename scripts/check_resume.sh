@@ -7,7 +7,8 @@
 #
 # 1. Reference: an uninterrupted run of SPEC_FILE, JSONL + CSV.
 # 2. The same run with --campaign DIR, SIGKILLed (no chance to clean
-#    up) as soon as the journal holds a few completed jobs.
+#    up) as soon as the journal holds a few completed jobs, unless it
+#    has already journaled all of them.
 # 3. Assert the kill left no torn result file (AtomicFile staging
 #    means the target paths must not exist yet).
 # 4. --resume DIR --report with a typo must be rejected before any
@@ -45,6 +46,10 @@ camp="$tmp/campaign"
 pid=$!
 
 # Wait until a few jobs are journaled, then kill without warning.
+# The process is frozen (SIGSTOP) before the decision: only a campaign
+# with jobs still unjournaled is mid-flight and gets the SIGKILL. One
+# that already journaled every job may have published its results, so
+# it is resumed and counts as finished before we could kill it.
 journal="$camp/journal.txt"
 killed=0
 for _ in $(seq 1 2400); do
@@ -52,8 +57,19 @@ for _ in $(seq 1 2400); do
         break # finished before we could kill it; resume still works
     fi
     if [ -f "$journal" ] && [ "$(wc -l < "$journal")" -ge 3 ]; then
-        kill -9 "$pid" 2>/dev/null || true
-        killed=1
+        kill -STOP "$pid" 2>/dev/null || break
+        total=$(awk '$1 == "jobs" { print $3 }' "$camp/manifest.txt")
+        if [ -z "$total" ]; then
+            kill -9 "$pid"
+            echo "FAIL: campaign manifest records no job count" >&2
+            exit 1
+        fi
+        if [ "$(wc -l < "$journal")" -lt "$total" ]; then
+            kill -9 "$pid"
+            killed=1
+        else
+            kill -CONT "$pid"
+        fi
         break
     fi
     sleep 0.05

@@ -59,6 +59,11 @@ Core::Core(const SystemConfig &cfg, CoreId id, TraceGenerator &gen,
     : cfg_(cfg), id_(id), gen_(gen), mem_(mem),
       rob_(std::bit_ceil(cfg.core.robEntries)), robMask_(rob_.size() - 1),
       pendingStoreAddrs_(cfg.core.sqEntries, "store queue"),
+      readyBits_((rob_.size() + 63) / 64),
+      // In OpClass order.
+      portBudget_{cfg.core.intAlus, cfg.core.intMuls, cfg.core.fpAlus,
+                  cfg.core.fpMuls, cfg.core.loadPorts, cfg.core.storePorts,
+                  cfg.core.branchUnits},
       stats_(parent, id)
 {
     mem.attach(id, *this);
@@ -86,32 +91,33 @@ Core::criticalityOf(const MicroOp &op) const
 }
 
 void
+Core::markReady(std::uint32_t idx)
+{
+    rob_[idx].state = EntryState::Ready;
+    readyBits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+    ++readyCount_;
+}
+
+void
 Core::markComplete(RobEntry &entry)
 {
     entry.state = EntryState::Complete;
-    for (const std::uint32_t idx : entry.waiters) {
+    for (std::uint32_t link = entry.firstWaiter; link != kNoLink;) {
+        const std::uint32_t idx = link >> 1;
         RobEntry &waiter = rob_[idx];
-        if (waiter.state == EntryState::Waiting &&
-            waiter.srcsPending > 0 && --waiter.srcsPending == 0) {
-            waiter.state = EntryState::Ready;
-            readyList_.push_back(idx);
-        }
+        link = waiter.nextWaiter[link & 1];
+        if (--waiter.srcsPending == 0)
+            markReady(idx);
     }
-    entry.waiters.clear();
+    entry.firstWaiter = kNoLink;
 }
 
 void
 Core::completeStage(Cycle now)
 {
-    // Complete in (cycle, seq) order: a wheel slot keeps issue order,
-    // and a younger op with a shorter latency can share a slot with an
-    // older one.
-    fuDue_.clear();
-    fuCompletions_.drain(now, [this](Cycle at, SeqNum seq) {
-        fuDue_.emplace_back(at, seq);
-    });
-    std::sort(fuDue_.begin(), fuDue_.end());
-    for (const auto &[at, seq] : fuDue_) {
+    // Order within the drain does not matter: a wakeup only sets a
+    // ready bit, which issueStage() walks in age order anyway.
+    fuCompletions_.drain(now, [this, now](Cycle, SeqNum seq) {
         RobEntry &entry = entryOf(seq);
         if (entry.op.cls == OpClass::Branch) {
             --unresolvedBranches_;
@@ -121,7 +127,7 @@ Core::completeStage(Cycle now)
             }
         }
         markComplete(entry);
-    }
+    });
 }
 
 void
@@ -193,127 +199,82 @@ Core::commitStage(Cycle now)
 }
 
 bool
-Core::issueLoad(RobEntry &entry, Cycle now)
+Core::issueLoad(const RobEntry &entry, SeqNum seq, Cycle now)
 {
     // Perfect disambiguation with store-to-load forwarding: a load
     // whose word matches an in-flight older store gets its value from
     // the SQ without touching the cache.
     if (pendingStoreAddrs_.contains(wordAlign(entry.op.addr))) {
         ++stats_.loadsForwarded;
-        entry.state = EntryState::Issued;
-        fuCompletions_.push(now + 1, entry.seq);
+        fuCompletions_.push(now + 1, seq);
         return true;
     }
 
     const CritLevel crit = criticalityOf(entry.op);
     if (!mem_.load(id_, entry.op.addr, crit,
-                   MemToken{MemToken::Kind::Load, entry.seq})) {
+                   MemToken{MemToken::Kind::Load, seq})) {
         ++stats_.loadRetries;
         return false;
     }
     ++stats_.loadsIssued;
     if (crit > 0)
         ++stats_.critLoadsIssued;
+    return true;
+}
+
+bool
+Core::tryIssue(std::uint32_t idx, SeqNum seq, PortBudget &ports, Cycle now)
+{
+    RobEntry &entry = rob_[idx];
+    std::uint32_t &port = ports[static_cast<std::size_t>(entry.op.cls)];
+    if (port == 0)
+        return false;
+    --port; // a rejected load still consumes its port
+    if (entry.op.cls == OpClass::Load) {
+        if (!issueLoad(entry, seq, now))
+            return false;
+    } else {
+        fuCompletions_.push(now + entry.op.latency, seq);
+    }
     entry.state = EntryState::Issued;
+    readyBits_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    --readyCount_;
+    --(entry.isFp ? fpIqCount_ : intIqCount_);
     return true;
 }
 
 void
 Core::issueStage(Cycle now)
 {
-    if (readyList_.empty())
+    if (readyCount_ == 0)
         return;
-    // Oldest-first issue.
-    std::sort(readyList_.begin(), readyList_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return rob_[a].seq < rob_[b].seq;
-              });
-
-    const CoreConfig &c = cfg_.core;
+    // Oldest-first issue: ring order from the head slot is age order,
+    // so walk the ready bits from there, wrapping once. The head's
+    // word is visited twice, its bits at and above the head first and
+    // its bits below the head last.
+    const std::uint32_t head = robIndex(headSeq_);
+    const std::size_t words = readyBits_.size(); // a power of two
+    PortBudget ports = portBudget_;
+    std::uint32_t unvisited = readyCount_;
     std::uint32_t issued = 0;
-    std::uint32_t intAlu = 0, intMul = 0, fpAlu = 0, fpMul = 0;
-    std::uint32_t loads = 0, stores = 0, branches = 0;
-
-    // Persistent scratch (swapped back below) so the per-cycle issue
-    // scan never allocates.
-    std::vector<std::uint32_t> &still = stillScratch_;
-    still.clear();
-    for (const std::uint32_t idx : readyList_) {
-        RobEntry &entry = rob_[idx];
-        if (entry.state != EntryState::Ready)
-            continue; // defensive: committed/reused slot
-        if (issued >= c.issueWidth) {
-            still.push_back(idx);
-            continue;
-        }
-        bool ok = false;
-        switch (entry.op.cls) {
-          case OpClass::Load:
-            if (loads < c.loadPorts) {
-                ok = issueLoad(entry, now);
-                ++loads; // the port is consumed either way
-            }
-            break;
-          case OpClass::Store:
-            if (stores < c.storePorts) {
-                ++stores;
-                entry.state = EntryState::Issued;
-                fuCompletions_.push(now + entry.op.latency, entry.seq);
-                ok = true;
-            }
-            break;
-          case OpClass::Branch:
-            if (branches < c.branchUnits) {
-                ++branches;
-                entry.state = EntryState::Issued;
-                fuCompletions_.push(now + entry.op.latency, entry.seq);
-                ok = true;
-            }
-            break;
-          case OpClass::IntAlu:
-            if (intAlu < c.intAlus) {
-                ++intAlu;
-                entry.state = EntryState::Issued;
-                fuCompletions_.push(now + entry.op.latency, entry.seq);
-                ok = true;
-            }
-            break;
-          case OpClass::IntMul:
-            if (intMul < c.intMuls) {
-                ++intMul;
-                entry.state = EntryState::Issued;
-                fuCompletions_.push(now + entry.op.latency, entry.seq);
-                ok = true;
-            }
-            break;
-          case OpClass::FpAlu:
-            if (fpAlu < c.fpAlus) {
-                ++fpAlu;
-                entry.state = EntryState::Issued;
-                fuCompletions_.push(now + entry.op.latency, entry.seq);
-                ok = true;
-            }
-            break;
-          case OpClass::FpMul:
-            if (fpMul < c.fpMuls) {
-                ++fpMul;
-                entry.state = EntryState::Issued;
-                fuCompletions_.push(now + entry.op.latency, entry.seq);
-                ok = true;
-            }
-            break;
-        }
-        if (ok) {
-            ++issued;
-            if (entry.isFp)
-                --fpIqCount_;
-            else
-                --intIqCount_;
-        } else {
-            still.push_back(idx);
+    for (std::size_t n = 0; n <= words; ++n) {
+        const std::size_t w = (head / 64 + n) & (words - 1);
+        std::uint64_t bits = readyBits_[w];
+        if (n == 0)
+            bits &= ~std::uint64_t{0} << (head % 64);
+        else if (n == words)
+            bits &= (std::uint64_t{1} << (head % 64)) - 1;
+        for (; bits != 0; bits &= bits - 1) {
+            const auto idx = static_cast<std::uint32_t>(
+                w * 64 + std::countr_zero(bits));
+            const SeqNum seq = headSeq_ + ((idx - head) & robMask_);
+            if (tryIssue(idx, seq, ports, now) &&
+                ++issued == cfg_.core.issueWidth)
+                return;
+            if (--unvisited == 0)
+                return;
         }
     }
-    readyList_.swap(still);
 }
 
 void
@@ -395,20 +356,20 @@ Core::dispatchStage(Cycle now)
         // Allocate the ROB entry.
         const SeqNum seq = nextSeq_++;
         RobEntry &entry = entryOf(seq);
+        const std::uint32_t idx = robIndex(seq);
         entry.op = op;
-        entry.seq = seq;
         entry.state = EntryState::Waiting;
         entry.srcsPending = 0;
         entry.isFp = isFp;
         entry.blocked = false;
         entry.stallCycles = 0;
         entry.consumers = 0;
-        entry.waiters.clear();
+        entry.firstWaiter = kNoLink;
         ++robCount_;
         hasPendingOp_ = false;
 
         // Resolve dependences against the ROB.
-        const auto addDep = [&](std::uint16_t dist) {
+        const auto addDep = [&](std::uint16_t dist, std::uint32_t slot) {
             if (dist == 0 || dist > seq)
                 return;
             const SeqNum producerSeq = seq - dist;
@@ -419,11 +380,12 @@ Core::dispatchStage(Cycle now)
                 ++producer.consumers;
             if (producer.state != EntryState::Complete) {
                 ++entry.srcsPending;
-                producer.waiters.push_back(robIndex(seq));
+                entry.nextWaiter[slot] = producer.firstWaiter;
+                producer.firstWaiter = (idx << 1) | slot;
             }
         };
-        addDep(op.dep1);
-        addDep(op.dep2);
+        addDep(op.dep1, 0);
+        addDep(op.dep2, 1);
 
         if (isFp)
             ++fpIqCount_;
@@ -444,10 +406,8 @@ Core::dispatchStage(Cycle now)
             break;
         }
 
-        if (entry.srcsPending == 0) {
-            entry.state = EntryState::Ready;
-            readyList_.push_back(robIndex(seq));
-        }
+        if (entry.srcsPending == 0)
+            markReady(idx);
 
         if (op.cls == OpClass::Branch && op.mispredict) {
             // Stop dispatching until the branch resolves; the redirect
@@ -517,7 +477,7 @@ Core::nextEventCycle(Cycle now) const
 {
     if (!active_)
         return kNoCycle;
-    if (!readyList_.empty() || !storeDrain_.empty())
+    if (readyCount_ != 0 || !storeDrain_.empty())
         return now + 1;
     if (robCount_ > 0) {
         const RobEntry &head = entryOf(headSeq_);

@@ -21,10 +21,10 @@
 #ifndef CRITMEM_CPU_CORE_HH
 #define CRITMEM_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "crit/cbp.hh"
@@ -178,18 +178,26 @@ class Core : private MemClient
         Complete, ///< may commit when it reaches the head
     };
 
+    /**
+     * A wakeup link names one source operand of a waiting consumer:
+     * (ROB index << 1) | source slot. A producer's waiters form an
+     * intrusive list threaded through the consumers' nextWaiter[].
+     */
+    static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
+
     struct RobEntry
     {
         MicroOp op;
-        SeqNum seq = 0;
+        std::uint64_t stallCycles = 0;
+        std::uint32_t consumers = 0; ///< direct consumers (CLPT)
+        std::uint32_t firstWaiter = kNoLink; ///< consumers to wake
+        std::uint32_t nextWaiter[2] = {kNoLink, kNoLink}; ///< per source
         EntryState state = EntryState::Waiting;
         std::uint8_t srcsPending = 0;
         bool isFp = false;
         bool blocked = false;       ///< has blocked the ROB head
-        std::uint64_t stallCycles = 0;
-        std::uint32_t consumers = 0; ///< direct consumers (CLPT)
-        std::vector<std::uint32_t> waiters; ///< ROB indices to wake
     };
+    static_assert(sizeof(RobEntry) <= 64, "one ROB entry per cache line");
 
     std::uint32_t robIndex(SeqNum seq) const
     {
@@ -236,9 +244,21 @@ class Core : private MemClient
     void drainStores();
     void dispatchStage(Cycle now);
 
+    void markReady(std::uint32_t idx);
     void markComplete(RobEntry &entry);
     /** @return false when the hierarchy rejected the load. */
-    bool issueLoad(RobEntry &entry, Cycle now);
+    bool issueLoad(const RobEntry &entry, SeqNum seq, Cycle now);
+    /** Issue slots per cycle, one per OpClass (FUs or ports). */
+    static constexpr std::size_t kOpClasses =
+        static_cast<std::size_t>(OpClass::Branch) + 1;
+    using PortBudget = std::array<std::uint32_t, kOpClasses>;
+    /**
+     * Issue the Ready entry in slot @p idx if its class has a port
+     * left in @p ports this cycle.
+     * @return false when it stays Ready.
+     */
+    bool tryIssue(std::uint32_t idx, SeqNum seq, PortBudget &ports,
+                  Cycle now);
     CritLevel criticalityOf(const MicroOp &op) const;
 
     SystemConfig cfg_;
@@ -275,12 +295,15 @@ class Core : private MemClient
      * op latency the trace supplies (at most 255).
      */
     TimingWheel<SeqNum> fuCompletions_{1};
-    /** completeStage()'s due (cycle, seq) pairs; reused every cycle. */
-    std::vector<std::pair<Cycle, SeqNum>> fuDue_;
 
-    std::vector<std::uint32_t> readyList_;
-    /** issueStage()'s not-issued survivors; reused every cycle. */
-    std::vector<std::uint32_t> stillScratch_;
+    /**
+     * One bit per ROB slot, set while the entry is Ready. Ring order
+     * from the head slot is age order, so issueStage() selects
+     * oldest-first by walking the set bits from there.
+     */
+    std::vector<std::uint64_t> readyBits_;
+    std::uint32_t readyCount_ = 0;
+    PortBudget portBudget_;
 
     /** Front-end state. */
     Cycle fetchResumeAt_ = 0;

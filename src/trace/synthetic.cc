@@ -283,7 +283,14 @@ SyntheticApp::genAddress(Stream &stream)
       }
       case StreamKind::Sequential: {
         const Addr addr = stream.base + stream.pos;
-        stream.pos = (stream.pos + stream.stride) % stream.size;
+        stream.pos += stream.stride;
+        if (stream.pos >= stream.size) {
+            // pos < size before the step, so one subtraction wraps it
+            // unless the stride itself reaches past the stream.
+            stream.pos = stream.stride < stream.size
+                ? stream.pos - stream.size
+                : stream.pos % stream.size;
+        }
         return addr;
       }
       case StreamKind::RandomPrivate:
@@ -325,8 +332,8 @@ SyntheticApp::next(MicroOp &op)
     op.mispredict = s.cls == OpClass::Branch &&
         rng_.chance(s.mispredictRate);
     op.addr = s.stream >= 0 ? genAddress(streams_[s.stream]) : 0;
-    loopPos_ = (loopPos_ + 1) % static_cast<std::uint32_t>(
-        program_.size());
+    if (++loopPos_ == program_.size())
+        loopPos_ = 0;
 }
 
 } // namespace critmem

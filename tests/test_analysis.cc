@@ -7,6 +7,8 @@
  * tRC < tRAS + tRP must fail lint.
  */
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -301,7 +303,8 @@ TEST(LintBaseline, RoundTripAndCoverage)
 {
     Finding finding{"wall-clock", Severity::Error, "tools/x.cc", 7,
                     "'steady_clock' reads host time"};
-    const std::string path = testing::TempDir() + "lint_baseline_rt.txt";
+    const std::string path = testing::TempDir() + "lint_baseline_rt." +
+        std::to_string(::getpid()) + ".txt";
     {
         std::ofstream out(path);
         out << formatBaseline({finding});

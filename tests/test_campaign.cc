@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -34,7 +36,10 @@ namespace
 
 namespace fs = std::filesystem;
 
-/** Fresh scratch directory per test, removed on teardown. */
+/**
+ * Fresh scratch directory per test and process (two build trees may
+ * run the suite at once), removed on teardown.
+ */
 class CampaignTest : public ::testing::Test
 {
   protected:
@@ -45,7 +50,8 @@ class CampaignTest : public ::testing::Test
             ("critmem_campaign_test_" +
              std::string(::testing::UnitTest::GetInstance()
                              ->current_test_info()
-                             ->name()));
+                             ->name()) +
+             "." + std::to_string(::getpid()));
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "cpu/core.hh"
 #include "sched/frfcfs.hh"
+#include "trace/workloads.hh"
 
 using namespace critmem;
 
@@ -232,6 +234,23 @@ TEST_F(CoreTest, LqCapacityStalls)
     EXPECT_GT(core_->coreStats().lqFullCycles.value(), 0u);
 }
 
+TEST_F(CoreTest, RejectedLoadsStillConsumeTheirPort)
+{
+    // One dL1 MSHR: while a miss is out every other missing load is
+    // rejected, and each rejection uses up one of the load ports for
+    // that cycle, so the retries never exceed loadPorts per cycle.
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.dl1.mshrs = 1;
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < 8; ++i)
+        ops.push_back(ld(0x400000 + i * 4, 0x100000 + i * 131072));
+    build(std::move(ops), cfg);
+    const Cycle cycles = run(200);
+    const std::uint64_t retries = core_->coreStats().loadRetries.value();
+    EXPECT_GT(retries, cycles);
+    EXPECT_LE(retries, cfg.core.loadPorts * cycles);
+}
+
 TEST_F(CoreTest, StoreForwardingShortCircuitsLoads)
 {
     std::vector<MicroOp> ops;
@@ -321,6 +340,8 @@ TEST_F(CoreTest, DrainedAfterRun)
  * The ROB is a power-of-two ring, but the configured size bounds it:
  * with 96 or 100 entries (a 128-slot ring) dispatch stops at exactly
  * robEntries ops in flight, and robFullCycles starts counting there.
+ * 8 entries fit one partial ready-bitmap word; 192 and 256 span
+ * several words, so the oldest-first walk wraps across them.
  */
 class CoreRobSizeTest : public CoreTest,
                         public ::testing::WithParamInterface<std::uint32_t>
@@ -370,4 +391,75 @@ TEST_P(CoreRobSizeTest, DispatchStopsAtRobEntries)
 }
 
 INSTANTIATE_TEST_SUITE_P(NonPowerOfTwo, CoreRobSizeTest,
-                         ::testing::Values(96u, 100u));
+                         ::testing::Values(96u, 100u, 192u));
+INSTANTIATE_TEST_SUITE_P(PowerOfTwo, CoreRobSizeTest,
+                         ::testing::Values(8u, 32u, 256u));
+
+namespace
+{
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+} // namespace
+
+/**
+ * Pins one-core art and mg runs exactly, at ROB sizes from one
+ * partial ready-bitmap word to four full ones: any change to which
+ * ready op issues first (oldest-first across the ring wrap), to
+ * wakeup, or to completion handling moves the cycle count or the
+ * stats digest. The values come from the earlier core that sorted a
+ * ready list every cycle, so they hold the ready-bitmap select to it.
+ */
+TEST(Core, StatsPinnedAcrossRobShapes)
+{
+    struct Pin
+    {
+        const char *app;
+        std::uint32_t robEntries;
+        Cycle cycles;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"art", 8, 50598, 0x8647dc3005a349c2ull},
+        {"art", 32, 36397, 0xdb2167cb5d677d86ull},
+        {"art", 128, 32181, 0x2c9291b6954621abull},
+        {"art", 256, 32157, 0xc094d8fc3aff2613ull},
+        {"mg", 8, 22619, 0x762e8763726be1b3ull},
+        {"mg", 32, 14348, 0x7c57815099b424b3ull},
+        {"mg", 128, 9473, 0x12ac78c6975a2ff4ull},
+        {"mg", 256, 9469, 0xa20baa335b19bc15ull},
+    };
+    for (const Pin &pin : pins) {
+        SystemConfig cfg = SystemConfig::parallelDefault();
+        cfg.core.robEntries = pin.robEntries;
+        stats::Group root;
+        FrFcfsScheduler sched;
+        DramSystem dram(cfg.dram, sched, root);
+        MemHierarchy hier(cfg, dram, root);
+        SyntheticApp app(appParams(pin.app), 0, 1, 0, 1);
+        Core core(cfg, 0, app, hier, root);
+        core.setQuota(5000);
+        Cycle now = 0;
+        while (!core.finished() && now < 2'000'000) {
+            ++now;
+            hier.tick(now);
+            core.tick(now);
+            if (now % 4 == 0)
+                dram.tick(now / 4);
+        }
+        std::ostringstream json;
+        core.coreStats().group.printJson(json);
+        EXPECT_EQ(now, pin.cycles) << pin.app << " rob " << pin.robEntries;
+        EXPECT_EQ(fnv1a(json.str()), pin.digest)
+            << pin.app << " rob " << pin.robEntries;
+    }
+}

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
 #include "exec/campaign.hh"
@@ -233,7 +234,8 @@ TEST(Isolation, JournalIoFailuresAreCampaignErrors)
 TEST(Isolation, JournalTracksAppendOffset)
 {
     const std::string dir = ::testing::TempDir();
-    const std::string path = dir + "/critmem_journal_offset.txt";
+    const std::string path = dir + "/critmem_journal_offset." +
+        std::to_string(::getpid()) + ".txt";
     std::remove(path.c_str());
     auto journal = exec::CampaignJournal::create(path);
     EXPECT_EQ(journal->appendOffset(), 0u);
