@@ -7,6 +7,9 @@
  * not a pipeline), plus CBP lookup/update and DRAM/system tick rates.
  */
 
+// lint:allow-file(clock-domain): independent micro-benchmarks, each
+// driving the components of one clock domain on its own clock.
+
 #include <benchmark/benchmark.h>
 
 #include "cpu/core.hh"

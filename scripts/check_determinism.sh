@@ -88,10 +88,9 @@ if [ -f "$isolation_spec" ]; then
 fi
 
 # 7. The lint tool itself must be deterministic: two critmem-lint
-#    --json runs over the same checkout (symbol index, call-graph
-#    rules, suppression bookkeeping and all) must emit byte-identical
-#    reports. The tool's own timing goes to stderr only, never into
-#    the JSON.
+#    --json runs over the same checkout (sorted file walk, every
+#    rule, suppression bookkeeping and all) must emit byte-identical
+#    reports.
 lint=$(dirname "$sim")/critmem-lint
 if [ -x "$lint" ]; then
     root=$(cd "$(dirname "$0")/.." && pwd)

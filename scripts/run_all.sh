@@ -13,10 +13,10 @@ cmake -B build
 cmake --build build -j"$(nproc)"
 
 # Static analysis first: critmem-lint over the checkout (per-file
-# source rules, cross-TU semantic rules over the symbol index —
-# transitive determinism, clock domains, thread discipline — stale
-# suppressions, and the timing-preset/sweep-spec data rules). Cheap,
-# and a violation here fails fast before any sanitizer rebuild.
+# source rules — determinism, clock domains, protocol and hygiene —
+# stale suppressions, and the timing-preset/sweep-spec data rules).
+# Cheap, and a violation here fails fast before any sanitizer
+# rebuild.
 cmake --build build --target lint
 
 ctest --test-dir build --output-on-failure | tee test_output.txt

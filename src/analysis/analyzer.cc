@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
-
-#include "analysis/symbol_index.hh"
 
 namespace critmem::analysis
 {
@@ -95,113 +92,80 @@ relativePath(const fs::path &root, const fs::path &file)
     return fs::relative(file, root).generic_string();
 }
 
-/**
- * Per-file suppression bookkeeping: which AllowSites actually
- * suppressed a finding this run (the rest become stale-suppression
- * findings).
- */
-struct SuppressionTracker
+/** Whether @p meta's rule runs under @p ruleFilter (empty = all). */
+bool
+ruleEnabled(const std::set<std::string> &ruleFilter,
+            const RuleMeta &meta)
 {
-    std::vector<std::vector<bool>> used;
+    return ruleFilter.empty() || ruleFilter.count(meta.id) > 0;
+}
 
-    explicit SuppressionTracker(const std::vector<SourceFile> &files)
-    {
-        used.resize(files.size());
-        for (std::size_t i = 0; i < files.size(); ++i)
-            used[i].assign(files[i].allowSites.size(), false);
-    }
-
-    /**
-     * True when @p finding is suppressed in @p file; marks every
-     * covering site as used.
-     */
-    bool
-    filter(const SourceFile &file, std::size_t fileIndex,
-           const Finding &finding)
-    {
+/**
+ * Run the enabled source rules over @p file and append every finding
+ * its lint:allow sites do not suppress. A site whose rule ran but
+ * that suppressed nothing becomes a stale-suppression finding (when
+ * that pseudo-rule is enabled). Sites naming stale-suppression itself
+ * are exempt (no recursion), and the finding itself honors
+ * lint:allow(stale-suppression).
+ */
+void
+lintFile(const SourceFile &file, const std::set<std::string> &ruleFilter,
+         std::vector<Finding> &out)
+{
+    std::vector<bool> used(file.allowSites.size(), false);
+    // True when @p finding is suppressed; marks every covering site
+    // as used.
+    auto suppressed = [&](const Finding &finding) {
         if (!file.suppressed(finding.rule, finding.line))
             return false;
         for (std::size_t s = 0; s < file.allowSites.size(); ++s) {
             const AllowSite &site = file.allowSites[s];
-            if (site.rule != finding.rule)
-                continue;
-            if (site.wholeFile ||
-                std::find(site.applies.begin(), site.applies.end(),
-                          finding.line) != site.applies.end())
-                used[fileIndex][s] = true;
+            if (site.rule == finding.rule &&
+                (site.wholeFile ||
+                 std::find(site.applies.begin(), site.applies.end(),
+                           finding.line) != site.applies.end()))
+                used[s] = true;
         }
         return true;
-    }
+    };
 
-    /**
-     * Append a stale-suppression finding for every unused site whose
-     * rule actually ran (@p ranRules). Sites naming the
-     * stale-suppression pseudo-rule are exempt (no recursion), and
-     * the finding itself honors lint:allow(stale-suppression).
-     */
-    void
-    reportStale(const std::vector<SourceFile> &files,
-                const std::set<std::string> &ranRules,
-                std::vector<Finding> &out)
-    {
-        const RuleMeta &meta = staleSuppressionMeta();
-        for (std::size_t i = 0; i < files.size(); ++i) {
-            const SourceFile &file = files[i];
-            for (std::size_t s = 0; s < file.allowSites.size();
-                 ++s) {
-                const AllowSite &site = file.allowSites[s];
-                if (used[i][s] || site.rule == meta.id ||
-                    !ranRules.count(site.rule))
-                    continue;
-                Finding finding{
-                    meta.id, meta.severity, file.path, site.line,
-                    std::string(site.wholeFile ? "lint:allow-file("
-                                               : "lint:allow(") +
-                        site.rule +
-                        ") suppresses nothing and must be removed",
-                    {}};
-                if (!filter(file, i, finding))
-                    out.push_back(std::move(finding));
-            }
+    std::set<std::string> ranRules;
+    for (const SourceRule *rule : sourceRules()) {
+        if (!ruleEnabled(ruleFilter, rule->meta()))
+            continue;
+        ranRules.insert(rule->meta().id);
+        std::vector<Finding> raw;
+        rule->check(file, raw);
+        for (Finding &finding : raw) {
+            if (!suppressed(finding))
+                out.push_back(std::move(finding));
         }
     }
-};
+
+    const RuleMeta &stale = staleSuppressionMeta();
+    if (!ruleEnabled(ruleFilter, stale))
+        return;
+    for (std::size_t s = 0; s < file.allowSites.size(); ++s) {
+        const AllowSite &site = file.allowSites[s];
+        if (used[s] || site.rule == stale.id || !ranRules.count(site.rule))
+            continue;
+        Finding finding{
+            stale.id, stale.severity, file.path, site.line,
+            std::string(site.wholeFile ? "lint:allow-file("
+                                       : "lint:allow(") +
+                site.rule + ") suppresses nothing and must be removed"};
+        if (!suppressed(finding))
+            out.push_back(std::move(finding));
+    }
+}
 
 } // namespace
 
 std::vector<Finding>
 analyzeFile(const SourceFile &file)
 {
-    const std::vector<SourceFile> files{file};
-    SuppressionTracker tracker(files);
-    std::set<std::string> ranRules;
     std::vector<Finding> findings;
-
-    for (const SourceRule *rule : sourceRules()) {
-        ranRules.insert(rule->meta().id);
-        std::vector<Finding> raw;
-        rule->check(files.front(), raw);
-        for (Finding &finding : raw) {
-            if (!tracker.filter(files.front(), 0, finding))
-                findings.push_back(std::move(finding));
-        }
-    }
-
-    SemanticModel model;
-    model.files = &files;
-    model.index = SymbolIndex::build(files);
-    for (const SemanticRule *rule : semanticRules()) {
-        ranRules.insert(rule->meta().id);
-        std::vector<Finding> raw;
-        rule->check(model, raw);
-        for (Finding &finding : raw) {
-            if (finding.path != files.front().path ||
-                !tracker.filter(files.front(), 0, finding))
-                findings.push_back(std::move(finding));
-        }
-    }
-
-    tracker.reportStale(files, ranRules, findings);
+    lintFile(file, {}, findings);
     return findings;
 }
 
@@ -211,11 +175,6 @@ runAnalysis(const AnalyzerOptions &opts, const Baseline &baseline)
     const fs::path root(opts.root);
     if (!fs::is_directory(root))
         throw std::runtime_error("not a directory: " + opts.root);
-
-    auto ruleEnabled = [&](const RuleMeta &meta) {
-        return opts.ruleFilter.empty() ||
-            opts.ruleFilter.count(meta.id) > 0;
-    };
 
     // Collect and sort the file list: directory iteration order is
     // filesystem-defined, and the lint report must be byte-identical
@@ -233,69 +192,18 @@ runAnalysis(const AnalyzerOptions &opts, const Baseline &baseline)
     }
     std::sort(paths.begin(), paths.end());
 
-    // Load everything up front: the semantic rules need the whole
-    // tree at once, and the source rules reuse the same parse.
-    std::vector<SourceFile> files;
-    files.reserve(paths.size());
-    std::map<std::string, std::size_t> fileByPath;
-    for (const fs::path &path : paths) {
-        files.push_back(loadSourceFile(path.string(),
-                                       relativePath(root, path)));
-        fileByPath[files.back().path] = files.size() - 1;
-    }
-
     Report report;
-    report.filesScanned = files.size();
-    SuppressionTracker tracker(files);
-    std::set<std::string> ranRules;
+    report.filesScanned = paths.size();
     std::vector<Finding> all;
-
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        for (const SourceRule *rule : sourceRules()) {
-            if (!ruleEnabled(rule->meta()))
-                continue;
-            ranRules.insert(rule->meta().id);
-            std::vector<Finding> raw;
-            rule->check(files[i], raw);
-            for (Finding &finding : raw) {
-                if (!tracker.filter(files[i], i, finding))
-                    all.push_back(std::move(finding));
-            }
-        }
+    for (const fs::path &path : paths) {
+        lintFile(loadSourceFile(path.string(), relativePath(root, path)),
+                 opts.ruleFilter, all);
     }
-
-    const bool anySemantic = std::any_of(
-        semanticRules().begin(), semanticRules().end(),
-        [&](const SemanticRule *rule) {
-            return ruleEnabled(rule->meta());
-        });
-    if (anySemantic) {
-        SemanticModel model;
-        model.files = &files;
-        model.index = SymbolIndex::build(files);
-        for (const SemanticRule *rule : semanticRules()) {
-            if (!ruleEnabled(rule->meta()))
-                continue;
-            ranRules.insert(rule->meta().id);
-            std::vector<Finding> raw;
-            rule->check(model, raw);
-            for (Finding &finding : raw) {
-                const auto it = fileByPath.find(finding.path);
-                if (it == fileByPath.end() ||
-                    !tracker.filter(files[it->second], it->second,
-                                    finding))
-                    all.push_back(std::move(finding));
-            }
-        }
-    }
-
-    if (ruleEnabled(staleSuppressionMeta()))
-        tracker.reportStale(files, ranRules, all);
 
     if (!opts.sourceOnly) {
         const RepoContext repo{root.string()};
         for (const DataRule *rule : dataRules()) {
-            if (ruleEnabled(rule->meta()))
+            if (ruleEnabled(opts.ruleFilter, rule->meta()))
                 rule->check(repo, all);
         }
     }
@@ -346,16 +254,7 @@ appendFindingJson(std::ostringstream &os, const Finding &finding,
        << "\", \"severity\": \"" << toString(finding.severity)
        << "\", \"path\": \"" << jsonEscape(finding.path)
        << "\", \"line\": " << finding.line << ", \"message\": \""
-       << jsonEscape(finding.message) << "\", \"chain\": [";
-    for (std::size_t i = 0; i < finding.chain.size(); ++i) {
-        const ChainLink &link = finding.chain[i];
-        if (i > 0)
-            os << ", ";
-        os << "{\"symbol\": \"" << jsonEscape(link.symbol)
-           << "\", \"path\": \"" << jsonEscape(link.path)
-           << "\", \"line\": " << link.line << '}';
-    }
-    os << "]}";
+       << jsonEscape(finding.message) << "\"}";
 }
 
 void

@@ -1,9 +1,8 @@
 /**
  * @file
  * The critmem-lint driver: walks the checkout, runs every registered
- * source rule over src/, tools/, bench/ and examples/ (honoring
- * inline lint:allow suppressions), builds the cross-TU symbol index
- * and runs the semantic rules over the whole tree, flags stale
+ * source rule over src/, tools/, bench/ and examples/ one file at a
+ * time (honoring inline lint:allow suppressions), flags stale
  * suppressions, runs every data rule, and filters the result through
  * a checked-in baseline file.
  *
@@ -80,11 +79,10 @@ Report runAnalysis(const AnalyzerOptions &opts,
                    const Baseline &baseline);
 
 /**
- * Run every source rule, every semantic rule (over a single-file
- * symbol index) and the stale-suppression check over one in-memory
- * file, honoring its suppressions — the entry point fixture tests
- * use. Findings appear in rule-registration order (source, then
- * semantic, then stale-suppression), unsorted.
+ * Run every source rule and the stale-suppression check over one
+ * in-memory file, honoring its suppressions — the entry point
+ * fixture tests use. Findings appear in rule-registration order
+ * (source, then stale-suppression), unsorted.
  */
 std::vector<Finding> analyzeFile(const SourceFile &file);
 
@@ -92,7 +90,7 @@ std::vector<Finding> analyzeFile(const SourceFile &file);
  * Serialize @p report as deterministic JSON (stable key order,
  * sorted findings, '\n' line ends): filesScanned, clean, findings[]
  * and baselined[], each finding carrying rule/severity/path/line/
- * message and its chain[] of {symbol, path, line} steps.
+ * message.
  */
 std::string formatJson(const Report &report);
 

@@ -32,15 +32,6 @@ operator<<(std::ostream &os, const Finding &finding)
     }
     os << toString(finding.severity) << ": [" << finding.rule << "] "
        << finding.message;
-    for (const ChainLink &link : finding.chain) {
-        os << "\n    via " << link.symbol;
-        if (!link.path.empty()) {
-            os << " (" << link.path;
-            if (link.line > 0)
-                os << ':' << link.line;
-            os << ')';
-        }
-    }
     return os;
 }
 

@@ -10,7 +10,6 @@
 
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace critmem::analysis
 {
@@ -23,16 +22,6 @@ enum class Severity { Warning, Error };
 
 const char *toString(Severity severity);
 
-/** One step of the call chain attached to a semantic finding. */
-struct ChainLink
-{
-    /** Qualified function name entered at this step. */
-    std::string symbol;
-    /** Where the step's definition / call site lives. */
-    std::string path;
-    int line = 0;
-};
-
 /** One rule violation at one location. */
 struct Finding
 {
@@ -44,26 +33,16 @@ struct Finding
     /** 1-based line number; 0 when the finding is not line-anchored. */
     int line = 0;
     std::string message;
-    /**
-     * For semantic findings: the call chain from the entry point to
-     * the function holding the violation (empty otherwise). Printed
-     * as indented continuation lines, and emitted in --json output.
-     */
-    std::vector<ChainLink> chain = {};
 
     /**
      * Baseline identity: rule, path and message — deliberately not
-     * the line number (or the chain), so unrelated edits above a
-     * baselined finding do not resurrect it.
+     * the line number, so unrelated edits above a baselined finding
+     * do not resurrect it.
      */
     std::string baselineKey() const;
 };
 
-/**
- * Render as "path:line: severity: [rule] message" (clickable), with
- * one indented "via symbol (path:line)" continuation line per chain
- * step.
- */
+/** Render as "path:line: severity: [rule] message" (clickable). */
 std::ostream &operator<<(std::ostream &os, const Finding &finding);
 
 /** Stable report order: path, then line, then rule, then message. */

@@ -18,8 +18,6 @@ allRuleMetas()
     std::vector<RuleMeta> metas;
     for (const SourceRule *rule : sourceRules())
         metas.push_back(rule->meta());
-    for (const SemanticRule *rule : semanticRules())
-        metas.push_back(rule->meta());
     metas.push_back(staleSuppressionMeta());
     for (const DataRule *rule : dataRules())
         metas.push_back(rule->meta());

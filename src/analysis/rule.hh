@@ -2,16 +2,13 @@
  * @file
  * Rule interfaces and the pluggable rule registry of critmem-lint.
  *
- * Three rule families exist. SourceRules pattern-match one
- * SourceFile at a time (determinism, protocol-bypass and hygiene
- * invariants over the C++ tree). SemanticRules see the whole loaded
- * tree at once through the cross-TU symbol index and call graph
- * (DESIGN.md section 13) — transitive reachability and convention
- * checks no single file can prove. DataRules validate checked-in
- * data against the simulator's own registries: every DDR3 timing
- * preset and every sweep campaign under specs/ is checked at build
- * time, before any workload runs — the static twin of the runtime
- * protocol checker (DESIGN.md section 8).
+ * Two rule families exist. SourceRules pattern-match one SourceFile
+ * at a time (determinism, clock-domain, protocol-bypass and hygiene
+ * invariants over the C++ tree). DataRules validate checked-in data
+ * against the simulator's own registries: every DDR3 timing preset
+ * and every sweep campaign under specs/ is checked at build time,
+ * before any workload runs — the static twin of the runtime protocol
+ * checker (DESIGN.md section 8).
  */
 
 #ifndef CRITMEM_ANALYSIS_RULE_HH
@@ -42,25 +39,6 @@ class SourceRule
                        std::vector<Finding> &out) const = 0;
 };
 
-struct SemanticModel;
-
-/** A whole-tree rule over the cross-TU symbol index. */
-class SemanticRule
-{
-  public:
-    virtual ~SemanticRule() = default;
-
-    virtual const RuleMeta &meta() const = 0;
-
-    /**
-     * Append findings for the indexed tree. Findings are anchored
-     * at (path, line) like source findings; the caller applies
-     * per-file suppressions and the baseline.
-     */
-    virtual void check(const SemanticModel &model,
-                       std::vector<Finding> &out) const = 0;
-};
-
 /** What a data rule may inspect: the repository checkout. */
 struct RepoContext
 {
@@ -83,9 +61,6 @@ class DataRule
 /** Every source rule, in stable registration order. */
 const std::vector<const SourceRule *> &sourceRules();
 
-/** Every semantic rule, in stable registration order. */
-const std::vector<const SemanticRule *> &semanticRules();
-
 /** Every data rule, in stable registration order. */
 const std::vector<const DataRule *> &dataRules();
 
@@ -96,8 +71,8 @@ const std::vector<const DataRule *> &dataRules();
 const RuleMeta &staleSuppressionMeta();
 
 /**
- * Metadata of every registered rule (source, then semantic, then
- * stale-suppression, then data).
+ * Metadata of every registered rule (source, then stale-suppression,
+ * then data).
  */
 std::vector<RuleMeta> allRuleMetas();
 

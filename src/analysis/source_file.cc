@@ -32,28 +32,26 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** One `lint:<kind>(value,...)` marker parsed out of a comment. */
+/** One suppressed rule id parsed out of a comment. */
 struct Tag
 {
-    enum class Kind { Allow, AllowFile, Domain, Thread };
-    Kind kind;
+    /** lint:allow-file rather than lint:allow. */
+    bool wholeFile;
     std::string value;
 };
 
-/** Append every `lint:allow/domain/thread(...)` tag in @p comment. */
+/** Append every lint:allow / lint:allow-file tag in @p comment. */
 void
 parseTags(const std::string &comment, std::vector<Tag> &out)
 {
     static const struct
     {
         const char *prefix;
-        Tag::Kind kind;
+        bool wholeFile;
     } kKinds[] = {
         // allow-file before allow: the latter is a prefix of it.
-        {"lint:allow-file", Tag::Kind::AllowFile},
-        {"lint:allow", Tag::Kind::Allow},
-        {"lint:domain", Tag::Kind::Domain},
-        {"lint:thread", Tag::Kind::Thread},
+        {"lint:allow-file", true},
+        {"lint:allow", false},
     };
     std::size_t pos = 0;
     while ((pos = comment.find("lint:", pos)) != std::string::npos) {
@@ -77,7 +75,7 @@ parseTags(const std::string &comment, std::vector<Tag> &out)
                 if (b == std::string::npos)
                     continue;
                 out.push_back(
-                    {kind.kind, value.substr(b, e - b + 1)});
+                    {kind.wholeFile, value.substr(b, e - b + 1)});
             }
             pos = close;
             matched = true;
@@ -117,24 +115,6 @@ SourceFile::suppressed(const std::string &rule, int line) const
     return allow[static_cast<std::size_t>(line) - 1].count(rule) > 0;
 }
 
-bool
-SourceFile::domainMarked(const std::string &value, int line) const
-{
-    if (line < 1 || static_cast<std::size_t>(line) > domainMark.size())
-        return false;
-    return domainMark[static_cast<std::size_t>(line) - 1]
-               .count(value) > 0;
-}
-
-bool
-SourceFile::threadMarked(const std::string &value, int line) const
-{
-    if (line < 1 || static_cast<std::size_t>(line) > threadMark.size())
-        return false;
-    return threadMark[static_cast<std::size_t>(line) - 1]
-               .count(value) > 0;
-}
-
 std::string
 SourceFile::joinedCode() const
 {
@@ -168,19 +148,16 @@ makeSourceFile(std::string path, const std::string &text)
     file.lines = splitLines(text);
     file.code.reserve(file.lines.size());
     file.allow.resize(file.lines.size());
-    file.domainMark.resize(file.lines.size());
-    file.threadMark.resize(file.lines.size());
 
     enum class State { Code, LineComment, BlockComment, Str, Chr };
     State state = State::Code;
     // Comment text accumulated for the line it ends on. Suppressions
-    // and markers always guard the comment's own line; when the
-    // comment has no code on its line they additionally carry forward
-    // to the next line that has code (so stand-alone and multi-line
-    // comments work).
+    // always guard the comment's own line; when the comment has no
+    // code on its line they additionally carry forward to the next
+    // line that has code (so stand-alone and multi-line comments
+    // work).
     std::string comment;
     std::vector<std::size_t> carrySites;
-    std::set<std::string> carryDomain, carryThread;
 
     for (std::size_t li = 0; li < file.lines.size(); ++li) {
         const std::string &raw = file.lines[li];
@@ -245,57 +222,32 @@ makeSourceFile(std::string path, const std::string &text)
         parseTags(comment, tags);
         const int lineNo = static_cast<int>(li + 1);
         std::vector<std::size_t> lineSites;
-        std::set<std::string> lineDomain, lineThread;
         for (const Tag &tag : tags) {
-            switch (tag.kind) {
-              case Tag::Kind::AllowFile:
+            if (tag.wholeFile)
                 file.allowFile.insert(tag.value);
-                file.allowSites.push_back(
-                    {tag.value, lineNo, true, {}});
-                break;
-              case Tag::Kind::Allow:
+            else
                 lineSites.push_back(file.allowSites.size());
-                file.allowSites.push_back(
-                    {tag.value, lineNo, false, {}});
-                break;
-              case Tag::Kind::Domain:
-                lineDomain.insert(tag.value);
-                break;
-              case Tag::Kind::Thread:
-                lineThread.insert(tag.value);
-                break;
-            }
+            file.allowSites.push_back(
+                {tag.value, lineNo, tag.wholeFile, {}});
         }
 
-        // Every marker guards the comment's own line...
+        // Every suppression guards the comment's own line...
         for (const std::size_t idx : lineSites) {
             file.allow[li].insert(file.allowSites[idx].rule);
             file.allowSites[idx].applies.push_back(lineNo);
         }
-        file.domainMark[li].insert(lineDomain.begin(),
-                                   lineDomain.end());
-        file.threadMark[li].insert(lineThread.begin(),
-                                   lineThread.end());
 
         if (blankCode(code)) {
             // ...and a comment with no code on its line also carries
             // forward to the next code line.
             carrySites.insert(carrySites.end(), lineSites.begin(),
                               lineSites.end());
-            carryDomain.insert(lineDomain.begin(), lineDomain.end());
-            carryThread.insert(lineThread.begin(), lineThread.end());
         } else {
             for (const std::size_t idx : carrySites) {
                 file.allow[li].insert(file.allowSites[idx].rule);
                 file.allowSites[idx].applies.push_back(lineNo);
             }
-            file.domainMark[li].insert(carryDomain.begin(),
-                                       carryDomain.end());
-            file.threadMark[li].insert(carryThread.begin(),
-                                       carryThread.end());
             carrySites.clear();
-            carryDomain.clear();
-            carryThread.clear();
         }
         file.code.push_back(std::move(code));
     }

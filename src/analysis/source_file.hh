@@ -6,17 +6,13 @@
  * design); instead they pattern-match over a "code view" of the file
  * in which comments and string/character literals have been blanked
  * to spaces, so that a forbidden token inside a comment or a log
- * string can never fire a rule. Suppressions and semantic markers
- * are read from the comments while they are being blanked:
+ * string can never fire a rule. Suppressions are read from the
+ * comments while they are being blanked:
  *
  *   code();            // lint:allow(rule-a,rule-b): reason
  *   // lint:allow(rule-c): guards this line AND the next code line
  *   //                     when the comment stands alone
  *   // lint:allow-file(rule-d): applies to the whole file
- *   // lint:domain(cpu|dram|convert): clock-domain marker for the
- *   //                     clock-domain semantic rule
- *   // lint:thread(worker|aggregation): thread-discipline marker for
- *   //                     the aggregation-thread-only semantic rule
  *
  * Every lint:allow site is also recorded (with the lines it ends up
  * guarding) so the analyzer can flag suppressions that no longer
@@ -61,22 +57,12 @@ struct SourceFile
     std::set<std::string> allowFile;
     /** Every suppression site, in source order (staleness check). */
     std::vector<AllowSite> allowSites;
-    /** Per-line lint:domain(...) values: "cpu", "dram", "convert". */
-    std::vector<std::set<std::string>> domainMark;
-    /** Per-line lint:thread(...) values: "worker", "aggregation". */
-    std::vector<std::set<std::string>> threadMark;
 
     /** True for .hh/.h/.hpp files. */
     bool isHeader() const;
 
     /** True when @p rule is suppressed at 1-based @p line. */
     bool suppressed(const std::string &rule, int line) const;
-
-    /** True when lint:domain(@p value) marks 1-based @p line. */
-    bool domainMarked(const std::string &value, int line) const;
-
-    /** True when lint:thread(@p value) marks 1-based @p line. */
-    bool threadMarked(const std::string &value, int line) const;
 
     /** The whole code view joined with '\n' (for cross-line regexes). */
     std::string joinedCode() const;

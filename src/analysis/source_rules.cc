@@ -1,10 +1,10 @@
 /**
  * @file
  * The source-rule family of critmem-lint: lexical determinism,
- * protocol-bypass and hygiene invariants over the C++ tree. Each
- * rule documents the contract it enforces and the failure it was
- * written to prevent; fixtures under tests/analysis/fixtures/ prove
- * each one fires.
+ * clock-domain, protocol-bypass and hygiene invariants over the C++
+ * tree. Each rule documents the contract it enforces and the failure
+ * it was written to prevent; fixtures under tests/analysis/fixtures/
+ * prove each one fires.
  */
 
 #include <algorithm>
@@ -313,6 +313,59 @@ class NarrowCycleRule : public SourceRule
                          "' wraps after ~4e9 cycles; use "
                          "Cycle/DramCycle"});
             }
+        }
+    }
+};
+
+/**
+ * clock-domain: CPU cycles (Cycle, cpuCycle*) and DRAM cycles
+ * (DramCycle, dramCycle*) are both std::uint64_t, so the compiler
+ * lets one pass for the other and a mix silently scales every
+ * latency by the clock ratio. A file may name one domain only. The
+ * few places where both clocks legitimately meet (System, which
+ * advances both; the type definitions) carry a whole-file allow
+ * naming this rule, with the reason.
+ */
+class ClockDomainRule : public SourceRule
+{
+  public:
+    const RuleMeta &
+    meta() const override
+    {
+        static const RuleMeta kMeta{
+            "clock-domain", Severity::Error,
+            "a file names CPU-cycle or DRAM-cycle quantities, not "
+            "both"};
+        return kMeta;
+    }
+
+    void
+    check(const SourceFile &file, std::vector<Finding> &out)
+        const override
+    {
+        static const std::regex kCpu("\\bCycle\\b|\\bcpuCycle\\w*");
+        static const std::regex kDram(
+            "\\bDramCycle\\b|\\bdramCycle\\w*");
+        std::string cpu, dram;
+        for (std::size_t li = 0; li < file.code.size(); ++li) {
+            std::smatch match;
+            if (cpu.empty() &&
+                std::regex_search(file.code[li], match, kCpu))
+                cpu = match.str();
+            if (dram.empty() &&
+                std::regex_search(file.code[li], match, kDram))
+                dram = match.str();
+            if (cpu.empty() || dram.empty())
+                continue;
+            out.push_back(
+                {meta().id, meta().severity, file.path,
+                 static_cast<int>(li + 1),
+                 "CPU-domain " + quoted(cpu) + " and DRAM-domain " +
+                     quoted(dram) +
+                     " meet in one file; keep each file in one clock "
+                     "domain, or allow-file this rule where both "
+                     "clocks advance"});
+            return;
         }
     }
 };
@@ -757,6 +810,7 @@ sourceRules()
     static const UnseededRandomRule unseededRandom;
     static const UnorderedIterRule unorderedIter;
     static const NarrowCycleRule narrowCycle;
+    static const ClockDomainRule clockDomain;
     static const ConfigValidateRule configValidate;
     static const IncludeHygieneRule includeHygiene;
     static const DurableWriteRule durableWrite;
@@ -764,8 +818,9 @@ sourceRules()
     static const NoTerminateRule noTerminate;
     static const std::vector<const SourceRule *> kRules{
         &wallClock,      &unseededRandom, &unorderedIter,
-        &narrowCycle,    &configValidate, &includeHygiene,
-        &durableWrite,   &hotPathAlloc,   &noTerminate};
+        &narrowCycle,    &clockDomain,    &configValidate,
+        &includeHygiene, &durableWrite,   &hotPathAlloc,
+        &noTerminate};
     return kRules;
 }
 

@@ -626,7 +626,7 @@ newRecord(const JobSpec &spec, std::size_t index, std::uint32_t attempt)
     return rec;
 }
 
-// lint:thread(worker): runs on a pool thread or in a forked worker.
+// Runs on a pool thread or in a forked worker.
 JobRecord
 runJob(const JobSpec &spec, std::size_t index, std::uint32_t attempt,
        const std::atomic<bool> *cancel, std::uint64_t memBudgetMb)

@@ -5,9 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "exec/console.hh"
 #include "exec/worker.hh"
@@ -176,8 +178,8 @@ struct Campaign
         recordCv.notify_one();
     }
 
-    // lint:thread(worker): runs on a pool thread; must never reach
-    // the sinks, the fairness annotator or the stats splice.
+    // Runs on a pool thread; must never reach the sinks, the
+    // fairness annotator or the stats splice.
     void
     workerLoop(unsigned worker)
     {
@@ -235,7 +237,7 @@ struct Campaign
      * it stays out of the journal and the sinks, and --resume re-runs
      * it from scratch.
      */
-    // lint:thread(worker): runs on a pool thread via workerLoop.
+    // Runs on a pool thread via workerLoop.
     void
     runToCompletion(unsigned worker, std::size_t index)
     {
@@ -395,10 +397,12 @@ struct Campaign
         watchdogCv.notify_all();
     }
 
-    // lint:thread(aggregation): the single thread allowed to feed
-    // ResultSinks and splice fairness stats.
+    // The single thread allowed to feed ResultSinks and splice
+    // fairness stats: the one that called JobRunner::run, whose frame
+    // alone holds the sinks and the annotator.
     CampaignSummary
-    aggregate(const std::vector<ResultSink *> &sinks)
+    aggregate(const std::vector<ResultSink *> &sinks,
+              const std::function<void(JobRecord &)> &annotate)
     {
         CampaignSummary summary;
         summary.total = jobs.size();
@@ -434,8 +438,8 @@ struct Campaign
                 ++summary.ok;
             else
                 ++summary.failed;
-            if (opts.annotate)
-                opts.annotate(*record);
+            if (annotate)
+                annotate(*record);
             for (ResultSink *sink : sinks)
                 sink->consume(*record);
 
@@ -493,6 +497,10 @@ JobRunner::run(const std::vector<JobSpec> &jobs,
     RunnerOptions opts = opts_;
     if (opts.maxAttempts == 0)
         opts.maxAttempts = 1;
+    // The annotator, like the sinks, lives only in this frame: the
+    // Campaign the workers share never sees it.
+    const std::function<void(JobRecord &)> annotate =
+        std::exchange(opts.annotate, nullptr);
 
     Campaign campaign(jobs, opts, threads, log);
 
@@ -513,7 +521,7 @@ JobRunner::run(const std::vector<JobSpec> &jobs,
             campaign.watchdogLoop();
         });
 
-    CampaignSummary summary = campaign.aggregate(sinks);
+    CampaignSummary summary = campaign.aggregate(sinks, annotate);
 
     for (std::thread &worker : workers)
         worker.join();

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 
+// lint:allow-file(clock-domain): the definitions of both clock types.
+
 namespace critmem
 {
 

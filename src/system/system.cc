@@ -1,5 +1,8 @@
 #include "system/system.hh"
 
+// lint:allow-file(clock-domain): System advances both clocks; the
+// crossing is pinned at runtime by System.DramClockFollowsBusRatio.
+
 #include <algorithm>
 
 #include "check/diagnostics.hh"

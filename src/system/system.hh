@@ -8,6 +8,9 @@
 #ifndef CRITMEM_SYSTEM_SYSTEM_HH
 #define CRITMEM_SYSTEM_SYSTEM_HH
 
+// lint:allow-file(clock-domain): System is where the CPU clock and the
+// DRAM bus clock advance together (the busMHz/freqMHz accumulator).
+
 #include <atomic>
 #include <memory>
 #include <string>

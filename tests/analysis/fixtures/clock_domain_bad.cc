@@ -1,6 +1,8 @@
-// Clock-domain bad fixture: CPU-cycle and DRAM-cycle quantities mix
-// in one expression and cross a call boundary without a conversion.
-// Never compiled; lint input only.
+// Clock-domain bad fixture: one file names a CPU-cycle quantity
+// (the Cycle type) and a DRAM-cycle one (a dramCycle* name), so a
+// mix is one typo away. The single finding lands on line 20, the
+// first line that names the second domain. Never compiled; lint
+// input only.
 
 namespace fixture
 {
@@ -8,35 +10,18 @@ namespace fixture
 class Mixer
 {
   public:
-    std::uint64_t
-    skew() const
-    {
-        return cpuNow_ + dramNow_;
-    }
-
     void
-    feed()
+    advance(Cycle now)
     {
-        advance(cpuNow_);
+        cpuNow_ = now;
     }
 
-    void
-    advance(DramCycle now)
-    {
-        dramNow_ = now;
-    }
-
-    std::uint64_t
-    conventionSkew() const
-    {
-        return cpuCycleEstimate_ - dramCycleEstimate_;
-    }
+    // Both clocks are std::uint64_t: this compiles and is wrong.
+    std::uint64_t skew() const { return cpuNow_ + dramCycleNow_; }
 
   private:
     Cycle cpuNow_ = 0;
-    DramCycle dramNow_ = 0;
-    std::uint64_t cpuCycleEstimate_ = 0;
-    std::uint64_t dramCycleEstimate_ = 0;
+    std::uint64_t dramCycleNow_ = 0;
 };
 
 } // namespace fixture

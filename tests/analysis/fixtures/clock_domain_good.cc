@@ -1,48 +1,28 @@
-// Clock-domain good fixture: every cross-domain interaction goes
-// through a named converter, a lint:domain marker, or stays within
-// one domain. Never compiled; lint input only.
+// Clock-domain good fixture: a DRAM-side component that names the
+// DRAM clock only (DramCycle, dramCycle*). Mentions of Cycle and
+// cpuCycle in comments and "Cycle cpuCycle" in strings never count.
+// Never compiled; lint input only.
 
 namespace fixture
 {
 
-class Clean
+class BankTimer
 {
   public:
-    Cycle
-    skew() const
+    bool
+    ready(DramCycle now) const
     {
-        return cpuNow_ - toCpuCycles(dramNow_);
+        return now >= dramCycleReady_;
     }
 
-    std::uint64_t
-    markedSkew() const
+    const char *
+    name() const
     {
-        // lint:domain(convert): ratio of the two clocks, unitless.
-        return cpuNow_ * 1000 / (dramNow_ + 1);
-    }
-
-    void
-    feed()
-    {
-        advance(dramNow_);
-    }
-
-    void
-    advance(DramCycle now)
-    {
-        dramNow_ = now;
-    }
-
-    Cycle
-    toCpuCycles(DramCycle dc) const
-    {
-        return dc * ratio_;
+        return "Cycle cpuCycle";
     }
 
   private:
-    Cycle cpuNow_ = 0;
-    DramCycle dramNow_ = 0;
-    Cycle ratio_ = 2;
+    DramCycle dramCycleReady_ = 0;
 };
 
 } // namespace fixture

@@ -2,9 +2,9 @@
  * @file
  * critmem-lint unit tests: every source rule proven to fire on its
  * bad fixture and stay silent on its good twin, suppression
- * mechanics, baseline round-trips, and the data rules — including
- * the canary this PR exists for: a DDR3 timing preset with
- * tRC < tRAS + tRP must fail lint.
+ * mechanics, baseline round-trips, the data rules — including the
+ * canary that a DDR3 timing preset with tRC < tRAS + tRP must fail
+ * lint — and a seeded mutant fuzz over every C++ fixture.
  */
 
 #include <unistd.h>
@@ -22,6 +22,7 @@
 #include "analysis/data_rules.hh"
 #include "analysis/source_file.hh"
 #include "sim/config.hh"
+#include "sim/random.hh"
 
 namespace
 {
@@ -101,6 +102,25 @@ TEST(LintNarrowCycle, FiresOnBadFixture)
 TEST(LintNarrowCycle, SilentOnGoodFixture)
 {
     EXPECT_EQ(lintFixture("narrow_cycle_good.cc").size(), 0u);
+}
+
+TEST(LintClockDomain, FiresOnBadFixture)
+{
+    const auto findings = lintFixture("clock_domain_bad.cc");
+    ASSERT_EQ(findings.size(), 1u);
+    const Finding &f = findings.front();
+    EXPECT_EQ(f.rule, "clock-domain");
+    // Anchored where the second domain first appears.
+    EXPECT_EQ(f.line, 20);
+    EXPECT_NE(f.message.find("'Cycle'"), std::string::npos);
+    EXPECT_NE(f.message.find("'dramCycleNow_'"), std::string::npos);
+}
+
+TEST(LintClockDomain, SilentOnGoodFixture)
+{
+    // One domain only; the other's names live in comments and
+    // string literals, which the blanked-code view hides.
+    EXPECT_EQ(lintFixture("clock_domain_good.cc").size(), 0u);
 }
 
 TEST(LintConfigValidate, FiresOnBadFixture)
@@ -504,10 +524,9 @@ TEST(LintJson, DeterministicEscapedOutput)
 {
     Report report;
     report.filesScanned = 2;
-    Finding f{"wall-clock", Severity::Error, "a.cc", 3,
-              "'steady_clock' reads \"host\" time\tnow"};
-    f.chain.push_back({"Sched::pick", "a.cc", 10});
-    report.findings.push_back(f);
+    report.findings.push_back(
+        {"wall-clock", Severity::Error, "a.cc", 3,
+         "'steady_clock' reads \"host\" time\tnow"});
     report.baselined.push_back(
         {"narrow-cycle", Severity::Error, "b.cc", 1, "m"});
 
@@ -517,8 +536,6 @@ TEST(LintJson, DeterministicEscapedOutput)
     EXPECT_NE(once.find("\"clean\": false"), std::string::npos);
     // Quotes and tabs inside messages must round-trip escaped.
     EXPECT_NE(once.find("\\\"host\\\" time\\tnow"),
-              std::string::npos);
-    EXPECT_NE(once.find("\"symbol\": \"Sched::pick\""),
               std::string::npos);
     EXPECT_NE(once.find("\"baselined\""), std::string::npos);
     EXPECT_EQ(once.back(), '\n');
@@ -543,6 +560,58 @@ TEST(LintReport, FindingRenderAndOrder)
     std::ostringstream os;
     os << a;
     EXPECT_EQ(os.str(), "a.cc:3: error: [wall-clock] m");
+}
+
+// Mutant fuzz: linting arbitrary mutations of real inputs must never
+// crash or throw (mirrors the tracefuzz harness for traces).
+TEST(LintFuzz, FixtureMutantsNeverCrash)
+{
+    std::vector<std::string> seeds;
+    for (const auto &entry : std::filesystem::directory_iterator(kFixtures)) {
+        const std::string ext = entry.path().extension().string();
+        if (ext == ".cc" || ext == ".hh")
+            seeds.push_back(entry.path().filename().string());
+    }
+    std::sort(seeds.begin(), seeds.end());
+    ASSERT_FALSE(seeds.empty());
+    static const char kNoise[] = "{}();:<>,*&=\"'/\\#";
+    Rng rng(0xc0ffee5eedULL);
+
+    for (const std::string &name : seeds) {
+        const SourceFile original = loadSourceFile(
+            kFixtures + name, "tests/analysis/fixtures/" + name);
+        std::string text;
+        for (const std::string &line : original.lines)
+            text += line + "\n";
+
+        for (int mutant = 0; mutant < 40; ++mutant) {
+            std::string mutated = text;
+            const int edits = 1 + static_cast<int>(rng.below(4));
+            for (int e = 0; e < edits && !mutated.empty(); ++e) {
+                const auto pos =
+                    static_cast<std::size_t>(rng.below(mutated.size()));
+                const auto span =
+                    1 + static_cast<std::size_t>(rng.below(20));
+                switch (rng.below(4)) {
+                  case 0: // delete a span
+                    mutated.erase(pos, span);
+                    break;
+                  case 1: // duplicate a span
+                    mutated.insert(pos, mutated.substr(pos, span));
+                    break;
+                  case 2: // structural noise
+                    mutated[pos] = kNoise[rng.below(sizeof(kNoise) - 1)];
+                    break;
+                  default: // truncate
+                    mutated.resize(pos);
+                    break;
+                }
+            }
+            EXPECT_NO_THROW(
+                (void)analyzeFile(makeSourceFile("fuzz/" + name, mutated)))
+                << name << " mutant " << mutant;
+        }
+    }
 }
 
 } // namespace

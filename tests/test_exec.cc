@@ -17,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/job_runner.hh"
@@ -465,6 +466,48 @@ TEST(ExecRunner, ManyTinyJobsAllComplete)
         EXPECT_EQ(sink.records()[i].spec.name, jobs[i].name);
         EXPECT_TRUE(sink.records()[i].ok());
     }
+}
+
+/** Records the id of every thread that calls into it. */
+class ThreadSink : public exec::ResultSink
+{
+  public:
+    void begin(std::size_t) override { note(); }
+    void consume(const exec::JobRecord &) override { note(); }
+    void end() override { note(); }
+
+    void
+    note()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.push_back(std::this_thread::get_id());
+    }
+
+    std::mutex mutex;
+    std::vector<std::thread::id> ids;
+};
+
+TEST(ExecRunner, AggregationRunsOnTheCallingThread)
+{
+    // Sinks and the annotator are single-aggregation-thread APIs: with
+    // four workers, every call must still come from this thread.
+    std::vector<exec::JobSpec> jobs;
+    for (int i = 0; i < 8; ++i) {
+        jobs.push_back(parallelJob("job" + std::to_string(i),
+                                   i % 2 ? "art" : "mg",
+                                   SchedAlgo::FrFcfs, 200, i + 1));
+    }
+    ThreadSink sink;
+    exec::RunnerOptions opts;
+    opts.threads = 4;
+    opts.annotate = [&sink](exec::JobRecord &) { sink.note(); };
+    const exec::CampaignSummary summary =
+        exec::JobRunner(opts).run(jobs, {&sink});
+    EXPECT_EQ(summary.ok, jobs.size());
+    // begin + end, and consume + annotate per job.
+    ASSERT_EQ(sink.ids.size(), 2 + 2 * jobs.size());
+    for (const std::thread::id id : sink.ids)
+        EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ExecRunner, RunsJobsInSubmissionOrder)

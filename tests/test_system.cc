@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -76,6 +77,21 @@ class AcceptLog : public ChannelObserver
     std::vector<std::uint64_t> ids;
     std::uint64_t writes = 0;
     std::uint64_t rejects = 0;
+};
+
+/** The latest DRAM cycle on which any channel issued a command. */
+class LastCommand : public ChannelObserver
+{
+  public:
+    void
+    onCommand(std::uint32_t channel, DramCmd cmd, const DramCoord &coord,
+              DramCycle now) override
+    {
+        (void)channel; (void)cmd; (void)coord;
+        last = std::max(last, now);
+    }
+
+    DramCycle last = 0;
 };
 
 /**
@@ -423,6 +439,49 @@ TEST(System, CycleLimitStopsTheRunAndFlagsIt)
     for (std::uint32_t i = 0; i < sys.numCores(); ++i)
         unfinished = unfinished || !sys.core(i).finished();
     EXPECT_TRUE(unfinished);
+}
+
+/**
+ * The DRAM clock is derived from the CPU clock in one place: System's
+ * busMHz/freqMHz accumulator, which starts at zero. After any number
+ * of CPU cycles the DRAM clock must therefore read
+ * cycle * busMHz / freqMHz (integer division) — through tickOnce()
+ * with skipping off, and through fastForward()'s DRAM-to-CPU
+ * translation with it on. The channels must see that clock too: no
+ * command may carry a later cycle.
+ */
+TEST(System, DramClockFollowsBusRatio)
+{
+    const std::vector<std::vector<std::string>> workloads = {
+        {"--app", "art", "--cores", "1"},
+        {"--app", "fft", "--cores", "4"}};
+    for (const char *speed : {"ddr3-1600", "ddr3-2133"}) {
+        for (const std::vector<std::string> &workload : workloads) {
+            for (const bool skip : {false, true}) {
+                std::vector<std::string> args = workload;
+                args.insert(args.end(),
+                            {"--speed", speed, "--instrs", "3000"});
+                exec::JobSpec spec = exec::parseSimCommand(args).spec;
+                spec.cfg.fastForward = skip;
+                const std::unique_ptr<System> sys =
+                    exec::buildSystem(spec);
+                LastCommand commands;
+                sys->dram().setObserver(&commands);
+                runSystem(*sys, spec.quota, spec.warmup,
+                          spec.stopAtQuota());
+                const std::string config = workload[1] + " " + speed +
+                    (skip ? " skip" : " no-skip");
+                const std::uint64_t cpu = sys->cycle();
+                ASSERT_GT(cpu, 0u) << config;
+                EXPECT_EQ(sys->dramCycle(),
+                          cpu * spec.cfg.dram.busMHz /
+                              spec.cfg.core.freqMHz)
+                    << config;
+                EXPECT_GT(commands.last, 0u) << config;
+                EXPECT_LE(commands.last, sys->dramCycle()) << config;
+            }
+        }
+    }
 }
 
 TEST(BackPressure, BlockedRequestsWaitInsteadOfBeingRejected)

@@ -1,22 +1,17 @@
 /**
  * @file
  * critmem-lint: the project's static-analysis pass (DESIGN.md
- * sections 8 and 13). Scans src/, tools/, bench/ and examples/ with
- * the source rules, builds the cross-TU symbol index and runs the
- * semantic rules (transitive-determinism, clock-domain,
- * aggregation-thread-only) over the whole tree, flags stale
- * lint:allow suppressions, validates DDR3 timing presets and the
- * .sweep campaigns with the data rules, and reports everything not
- * covered by the checked-in baseline.
+ * section 8). Scans src/, tools/, bench/ and examples/ one file at a
+ * time with the source rules (determinism, clock-domain, protocol
+ * and hygiene), flags stale lint:allow suppressions, validates DDR3
+ * timing presets and the .sweep campaigns with the data rules, and
+ * reports everything not covered by the checked-in baseline.
  *
  * Wired as the `lint` build target and the Lint.Repo ctest; run by
- * scripts/run_all.sh before the sanitizer passes. CRITMEM_LINT_BUDGET
- * (milliseconds) warns when the pass overruns its wall-clock budget;
- * CRITMEM_LINT_BUDGET_STRICT=1 turns the warning into a failure.
+ * scripts/run_all.sh before the sanitizer passes.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,8 +43,6 @@ usage(const char *argv0)
         "(atomic)\n"
         "  --list-rules      print every registered rule and exit\n"
         "  --quiet           suppress the summary line\n"
-        "env: CRITMEM_LINT_BUDGET (ms) warns on overrun;\n"
-        "     CRITMEM_LINT_BUDGET_STRICT=1 makes the overrun fatal\n"
         "exit status: 0 clean, 1 error findings, 2 bad invocation\n",
         argv0);
     return 2;
@@ -136,35 +129,7 @@ main(int argc, char **argv)
         if (!effectiveBaseline.empty() && !writeBaseline)
             baseline = loadBaseline(effectiveBaseline);
 
-        // The budget check times the lint pass itself; the duration
-        // is diagnostic only and never enters the report, so reading
-        // the host clock here cannot perturb any simulated result.
-        using LintClock = std::chrono::steady_clock; // lint:allow(wall-clock): timing the tool, not the simulation
-        const LintClock::time_point t0 = LintClock::now();
         const Report report = runAnalysis(opts, baseline);
-        const long elapsedMs =
-            static_cast<long>(std::chrono::duration_cast<
-                                  std::chrono::milliseconds>(
-                                  LintClock::now() - t0)
-                                  .count());
-
-        bool budgetBlown = false;
-        if (const char *budget =
-                std::getenv("CRITMEM_LINT_BUDGET")) {
-            const long limitMs = std::atol(budget);
-            if (limitMs > 0 && elapsedMs > limitMs) {
-                const char *strict =
-                    std::getenv("CRITMEM_LINT_BUDGET_STRICT");
-                budgetBlown =
-                    strict != nullptr && std::strcmp(strict, "1") == 0;
-                std::fprintf(
-                    stderr,
-                    "critmem-lint: %s: pass took %ld ms, budget "
-                    "CRITMEM_LINT_BUDGET=%ld ms\n",
-                    budgetBlown ? "error" : "warning", elapsedMs,
-                    limitMs);
-            }
-        }
 
         if (!jsonPath.empty()) {
             // Atomic temp+fsync+rename write, and a deterministic
@@ -210,15 +175,13 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "critmem-lint: %zu file%s scanned, %zu finding%s"
-                " (%zu baselined) in %ld ms\n",
+                " (%zu baselined)\n",
                 report.filesScanned,
                 report.filesScanned == 1 ? "" : "s",
                 report.findings.size(),
                 report.findings.size() == 1 ? "" : "s",
-                report.baselined.size(), elapsedMs);
+                report.baselined.size());
         }
-        if (budgetBlown)
-            return 1;
         return report.clean() ? 0 : 1;
     } catch (const std::exception &err) {
         std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
