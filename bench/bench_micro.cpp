@@ -15,6 +15,7 @@
 #include "cpu/core.hh"
 #include "crit/cbp.hh"
 #include "dram/dram.hh"
+#include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "sched/ahb.hh"
 #include "sched/crit_frfcfs.hh"
@@ -407,6 +408,72 @@ BM_CoreTick(benchmark::State &state)
         static_cast<double>(now);
 }
 
+/**
+ * One L2-geometry tag array (4 MB, 8-way, 64 B blocks) filled from a
+ * seeded draw over a block range twice its capacity, then accessed at
+ * seeded random blocks of that range: about 40% hits (an LRU update),
+ * the rest misses (a full set scan). Cost per access().
+ */
+void
+BM_CacheLookup(benchmark::State &state)
+{
+    const SystemConfig cfg = SystemConfig::parallelDefault();
+    stats::Group root;
+    Cache cache(cfg.l2, "l2", root);
+    const std::uint64_t blocks = 2 * cfg.l2.sizeBytes / cfg.l2.blockBytes;
+    Rng rng(0x1002);
+    for (std::uint64_t n = 0; n < blocks / 2; ++n)
+        cache.insert(rng.below(blocks) * cfg.l2.blockBytes,
+                     LineState::Exclusive);
+    std::vector<Addr> addrs(1 << 16);
+    for (Addr &addr : addrs)
+        addr = rng.below(blocks) * cfg.l2.blockBytes;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.access(addrs[i]));
+        i = (i + 1) & (addrs.size() - 1);
+    }
+    state.counters["hit_frac"] =
+        static_cast<double>(cache.cacheStats().hits.value()) /
+        static_cast<double>(cache.cacheStats().hits.value() +
+                            cache.cacheStats().misses.value());
+}
+
+/** Discards completed tokens. */
+struct NullClient : MemClient
+{
+    void memDone(MemToken) override {}
+};
+
+/**
+ * One hierarchy cycle plus one dL1 load hit, over 512 resident
+ * blocks: the hit's whole cost in the hierarchy, completion included.
+ */
+void
+BM_HierarchyLoadHit(benchmark::State &state)
+{
+    const SystemConfig cfg = SystemConfig::parallelDefault();
+    stats::Group root;
+    FrFcfsScheduler sched;
+    DramSystem dram(cfg.dram, sched, root);
+    MemHierarchy hier(cfg, dram, root);
+    NullClient client;
+    hier.attach(0, client);
+    constexpr Addr kBlocks = 512;
+    for (Addr b = 0; b < kBlocks; ++b)
+        hier.dl1(0).insert(0x10000 + b * cfg.dl1.blockBytes,
+                           LineState::Exclusive);
+    Cycle now = 0;
+    Addr b = 0;
+    for (auto _ : state) {
+        hier.tick(++now);
+        const Addr addr = 0x10000 + b * cfg.dl1.blockBytes;
+        benchmark::DoNotOptimize(
+            hier.load(0, addr, 0, MemToken{MemToken::Kind::Load, now}));
+        b = (b + 1) % kBlocks;
+    }
+}
+
 void
 BM_SystemTick(benchmark::State &state)
 {
@@ -444,6 +511,8 @@ BENCHMARK(BM_SystemRunSkip)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_SystemRunNoSkip)->Unit(benchmark::kMillisecond)
     ->Iterations(3)->Repetitions(3)->ReportAggregatesOnly(true);
 BENCHMARK(BM_CoreTick);
+BENCHMARK(BM_CacheLookup);
+BENCHMARK(BM_HierarchyLoadHit);
 BENCHMARK(BM_SystemTick)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

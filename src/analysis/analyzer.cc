@@ -103,10 +103,11 @@ ruleEnabled(const std::set<std::string> &ruleFilter,
 /**
  * Run the enabled source rules over @p file and append every finding
  * its lint:allow sites do not suppress. A site whose rule ran but
- * that suppressed nothing becomes a stale-suppression finding (when
- * that pseudo-rule is enabled). Sites naming stale-suppression itself
- * are exempt (no recursion), and the finding itself honors
- * lint:allow(stale-suppression).
+ * that suppressed nothing, or that names no registered source or
+ * data rule (a typo suppresses nothing either), becomes a
+ * stale-suppression finding (when that pseudo-rule is enabled). Sites
+ * naming stale-suppression itself are exempt (no recursion), and the
+ * finding itself honors lint:allow(stale-suppression).
  */
 void
 lintFile(const SourceFile &file, const std::set<std::string> &ruleFilter,
@@ -147,13 +148,19 @@ lintFile(const SourceFile &file, const std::set<std::string> &ruleFilter,
         return;
     for (std::size_t s = 0; s < file.allowSites.size(); ++s) {
         const AllowSite &site = file.allowSites[s];
-        if (used[s] || site.rule == stale.id || !ranRules.count(site.rule))
+        if (used[s] || site.rule == stale.id)
             continue;
-        Finding finding{
-            stale.id, stale.severity, file.path, site.line,
-            std::string(site.wholeFile ? "lint:allow-file("
-                                       : "lint:allow(") +
-                site.rule + ") suppresses nothing and must be removed"};
+        const char *why = nullptr;
+        if (!haveRule(site.rule))
+            why = ") names no registered rule";
+        else if (ranRules.count(site.rule))
+            why = ") suppresses nothing and must be removed";
+        else
+            continue;
+        Finding finding{stale.id, stale.severity, file.path, site.line,
+                        std::string(site.wholeFile ? "lint:allow-file("
+                                                   : "lint:allow(") +
+                            site.rule + why};
         if (!suppressed(finding))
             out.push_back(std::move(finding));
     }

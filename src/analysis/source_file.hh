@@ -7,12 +7,13 @@
  * in which comments and string/character literals have been blanked
  * to spaces, so that a forbidden token inside a comment or a log
  * string can never fire a rule. Suppressions are read from the
- * comments while they are being blanked:
- *
- *   code();            // lint:allow(rule-a,rule-b): reason
- *   // lint:allow(rule-c): guards this line AND the next code line
- *   //                     when the comment stands alone
- *   // lint:allow-file(rule-d): applies to the whole file
+ * comments while they are being blanked. A suppression is the tag
+ * lint:allow or lint:allow-file followed directly by a parenthesised,
+ * comma-separated list of rule ids, then ": reason". A lint:allow
+ * after code guards that line; one in a comment standing alone guards
+ * that line and the next code line; lint:allow-file guards the whole
+ * file. (No example tag is written out here: a tag naming no
+ * registered rule is itself a finding.)
  *
  * Every lint:allow site is also recorded (with the lines it ends up
  * guarding) so the analyzer can flag suppressions that no longer
@@ -32,7 +33,7 @@ namespace critmem::analysis
 /** One lint:allow / lint:allow-file suppression site. */
 struct AllowSite
 {
-    /** Rule id named inside lint:allow(...). */
+    /** Rule id named inside the tag's parentheses. */
     std::string rule;
     /** 1-based line of the comment that declares the suppression. */
     int line = 0;

@@ -112,12 +112,12 @@ Core::markComplete(RobEntry &entry)
     entry.firstWaiter = kNoLink;
 }
 
-void
-Core::completeStage(Cycle now)
+inline void
+Core::complete(MemToken token, Cycle now)
 {
-    // Order within the drain does not matter: a wakeup only sets a
-    // ready bit, which issueStage() walks in age order anyway.
-    fuCompletions_.drain(now, [this, now](Cycle, SeqNum seq) {
+    switch (token.kind) {
+      case MemToken::Kind::Load: {
+        const SeqNum seq = token.value;
         RobEntry &entry = entryOf(seq);
         if (entry.op.cls == OpClass::Branch) {
             --unresolvedBranches_;
@@ -127,7 +127,30 @@ Core::completeStage(Cycle now)
             }
         }
         markComplete(entry);
-    });
+        break;
+      }
+      case MemToken::Kind::Store:
+        --sqCount_;
+        if (std::uint32_t *stores =
+                pendingStoreAddrs_.find(wordAlign(token.value));
+            stores && --*stores == 0)
+            pendingStoreAddrs_.erase(stores);
+        break;
+      case MemToken::Kind::Fetch:
+        fetchBlockedOnIcache_ = false;
+        fetchedBlock_ = token.value;
+        break;
+    }
+}
+
+void
+Core::completeStage(Cycle now)
+{
+    // Order within the drain does not matter: a wakeup only sets a
+    // ready bit, which issueStage() walks in age order anyway, and a
+    // freed SQ slot is first looked at by dispatchStage().
+    fuCompletions_.drain(
+        now, [this, now](Cycle, MemToken token) { complete(token, now); });
 }
 
 void
@@ -206,15 +229,21 @@ Core::issueLoad(const RobEntry &entry, SeqNum seq, Cycle now)
     // the SQ without touching the cache.
     if (pendingStoreAddrs_.contains(wordAlign(entry.op.addr))) {
         ++stats_.loadsForwarded;
-        fuCompletions_.push(now + 1, seq);
+        completeAt(now + 1, seq);
         return true;
     }
 
     const CritLevel crit = criticalityOf(entry.op);
-    if (!mem_.load(id_, entry.op.addr, crit,
-                   MemToken{MemToken::Kind::Load, seq})) {
+    switch (mem_.load(id_, entry.op.addr, crit,
+                      MemToken{MemToken::Kind::Load, seq})) {
+      case MemResult::Rejected:
         ++stats_.loadRetries;
         return false;
+      case MemResult::Hit:
+        completeAt(now + cfg_.dl1.latency, seq);
+        break;
+      case MemResult::Miss:
+        break;
     }
     ++stats_.loadsIssued;
     if (crit > 0)
@@ -234,7 +263,7 @@ Core::tryIssue(std::uint32_t idx, SeqNum seq, PortBudget &ports, Cycle now)
         if (!issueLoad(entry, seq, now))
             return false;
     } else {
-        fuCompletions_.push(now + entry.op.latency, seq);
+        completeAt(now + entry.op.latency, seq);
     }
     entry.state = EntryState::Issued;
     readyBits_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
@@ -278,13 +307,17 @@ Core::issueStage(Cycle now)
 }
 
 void
-Core::drainStores()
+Core::drainStores(Cycle now)
 {
     std::uint32_t drained = 0;
     while (!storeDrain_.empty() && drained < cfg_.core.storePorts) {
         const Addr addr = storeDrain_.front();
-        if (!mem_.store(id_, addr, MemToken{MemToken::Kind::Store, addr}))
+        const MemToken token{MemToken::Kind::Store, addr};
+        const MemResult result = mem_.store(id_, addr, token);
+        if (result == MemResult::Rejected)
             return;
+        if (result == MemResult::Hit)
+            fuCompletions_.push(now + cfg_.dl1.latency, token);
         storeDrain_.pop();
         ++drained;
     }
@@ -321,14 +354,14 @@ Core::dispatchStage(Cycle now)
         // Sequential hits are pipelined (free); only misses stall.
         const Addr block = op.pc & ~Addr{cfg_.il1.blockBytes - 1};
         if (block != fetchedBlock_) {
-            if (mem_.fetchProbe(id_, op.pc)) {
-                fetchedBlock_ = block;
-            } else {
-                if (mem_.fetch(id_, op.pc,
-                               MemToken{MemToken::Kind::Fetch, block}))
+            const MemResult fetched = mem_.fetch(
+                id_, op.pc, MemToken{MemToken::Kind::Fetch, block});
+            if (fetched != MemResult::Hit) {
+                if (fetched == MemResult::Miss)
                     fetchBlockedOnIcache_ = true;
                 return; // miss (or iL1 MSHRs full): retry later
             }
+            fetchedBlock_ = block;
         }
 
         // Structural resources.
@@ -431,7 +464,7 @@ Core::tick(Cycle now)
     completeStage(now);
     commitStage(now);
     issueStage(now);
-    drainStores();
+    drainStores(now);
     dispatchStage(now);
 }
 
@@ -562,22 +595,7 @@ Core::memDone(MemToken token)
     // this completion is about to mutate.
     skipTo(mem_.now() - 1);
     poked_ = true;
-    switch (token.kind) {
-      case MemToken::Kind::Load:
-        markComplete(entryOf(token.value));
-        break;
-      case MemToken::Kind::Store:
-        --sqCount_;
-        if (std::uint32_t *stores =
-                pendingStoreAddrs_.find(wordAlign(token.value));
-            stores && --*stores == 0)
-            pendingStoreAddrs_.erase(stores);
-        break;
-      case MemToken::Kind::Fetch:
-        fetchBlockedOnIcache_ = false;
-        fetchedBlock_ = token.value;
-        break;
-    }
+    complete(token, mem_.now());
 }
 
 } // namespace critmem

@@ -72,12 +72,13 @@ class Core : private MemClient
     /**
      * Earliest CPU cycle > @p now at which tick() could do anything
      * besides deterministic idle accounting (cycle/stall counters):
-     * an FU completion, the fetch-redirect resume, a CBP reset, or
-     * "next cycle" whenever the core has actionable work (ready ops,
-     * stores to drain, a committable or about-to-block ROB head, an
-     * unblocked front end). kNoCycle for an inactive or fully
-     * quiescent core. Memory wakeups arrive through MemHierarchy
-     * events and are bounded by its nextEventCycle, not this one.
+     * a completion (an FU op, a forwarded load or an L1 hit), the
+     * fetch-redirect resume, a CBP reset, or "next cycle" whenever
+     * the core has actionable work (ready ops, stores to drain, a
+     * committable or about-to-block ROB head, an unblocked front
+     * end). kNoCycle for an inactive or fully quiescent core. Misses
+     * return through MemHierarchy events and are bounded by its
+     * nextEventCycle, not this one.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -91,7 +92,7 @@ class Core : private MemClient
     void skipTo(Cycle to);
 
     /**
-     * True when a memory completion has touched core state since the
+     * True when a returning miss has touched core state since the
      * last tick() — the signal that a lazily-skipped core must tick
      * on the current cycle regardless of its cached nextEventCycle().
      */
@@ -231,23 +232,37 @@ class Core : private MemClient
     DispatchState dispatchState() const;
 
     /**
-     * A load, store or fetch completed. First replays the idle
+     * A load, store or fetch miss returned. First replays the idle
      * accounting up to the cycle before the delivering event (while
      * the pre-completion state the skipped window saw is still
-     * intact) and flags the core for a real tick this cycle.
+     * intact) and flags the core for a real tick this cycle; then
+     * complete() applies it.
      */
     void memDone(MemToken token) override;
+
+    /**
+     * Apply one completion: a Load token completes ROB entry
+     * token.value, whatever its class (a branch also resolves); a
+     * Store frees its SQ slot; a Fetch unblocks the front end.
+     */
+    void complete(MemToken token, Cycle now);
 
     void commitStage(Cycle now);
     void completeStage(Cycle now);
     void issueStage(Cycle now);
-    void drainStores();
+    void drainStores(Cycle now);
     void dispatchStage(Cycle now);
 
     void markReady(std::uint32_t idx);
     void markComplete(RobEntry &entry);
     /** @return false when the hierarchy rejected the load. */
     bool issueLoad(const RobEntry &entry, SeqNum seq, Cycle now);
+    /** Schedule ROB entry @p seq's completion at @p at. */
+    void
+    completeAt(Cycle at, SeqNum seq)
+    {
+        fuCompletions_.push(at, MemToken{MemToken::Kind::Load, seq});
+    }
     /** Issue slots per cycle, one per OpClass (FUs or ports). */
     static constexpr std::size_t kOpClasses =
         static_cast<std::size_t>(OpClass::Branch) + 1;
@@ -291,10 +306,12 @@ class Core : private MemClient
     FlatMap<std::uint32_t> pendingStoreAddrs_;
 
     /**
-     * Non-memory completions by cycle. The ring grows to the longest
-     * op latency the trace supplies (at most 255).
+     * Completions the core times itself, by cycle: FU ops and
+     * forwarded loads (Load tokens naming the ROB entry) and dL1 load
+     * and store hits. The ring grows to the longest latency pushed
+     * (at most 255).
      */
-    TimingWheel<SeqNum> fuCompletions_{1};
+    TimingWheel<MemToken> fuCompletions_{1};
 
     /**
      * One bit per ROB slot, set while the entry is Ready. Ring order

@@ -23,118 +23,84 @@ Cache::Cache(const CacheConfig &cfg, const std::string &name,
     : cfg_(cfg), numSets_(cfg.sets()),
       blockShift_(static_cast<std::uint32_t>(
           std::bit_width(cfg.blockBytes) - 1)),
-      lines_(static_cast<std::size_t>(numSets_) * cfg.ways),
+      tags_(static_cast<std::size_t>(numSets_) * cfg.ways, 0),
+      ranks_(tags_.size()),
       stats_(parent, name)
 {
     if (!std::has_single_bit(cfg.blockBytes))
         fatal("cache block size must be a power of two");
     if (numSets_ == 0 || !std::has_single_bit(numSets_))
         fatal("cache set count must be a nonzero power of two");
-}
-
-Cache::Line *
-Cache::find(Addr addr)
-{
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[static_cast<std::size_t>(setIndex(addr)) *
-                         cfg_.ways];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (base[w].state != LineState::Invalid && base[w].tag == tag)
-            return &base[w];
+    if (cfg.ways > 256)
+        fatal("cache associativity above 256 ways");
+    for (std::size_t base = 0; base < ranks_.size(); base += cfg.ways) {
+        for (std::uint32_t w = 0; w < cfg.ways; ++w)
+            ranks_[base + w] = static_cast<std::uint8_t>(w);
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::find(Addr addr) const
-{
-    return const_cast<Cache *>(this)->find(addr);
 }
 
 LineState
 Cache::probe(Addr addr) const
 {
-    const Line *line = find(addr);
-    return line ? line->state : LineState::Invalid;
-}
-
-bool
-Cache::access(Addr addr)
-{
-    Line *line = find(addr);
-    if (line) {
-        line->lastUse = ++useCounter_;
-        ++stats_.hits;
-        return true;
-    }
-    ++stats_.misses;
-    return false;
+    const Way way = lookup(addr);
+    return way == kNoWay ? LineState::Invalid : state(way);
 }
 
 void
 Cache::setState(Addr addr, LineState state)
 {
-    if (Line *line = find(addr))
-        line->state = state;
-}
-
-bool
-Cache::wasPrefetched(Addr addr) const
-{
-    const Line *line = find(addr);
-    return line && line->prefetched;
-}
-
-void
-Cache::clearPrefetched(Addr addr)
-{
-    if (Line *line = find(addr))
-        line->prefetched = false;
+    if (const Way way = lookup(addr); way != kNoWay)
+        setState(way, state);
 }
 
 Cache::Victim
 Cache::insert(Addr addr, LineState state, bool prefetched)
 {
     Victim victim;
-    Line *dest = find(addr);
-    if (!dest) {
-        Line *base = &lines_[static_cast<std::size_t>(setIndex(addr)) *
-                             cfg_.ways];
-        dest = base;
+    const std::size_t base = setBase(addr);
+    std::size_t line;
+    if (const Way way = lookup(addr); way != kNoWay) {
+        line = index(way);
+    } else {
+        // The first free way after way 0, else way 0 when free, else
+        // the least recently used way (every way is valid then).
+        line = base;
         for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
-            if (base[w].state == LineState::Invalid) {
-                dest = &base[w];
+            if ((tags_[base + w] & kStateMask) == 0) {
+                line = base + w;
                 break;
             }
-            if (dest->state != LineState::Invalid &&
-                base[w].lastUse < dest->lastUse) {
-                dest = &base[w];
+        }
+        if (line == base && (tags_[base] & kStateMask) != 0) {
+            for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+                if (ranks_[base + w] == cfg_.ways - 1)
+                    line = base + w;
             }
         }
-        if (dest->state != LineState::Invalid) {
+        const std::uint64_t old = tags_[line];
+        if ((old & kStateMask) != 0) {
             victim.valid = true;
-            victim.addr = dest->tag << blockShift_;
-            victim.dirty = dest->state == LineState::Modified;
-            victim.prefetched = dest->prefetched;
+            victim.addr = (old >> kTagShift) << blockShift_;
+            victim.dirty = static_cast<LineState>(old & kStateMask) ==
+                LineState::Modified;
+            victim.prefetched = (old & kPrefetchedBit) != 0;
             ++stats_.evictions;
             if (victim.dirty)
                 ++stats_.writebacks;
         }
     }
-    dest->tag = tagOf(addr);
-    dest->state = state;
-    dest->lastUse = ++useCounter_;
-    dest->prefetched = prefetched;
+    tags_[line] = ((addr >> blockShift_) << kTagShift) |
+        (prefetched ? kPrefetchedBit : 0) |
+        static_cast<std::uint64_t>(state);
+    touch(base, line);
     return victim;
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    if (Line *line = find(addr)) {
-        line->state = LineState::Invalid;
-        ++stats_.invalidations;
-    }
+    if (const Way way = lookup(addr); way != kNoWay)
+        invalidate(way);
 }
 
 } // namespace critmem

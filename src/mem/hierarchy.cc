@@ -1,6 +1,7 @@
 #include "mem/hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/log.hh"
 
@@ -72,26 +73,17 @@ MemHierarchy::attach(CoreId core, MemClient &client)
 void
 MemHierarchy::schedule(Cycle delay, EventKind kind, const L2Waiter &waiter)
 {
-    events_.push(now_ + delay, Event{kind, waiter, {}});
+    events_.push(now_ + delay, Event{kind, waiter});
 }
 
-void
-MemHierarchy::scheduleDone(Cycle delay, CoreId core, MemToken token)
-{
-    events_.push(now_ + delay,
-                 Event{EventKind::CoreDone, L2Waiter{core, 0, false, false},
-                       token});
-}
-
-bool
+MemResult
 MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, MemToken token)
 {
     ++stats_.loads;
-    const Addr l1Block = dl1_[core]->blockAlign(addr);
-    if (dl1_[core]->access(l1Block)) {
-        scheduleDone(cfg_.dl1.latency, core, token);
-        return true;
-    }
+    Cache &dl1 = *dl1_[core];
+    const Addr l1Block = dl1.blockAlign(addr);
+    if (dl1.access(l1Block) != Cache::kNoWay)
+        return MemResult::Hit;
     auto &mshr = dMshr_[core];
     if (L1Entry *merged = mshr.find(l1Block)) {
         merged->waiters.push_back(token);
@@ -99,101 +91,90 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, MemToken token)
             merged->crit = crit;
             promote(core, addr, crit);
         }
-        return true;
+        return MemResult::Miss;
     }
     if (mshr.size() >= cfg_.dl1.mshrs) {
         ++stats_.l1MshrFull;
-        return false;
+        return MemResult::Rejected;
     }
     L1Entry &entry = mshr[l1Block];
     entry.waiters.push_back(token);
     entry.crit = crit;
     schedule(cfg_.dl1.latency, EventKind::L2Access,
              L2Waiter{core, l1Block, false, false});
-    return true;
+    return MemResult::Miss;
 }
 
-bool
+MemResult
 MemHierarchy::store(CoreId core, Addr addr, MemToken token)
 {
     ++stats_.stores;
-    const Addr l1Block = dl1_[core]->blockAlign(addr);
-    const LineState state = dl1_[core]->probe(l1Block);
-    if (state != LineState::Invalid) {
-        dl1_[core]->access(l1Block);
-        if (state == LineState::Shared)
+    Cache &dl1 = *dl1_[core];
+    const Addr l1Block = dl1.blockAlign(addr);
+    if (const Cache::Way line = dl1.access(l1Block);
+        line != Cache::kNoWay) {
+        if (dl1.state(line) == LineState::Shared)
             invalidateSharers(l1Block, core);
-        dl1_[core]->setState(l1Block, LineState::Modified);
-        scheduleDone(cfg_.dl1.latency, core, token);
-        return true;
+        dl1.setState(line, LineState::Modified);
+        return MemResult::Hit;
     }
-    dl1_[core]->access(l1Block); // count the miss
     auto &mshr = dMshr_[core];
     if (L1Entry *merged = mshr.find(l1Block)) {
         merged->waiters.push_back(token);
         merged->rfo = true;
-        return true;
+        return MemResult::Miss;
     }
     if (mshr.size() >= cfg_.dl1.mshrs) {
         ++stats_.l1MshrFull;
-        return false;
+        return MemResult::Rejected;
     }
     L1Entry &entry = mshr[l1Block];
     entry.waiters.push_back(token);
     entry.rfo = true;
     schedule(cfg_.dl1.latency, EventKind::L2Access,
              L2Waiter{core, l1Block, false, true});
-    return true;
+    return MemResult::Miss;
 }
 
-bool
-MemHierarchy::fetchProbe(CoreId core, Addr pc)
-{
-    const Addr block = il1_[core]->blockAlign(pc);
-    if (il1_[core]->probe(block) != LineState::Invalid) {
-        il1_[core]->access(block);
-        return true;
-    }
-    return false;
-}
-
-bool
+MemResult
 MemHierarchy::fetch(CoreId core, Addr pc, MemToken token)
 {
+    Cache &il1 = *il1_[core];
+    const Addr block = il1.blockAlign(pc);
+    if (il1.access(block) != Cache::kNoWay)
+        return MemResult::Hit;
     ++stats_.fetches;
-    const Addr block = il1_[core]->blockAlign(pc);
-    if (il1_[core]->access(block)) {
-        scheduleDone(cfg_.il1.latency, core, token);
-        return true;
-    }
     auto &mshr = iMshr_[core];
     if (L1Entry *merged = mshr.find(block)) {
         merged->waiters.push_back(token);
-        return true;
+        return MemResult::Miss;
     }
     if (mshr.size() >= cfg_.il1.mshrs) {
         ++stats_.l1MshrFull;
-        return false;
+        return MemResult::Rejected;
     }
     mshr[block].waiters.push_back(token);
     schedule(cfg_.il1.latency, EventKind::L2Access,
              L2Waiter{core, block, true, false});
-    return true;
+    return MemResult::Miss;
 }
 
-CoreId
+MemHierarchy::Owner
 MemHierarchy::modifiedOwner(Addr l1Block, CoreId except) const
 {
     const std::uint32_t *sharers = directory_.find(l1Block);
     if (!sharers)
-        return kNoCore;
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c != except && (*sharers & (1u << c)) &&
-            dl1_[c]->probe(l1Block) == LineState::Modified) {
-            return c;
-        }
+        return {};
+    for (std::uint32_t bits = *sharers & ~(1u << except); bits != 0;
+         bits &= bits - 1) {
+        const auto c = static_cast<CoreId>(std::countr_zero(bits));
+        const Cache &dl1 = *dl1_[c];
+        const Cache::Way line = dl1.lookup(l1Block);
+        if (line != Cache::kNoWay &&
+            dl1.state(line) == LineState::Modified)
+            return {c, line};
     }
-    return kNoCore;
+    return {};
 }
 
 void
@@ -202,14 +183,16 @@ MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
     std::uint32_t *sharers = directory_.find(l1Block);
     if (!sharers)
         return;
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c != except && (*sharers & (1u << c))) {
-            // A modified copy's data lives on in the inclusive L2.
-            if (dl1_[c]->probe(l1Block) == LineState::Modified)
-                l2_->setState(l2_->blockAlign(l1Block),
-                              LineState::Modified);
-            dl1_[c]->invalidate(l1Block);
-        }
+    for (std::uint32_t bits = *sharers & ~(1u << except); bits != 0;
+         bits &= bits - 1) {
+        Cache &dl1 = *dl1_[std::countr_zero(bits)];
+        const Cache::Way line = dl1.lookup(l1Block);
+        if (line == Cache::kNoWay)
+            continue;
+        // A modified copy's data lives on in the inclusive L2.
+        if (dl1.state(line) == LineState::Modified)
+            l2_->setState(l2_->blockAlign(l1Block), LineState::Modified);
+        dl1.invalidate(line);
     }
     *sharers &= 1u << except;
     if (*sharers == 0)
@@ -223,28 +206,31 @@ MemHierarchy::l2Access(const L2Waiter &waiter)
     const Addr l2Block = l2_->blockAlign(l1Block);
 
     if (!isInst) {
-        const CoreId owner = modifiedOwner(l1Block, core);
-        if (owner != kNoCore) {
+        const Owner owner = modifiedOwner(l1Block, core);
+        if (owner.core != kNoCore) {
             // Dirty cache-to-cache transfer through the shared L2. The
             // inclusive L2 absorbs the dirty data; the owner is
             // downgraded (or invalidated on a store miss).
             ++stats_.coherenceTransfers;
-            l2_->access(l2Block);
-            l2_->setState(l2Block, LineState::Modified);
+            if (const Cache::Way line = l2_->access(l2Block);
+                line != Cache::kNoWay)
+                l2_->setState(line, LineState::Modified);
+            Cache &ownerL1 = *dl1_[owner.core];
             if (rfo)
-                dl1_[owner]->invalidate(l1Block);
+                ownerL1.invalidate(owner.line);
             else
-                dl1_[owner]->setState(l1Block, LineState::Shared);
+                ownerL1.setState(owner.line, LineState::Shared);
             schedule(cfg_.l2.latency, EventKind::DeliverL1,
                      L2Waiter{core, l1Block, isInst, false});
             return;
         }
     }
 
-    if (l2_->access(l2Block)) {
-        if (l2_->wasPrefetched(l2Block)) {
+    if (const Cache::Way line = l2_->access(l2Block);
+        line != Cache::kNoWay) {
+        if (l2_->prefetched(line)) {
             ++stats_.prefetchUseful;
-            l2_->clearPrefetched(l2Block);
+            l2_->clearPrefetched(line);
             if (prefetcher_)
                 prefetcher_->onUseful();
         }
@@ -385,17 +371,22 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
     for (Addr sub = victim.addr; sub < victim.addr + cfg_.l2.blockBytes;
          sub += cfg_.dl1.blockBytes) {
         if (std::uint32_t *sharers = directory_.find(sub)) {
-            for (CoreId c = 0; c < cfg_.numCores; ++c) {
-                if (*sharers & (1u << c)) {
-                    if (dl1_[c]->probe(sub) == LineState::Modified)
-                        dirty = true;
-                    dl1_[c]->invalidate(sub);
-                }
+            for (std::uint32_t bits = *sharers; bits != 0;
+                 bits &= bits - 1) {
+                Cache &dl1 = *dl1_[std::countr_zero(bits)];
+                const Cache::Way line = dl1.lookup(sub);
+                if (line == Cache::kNoWay)
+                    continue;
+                if (dl1.state(line) == LineState::Modified)
+                    dirty = true;
+                dl1.invalidate(line);
             }
             directory_.erase(sharers);
         }
-        for (CoreId c = 0; c < cfg_.numCores; ++c)
-            il1_[c]->invalidate(sub);
+        if (sub >= il1Lo_ && sub <= il1Hi_) {
+            for (CoreId c = 0; c < cfg_.numCores; ++c)
+                il1_[c]->invalidate(sub);
+        }
     }
     if (dirty)
         writebackToDram(victim.addr);
@@ -440,26 +431,30 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
 
     if (waiter.isInst) {
         il1_[waiter.core]->insert(waiter.l1Block, LineState::Shared);
+        il1Lo_ = std::min(il1Lo_, waiter.l1Block);
+        il1Hi_ = std::max(il1Hi_, waiter.l1Block + cfg_.il1.blockBytes - 1);
     } else {
         if (entry.rfo)
             invalidateSharers(waiter.l1Block, waiter.core);
-        bool sharedElsewhere = false;
+        std::uint32_t others = 0; // other cores with a directory bit
         if (const std::uint32_t *sharers =
                 directory_.find(waiter.l1Block)) {
-            sharedElsewhere = (*sharers & ~(1u << waiter.core)) != 0;
+            others = *sharers & ~(1u << waiter.core);
         }
+        const bool sharedElsewhere = others != 0;
         const LineState state = entry.rfo
             ? LineState::Modified
             : (sharedElsewhere ? LineState::Shared
                                : LineState::Exclusive);
         if (sharedElsewhere && !entry.rfo) {
-            // Demote the other copies from E to S.
-            for (CoreId c = 0; c < cfg_.numCores; ++c) {
-                if (c != waiter.core &&
-                    dl1_[c]->probe(waiter.l1Block) ==
-                        LineState::Exclusive) {
-                    dl1_[c]->setState(waiter.l1Block, LineState::Shared);
-                }
+            // Demote the other copies from E to S. Every valid dL1
+            // line has its directory bit, so the bits name them all.
+            for (; others != 0; others &= others - 1) {
+                Cache &dl1 = *dl1_[std::countr_zero(others)];
+                const Cache::Way line = dl1.lookup(waiter.l1Block);
+                if (line != Cache::kNoWay &&
+                    dl1.state(line) == LineState::Exclusive)
+                    dl1.setState(line, LineState::Shared);
             }
         }
         const Cache::Victim victim =
@@ -587,9 +582,6 @@ MemHierarchy::tick(Cycle now)
     now_ = now;
     events_.drain(now, [this](Cycle, const Event &event) {
         switch (event.kind) {
-          case EventKind::CoreDone:
-            clients_[event.waiter.core]->memDone(event.token);
-            break;
           case EventKind::L2Access:
             l2Access(event.waiter);
             break;

@@ -5,12 +5,14 @@
  * stream prefetcher, and the connection to the DRAM subsystem.
  *
  * Timing model: a dL1 hit completes after the configured round-trip
- * latency. A dL1 miss reaches the L2 after the dL1 latency; an L2 hit
- * returns after the L2 round-trip latency; an L2 miss pays a quarter
- * of the L2 latency to the controller, the DRAM service time, and a
- * quarter of the L2 latency back. A full L2 MSHR file delays misses
- * through a retry list. A full DRAM queue parks the L2 miss or
- * writeback in a per-channel FIFO until the channel frees an entry.
+ * latency; the hierarchy only reports it (MemResult::Hit), and the
+ * core completes it on its own clock. A dL1 miss reaches the L2 after
+ * the dL1 latency; an L2 hit returns after the L2 round-trip latency;
+ * an L2 miss pays a quarter of the L2 latency to the controller, the
+ * DRAM service time, and a quarter of the L2 latency back. A full L2
+ * MSHR file delays misses through a retry list. A full DRAM queue
+ * parks the L2 miss or writeback in a per-channel FIFO until the
+ * channel frees an entry.
  */
 
 #ifndef CRITMEM_MEM_HIERARCHY_HH
@@ -36,7 +38,7 @@ namespace critmem
 
 /**
  * Names a core-side access: the hierarchy hands it back to the
- * issuing core's MemClient when the access completes.
+ * issuing core's MemClient when a miss completes.
  */
 struct MemToken
 {
@@ -51,12 +53,25 @@ struct MemToken
     std::uint64_t value = 0;
 };
 
-/** The core side of the hierarchy: receives completed tokens. */
+/** The core side of the hierarchy: receives completed misses. */
 class MemClient
 {
   public:
     virtual ~MemClient() = default;
     virtual void memDone(MemToken token) = 0;
+};
+
+/** What load(), store() and fetch() did with an access. */
+enum class MemResult : std::uint8_t
+{
+    Rejected, ///< the L1 MSHR file is full: nothing was queued
+    /**
+     * An L1 hit. Nothing is scheduled: the caller completes the
+     * access itself, the L1's latency after issue (an iL1 hit feeds
+     * the pipelined front end at once).
+     */
+    Hit,
+    Miss, ///< queued: the token returns through MemClient::memDone
 };
 
 /** Caches + directory + prefetcher + DRAM connection. */
@@ -68,31 +83,31 @@ class MemHierarchy : private FillListener
                  stats::Group &parent);
 
     /**
-     * Deliver @p core's completed tokens to @p client (a core does
+     * Deliver @p core's completed misses to @p client (a core does
      * this in its constructor); it must outlive the hierarchy's use.
      */
     void attach(CoreId core, MemClient &client);
 
     /**
-     * Issue a data load.
+     * Issue a data load; @p token returns only on a Miss.
      * @param crit Criticality magnitude to piggyback on an L2 miss.
-     * @return false when the dL1 MSHR file is full: nothing was
-     *         queued, and the caller must issue the load again.
+     * @return Rejected when the dL1 MSHR file is full: the caller
+     *         must issue the load again.
      */
-    bool load(CoreId core, Addr addr, CritLevel crit, MemToken token);
-
-    /** Issue a committed store (write-allocate, write-back). */
-    bool store(CoreId core, Addr addr, MemToken token);
-
-    /** Issue an instruction fetch for the block holding @p pc. */
-    bool fetch(CoreId core, Addr pc, MemToken token);
+    MemResult load(CoreId core, Addr addr, CritLevel crit,
+                   MemToken token);
 
     /**
-     * Pipelined-fetch fast path: probe the iL1 for @p pc's block,
-     * touching LRU on a hit.
-     * @return true on an iL1 hit (no stall needed).
+     * Issue a committed store (write-allocate, write-back); a hit
+     * takes ownership at once.
      */
-    bool fetchProbe(CoreId core, Addr pc);
+    MemResult store(CoreId core, Addr addr, MemToken token);
+
+    /**
+     * Fetch @p pc's block. A hit counts as an iL1 hit only; a miss
+     * also counts in mem.fetches.
+     */
+    MemResult fetch(CoreId core, Addr pc, MemToken token);
 
     /**
      * Advance one CPU cycle: fire due events, retry misses waiting
@@ -149,6 +164,7 @@ class MemHierarchy : private FillListener
 
     const Stats &memStats() const { return stats_; }
 
+    Cache &il1(CoreId core) { return *il1_[core]; }
     Cache &dl1(CoreId core) { return *dl1_[core]; }
     Cache &l2() { return *l2_; }
 
@@ -187,7 +203,6 @@ class MemHierarchy : private FillListener
     /** What a scheduled event does when it fires. */
     enum class EventKind : std::uint8_t
     {
-        CoreDone,  ///< hand the token to its core (an L1 hit)
         L2Access,  ///< an L1 miss reaches the L2
         DeliverL1, ///< an L2 hit or fill reaches the waiting L1 MSHR
     };
@@ -195,13 +210,17 @@ class MemHierarchy : private FillListener
     struct Event
     {
         EventKind kind;
-        /** L2Access, DeliverL1: the L1 MSHR entry; CoreDone: the core. */
-        L2Waiter waiter;
-        MemToken token; ///< CoreDone only
+        L2Waiter waiter; ///< the L1 MSHR entry
+    };
+
+    /** A dL1 holding a block in Modified state. */
+    struct Owner
+    {
+        CoreId core = kNoCore;
+        Cache::Way line = Cache::kNoWay;
     };
 
     void schedule(Cycle delay, EventKind kind, const L2Waiter &waiter);
-    void scheduleDone(Cycle delay, CoreId core, MemToken token);
     void l2Access(const L2Waiter &waiter);
     /** A DRAM read or prefetch of the L2 block req.addr finished. */
     void onFill(const MemRequest &req) override;
@@ -215,8 +234,9 @@ class MemHierarchy : private FillListener
     void issuePrefetches(Addr l2Block);
     void evictFromL2(const Cache::Victim &victim);
     void invalidateSharers(Addr l1Block, CoreId except);
-    /** @return core holding @p l1Block modified, or kNoCore. */
-    CoreId modifiedOwner(Addr l1Block, CoreId except) const;
+    /** @return the dL1 line holding @p l1Block modified (core
+     *  kNoCore when there is none). */
+    Owner modifiedOwner(Addr l1Block, CoreId except) const;
 
     SystemConfig cfg_;
     DramSystem &dram_;
@@ -227,7 +247,7 @@ class MemHierarchy : private FillListener
     std::unique_ptr<Cache> l2_;
     std::unique_ptr<StreamPrefetcher> prefetcher_;
 
-    /** Who receives each core's tokens (MemHierarchy::attach). */
+    /** Who receives each core's misses (MemHierarchy::attach). */
     std::vector<MemClient *> clients_;
 
     /** Bounded by il1.mshrs / dl1.mshrs, l2.mshrs. */
@@ -243,6 +263,16 @@ class MemHierarchy : private FillListener
      * MSHRs) bounds it.
      */
     FlatMap<std::uint32_t> directory_;
+
+    /**
+     * First and last byte of every block ever inserted into any iL1
+     * (empty while lo > hi). An L2 eviction sweeps the iL1s only for
+     * sub-blocks inside it: no iL1 can hold anything outside. It is a
+     * range, not an "is code" test, because a parallel app's private
+     * data starts at address 0 and may overlap the code region.
+     */
+    Addr il1Lo_ = ~Addr{0};
+    Addr il1Hi_ = 0;
 
     /** (core, l1Block, isInst, rfo) waiting for an L2 MSHR slot. */
     std::vector<L2Waiter> l2MshrRetry_;

@@ -341,6 +341,9 @@ CacheConfig::validate(const std::string &name,
                  "must be a nonzero power of two");
     if (ways == 0)
         addError(errors, name + ".ways", "must be nonzero");
+    else if (ways > 256)
+        addError(errors, name + ".ways",
+                 "must be at most 256 (one-byte LRU ranks)");
     if (sizeBytes == 0)
         addError(errors, name + ".sizeBytes", "must be nonzero");
     else if (blockBytes != 0 && ways != 0 &&

@@ -204,8 +204,8 @@ class System
     /**
      * Per-core cached nextEventCycle() bounds for lazy core ticking:
      * while fast-forwarding is enabled, tickOnce() skips any core
-     * whose bound is still in the future and that no memory
-     * completion has poked; the core replays the skipped window's
+     * whose bound is still in the future and that no returning
+     * miss has poked; the core replays the skipped window's
      * accounting (Core::skipTo) when it next ticks.
      */
     std::vector<Cycle> coreNext_;

@@ -487,6 +487,26 @@ TEST(LintStaleSuppression, FlagsAllowThatSuppressesNothing)
               std::string::npos);
 }
 
+TEST(LintStaleSuppression, FlagsAllowNamingNoRule)
+{
+    // Rule ids with a typo name no rule that could ever run, so they
+    // can never suppress anything: both sites are findings.
+    const auto findings = lintFixture("allow_unknown_rule_bad.cc");
+    ASSERT_EQ(findings.size(), 2u);
+    for (const Finding &f : findings) {
+        EXPECT_EQ(f.rule, "stale-suppression");
+        EXPECT_NE(f.message.find("names no registered rule"),
+                  std::string::npos)
+            << f.message;
+    }
+    EXPECT_EQ(findings[0].line, 4);
+    EXPECT_NE(findings[0].message.find("lint:allow-file(clock-domian)"),
+              std::string::npos);
+    EXPECT_EQ(findings[1].line, 9);
+    EXPECT_NE(findings[1].message.find("lint:allow(wal-clock)"),
+              std::string::npos);
+}
+
 TEST(LintStaleSuppression, FlagsStaleWholeFileAllow)
 {
     const SourceFile file = makeSourceFile(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "sim/random.hh"
 
 using namespace critmem;
 
@@ -30,9 +31,9 @@ class CacheTest : public ::testing::Test
 TEST_F(CacheTest, MissThenHit)
 {
     Cache cache(smallCache(), "c", root_);
-    EXPECT_FALSE(cache.access(0x1000));
+    EXPECT_EQ(cache.access(0x1000), Cache::kNoWay);
     cache.insert(0x1000, LineState::Exclusive);
-    EXPECT_TRUE(cache.access(0x1000));
+    EXPECT_NE(cache.access(0x1000), Cache::kNoWay);
     EXPECT_EQ(cache.cacheStats().hits.value(), 1u);
     EXPECT_EQ(cache.cacheStats().misses.value(), 1u);
 }
@@ -129,9 +130,31 @@ TEST_F(CacheTest, PrefetchedFlagLifecycle)
 {
     Cache cache(smallCache(), "c", root_);
     cache.insert(0x200, LineState::Exclusive, /*prefetched=*/true);
-    EXPECT_TRUE(cache.wasPrefetched(0x200));
-    cache.clearPrefetched(0x200);
-    EXPECT_FALSE(cache.wasPrefetched(0x200));
+    const Cache::Way line = cache.lookup(0x200);
+    ASSERT_NE(line, Cache::kNoWay);
+    EXPECT_TRUE(cache.prefetched(line));
+    cache.clearPrefetched(line);
+    EXPECT_FALSE(cache.prefetched(line));
+    EXPECT_EQ(cache.state(line), LineState::Exclusive);
+}
+
+TEST_F(CacheTest, OneSetScanPerAccess)
+{
+    // lookup(), probe(), access() and insert() each scan one set; the
+    // accessors on a found line scan nothing.
+    Cache cache(smallCache(4), "c", root_);
+    cache.insert(0x40, LineState::Shared);
+    EXPECT_EQ(cache.lookups(), 1u);
+    const Cache::Way line = cache.access(0x40);
+    ASSERT_NE(line, Cache::kNoWay);
+    cache.setState(line, LineState::Modified);
+    cache.hit(line);
+    EXPECT_EQ(cache.state(line), LineState::Modified);
+    EXPECT_EQ(cache.lookups(), 2u);
+    EXPECT_EQ(cache.probe(0x40), LineState::Modified);
+    EXPECT_EQ(cache.lookup(0x80), Cache::kNoWay);
+    EXPECT_EQ(cache.lookups(), 4u);
+    EXPECT_EQ(cache.cacheStats().hits.value(), 2u);
 }
 
 TEST_F(CacheTest, InvalidWaysFilledBeforeEviction)
@@ -186,3 +209,181 @@ TEST_P(CacheWaysTest, MruBlocksSurvive)
 
 INSTANTIATE_TEST_SUITE_P(Ways, CacheWaysTest,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+namespace
+{
+
+/**
+ * The cache array as it was before the tag-word layout: a 24-byte
+ * line with a global last-use counter. The differential test below
+ * holds the rank-LRU Cache to it.
+ */
+class ReferenceCache
+{
+  public:
+    struct Line
+    {
+        Addr tag = 0;
+        LineState state = LineState::Invalid;
+        std::uint64_t lastUse = 0;
+        bool prefetched = false;
+    };
+
+    explicit ReferenceCache(const CacheConfig &cfg)
+        : cfg_(cfg), lines_(static_cast<std::size_t>(cfg.sets()) * cfg.ways)
+    {
+    }
+
+    Line *
+    find(Addr addr)
+    {
+        Line *base = set(addr);
+        for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+            if (base[w].state != LineState::Invalid &&
+                base[w].tag == addr / cfg_.blockBytes)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    Line *
+    set(Addr addr)
+    {
+        return &lines_[(addr / cfg_.blockBytes % cfg_.sets()) * cfg_.ways];
+    }
+
+    bool
+    access(Addr addr)
+    {
+        Line *line = find(addr);
+        if (!line) {
+            ++misses;
+            return false;
+        }
+        ++hits;
+        line->lastUse = ++useCounter_;
+        return true;
+    }
+
+    Cache::Victim
+    insert(Addr addr, LineState state, bool prefetched)
+    {
+        Cache::Victim victim;
+        Line *dest = find(addr);
+        if (!dest) {
+            Line *base = set(addr);
+            dest = base;
+            for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
+                if (base[w].state == LineState::Invalid) {
+                    dest = &base[w];
+                    break;
+                }
+                if (dest->state != LineState::Invalid &&
+                    base[w].lastUse < dest->lastUse)
+                    dest = &base[w];
+            }
+            if (dest->state != LineState::Invalid) {
+                victim = {true, dest->tag * cfg_.blockBytes,
+                          dest->state == LineState::Modified,
+                          dest->prefetched};
+                ++evictions;
+                writebacks += victim.dirty;
+            }
+        }
+        *dest = {addr / cfg_.blockBytes, state, ++useCounter_, prefetched};
+        return victim;
+    }
+
+    std::uint64_t hits = 0, misses = 0, evictions = 0, writebacks = 0;
+    std::uint64_t invalidations = 0;
+
+  private:
+    CacheConfig cfg_;
+    std::vector<Line> lines_;
+    std::uint64_t useCounter_ = 0;
+};
+
+} // namespace
+
+/**
+ * 120k seeded random operations on one small geometry per way count,
+ * each run against the reference: every return value, every victim
+ * and every statistic must match, so rank LRU picks exactly the
+ * victims the last-use counter picked.
+ */
+TEST_P(CacheWaysTest, MatchesLastUseReference)
+{
+    const std::uint32_t ways = GetParam();
+    CacheConfig cfg;
+    cfg.blockBytes = 32;
+    cfg.ways = ways;
+    cfg.sizeBytes = 4 * ways * cfg.blockBytes; // 4 sets
+    stats::Group root;
+    Cache cache(cfg, "c", root);
+    ReferenceCache ref(cfg);
+    Rng rng(0xcac4e + ways);
+    const LineState kStates[] = {LineState::Invalid, LineState::Shared,
+                                 LineState::Exclusive,
+                                 LineState::Modified};
+    for (int n = 0; n < 120'000; ++n) {
+        // 3 x ways blocks per set keep sets full and evicting.
+        const Addr addr = rng.below(12 * ways) * cfg.blockBytes +
+            rng.below(cfg.blockBytes);
+        const LineState state = kStates[1 + rng.below(3)];
+        ReferenceCache::Line *line = ref.find(addr);
+        const Cache::Way way = cache.lookup(addr);
+        ASSERT_EQ(way == Cache::kNoWay, line == nullptr) << n;
+        switch (rng.below(7)) {
+          case 0:
+          case 1: {
+            const bool prefetched = rng.below(2) == 0;
+            const Cache::Victim got = cache.insert(addr, state, prefetched);
+            const Cache::Victim want = ref.insert(addr, state, prefetched);
+            ASSERT_EQ(got.valid, want.valid) << n;
+            ASSERT_EQ(got.addr, want.addr) << n;
+            ASSERT_EQ(got.dirty, want.dirty) << n;
+            ASSERT_EQ(got.prefetched, want.prefetched) << n;
+            break;
+          }
+          case 2:
+            ASSERT_EQ(cache.access(addr) != Cache::kNoWay,
+                      ref.access(addr))
+                << n;
+            break;
+          case 3:
+            ASSERT_EQ(cache.probe(addr),
+                      line ? line->state : LineState::Invalid)
+                << n;
+            break;
+          case 4: {
+            // Any state, Invalid included, as setState(Addr) allows.
+            const LineState to = kStates[rng.below(4)];
+            cache.setState(addr, to);
+            if (line)
+                line->state = to;
+            break;
+          }
+          case 5:
+            cache.invalidate(addr);
+            if (line) {
+                line->state = LineState::Invalid;
+                ++ref.invalidations;
+            }
+            break;
+          case 6:
+            if (way != Cache::kNoWay) {
+                ASSERT_EQ(cache.prefetched(way), line->prefetched) << n;
+                cache.clearPrefetched(way);
+                line->prefetched = false;
+            }
+            break;
+        }
+    }
+    const Cache::Stats &s = cache.cacheStats();
+    EXPECT_EQ(s.hits.value(), ref.hits);
+    EXPECT_EQ(s.misses.value(), ref.misses);
+    EXPECT_EQ(s.evictions.value(), ref.evictions);
+    EXPECT_EQ(s.writebacks.value(), ref.writebacks);
+    EXPECT_EQ(s.invalidations.value(), ref.invalidations);
+    EXPECT_GT(ref.evictions, 1000u);
+}

@@ -196,6 +196,17 @@ TEST(ConfigValidate, ZeroCacheLatenciesAreRejected)
     EXPECT_EQ(errors.size(), 3u);
 }
 
+TEST(ConfigValidate, AssociativityFitsOneByteRanks)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.l2.ways = 256; // 4 MB / (64 B x 256) = 256 sets
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.l2.ways = 512;
+    const ConfigErrors errors = cfg.validate();
+    EXPECT_TRUE(hasField(errors, "l2.ways"));
+    EXPECT_EQ(errors.size(), 1u);
+}
+
 TEST(ConfigValidate, TimingRelationsAreEnforced)
 {
     SystemConfig cfg = SystemConfig::parallelDefault();

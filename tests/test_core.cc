@@ -66,6 +66,17 @@ ld(std::uint64_t pc, Addr addr, std::uint16_t dep = 0)
     return op;
 }
 
+MicroOp
+st(std::uint64_t pc, Addr addr)
+{
+    MicroOp op;
+    op.cls = OpClass::Store;
+    op.pc = pc;
+    op.addr = addr;
+    op.latency = 1;
+    return op;
+}
+
 class CoreTest : public ::testing::Test
 {
   protected:
@@ -389,6 +400,116 @@ TEST_P(CoreRobSizeTest, DispatchStopsAtRobEntries)
     run(robEntries + 50);
     EXPECT_GE(stats.committedOps.value(), robEntries + 50);
 }
+
+/**
+ * The hierarchy only reports an L1 hit; the core times it. These pin
+ * that latency, with the core ticked every cycle and, as under
+ * fast-forward, lazily (only at its own next-event bound or when a
+ * miss pokes it) across certified-idle skips.
+ */
+class CoreHitTest : public CoreTest,
+                    public ::testing::WithParamInterface<bool>
+{
+  protected:
+    /**
+     * One CPU cycle as System::tickOnce() runs it. With fast-forward
+     * on, first skip to the cycle before the earliest of the core's,
+     * the hierarchy's and the DRAM's next events (System::fastForward
+     * without the poll bound), then tick the core only when due.
+     */
+    void
+    step()
+    {
+        const bool fastForward = GetParam();
+        if (fastForward) {
+            Cycle target = std::min(coreNext_, hier_->nextEventCycle(now_));
+            const DramCycle e = dram_->nextEventCycle(now_ / 4);
+            if (e != kNoCycle)
+                target = std::min(target, e * 4);
+            if (target != kNoCycle && target > now_ + 1) {
+                const Cycle stop = target - 1;
+                hier_->skipTo(stop);
+                if (stop / 4 > now_ / 4)
+                    dram_->skipTo(stop / 4);
+                now_ = stop;
+            }
+        }
+        ++now_;
+        hier_->tick(now_);
+        if (!fastForward || core_->poked() || coreNext_ <= now_) {
+            core_->skipTo(now_ - 1);
+            core_->clearPoked();
+            core_->tick(now_);
+            coreNext_ = core_->nextEventCycle(now_);
+        }
+        if (now_ % 4 == 0)
+            dram_->tick(now_ / 4);
+    }
+
+    /** Step until @p done holds; @return the cycle it first held. */
+    template <typename Done>
+    Cycle
+    stepUntil(Done done)
+    {
+        while (!done()) {
+            if (now_ >= 100'000) {
+                ADD_FAILURE() << "condition never held";
+                return kNoCycle;
+            }
+            step();
+        }
+        return now_;
+    }
+
+    Cycle coreNext_ = 0;
+};
+
+TEST_P(CoreHitTest, DataHitCompletesAfterL1Latency)
+{
+    // One load to a dL1-resident block: at the ROB head it commits on
+    // the cycle it completes, exactly dl1.latency after it issued.
+    build({ld(0x400000, 0x1000)});
+    hier_->dl1(0).insert(0x1000, LineState::Exclusive);
+    core_->setQuota(1);
+    const Core::Stats &stats = core_->coreStats();
+    const Cycle issued =
+        stepUntil([&] { return stats.loadsIssued.value() == 1; });
+    EXPECT_EQ(stats.committedLoads.value(), 0u);
+    const Cycle committed =
+        stepUntil([&] { return stats.committedLoads.value() == 1; });
+    EXPECT_EQ(committed - issued, cfg_.dl1.latency);
+    EXPECT_EQ(hier_->dl1(0).cacheStats().hits.value(), 1u);
+    EXPECT_EQ(hier_->dl1(0).cacheStats().misses.value(), 0u);
+}
+
+TEST_P(CoreHitTest, StoreHitFreesSqEntryAfterL1Latency)
+{
+    // A one-entry SQ: the second store waits in the front end until
+    // the first one's dL1 write completes, dl1.latency after the
+    // store commits and drains. Only then does it dispatch, and the
+    // third op is fetched behind it.
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.core.sqEntries = 1;
+    build({st(0x400000, 0x2000), st(0x400004, 0x2008), alu(0x400008),
+           alu(0x40000c)},
+          cfg);
+    hier_->dl1(0).insert(0x2000, LineState::Exclusive);
+    core_->setQuota(100);
+    const Core::Stats &stats = core_->coreStats();
+    const Cycle committed =
+        stepUntil([&] { return stats.committedStores.value() == 1; });
+    EXPECT_EQ(gen_->fetched(), 2u);
+    const Cycle freed = stepUntil([&] { return gen_->fetched() >= 3; });
+    EXPECT_EQ(freed - committed, cfg_.dl1.latency);
+    EXPECT_GT(stats.sqFullCycles.value(), 0u);
+    EXPECT_EQ(hier_->dl1(0).cacheStats().hits.value(), 1u);
+    EXPECT_EQ(hier_->dl1(0).probe(0x2000), LineState::Modified);
+}
+
+INSTANTIATE_TEST_SUITE_P(FastForward, CoreHitTest, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "Lazy" : "EveryCycle";
+                         });
 
 INSTANTIATE_TEST_SUITE_P(NonPowerOfTwo, CoreRobSizeTest,
                          ::testing::Values(96u, 100u, 192u));

@@ -71,23 +71,25 @@ class HierarchyTest : public ::testing::Test
         }
     }
 
-    /** Issue a load; the returned handle records completion time. */
+    /** Issue a load miss; the returned handle records its return. */
     std::shared_ptr<Cycle>
     load(CoreId core, Addr addr, CritLevel crit = 0)
     {
         std::shared_ptr<Cycle> done;
-        EXPECT_TRUE(hier_->load(core, addr, crit,
-                                track(MemToken::Kind::Load, done)));
+        EXPECT_EQ(hier_->load(core, addr, crit,
+                              track(MemToken::Kind::Load, done)),
+                  MemResult::Miss);
         return done;
     }
 
-    /** Issue a store; the returned handle records completion time. */
+    /** Issue a store miss; the returned handle records its return. */
     std::shared_ptr<Cycle>
     store(CoreId core, Addr addr)
     {
         std::shared_ptr<Cycle> done;
-        EXPECT_TRUE(
-            hier_->store(core, addr, track(MemToken::Kind::Store, done)));
+        EXPECT_EQ(
+            hier_->store(core, addr, track(MemToken::Kind::Store, done)),
+            MemResult::Miss);
         return done;
     }
 
@@ -97,7 +99,17 @@ class HierarchyTest : public ::testing::Test
     {
         std::shared_ptr<Cycle> done;
         return hier_->load(core, addr, 0,
-                           track(MemToken::Kind::Load, done));
+                           track(MemToken::Kind::Load, done)) !=
+            MemResult::Rejected;
+    }
+
+    /** @return what the hierarchy did with a store of @p addr. */
+    MemResult
+    storeResult(CoreId core, Addr addr)
+    {
+        std::shared_ptr<Cycle> done;
+        return hier_->store(core, addr,
+                            track(MemToken::Kind::Store, done));
     }
 
     stats::Group root_;
@@ -116,11 +128,21 @@ class HierarchyTest : public ::testing::Test
 
 TEST_F(HierarchyTest, L1HitLatency)
 {
+    // A dL1 hit is reported, not scheduled: the core completes it
+    // dl1.latency cycles after issue on its own clock (pinned by
+    // CoreTest.DataHitCompletesAfterL1Latency).
     build();
     hier_->dl1(0).insert(0x1000, LineState::Exclusive);
-    const auto done = load(0, 0x1008);
+    std::shared_ptr<Cycle> done;
+    EXPECT_EQ(hier_->load(0, 0x1008, 0, track(MemToken::Kind::Load, done)),
+              MemResult::Hit);
+    EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
+    EXPECT_TRUE(hier_->quiescent());
     tick(10);
-    EXPECT_EQ(*done, cfg_.dl1.latency);
+    EXPECT_EQ(*done, kNoCycle);
+    EXPECT_TRUE(log_.empty());
+    EXPECT_EQ(hier_->dl1(0).cacheStats().hits.value(), 1u);
+    EXPECT_EQ(hier_->dl1(0).cacheStats().misses.value(), 0u);
 }
 
 TEST_F(HierarchyTest, L2HitLatency)
@@ -137,15 +159,11 @@ TEST_F(HierarchyTest, NextEventCycleNamesEachDeliveryCycle)
     build();
     EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
 
-    // dL1 hit: the completion fires dl1.latency after the access.
+    // dL1 hit: nothing to deliver, the core times the completion.
     hier_->dl1(0).insert(0x1000, LineState::Exclusive);
-    const Cycle hitAt = now_ + cfg_.dl1.latency;
-    const auto hit = load(0, 0x1000);
-    EXPECT_EQ(hier_->nextEventCycle(now_), hitAt);
-    tick(hitAt - now_ - 1);
-    EXPECT_EQ(*hit, kNoCycle);
-    tick(1);
-    EXPECT_EQ(*hit, hitAt);
+    std::shared_ptr<Cycle> hit;
+    EXPECT_EQ(hier_->load(0, 0x1000, 0, track(MemToken::Kind::Load, hit)),
+              MemResult::Hit);
     EXPECT_EQ(hier_->nextEventCycle(now_), kNoCycle);
 
     // L2 hit: the dL1 miss reaches the L2 after dl1.latency, the line
@@ -256,9 +274,8 @@ TEST_F(HierarchyTest, StoreInvalidatesOtherSharers)
     tick(1000);
     // Both cores share the line now.
     EXPECT_EQ(hier_->dl1(0).probe(0x7000), LineState::Shared);
-    const auto done = store(1, 0x7000);
-    tick(100);
-    EXPECT_NE(*done, kNoCycle);
+    // A store hit on a Shared line takes ownership at once.
+    EXPECT_EQ(storeResult(1, 0x7000), MemResult::Hit);
     EXPECT_EQ(hier_->dl1(0).probe(0x7000), LineState::Invalid);
     EXPECT_EQ(hier_->dl1(1).probe(0x7000), LineState::Modified);
 }
@@ -295,13 +312,21 @@ TEST_F(HierarchyTest, ExclusiveThenSharedOnSecondReader)
 TEST_F(HierarchyTest, FetchPathFillsIl1)
 {
     build();
-    EXPECT_FALSE(hier_->fetchProbe(0, 0x400000));
     std::shared_ptr<Cycle> done;
-    EXPECT_TRUE(
-        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, done)));
+    EXPECT_EQ(
+        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, done)),
+        MemResult::Miss);
     tick(1000);
     EXPECT_NE(*done, kNoCycle);
-    EXPECT_TRUE(hier_->fetchProbe(0, 0x400000));
+    std::shared_ptr<Cycle> again;
+    EXPECT_EQ(
+        hier_->fetch(0, 0x400004, track(MemToken::Kind::Fetch, again)),
+        MemResult::Hit);
+    EXPECT_TRUE(hier_->quiescent());
+    // A hit counts as an iL1 hit only; the miss also counts a fetch.
+    EXPECT_EQ(hier_->memStats().fetches.value(), 1u);
+    EXPECT_EQ(root_.findScalar("hier.il1_0.misses")->value(), 1u);
+    EXPECT_EQ(root_.findScalar("hier.il1_0.hits")->value(), 1u);
 }
 
 TEST_F(HierarchyTest, PromoteRaisesInFlightMissCriticality)
@@ -361,6 +386,33 @@ TEST_F(HierarchyTest, InclusionVictimPurgesL1)
     // The first block was evicted from L2; inclusion requires its L1
     // copy to be gone too.
     EXPECT_EQ(hier_->dl1(0).probe(0), LineState::Invalid);
+}
+
+TEST_F(HierarchyTest, InclusionVictimPurgesIl1)
+{
+    // An L2 eviction sweeps the iL1s only inside the range of blocks
+    // ever fetched into one; a fetched code block is inside it, so its
+    // eviction must still purge every iL1 copy.
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.l2.sizeBytes = 8 * 1024;
+    cfg.prefetch.enabled = false;
+    build(cfg);
+    const Addr stride =
+        static_cast<Addr>(cfg.l2.sets()) * cfg.l2.blockBytes;
+    std::shared_ptr<Cycle> fetched;
+    EXPECT_EQ(
+        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, fetched)),
+        MemResult::Miss);
+    tick(1500);
+    ASSERT_NE(*fetched, kNoCycle);
+    ASSERT_EQ(hier_->il1(0).probe(0x400000), LineState::Shared);
+    for (std::uint32_t i = 1; i <= cfg.l2.ways; ++i) {
+        load(1, 0x400000 + stride * i);
+        tick(1500);
+    }
+    EXPECT_EQ(hier_->l2().probe(0x400000), LineState::Invalid);
+    EXPECT_EQ(hier_->il1(0).probe(0x400000), LineState::Invalid);
+    EXPECT_EQ(hier_->il1(0).cacheStats().invalidations.value(), 1u);
 }
 
 TEST_F(HierarchyTest, DirtyL2EvictionWritesBack)
@@ -427,8 +479,9 @@ TEST_F(HierarchyTest, InstructionAndDataMshrsIndependent)
     EXPECT_TRUE(tryLoad(0, 0x30000));
     EXPECT_FALSE(tryLoad(0, 0x40000));
     std::shared_ptr<Cycle> fetched;
-    EXPECT_TRUE(
-        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, fetched)));
+    EXPECT_EQ(
+        hier_->fetch(0, 0x400000, track(MemToken::Kind::Fetch, fetched)),
+        MemResult::Miss);
     tick(2000);
 }
 

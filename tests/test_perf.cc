@@ -16,6 +16,14 @@ using namespace critmem;
 namespace
 {
 
+/** The critmem-sim commands every gate here runs: fft/PAR-BS, a
+ *  saturating parallel job, and art/CASRAS-Crit with a CBP. */
+const std::vector<std::vector<std::string>> kGatedJobs = {
+    {"--app", "fft", "--sched", "parbs", "--instrs", "6000"},
+    {"--app", "art", "--sched", "casras-crit", "--predictor", "maxstall",
+     "--instrs", "6000"},
+};
+
 /** DRAM readiness work of one job, summed over its channels. */
 struct DramWork
 {
@@ -62,12 +70,7 @@ TEST(Perf, DramReadinessEvals)
 {
     const double kRescanPerCmd = 34.57;
     DramWork total;
-    for (const std::vector<std::string> &args :
-         {std::vector<std::string>{"--app", "fft", "--sched", "parbs",
-                                   "--instrs", "6000"},
-          std::vector<std::string>{"--app", "art", "--sched",
-                                   "casras-crit", "--predictor",
-                                   "maxstall", "--instrs", "6000"}}) {
+    for (const std::vector<std::string> &args : kGatedJobs) {
         const DramWork work = dramWork(args);
         ASSERT_GT(work.cmds, 0u) << args[1];
         total.evals += work.evals;
@@ -80,4 +83,50 @@ TEST(Perf, DramReadinessEvals)
     EXPECT_LE(perCmd, kRescanPerCmd / 2)
         << total.evals << " evaluations for " << total.cmds
         << " commands";
+}
+
+namespace
+{
+
+/** Set scans so far across every tag array of @p sys. */
+std::uint64_t
+cacheLookups(System &sys)
+{
+    MemHierarchy &hier = sys.hierarchy();
+    std::uint64_t lookups = hier.l2().lookups();
+    for (CoreId c = 0; c < sys.numCores(); ++c)
+        lookups += hier.il1(c).lookups() + hier.dl1(c).lookups();
+    return lookups;
+}
+
+} // namespace
+
+/**
+ * Tag-array set scans in the run phase of the same two jobs (the
+ * 58,982 prewarm inserts per job left out). A store hit that scanned
+ * its set three times (probe, access, setState), an iL1 fetch that
+ * scanned twice (probe, then access), an L2 hit that scanned three
+ * times (access, wasPrefetched, clearPrefetched), and an L2 eviction
+ * that swept every iL1 for both sub-blocks cost 181,149 scans on
+ * these jobs. One scan per access plus the sharer- and range-filtered
+ * sweeps must cut that to at most 0.6x.
+ */
+TEST(Perf, CacheLookups)
+{
+    const std::uint64_t kMultiScanLookups = 181'149;
+    std::uint64_t total = 0;
+    for (std::vector<std::string> args : kGatedJobs) {
+        args.insert(args.end(), {"--warmup", "0"});
+        const exec::JobSpec spec = exec::parseSimCommand(args).spec;
+        const std::unique_ptr<System> sys = exec::buildSystem(spec);
+        // runSystem() with no warmup, with the prewarm kept apart.
+        sys->prewarmCaches();
+        const std::uint64_t before = cacheLookups(*sys);
+        sys->run(spec.quota, spec.stopAtQuota());
+        ASSERT_FALSE(sys->hitCycleLimit()) << args[1];
+        total += cacheLookups(*sys) - before;
+    }
+    RecordProperty("lookups", std::to_string(total));
+    EXPECT_LE(static_cast<double>(total), 0.6 * kMultiScanLookups)
+        << total << " set scans";
 }
