@@ -9,6 +9,12 @@
 # bank-timing update, DRAM channel tick/ready scan) plus the
 # end-to-end System::run() pair that demonstrates the event-driven
 # cycle-skip speedup (BM_SystemRunSkip vs BM_SystemRunNoSkip).
+#
+# Each kernel runs five times and only the mean/median/stddev/cv rows
+# are written: on a shared host one run of an unchanged kernel can
+# move by a third between runs, and check_perf.sh compares medians.
+# Flags given on the command line come after these defaults, so they
+# override them (e.g. --benchmark_repetitions=1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +26,8 @@ cmake -B build >/dev/null
 cmake --build build -j"$(nproc)" --target bench_micro
 
 ./build/bench/bench_micro \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_out="$out" \
     --benchmark_out_format=json \
     "$@"

@@ -195,8 +195,7 @@ class TraceFixtureRule : public DataRule
             if (file.extension() == ".gz" && !ingest::haveGzip())
                 continue;
             try {
-                ingest::scanTrace(file.string(),
-                                  ingest::IngestOptions{});
+                ingest::scanTrace(file.string());
             } catch (const std::exception &err) {
                 out.push_back({meta().id, meta().severity, rel, 0,
                                err.what()});
@@ -336,15 +335,14 @@ checkSweepFile(const std::string &absPath, const std::string &relPath,
         return;
     }
 
-    // Every declared trace source must exist and decode cleanly under
-    // its declared options. Scan each one explicitly so a broken
-    // trace yields one targeted finding per declaration (TraceError
-    // messages carry the byte offset of the corruption) instead of a
-    // single opaque expansion failure.
+    // Every declared trace source must exist and decode cleanly. Scan
+    // each one explicitly so a broken trace yields one targeted finding
+    // per declaration (TraceError messages carry the byte offset of the
+    // corruption) instead of a single opaque expansion failure.
     bool tracesOk = true;
     for (const exec::TraceDecl &decl : spec.traces) {
         try {
-            ingest::scanTrace(decl.path, decl.options);
+            ingest::scanTrace(decl.path);
         } catch (const std::exception &err) {
             fail("trace '" + decl.name + "' (" + decl.path + "): " +
                  err.what());

@@ -171,7 +171,7 @@ Core::commitStage(Cycle now)
                     if (cfg_.crit.predictor ==
                         CritPredictor::NaiveForward) {
                         // Section 5.1: tell the controller only now.
-                        mem_.promote(id_, head.op.addr, 1);
+                        mem_.promote(head.op.addr, 1);
                     }
                 }
                 ++head.stallCycles;

@@ -21,7 +21,7 @@ log2Exact(std::uint32_t v, const char *what)
 } // namespace
 
 AddressMap::AddressMap(const DramConfig &cfg)
-    : kind_(cfg.mapKind), rowBytes_(cfg.rowBytes),
+    : kind_(cfg.mapKind),
       rowShift_(log2Exact(cfg.rowBytes, "row size")),
       blockShift_(6), // 64 B cache blocks
       channelBits_(log2Exact(cfg.channels, "channel count")),

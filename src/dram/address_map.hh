@@ -40,16 +40,8 @@ class AddressMap
     /** Decode an address into channel/rank/bank/row. */
     DramCoord decode(Addr addr) const;
 
-    /** Bytes covered by one row across all channels. */
-    std::uint64_t
-    bytesPerRowGroup() const
-    {
-        return static_cast<std::uint64_t>(rowBytes_) << channelBits_;
-    }
-
   private:
     AddressMapKind kind_;
-    std::uint32_t rowBytes_;
     std::uint32_t rowShift_;
     std::uint32_t blockShift_;
     std::uint32_t channelBits_;

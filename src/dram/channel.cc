@@ -211,9 +211,9 @@ DramChannel::txnReady(const DramCoord &c, bool isWrite) const
     ++readinessEvals_;
     const std::uint32_t bi = bankIdx(c.rank, c.bank);
     if (!banks_.open[bi]) {
-        // ACT: the bank's own window plus the rank's tFAW window
-        // (fawOk() admits when the oldest slot is 0 or aged past
-        // tFAW; the max below encodes exactly that).
+        // ACT: the bank's own window plus the rank's tFAW window (a
+        // fifth ACT waits until the oldest of the last four is tFAW
+        // old; an empty slot, 0, admits at once).
         const RankState &rank = ranks_[c.rank];
         const DramCycle oldest = rank.actTimes[rank.actHead];
         const DramCycle fawReady =

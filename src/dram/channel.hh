@@ -63,14 +63,6 @@ struct RankState
     std::array<DramCycle, 4> actTimes{};
     std::uint32_t actHead = 0;
 
-    /** @return true when a fifth ACT would not violate tFAW. */
-    bool
-    fawOk(DramCycle now, std::uint32_t tFAW) const
-    {
-        const DramCycle oldest = actTimes[actHead];
-        return oldest == 0 || now >= oldest + tFAW;
-    }
-
     /** Record an ACT issued to this rank at @p now. */
     void
     recordAct(DramCycle now)
@@ -188,9 +180,6 @@ class DramChannel
 
     /** Capture a diagnostic snapshot of all channel state. */
     ChannelSnapshot snapshot(DramCycle now) const;
-
-    /** Name of the scheduling policy serving this channel. */
-    const char *schedulerName() const { return sched_.name(); }
 
     /** Statistics for this channel. */
     struct Stats

@@ -71,15 +71,6 @@ DramSystem::idle() const
     return true;
 }
 
-std::uint32_t
-DramSystem::pendingReads() const
-{
-    std::uint32_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel->readQueueSize();
-    return total;
-}
-
 void
 DramSystem::setObserver(ChannelObserver *observer)
 {

@@ -94,9 +94,6 @@ class DramSystem
         return *channels_[i];
     }
 
-    /** Sum of queued reads across channels. */
-    std::uint32_t pendingReads() const;
-
     /** Attach @p observer to every channel (nullptr detaches). */
     void setObserver(ChannelObserver *observer);
 

@@ -325,8 +325,6 @@ campaignHash(const std::vector<JobSpec> &jobs)
         fnv.u64(wl.contentHash);
         fnv.u64(wl.numCores);
         fnv.u64(wl.records);
-        fnv.str(ingest::toString(wl.options.policy));
-        fnv.u64(wl.options.skipBudget);
     }
 
     fnv.u64(jobs.size());

@@ -329,7 +329,6 @@ parseSimCommand(const std::vector<std::string> &args)
     bool alone = false;
     bool coresSet = false;
     std::vector<std::pair<std::string, std::string>> traces;
-    ingest::IngestOptions traceOpts;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
@@ -349,16 +348,6 @@ parseSimCommand(const std::vector<std::string> &args)
                 if (traces.back().first.empty() ||
                     traces.back().second.empty())
                     bad("needs [NAME=]PATH, got '" + arg + "'");
-            } else if (flag == "--trace-format") {
-                const std::string &name = value();
-                if (!ingest::findTraceFormat(name, traceOpts.format))
-                    bad("unknown trace format '" + name + "'");
-            } else if (flag == "--trace-policy") {
-                const std::string &name = value();
-                if (!ingest::findRecoveryPolicy(name, traceOpts.policy))
-                    bad("unknown recovery policy '" + name + "'");
-            } else if (flag == "--trace-skip-budget") {
-                traceOpts.skipBudget = parseUint("skip-budget", value());
             } else if (flag == "--alone") {
                 alone = true;
             } else if (flag == "--fairness") {
@@ -406,7 +395,7 @@ parseSimCommand(const std::vector<std::string> &args)
 
     for (const auto &[name, path] : traces) {
         try {
-            registerTraceWorkload(name, path, traceOpts);
+            registerTraceWorkload(name, path);
         } catch (const std::exception &err) {
             bad("--trace " + name + ": " + err.what());
         }
@@ -458,17 +447,6 @@ reproCommand(const JobSpec &spec)
         if (const TraceWorkload *wl =
                 findTraceWorkload(spec.workload)) {
             cmd << " --trace " << wl->name << '=' << wl->path;
-            if (wl->options.policy !=
-                ingest::RecoveryPolicy::Fail) {
-                cmd << " --trace-policy "
-                    << ingest::toString(wl->options.policy)
-                    << " --trace-skip-budget "
-                    << wl->options.skipBudget;
-            }
-            if (wl->options.format != ingest::TraceFormat::Auto) {
-                cmd << " --trace-format "
-                    << ingest::toString(wl->options.format);
-            }
         } else {
             cmd << " --trace " << spec.workload << "=<path>";
         }

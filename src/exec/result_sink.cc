@@ -262,11 +262,4 @@ MemorySink::result(const std::string &name) const
     return rec->result;
 }
 
-void
-StatsJsonSink::consume(const JobRecord &rec)
-{
-    os_ << (rec.statsJson.empty() ? "{}" : rec.statsJson.c_str())
-        << '\n';
-}
-
 } // namespace critmem::exec

@@ -148,21 +148,6 @@ class MemorySink : public ResultSink
     std::vector<JobRecord> records_;
 };
 
-/**
- * Writes each record's captured stats tree (stats::Group JSON) as one
- * JSON document per line — the sink behind critmem-sim --stats-json.
- */
-class StatsJsonSink : public ResultSink
-{
-  public:
-    explicit StatsJsonSink(std::ostream &os) : os_(os) {}
-
-    void consume(const JobRecord &rec) override;
-
-  private:
-    std::ostream &os_;
-};
-
 } // namespace critmem::exec
 
 #endif // CRITMEM_EXEC_RESULT_SINK_HH

@@ -92,8 +92,7 @@ SweepSpec::expand() const
     // TraceError (with its byte offset) propagates untouched.
     for (const TraceDecl &decl : traces) {
         try {
-            registerTraceWorkload(decl.name, decl.path,
-                                  decl.options);
+            registerTraceWorkload(decl.name, decl.path);
         } catch (const TraceError &) {
             throw;
         } catch (const std::exception &err) {
@@ -298,54 +297,12 @@ parseSweepSpec(std::istream &in)
                          "' is not key=value");
                 }
                 const std::string key = token.substr(0, eq);
-                const std::string value = token.substr(eq + 1);
-                try {
-                    if (key == "path") {
-                        decl.path = value;
-                    } else if (key == "format") {
-                        if (!ingest::findTraceFormat(
-                                value, decl.options.format))
-                            fail("unknown trace format '" + value +
-                                 "'");
-                    } else if (key == "policy") {
-                        if (!ingest::findRecoveryPolicy(
-                                value, decl.options.policy))
-                            fail("unknown recovery policy '" +
-                                 value + "'");
-                    } else if (key == "skip-budget") {
-                        decl.options.skipBudget =
-                            parseUint(key, value);
-                    } else if (key == "max-line") {
-                        decl.options.limits.maxLineBytes =
-                            static_cast<std::uint32_t>(
-                                parseUint(key, value));
-                    } else if (key == "max-record") {
-                        decl.options.limits.maxRecordBytes =
-                            static_cast<std::uint32_t>(
-                                parseUint(key, value));
-                    } else if (key == "max-cores") {
-                        decl.options.limits.maxCores =
-                            static_cast<std::uint32_t>(
-                                parseUint(key, value));
-                    } else {
-                        fail("unknown trace setting '" + key + "'");
-                    }
-                } catch (const std::runtime_error &err) {
-                    const std::string what = err.what();
-                    if (what.rfind("sweep spec line", 0) == 0)
-                        throw;
-                    fail(what);
-                }
+                if (key != "path")
+                    fail("unknown trace setting '" + key + "'");
+                decl.path = token.substr(eq + 1);
             }
             if (decl.path.empty())
                 fail("trace '" + decl.name + "' needs path=FILE");
-            ConfigErrors limitErrors;
-            decl.options.validate(limitErrors);
-            if (!limitErrors.empty()) {
-                fail("trace '" + decl.name + "': " +
-                     limitErrors.front().field + ": " +
-                     limitErrors.front().message);
-            }
             spec.traces.push_back(std::move(decl));
             continue;
         }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "exec/job.hh"
-#include "trace/ingest/ingest.hh"
 
 namespace critmem::exec
 {
@@ -66,7 +65,6 @@ struct TraceDecl
 {
     std::string name;
     std::string path;
-    ingest::IngestOptions options;
 };
 
 /** A declarative experiment campaign. */
@@ -135,9 +133,8 @@ bool globMatch(const std::string &pattern, const std::string &text);
  *   exclude = art/morse, swim/morse   ('*' wildcards allowed)
  *   scheds = frfcfs, tcm         (shorthand: one variant per entry)
  *   variant NAME : key=value key=value ...
- *   trace NAME : path=FILE [format=auto|text|binary]
- *                [policy=fail|skip-record|truncate] [skip-budget=N]
- *                [max-line=N] [max-record=N] [max-cores=N]
+ *   trace NAME : path=FILE       (format detected from the file;
+ *                                 any decode error fails the spec)
  *
  * Throws SweepError carrying the line number and byte offset on
  * syntax errors.

@@ -89,7 +89,7 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, MemToken token)
         merged->waiters.push_back(token);
         if (crit > merged->crit) {
             merged->crit = crit;
-            promote(core, addr, crit);
+            promote(addr, crit);
         }
         return MemResult::Miss;
     }
@@ -479,7 +479,7 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
 }
 
 void
-MemHierarchy::promote(CoreId core, Addr addr, CritLevel crit)
+MemHierarchy::promote(Addr addr, CritLevel crit)
 {
     const Addr l2Block = l2_->blockAlign(addr);
     L2Entry *entry = l2Mshr_.find(l2Block);
@@ -489,7 +489,6 @@ MemHierarchy::promote(CoreId core, Addr addr, CritLevel crit)
         entry->crit = crit;
         dram_.promote(l2Block, entry->firstCore, crit);
     }
-    (void)core;
 }
 
 bool

@@ -135,7 +135,7 @@ class MemHierarchy : private FillListener
      * Raise the criticality of an in-flight L2 miss (Section 5.1
      * naive forwarding). No effect if the block is no longer queued.
      */
-    void promote(CoreId core, Addr addr, CritLevel crit);
+    void promote(Addr addr, CritLevel crit);
 
     /** @return true when no access is in flight anywhere. */
     bool quiescent() const;

@@ -76,8 +76,8 @@ System::buildTrace(const TraceWorkload &trace)
             trace.coreRegions[i].second > 0)
             far.push_back(trace.coreRegions[i]);
         gens_.push_back(std::make_unique<ingest::ExternalTraceReader>(
-            trace.name, trace.path, trace.options, i, std::move(far),
-            &traceStats_->records, &traceStats_->dropped));
+            trace.name, trace.path, i, std::move(far),
+            &traceStats_->records));
         cores_.push_back(std::make_unique<Core>(
             cfg_, i, *gens_.back(), *hier_, root_));
     }

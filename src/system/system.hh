@@ -50,8 +50,8 @@ class System
      * Trace-backed system: core i replays its slice of the workload's
      * external trace file (registered via registerTraceWorkload).
      * cfg.numCores must match the trace's declared core count.
-     * Dropped/delivered record counters appear under the "trace"
-     * stats group. @throws TraceError when the file fails to decode.
+     * The delivered-record counter appears under the "trace" stats
+     * group. @throws TraceError when the file fails to decode.
      */
     System(const SystemConfig &cfg, const TraceWorkload &trace);
 
@@ -120,9 +120,6 @@ class System
     /** The attached checker, or nullptr when checking is disabled. */
     ProtocolChecker *checker() { return checker_.get(); }
 
-    /** The attached injector, or nullptr when no fault is configured. */
-    ScriptedFaultInjector *faultInjector() { return injector_.get(); }
-
     /**
      * End-of-run validation: conservation + refresh-deadline checks
      * and the stats cross-check. No-op when checking is disabled.
@@ -170,22 +167,18 @@ class System
     void runLoop(Cycle limit, bool skip, bool pollBounded,
                  bool watchCommits);
 
-    /** Record counters for trace-backed systems ("trace" group). */
+    /** Record counter for trace-backed systems ("trace" group). */
     struct TraceStats
     {
         explicit TraceStats(stats::Group &parent)
             : group("trace", &parent),
               records(group, "records",
-                      "micro-ops delivered from the trace file"),
-              dropped(group, "dropped",
-                      "damaged records skipped by the recovery "
-                      "policy")
+                      "micro-ops delivered from the trace file")
         {
         }
 
         stats::Group group;
         stats::Scalar records;
-        stats::Scalar dropped;
     };
 
     SystemConfig cfg_;

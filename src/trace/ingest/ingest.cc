@@ -399,8 +399,8 @@ classFromLetter(char c, OpClass &cls)
 class DecoderImpl
 {
   public:
-    DecoderImpl(const std::string &path, const IngestOptions &opts)
-        : path_(path), opts_(opts), input_(openSource(path))
+    explicit DecoderImpl(const std::string &path)
+        : path_(path), input_(openSource(path))
     {
         detectFormat();
         parseHeader();
@@ -409,73 +409,21 @@ class DecoderImpl
     bool
     next(TraceRecord &rec)
     {
-        if (eof_)
-            return false;
-        for (;;) {
-            Issue issue;
-            const Step s = format_ == TraceFormat::Binary
-                ? parseBinaryRecord(rec, issue)
-                : parseTextRecord(rec, issue);
-            if (s == Step::Eof) {
-                eof_ = true;
-                return false;
-            }
-            if (s == Step::Ok) {
-                ++stats_.records;
-                return true;
-            }
-            if (opts_.policy == RecoveryPolicy::Truncate) {
-                stats_.truncated = true;
-                stats_.truncatedAtByte = issue.off;
-                eof_ = true;
-                return false;
-            }
-            if (issue.structural ||
-                opts_.policy == RecoveryPolicy::Fail)
-                throw TraceError(issue.msg, issue.off);
-            // SkipRecord on a resyncable (content) error.
-            ++stats_.dropped;
-            if (dropCounter_)
-                ++*dropCounter_;
-            if (stats_.dropped > opts_.skipBudget) {
-                throw TraceError(
-                    issue.msg + "; skip budget of " +
-                        std::to_string(opts_.skipBudget) +
-                        " exhausted",
-                    issue.off);
-            }
-        }
+        return binary_ ? parseBinaryRecord(rec) : parseTextRecord(rec);
     }
 
     void
     rewind()
     {
         input_.rewind();
-        stats_ = PassStats{};
-        eof_ = false;
         parseHeader();
     }
 
     std::string path_;
-    IngestOptions opts_;
-    Input input_;
-    TraceFormat format_ = TraceFormat::Text; // resolved, never Auto
     std::uint32_t numCores_ = 0;
-    PassStats stats_;
-    stats::Scalar *dropCounter_ = nullptr;
 
   private:
-    enum class Step : std::uint8_t { Ok, Eof, Bad };
     enum class LineStatus : std::uint8_t { Ok, Eof, TooLong };
-
-    /** One decode problem, classified for the recovery policy. */
-    struct Issue
-    {
-        std::string msg;
-        std::uint64_t off = 0;
-        /** True when the stream cannot resync past the problem. */
-        bool structural = false;
-    };
 
     struct Token
     {
@@ -486,20 +434,14 @@ class DecoderImpl
     void
     detectFormat()
     {
-        if (opts_.format != TraceFormat::Auto) {
-            format_ = opts_.format;
-            return;
-        }
         std::uint8_t magic[6] = {};
         const std::size_t got = input_.peek(magic, 6);
         if (got >= 4 && std::memcmp(magic, "CTIB", 4) == 0) {
-            format_ = TraceFormat::Binary;
+            binary_ = true;
             return;
         }
-        if (got >= 6 && std::memcmp(magic, "ctrace", 6) == 0) {
-            format_ = TraceFormat::Text;
+        if (got >= 6 && std::memcmp(magic, "ctrace", 6) == 0)
             return;
-        }
         // The retired record/replay format's little-endian magic,
         // for a friendlier message than "unrecognized".
         static const std::uint8_t ctmt[4] = {0x54, 0x4d, 0x54, 0x43};
@@ -520,7 +462,7 @@ class DecoderImpl
     void
     parseHeader()
     {
-        if (format_ == TraceFormat::Binary)
+        if (binary_)
             parseBinaryHeader();
         else
             parseTextHeader();
@@ -557,14 +499,12 @@ class DecoderImpl
                                  "' declares zero cores",
                              start + 5);
         }
-        if (hdr[5] > opts_.limits.maxCores) {
+        if (hdr[5] > kMaxCores) {
             throw TraceError("binary trace '" + path_ +
                                  "' declares " +
                                  std::to_string(hdr[5]) +
                                  " cores (cap " +
-                                 std::to_string(
-                                     opts_.limits.maxCores) +
-                                 ")",
+                                 std::to_string(kMaxCores) + ")",
                              start + 5);
         }
         if (hdr[6] != 0 || hdr[7] != 0) {
@@ -589,8 +529,7 @@ class DecoderImpl
             throw TraceError(
                 "text trace '" + path_ +
                     "' header line exceeds the " +
-                    std::to_string(opts_.limits.maxLineBytes) +
-                    "-byte line cap",
+                    std::to_string(kMaxLineBytes) + "-byte line cap",
                 input_.offset());
         }
         splitLine(lineStart);
@@ -621,13 +560,11 @@ class DecoderImpl
                                  "' declares zero cores",
                              toks_[3].off);
         }
-        if (cores > opts_.limits.maxCores) {
+        if (cores > kMaxCores) {
             throw TraceError("text trace '" + path_ + "' declares " +
                                  std::to_string(cores) +
                                  " cores (cap " +
-                                 std::to_string(
-                                     opts_.limits.maxCores) +
-                                 ")",
+                                 std::to_string(kMaxCores) + ")",
                              toks_[3].off);
         }
         numCores_ = static_cast<std::uint32_t>(cores);
@@ -651,7 +588,7 @@ class DecoderImpl
             }
             if (c == '\n')
                 break;
-            if (line_.size() >= opts_.limits.maxLineBytes)
+            if (line_.size() >= kMaxLineBytes)
                 return LineStatus::TooLong;
             line_.push_back(static_cast<char>(c));
         }
@@ -686,114 +623,104 @@ class DecoderImpl
         }
     }
 
-    Step
-    parseTextRecord(TraceRecord &rec, Issue &issue)
+    /** Next record into @p rec; false at end of stream. */
+    bool
+    parseTextRecord(TraceRecord &rec)
     {
         for (;;) {
             std::uint64_t lineStart = 0;
             const LineStatus st = readLine(lineStart);
             if (st == LineStatus::Eof)
-                return Step::Eof;
+                return false;
             if (st == LineStatus::TooLong) {
-                issue = {"text line starting at byte " +
-                             std::to_string(lineStart) +
-                             " exceeds the " +
-                             std::to_string(
-                                 opts_.limits.maxLineBytes) +
-                             "-byte line cap",
-                         input_.offset(), true};
-                return Step::Bad;
+                throw TraceError("text line starting at byte " +
+                                     std::to_string(lineStart) +
+                                     " exceeds the " +
+                                     std::to_string(kMaxLineBytes) +
+                                     "-byte line cap",
+                                 input_.offset());
             }
             splitLine(lineStart);
             if (!toks_.empty())
                 break; // a record; blank/comment lines loop
         }
         if (toks_.size() < 4) {
-            issue = {"record has only " +
-                         std::to_string(toks_.size()) +
-                         " fields (need core cls pc addr)",
-                     toks_[0].off, false};
-            return Step::Bad;
+            throw TraceError("record has only " +
+                                 std::to_string(toks_.size()) +
+                                 " fields (need core cls pc addr)",
+                             toks_[0].off);
         }
         if (toks_.size() > 8) {
-            issue = {"record has " + std::to_string(toks_.size()) +
-                         " fields (at most 8)",
-                     toks_[8].off, false};
-            return Step::Bad;
+            throw TraceError("record has " +
+                                 std::to_string(toks_.size()) +
+                                 " fields (at most 8)",
+                             toks_[8].off);
         }
 
         std::uint64_t core = 0;
         if (!parseU64(toks_[0].text, core)) {
-            issue = {"core id '" + std::string(toks_[0].text) +
-                         "' is not a number",
-                     toks_[0].off, false};
-            return Step::Bad;
+            throw TraceError("core id '" + std::string(toks_[0].text) +
+                                 "' is not a number",
+                             toks_[0].off);
         }
         if (core >= numCores_) {
-            issue = {"core id " + std::to_string(core) +
-                         " out of range (trace declares " +
-                         std::to_string(numCores_) + " cores)",
-                     toks_[0].off, false};
-            return Step::Bad;
+            throw TraceError("core id " + std::to_string(core) +
+                                 " out of range (trace declares " +
+                                 std::to_string(numCores_) +
+                                 " cores)",
+                             toks_[0].off);
         }
 
         OpClass cls = OpClass::IntAlu;
         if (toks_[1].text.size() != 1 ||
             !classFromLetter(toks_[1].text[0], cls)) {
-            issue = {"unknown op class '" +
-                         std::string(toks_[1].text) +
-                         "' (expected one of A M F G L S B)",
-                     toks_[1].off, false};
-            return Step::Bad;
+            throw TraceError("unknown op class '" +
+                                 std::string(toks_[1].text) +
+                                 "' (expected one of A M F G L S B)",
+                             toks_[1].off);
         }
 
         std::uint64_t pc = 0, addr = 0;
         if (!parseU64(toks_[2].text, pc)) {
-            issue = {"pc '" + std::string(toks_[2].text) +
-                         "' is not a number",
-                     toks_[2].off, false};
-            return Step::Bad;
+            throw TraceError("pc '" + std::string(toks_[2].text) +
+                                 "' is not a number",
+                             toks_[2].off);
         }
         if (!parseU64(toks_[3].text, addr)) {
-            issue = {"address '" + std::string(toks_[3].text) +
-                         "' is not a number",
-                     toks_[3].off, false};
-            return Step::Bad;
+            throw TraceError("address '" + std::string(toks_[3].text) +
+                                 "' is not a number",
+                             toks_[3].off);
         }
 
         std::uint64_t latency = 1;
         if (toks_.size() > 4 &&
             (!parseU64(toks_[4].text, latency) || latency == 0 ||
              latency > 255)) {
-            issue = {"latency '" + std::string(toks_[4].text) +
-                         "' is not in 1..255",
-                     toks_[4].off, false};
-            return Step::Bad;
+            throw TraceError("latency '" + std::string(toks_[4].text) +
+                                 "' is not in 1..255",
+                             toks_[4].off);
         }
         std::uint64_t dep1 = 0, dep2 = 0;
         if (toks_.size() > 5 &&
             (!parseU64(toks_[5].text, dep1) || dep1 > 0xffff)) {
-            issue = {"dep1 '" + std::string(toks_[5].text) +
-                         "' is not in 0..65535",
-                     toks_[5].off, false};
-            return Step::Bad;
+            throw TraceError("dep1 '" + std::string(toks_[5].text) +
+                                 "' is not in 0..65535",
+                             toks_[5].off);
         }
         if (toks_.size() > 6 &&
             (!parseU64(toks_[6].text, dep2) || dep2 > 0xffff)) {
-            issue = {"dep2 '" + std::string(toks_[6].text) +
-                         "' is not in 0..65535",
-                     toks_[6].off, false};
-            return Step::Bad;
+            throw TraceError("dep2 '" + std::string(toks_[6].text) +
+                                 "' is not in 0..65535",
+                             toks_[6].off);
         }
         std::uint64_t mispredict = 0;
         if (toks_.size() > 7 &&
             (!parseU64(toks_[7].text, mispredict) ||
              mispredict > 1)) {
-            issue = {"mispredict flag '" +
-                         std::string(toks_[7].text) +
-                         "' is not 0 or 1",
-                     toks_[7].off, false};
-            return Step::Bad;
+            throw TraceError("mispredict flag '" +
+                                 std::string(toks_[7].text) +
+                                 "' is not 0 or 1",
+                             toks_[7].off);
         }
 
         rec.core = static_cast<std::uint32_t>(core);
@@ -805,77 +732,70 @@ class DecoderImpl
         rec.op.dep1 = static_cast<std::uint16_t>(dep1);
         rec.op.dep2 = static_cast<std::uint16_t>(dep2);
         rec.op.mispredict = mispredict != 0;
-        return Step::Ok;
+        return true;
     }
 
-    Step
-    parseBinaryRecord(TraceRecord &rec, Issue &issue)
+    /** Next record into @p rec; false at end of stream. */
+    bool
+    parseBinaryRecord(TraceRecord &rec)
     {
         const std::uint64_t recStart = input_.offset();
         std::uint8_t lenBuf[2] = {};
         std::size_t got = input_.read(lenBuf, 2);
         if (got == 0)
-            return Step::Eof;
+            return false;
         if (got == 1) {
-            issue = {"record length prefix at byte " +
-                         std::to_string(recStart) +
-                         " is torn by end of file",
-                     input_.offset(), true};
-            return Step::Bad;
+            throw TraceError("record length prefix at byte " +
+                                 std::to_string(recStart) +
+                                 " is torn by end of file",
+                             input_.offset());
         }
         const std::uint16_t len = static_cast<std::uint16_t>(
             lenBuf[0] | (lenBuf[1] << 8));
         if (len < kBinPayloadMin) {
-            issue = {"record at byte " + std::to_string(recStart) +
-                         " declares a " + std::to_string(len) +
-                         "-byte payload (min 24)",
-                     recStart, true};
-            return Step::Bad;
+            throw TraceError("record at byte " +
+                                 std::to_string(recStart) +
+                                 " declares a " + std::to_string(len) +
+                                 "-byte payload (min 24)",
+                             recStart);
         }
-        if (len > opts_.limits.maxRecordBytes) {
-            issue = {"record at byte " + std::to_string(recStart) +
-                         " declares a " + std::to_string(len) +
-                         "-byte payload (cap " +
-                         std::to_string(
-                             opts_.limits.maxRecordBytes) +
-                         ")",
-                     recStart, true};
-            return Step::Bad;
+        if (len > kMaxRecordBytes) {
+            throw TraceError("record at byte " +
+                                 std::to_string(recStart) +
+                                 " declares a " + std::to_string(len) +
+                                 "-byte payload (cap " +
+                                 std::to_string(kMaxRecordBytes) + ")",
+                             recStart);
         }
         payload_.resize(len);
         got = input_.read(payload_.data(), len);
         if (got < len) {
-            issue = {"record at byte " + std::to_string(recStart) +
-                         " is torn by end of file",
-                     recStart + 2 + got, true};
-            return Step::Bad;
+            throw TraceError("record at byte " +
+                                 std::to_string(recStart) +
+                                 " is torn by end of file",
+                             recStart + 2 + got);
         }
 
         // Payload layout: core, cls, latency, flags, pc, addr, deps.
         if (payload_[0] >= numCores_) {
-            issue = {"core id " + std::to_string(payload_[0]) +
-                         " out of range (trace declares " +
-                         std::to_string(numCores_) + " cores)",
-                     recStart + 2, false};
-            return Step::Bad;
+            throw TraceError("core id " + std::to_string(payload_[0]) +
+                                 " out of range (trace declares " +
+                                 std::to_string(numCores_) +
+                                 " cores)",
+                             recStart + 2);
         }
-        if (payload_[1] >
-            static_cast<std::uint8_t>(OpClass::Branch)) {
-            issue = {"invalid op class " +
-                         std::to_string(payload_[1]),
-                     recStart + 3, false};
-            return Step::Bad;
+        if (payload_[1] > static_cast<std::uint8_t>(OpClass::Branch)) {
+            throw TraceError("invalid op class " +
+                                 std::to_string(payload_[1]),
+                             recStart + 3);
         }
-        if (payload_[2] == 0) {
-            issue = {"latency 0 is not in 1..255", recStart + 4,
-                     false};
-            return Step::Bad;
-        }
+        if (payload_[2] == 0)
+            throw TraceError("latency 0 is not in 1..255", recStart + 4);
         if ((payload_[3] & ~std::uint8_t{1}) != 0) {
-            issue = {"flags byte " + std::to_string(payload_[3]) +
-                         " has reserved bits set",
-                     recStart + 5, false};
-            return Step::Bad;
+            throw TraceError("flags byte " +
+                                 std::to_string(payload_[3]) +
+                                 " has reserved bits set",
+                             recStart + 5);
         }
 
         rec.core = payload_[0];
@@ -888,10 +808,11 @@ class DecoderImpl
         std::memcpy(&rec.op.dep1, payload_.data() + 20, 2);
         std::memcpy(&rec.op.dep2, payload_.data() + 22, 2);
         // Payload bytes past 24 are a forward-compat extension area.
-        return Step::Ok;
+        return true;
     }
 
-    bool eof_ = false;
+    Input input_;
+    bool binary_ = false; // detected format: cbin, else ctext
     std::string line_;
     std::vector<Token> toks_;
     std::vector<std::uint8_t> payload_;
@@ -899,9 +820,8 @@ class DecoderImpl
 
 // --------------------------------------------------------- wrappers
 
-TraceDecoder::TraceDecoder(const std::string &path,
-                           const IngestOptions &opts)
-    : impl_(std::make_unique<DecoderImpl>(path, opts))
+TraceDecoder::TraceDecoder(const std::string &path)
+    : impl_(std::make_unique<DecoderImpl>(path))
 {
 }
 
@@ -925,110 +845,10 @@ TraceDecoder::numCores() const
     return impl_->numCores_;
 }
 
-TraceFormat
-TraceDecoder::format() const
-{
-    return impl_->format_;
-}
-
-const PassStats &
-TraceDecoder::passStats() const
-{
-    return impl_->stats_;
-}
-
 const std::string &
 TraceDecoder::path() const
 {
     return impl_->path_;
-}
-
-void
-TraceDecoder::setDropCounter(stats::Scalar *dropped)
-{
-    impl_->dropCounter_ = dropped;
-}
-
-// ------------------------------------------------------------- names
-
-const char *
-toString(RecoveryPolicy policy)
-{
-    switch (policy) {
-      case RecoveryPolicy::Fail: return "fail";
-      case RecoveryPolicy::SkipRecord: return "skip-record";
-      case RecoveryPolicy::Truncate: return "truncate";
-    }
-    return "?";
-}
-
-bool
-findRecoveryPolicy(const std::string &name, RecoveryPolicy &out)
-{
-    for (RecoveryPolicy p :
-         {RecoveryPolicy::Fail, RecoveryPolicy::SkipRecord,
-          RecoveryPolicy::Truncate}) {
-        if (name == toString(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-toString(TraceFormat fmt)
-{
-    switch (fmt) {
-      case TraceFormat::Auto: return "auto";
-      case TraceFormat::Text: return "text";
-      case TraceFormat::Binary: return "binary";
-    }
-    return "?";
-}
-
-bool
-findTraceFormat(const std::string &name, TraceFormat &out)
-{
-    for (TraceFormat f : {TraceFormat::Auto, TraceFormat::Text,
-                          TraceFormat::Binary}) {
-        if (name == toString(f)) {
-            out = f;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-IngestLimits::validate(ConfigErrors &errors) const
-{
-    if (maxLineBytes < 64 || maxLineBytes > kHardMaxBytes) {
-        errors.push_back({"trace.maxLineBytes",
-                          "must be in [64, " +
-                              std::to_string(kHardMaxBytes) +
-                              "], got " +
-                              std::to_string(maxLineBytes)});
-    }
-    if (maxRecordBytes < 24 || maxRecordBytes > kHardMaxBytes) {
-        errors.push_back({"trace.maxRecordBytes",
-                          "must be in [24, " +
-                              std::to_string(kHardMaxBytes) +
-                              "], got " +
-                              std::to_string(maxRecordBytes)});
-    }
-    if (maxCores < 1 || maxCores > kHardMaxCores) {
-        errors.push_back({"trace.maxCores",
-                          "must be in [1, " +
-                              std::to_string(kHardMaxCores) +
-                              "], got " + std::to_string(maxCores)});
-    }
-}
-
-void
-IngestOptions::validate(ConfigErrors &errors) const
-{
-    limits.validate(errors);
 }
 
 bool
@@ -1070,17 +890,17 @@ hashFileBytes(const std::string &path)
 }
 
 ScanSummary
-scanTrace(const std::string &path, const IngestOptions &opts)
+scanTrace(const std::string &path)
 {
-    TraceDecoder dec(path, opts);
+    TraceDecoder dec(path);
     ScanSummary sum;
-    sum.format = dec.format();
     sum.numCores = dec.numCores();
     sum.perCoreRecords.assign(sum.numCores, 0);
     std::vector<Addr> lo(sum.numCores, kNoAddr);
     std::vector<Addr> hi(sum.numCores, 0);
     TraceRecord rec;
     while (dec.next(rec)) {
+        ++sum.records;
         ++sum.perCoreRecords[rec.core];
         if (rec.op.cls == OpClass::Load ||
             rec.op.cls == OpClass::Store) {
@@ -1088,11 +908,6 @@ scanTrace(const std::string &path, const IngestOptions &opts)
             hi[rec.core] = std::max(hi[rec.core], rec.op.addr);
         }
     }
-    const PassStats &ps = dec.passStats();
-    sum.records = ps.records;
-    sum.dropped = ps.dropped;
-    sum.truncated = ps.truncated;
-    sum.truncatedAtByte = ps.truncatedAtByte;
     sum.coreRegions.resize(sum.numCores, {0, 0});
     for (std::uint32_t c = 0; c < sum.numCores; ++c) {
         if (lo[c] == kNoAddr)
@@ -1110,14 +925,12 @@ scanTrace(const std::string &path, const IngestOptions &opts)
 // ------------------------------------------------------------ reader
 
 ExternalTraceReader::ExternalTraceReader(
-    std::string name, const std::string &path,
-    const IngestOptions &opts, std::uint32_t core,
+    std::string name, const std::string &path, std::uint32_t core,
     std::vector<std::pair<Addr, std::uint64_t>> farRegions,
-    stats::Scalar *records, stats::Scalar *dropped)
-    : name_(std::move(name)), core_(core), decoder_(path, opts),
+    stats::Scalar *records)
+    : name_(std::move(name)), core_(core), decoder_(path),
       far_(std::move(farRegions)), records_(records)
 {
-    decoder_.setDropCounter(dropped);
     if (core_ >= decoder_.numCores()) {
         throw TraceError("core " + std::to_string(core_) +
                              " out of range for trace '" + path +

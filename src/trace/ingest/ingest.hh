@@ -21,13 +21,14 @@
  * Either format may be gzip-compressed (transport, detected by the
  * 1f 8b file magic) when the build found zlib; see haveGzip().
  *
- * Trace files are untrusted input. The decoder never crashes, hangs,
- * or silently misparses: every failure is a TraceError carrying the
- * exact byte offset of the offending field (offsets into the
- * decompressed stream for gzip sources), memory use is bounded by the
- * IngestLimits caps regardless of file content, and a per-source
- * RecoveryPolicy decides whether damaged records abort the run, are
- * skipped against a budget, or truncate the stream.
+ * Trace files are untrusted input. Decoding is strict and has one
+ * path: the format is detected from the (decompressed) magic, and
+ * the decoder never crashes, hangs, skips a record or silently
+ * misparses. Every decode problem is a TraceError carrying the exact
+ * byte offset of the offending field (offsets into the decompressed
+ * stream for gzip sources), and memory use is bounded by the
+ * kMaxLineBytes/kMaxRecordBytes/kMaxCores caps regardless of file
+ * content.
  */
 
 #ifndef CRITMEM_TRACE_INGEST_INGEST_HH
@@ -40,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/generator.hh"
@@ -67,83 +67,16 @@ class TraceError : public std::runtime_error
 namespace ingest
 {
 
-/** What to do when a trace record fails validation. */
-enum class RecoveryPolicy : std::uint8_t
-{
-    Fail,       ///< throw TraceError on the first problem (default)
-    SkipRecord, ///< drop damaged records, up to a budget
-    Truncate,   ///< end the stream at the first problem
-};
+// Hard caps that bound the decoder's memory use against hostile
+// input. A header or record exceeding a cap is a decode error (never
+// an allocation).
 
-const char *toString(RecoveryPolicy policy);
-
-/** Parse a policy name ("fail", "skip-record", "truncate"). */
-bool findRecoveryPolicy(const std::string &name, RecoveryPolicy &out);
-
-/**
- * On-disk trace format. Gzip is a transport, not a format: the file
- * magic selects it, and the decompressed stream is detected (or
- * forced) as text/binary independently.
- */
-enum class TraceFormat : std::uint8_t
-{
-    Auto,   ///< detect from the (decompressed) magic bytes
-    Text,   ///< "ctrace text 1 N" header
-    Binary, ///< "CTIB" header
-};
-
-const char *toString(TraceFormat fmt);
-
-/** Parse a format name ("auto", "text", "binary"). */
-bool findTraceFormat(const std::string &name, TraceFormat &out);
-
-/**
- * Hard caps that bound the decoder's memory use against hostile
- * input. A header or record exceeding a cap is a decode error (never
- * an allocation).
- */
-struct IngestLimits
-{
-    /** Longest accepted text line, bytes (excluding the newline). */
-    std::uint32_t maxLineBytes = 4096;
-    /** Largest accepted binary record payload, bytes. */
-    std::uint32_t maxRecordBytes = 512;
-    /** Highest accepted core count in a trace header. */
-    std::uint32_t maxCores = 64;
-
-    /** Absolute bound on maxCores (per-core scan state is O(cores)). */
-    static constexpr std::uint32_t kHardMaxCores = 1024;
-    /** Absolute bound on the line/record caps. */
-    static constexpr std::uint32_t kHardMaxBytes = 1u << 20;
-
-    /** Append structured errors for out-of-range caps. */
-    void validate(ConfigErrors &errors) const;
-};
-
-/** Everything configurable about one trace source. */
-struct IngestOptions
-{
-    TraceFormat format = TraceFormat::Auto;
-    RecoveryPolicy policy = RecoveryPolicy::Fail;
-    /**
-     * SkipRecord only: records that may be dropped per pass over the
-     * file before the decoder gives up and throws.
-     */
-    std::uint64_t skipBudget = 64;
-    IngestLimits limits;
-
-    /** Append structured errors (delegates to limits). */
-    void validate(ConfigErrors &errors) const;
-};
-
-/** Decoder counters for the current pass over the file. */
-struct PassStats
-{
-    std::uint64_t records = 0; ///< records delivered
-    std::uint64_t dropped = 0; ///< records skipped (SkipRecord)
-    bool truncated = false;    ///< stream ended early (Truncate)
-    std::uint64_t truncatedAtByte = 0; ///< where, when truncated
-};
+/** Longest accepted text line, bytes (excluding the newline). */
+constexpr std::uint32_t kMaxLineBytes = 4096;
+/** Largest accepted binary record payload, bytes. */
+constexpr std::uint32_t kMaxRecordBytes = 512;
+/** Highest accepted core count in a trace header. */
+constexpr std::uint32_t kMaxCores = 64;
 
 /** One decoded record: the micro-op and the core that executes it. */
 struct TraceRecord
@@ -155,15 +88,15 @@ struct TraceRecord
 /**
  * Pull-based streaming decoder over one trace file. Construction
  * opens the file and validates the header; next() decodes one record
- * at a time in O(maxLineBytes + maxRecordBytes) memory. rewind()
- * restarts the stream from the first record (resetting the per-pass
- * stats and skip budget). Not thread-safe; use one per consumer.
+ * at a time in O(kMaxLineBytes + kMaxRecordBytes) memory. rewind()
+ * restarts the stream from the first record. Not thread-safe; use one
+ * per consumer.
  */
 class TraceDecoder
 {
   public:
     /** @throws TraceError on open/header/format problems. */
-    TraceDecoder(const std::string &path, const IngestOptions &opts);
+    explicit TraceDecoder(const std::string &path);
     ~TraceDecoder();
 
     TraceDecoder(const TraceDecoder &) = delete;
@@ -171,29 +104,18 @@ class TraceDecoder
 
     /**
      * Decode the next record into @p rec.
-     * @return false at end of stream (including a Truncate cut).
-     * @throws TraceError per the recovery policy.
+     * @return false at end of stream.
+     * @throws TraceError on the first malformed record.
      */
     bool next(TraceRecord &rec);
 
-    /** Restart from the first record; resets the per-pass stats. */
+    /** Restart from the first record. */
     void rewind();
 
     /** Core count declared by the (validated) header. */
     std::uint32_t numCores() const;
 
-    /** The detected (never Auto) format of this file. */
-    TraceFormat format() const;
-
-    const PassStats &passStats() const;
-
     const std::string &path() const;
-
-    /**
-     * Optional cumulative counter bumped once per dropped record
-     * (survives rewind, unlike passStats().dropped).
-     */
-    void setDropCounter(stats::Scalar *dropped);
 
   private:
     std::unique_ptr<class DecoderImpl> impl_;
@@ -202,15 +124,11 @@ class TraceDecoder
 /** Whole-file summary produced by scanTrace(). */
 struct ScanSummary
 {
-    TraceFormat format = TraceFormat::Text; ///< detected format
     std::uint32_t numCores = 0;
-    std::uint64_t records = 0; ///< records accepted
-    std::uint64_t dropped = 0; ///< records skipped by the policy
-    bool truncated = false;
-    std::uint64_t truncatedAtByte = 0;
+    std::uint64_t records = 0;
     /** FNV-1a over the raw (compressed, if gzip) file bytes. */
     std::uint64_t contentHash = 0;
-    /** Accepted records per core, indexed by core id. */
+    /** Records per core, indexed by core id. */
     std::vector<std::uint64_t> perCoreRecords;
     /**
      * Per-core (base, size) span of the Load/Store addresses seen —
@@ -222,13 +140,11 @@ struct ScanSummary
 
 /**
  * Validate a whole trace in one streaming pass — every record is
- * decoded under @p opts exactly as a simulation would see it — and
- * summarize it. This is the pass the fuzzer drives and workload
- * registration runs.
- * @throws TraceError per the recovery policy.
+ * decoded exactly as a simulation would see it — and summarize it.
+ * This is the pass the fuzzer drives and workload registration runs.
+ * @throws TraceError on the first decode problem.
  */
-ScanSummary scanTrace(const std::string &path,
-                      const IngestOptions &opts);
+ScanSummary scanTrace(const std::string &path);
 
 /**
  * FNV-1a (64-bit) over a file's raw bytes, for trace identity in
@@ -252,19 +168,15 @@ class ExternalTraceReader : public TraceGenerator
     /**
      * @param name Workload name reported to stats/diagnostics.
      * @param path Trace file.
-     * @param opts Decode options (validated by the caller).
      * @param core Core id whose records this generator yields.
      * @param farRegions Prewarm regions (from ScanSummary), already
      *        filtered to nonzero sizes.
      * @param records Optional cumulative delivered-record counter.
-     * @param dropped Optional cumulative dropped-record counter.
      */
     ExternalTraceReader(
-        std::string name, const std::string &path,
-        const IngestOptions &opts, std::uint32_t core,
+        std::string name, const std::string &path, std::uint32_t core,
         std::vector<std::pair<Addr, std::uint64_t>> farRegions = {},
-        stats::Scalar *records = nullptr,
-        stats::Scalar *dropped = nullptr);
+        stats::Scalar *records = nullptr);
 
     void next(MicroOp &op) override;
 

@@ -337,8 +337,7 @@ traceRegistry()
 } // namespace
 
 const TraceWorkload &
-registerTraceWorkload(const std::string &name, const std::string &path,
-                      const ingest::IngestOptions &opts)
+registerTraceWorkload(const std::string &name, const std::string &path)
 {
     if (name.empty())
         throw std::runtime_error("trace workload name is empty");
@@ -352,14 +351,6 @@ registerTraceWorkload(const std::string &name, const std::string &path,
             "trace workload name '" + name +
             "' collides with a built-in application or bundle");
     }
-    ConfigErrors errors;
-    opts.validate(errors);
-    if (!errors.empty()) {
-        std::string msg = "invalid trace options for '" + name + "':";
-        for (const ConfigError &e : errors)
-            msg += " [" + e.field + "] " + e.message;
-        throw std::runtime_error(msg);
-    }
     for (const TraceWorkload &wl : traceRegistry()) {
         if (wl.name == name && wl.path != path) {
             throw std::runtime_error(
@@ -369,15 +360,7 @@ registerTraceWorkload(const std::string &name, const std::string &path,
         }
     }
 
-    const ingest::ScanSummary sum = ingest::scanTrace(path, opts);
-    if (sum.records == 0) {
-        throw TraceError("trace '" + path +
-                             "' yields no records under policy '" +
-                             std::string(ingest::toString(
-                                 opts.policy)) +
-                             "'",
-                         sum.truncated ? sum.truncatedAtByte : 0);
-    }
+    const ingest::ScanSummary sum = ingest::scanTrace(path);
     for (std::uint32_t c = 0; c < sum.numCores; ++c) {
         if (sum.perCoreRecords[c] == 0) {
             throw TraceError(
@@ -393,10 +376,8 @@ registerTraceWorkload(const std::string &name, const std::string &path,
     TraceWorkload entry;
     entry.name = name;
     entry.path = path;
-    entry.options = opts;
     entry.numCores = sum.numCores;
     entry.records = sum.records;
-    entry.dropped = sum.dropped;
     entry.contentHash = sum.contentHash;
     entry.coreRegions = sum.coreRegions;
 

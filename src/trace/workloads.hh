@@ -60,10 +60,8 @@ struct TraceWorkload
 {
     std::string name;
     std::string path;
-    ingest::IngestOptions options;
     std::uint32_t numCores = 0;
-    std::uint64_t records = 0; ///< accepted by the scan
-    std::uint64_t dropped = 0; ///< skipped by the recovery policy
+    std::uint64_t records = 0; ///< decoded by the scan
     std::uint64_t contentHash = 0; ///< FNV-1a of the raw file bytes
     /** Per-core (base, size) prewarm regions; size 0 = no mem ops. */
     std::vector<std::pair<Addr, std::uint64_t>> coreRegions;
@@ -71,23 +69,21 @@ struct TraceWorkload
 
 /**
  * Scan, validate, and register @p path as trace workload @p name.
- * The whole file is decoded under @p opts up front, so a registered
- * workload is known to stream cleanly (and to feed every declared
+ * The whole file is decoded up front, so a registered workload is
+ * known to stream cleanly (and to feed every declared
  * core, which the loop-at-EOF replay requires). Re-registering the
  * same name with the same path rescans and refreshes the entry.
  *
  * Registration happens on the main thread before any worker runs
  * jobs; the registry is not synchronized.
  *
- * @throws TraceError when the file cannot be decoded, yields no
- *         records, or leaves a core without records.
- * @throws std::runtime_error on misuse: empty/conflicting names or
- *         invalid options.
+ * @throws TraceError when the file cannot be decoded or leaves a
+ *         core without records.
+ * @throws std::runtime_error on misuse: empty/conflicting names.
  * @return the registered entry (stable until the next registration).
  */
 const TraceWorkload &
-registerTraceWorkload(const std::string &name, const std::string &path,
-                      const ingest::IngestOptions &opts);
+registerTraceWorkload(const std::string &name, const std::string &path);
 
 /** Every registered trace workload, in registration order. */
 const std::vector<TraceWorkload> &traceWorkloads();

@@ -278,6 +278,18 @@ TEST(ExecSimCommand, RejectsBadCommandLines)
           "critmem-sim --app art --prefetch 1"}) {
         EXPECT_THROW(parseLine(line), std::runtime_error) << line;
     }
+    // The removed trace flags are unknown options, named in the error.
+    for (const std::string flag :
+         {"--trace-format", "--trace-policy", "--trace-skip-budget"}) {
+        try {
+            parseLine("critmem-sim --app art " + flag + " x");
+            ADD_FAILURE() << "accepted " << flag;
+        } catch (const std::runtime_error &err) {
+            EXPECT_NE(std::string(err.what()).find(flag),
+                      std::string::npos)
+                << err.what();
+        }
+    }
     // Listings and --help need no workload.
     EXPECT_TRUE(parseLine("critmem-sim --list-schedulers").listSchedulers);
     EXPECT_TRUE(parseLine("critmem-sim --help").help);

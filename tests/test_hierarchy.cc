@@ -334,7 +334,7 @@ TEST_F(HierarchyTest, PromoteRaisesInFlightMissCriticality)
     build();
     const auto done = load(0, 0xa000, 0);
     tick(2); // miss registered, DRAM enqueue pending/queued
-    hier_->promote(0, 0xa000, 9);
+    hier_->promote(0xa000, 9);
     tick(1000);
     EXPECT_NE(*done, kNoCycle);
     // The request completed through the critical-latency stat path.

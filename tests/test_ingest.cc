@@ -2,10 +2,10 @@
  * @file
  * Tests for the external-trace ingestion frontend (src/trace/ingest):
  * byte-offset accuracy of every TraceError class in both the text and
- * binary formats, the recovery policies and their budgets, the
- * resource caps, gzip transport, the loop-replay TraceGenerator
- * adapter, the trace-workload registry, and the execution-engine
- * integration (sweep specs, job execution, campaign hashing).
+ * binary formats, the resource caps, gzip transport, the loop-replay
+ * TraceGenerator adapter, the trace-workload registry, and the
+ * execution-engine integration (sweep specs, job execution, campaign
+ * hashing).
  */
 
 #include <gtest/gtest.h>
@@ -76,11 +76,10 @@ class IngestTest : public ::testing::Test
 
     /** Decode @p path and return the TraceError it must throw. */
     TraceError
-    mustThrow(const std::string &path,
-              const ingest::IngestOptions &opts = {})
+    mustThrow(const std::string &path)
     {
         try {
-            ingest::TraceDecoder decoder(path, opts);
+            ingest::TraceDecoder decoder(path);
             ingest::TraceRecord rec;
             while (decoder.next(rec)) {
             }
@@ -142,9 +141,8 @@ TEST_F(IngestTest, TextRoundTrip)
                                    "0 L 0x400 0x10040 3 2 1\r\n"
                                    "1 B 1024 0 1 0 0 1\n"
                                    "0 S 0x408 66624\n");
-    ingest::TraceDecoder decoder(path, {});
+    ingest::TraceDecoder decoder(path);
     EXPECT_EQ(decoder.numCores(), 2u);
-    EXPECT_EQ(decoder.format(), ingest::TraceFormat::Text);
 
     ingest::TraceRecord rec;
     ASSERT_TRUE(decoder.next(rec));
@@ -168,7 +166,6 @@ TEST_F(IngestTest, TextRoundTrip)
     EXPECT_EQ(rec.op.addr, 66624u); // decimal == 0x10440
 
     EXPECT_FALSE(decoder.next(rec));
-    EXPECT_EQ(decoder.passStats().records, 3u);
 
     // rewind() replays the stream identically.
     decoder.rewind();
@@ -178,33 +175,34 @@ TEST_F(IngestTest, TextRoundTrip)
 
 TEST_F(IngestTest, TextTruncatedHeaderGoldens)
 {
-    ingest::IngestOptions text;
-    text.format = ingest::TraceFormat::Text;
-
-    // Empty file.
-    EXPECT_EQ(mustThrow(spill("a.ctext", ""), text).byteOffset(), 0u);
+    // Empty file: no magic to detect.
+    EXPECT_EQ(mustThrow(spill("a.ctext", "")).byteOffset(), 0u);
     // Header cut mid-token (no newline): too few tokens, reported at
     // the start of the header line.
-    EXPECT_EQ(mustThrow(spill("b.ctext", "ctrace te"), text)
-                  .byteOffset(),
+    EXPECT_EQ(mustThrow(spill("b.ctext", "ctrace te")).byteOffset(),
               0u);
     // Missing the core count.
-    EXPECT_EQ(mustThrow(spill("c.ctext", "ctrace text 1\n"), text)
+    EXPECT_EQ(mustThrow(spill("c.ctext", "ctrace text 1\n"))
                   .byteOffset(),
               0u);
     // Bad version: third token, at byte 7 + 5 = 12.
-    EXPECT_EQ(mustThrow(spill("d.ctext", "ctrace text 9 2\n"), text)
+    EXPECT_EQ(mustThrow(spill("d.ctext", "ctrace text 9 2\n"))
                   .byteOffset(),
               12u);
     // Zero cores: fourth token at byte 14.
-    EXPECT_EQ(mustThrow(spill("e.ctext", "ctrace text 1 0\n"), text)
+    EXPECT_EQ(mustThrow(spill("e.ctext", "ctrace text 1 0\n"))
                   .byteOffset(),
               14u);
-    // Core count over the cap, same token.
-    EXPECT_EQ(
-        mustThrow(spill("f.ctext", "ctrace text 1 9999\n"), text)
-            .byteOffset(),
-        14u);
+    // One core over the cap, same token; the cap itself is accepted.
+    const std::string over = "ctrace text 1 " +
+        std::to_string(ingest::kMaxCores + 1) + "\n";
+    const TraceError err = mustThrow(spill("f.ctext", over));
+    EXPECT_EQ(err.byteOffset(), 14u);
+    EXPECT_NE(std::string(err.what()).find("cap"), std::string::npos);
+    ingest::TraceDecoder atCap(spill(
+        "g.ctext",
+        "ctrace text 1 " + std::to_string(ingest::kMaxCores) + "\n"));
+    EXPECT_EQ(atCap.numCores(), ingest::kMaxCores);
 }
 
 TEST_F(IngestTest, TextMidFileCorruptionOffset)
@@ -264,89 +262,22 @@ TEST_F(IngestTest, TextFieldValidationOffsets)
 
 TEST_F(IngestTest, TextLineCapIsStructural)
 {
-    ingest::IngestOptions opts;
-    opts.limits.maxLineBytes = 64;
-    const std::string path =
-        spill("long.ctext", "ctrace text 1 1\n0 L 0x10 0x20\n"
-                            "0 L 0x10 " + std::string(100, '1') +
-                  "\n0 S 0x10 0x20\n");
-    // Structural: not recoverable by skipping records.
-    opts.policy = ingest::RecoveryPolicy::SkipRecord;
-    EXPECT_THROW(ingest::scanTrace(path, opts), TraceError);
-    // Truncate ends the stream instead.
-    opts.policy = ingest::RecoveryPolicy::Truncate;
-    const ingest::ScanSummary scan = ingest::scanTrace(path, opts);
-    EXPECT_TRUE(scan.truncated);
-    EXPECT_EQ(scan.records, 1u);
-}
+    // A record line exactly at the cap decodes (the comment pads it).
+    const std::string head = "ctrace text 1 1\n0 L 0x10 0x20\n";
+    const std::string record = "0 S 0x14 0x40 # ";
+    const std::string atCap =
+        record + std::string(ingest::kMaxLineBytes - record.size(), 'x');
+    EXPECT_EQ(ingest::scanTrace(spill("cap.ctext", head + atCap + "\n"))
+                  .records,
+              2u);
 
-TEST_F(IngestTest, SkipRecordPolicyAndBudget)
-{
-    const std::string path = spill("skip.ctext",
-                                   "ctrace text 1 1\n"
-                                   "0 L 0x10 0x40\n"
-                                   "0 X 0x10 0x40\n"
-                                   "0 S 0x14 0x80\n"
-                                   "0 Y 0x10 0x40\n"
-                                   "0 A 0x18 0\n");
-    ingest::IngestOptions opts;
-    opts.policy = ingest::RecoveryPolicy::SkipRecord;
-    opts.skipBudget = 2;
-    const ingest::ScanSummary scan = ingest::scanTrace(path, opts);
-    EXPECT_EQ(scan.records, 3u);
-    EXPECT_EQ(scan.dropped, 2u);
-
-    // One damaged record over budget: the throw carries the offset
-    // of the record that exhausted it.
-    opts.skipBudget = 1;
-    const TraceError err = mustThrow(path, opts);
-    EXPECT_NE(std::string(err.what()).find("skip budget"),
+    // One byte longer fails where the cap ran out, even though good
+    // records follow.
+    const TraceError err = mustThrow(
+        spill("long.ctext", head + atCap + "x\n0 A 0x18 0\n"));
+    EXPECT_EQ(err.byteOffset(), head.size() + ingest::kMaxLineBytes + 1);
+    EXPECT_NE(std::string(err.what()).find("line cap"),
               std::string::npos);
-    // Records are 14 bytes; the second bad line starts at
-    // 16 + 3*14 = 58, its class letter at 60.
-    EXPECT_EQ(err.byteOffset(), 60u);
-}
-
-TEST_F(IngestTest, TruncatePolicyRecordsCut)
-{
-    const std::string path = spill("trunc.ctext",
-                                   "ctrace text 1 1\n"
-                                   "0 L 0x10 0x40\n"
-                                   "0 X 0x10 0x40\n"
-                                   "0 S 0x14 0x80\n");
-    ingest::IngestOptions opts;
-    opts.policy = ingest::RecoveryPolicy::Truncate;
-    const ingest::ScanSummary scan = ingest::scanTrace(path, opts);
-    EXPECT_EQ(scan.records, 1u);
-    EXPECT_TRUE(scan.truncated);
-    EXPECT_EQ(scan.truncatedAtByte, 32u); // the bad class letter
-}
-
-TEST_F(IngestTest, DropCounterSurvivesRewind)
-{
-    const std::string path = spill("drops.ctext",
-                                   "ctrace text 1 1\n"
-                                   "0 L 0x10 0x40\n"
-                                   "0 X 0x10 0x40\n"
-                                   "0 S 0x14 0x80\n");
-    ingest::IngestOptions opts;
-    opts.policy = ingest::RecoveryPolicy::SkipRecord;
-
-    stats::Group group("test", nullptr);
-    stats::Scalar dropped(group, "dropped", "cumulative drops");
-
-    ingest::TraceDecoder decoder(path, opts);
-    decoder.setDropCounter(&dropped);
-    ingest::TraceRecord rec;
-    while (decoder.next(rec)) {
-    }
-    EXPECT_EQ(decoder.passStats().dropped, 1u);
-    decoder.rewind();
-    EXPECT_EQ(decoder.passStats().dropped, 0u); // per-pass reset
-    while (decoder.next(rec)) {
-    }
-    EXPECT_EQ(decoder.passStats().dropped, 1u);
-    EXPECT_EQ(dropped.value(), 2u); // cumulative across passes
 }
 
 // ---------------------------------------------------------------
@@ -360,9 +291,8 @@ TEST_F(IngestTest, BinaryRoundTrip)
     bytes += binRecord(1, 6, 0x404, 0, 1, 30); // extended record
     const std::string path = spill("round.cbin", bytes);
 
-    ingest::TraceDecoder decoder(path, {});
+    ingest::TraceDecoder decoder(path);
     EXPECT_EQ(decoder.numCores(), 2u);
-    EXPECT_EQ(decoder.format(), ingest::TraceFormat::Binary);
 
     ingest::TraceRecord rec;
     ASSERT_TRUE(decoder.next(rec));
@@ -383,13 +313,24 @@ TEST_F(IngestTest, BinaryHeaderGoldens)
     EXPECT_EQ(mustThrow(spill("a.cbin", binHeader(2).substr(0, 5)))
                   .byteOffset(),
               5u);
-    // Magic wrong at its third byte. Forcing the format bypasses
-    // auto-detection (which would not recognize the file at all).
-    ingest::IngestOptions bin;
-    bin.format = ingest::TraceFormat::Binary;
+    // Magic wrong at its third byte: detection finds no format.
     std::string bad = binHeader(2);
     bad[2] = 'X';
-    EXPECT_EQ(mustThrow(spill("b.cbin", bad), bin).byteOffset(), 2u);
+    EXPECT_EQ(mustThrow(spill("b.cbin", bad)).byteOffset(), 0u);
+    // A file rewritten under an open decoder has its header checked
+    // again on rewind, at the exact byte.
+    {
+        const std::string path = spill(
+            "b2.cbin", binHeader(2) + binRecord(0, 4, 0x400, 0x10040));
+        ingest::TraceDecoder decoder(path);
+        spill("b2.cbin", bad);
+        try {
+            decoder.rewind();
+            ADD_FAILURE() << "rewind accepted a damaged header";
+        } catch (const TraceError &err) {
+            EXPECT_EQ(err.byteOffset(), 2u);
+        }
+    }
     // Unsupported version.
     bad = binHeader(2);
     bad[4] = 9;
@@ -397,10 +338,8 @@ TEST_F(IngestTest, BinaryHeaderGoldens)
     // Zero cores.
     EXPECT_EQ(mustThrow(spill("d.cbin", binHeader(0))).byteOffset(),
               5u);
-    // Core count over the cap.
-    ingest::IngestOptions capped;
-    capped.limits.maxCores = 4;
-    EXPECT_EQ(mustThrow(spill("e.cbin", binHeader(200)), capped)
+    // One core over the cap.
+    EXPECT_EQ(mustThrow(spill("e.cbin", binHeader(ingest::kMaxCores + 1)))
                   .byteOffset(),
               5u);
     // Reserved header bytes must be zero.
@@ -439,16 +378,7 @@ TEST_F(IngestTest, BinaryMidFileCorruptionOffset)
     bytes += binRecord(0, 4, 0x400, 0x10040);
     bytes += binRecord(1, 9, 0x404, 0x10080);
     bytes += binRecord(0, 5, 0x408, 0x100c0);
-    const std::string path = spill("mid.cbin", bytes);
-    EXPECT_EQ(mustThrow(path).byteOffset(), 37u);
-
-    // The same damage is skippable: SkipRecord resynchronizes on the
-    // length prefix and keeps the good records.
-    ingest::IngestOptions opts;
-    opts.policy = ingest::RecoveryPolicy::SkipRecord;
-    const ingest::ScanSummary scan = ingest::scanTrace(path, opts);
-    EXPECT_EQ(scan.records, 2u);
-    EXPECT_EQ(scan.dropped, 1u);
+    EXPECT_EQ(mustThrow(spill("mid.cbin", bytes)).byteOffset(), 37u);
 }
 
 TEST_F(IngestTest, BinaryLengthCapsAreStructural)
@@ -459,27 +389,18 @@ TEST_F(IngestTest, BinaryLengthCapsAreStructural)
     bytes += binRecord(1, 4, 0x404, 0x10080, 1, 30);
     bytes[8 + 26] = 10; // rewrite the second record's length to 10
     bytes[8 + 27] = 0;
-    const std::string path = spill("len.cbin", bytes);
-    EXPECT_EQ(mustThrow(path).byteOffset(), 34u);
+    EXPECT_EQ(mustThrow(spill("len.cbin", bytes)).byteOffset(), 34u);
 
-    // Structural framing damage cannot be skipped...
-    ingest::IngestOptions opts;
-    opts.policy = ingest::RecoveryPolicy::SkipRecord;
-    EXPECT_THROW(ingest::scanTrace(path, opts), TraceError);
-    // ...but Truncate keeps everything before it.
-    opts.policy = ingest::RecoveryPolicy::Truncate;
-    const ingest::ScanSummary scan = ingest::scanTrace(path, opts);
-    EXPECT_EQ(scan.records, 1u);
-    EXPECT_TRUE(scan.truncated);
-    EXPECT_EQ(scan.truncatedAtByte, 34u);
-
-    // A length above limits.maxRecordBytes is equally structural.
-    ingest::IngestOptions small;
-    small.limits.maxRecordBytes = 64;
+    // A payload exactly at the cap decodes; one byte over fails at
+    // the record's length prefix.
     bytes = binHeader(2);
-    bytes += binRecord(0, 4, 0x400, 0x10040, 1, 200);
-    EXPECT_EQ(mustThrow(spill("big.cbin", bytes), small).byteOffset(),
-              8u);
+    bytes += binRecord(0, 4, 0x400, 0x10040);
+    bytes += binRecord(1, 4, 0x404, 0x10080, 1, ingest::kMaxRecordBytes);
+    EXPECT_EQ(ingest::scanTrace(spill("cap.cbin", bytes)).records, 2u);
+    bytes += binRecord(0, 4, 0x408, 0x100c0, 1,
+                       ingest::kMaxRecordBytes + 1);
+    const std::uint64_t over = 8 + 26 + 2 + ingest::kMaxRecordBytes;
+    EXPECT_EQ(mustThrow(spill("big.cbin", bytes)).byteOffset(), over);
 }
 
 TEST_F(IngestTest, AutoDetectGoldens)
@@ -539,11 +460,10 @@ TEST_F(IngestTest, GzipRoundTrip)
     const std::string gzPath =
         spill("plain.ctext.gz", gzipCompress(raw));
 
-    const ingest::ScanSummary a = ingest::scanTrace(rawPath, {});
-    const ingest::ScanSummary b = ingest::scanTrace(gzPath, {});
+    const ingest::ScanSummary a = ingest::scanTrace(rawPath);
+    const ingest::ScanSummary b = ingest::scanTrace(gzPath);
     EXPECT_EQ(a.records, b.records);
     EXPECT_EQ(a.numCores, b.numCores);
-    EXPECT_EQ(a.format, b.format);
     EXPECT_EQ(a.perCoreRecords, b.perCoreRecords);
     EXPECT_EQ(a.coreRegions, b.coreRegions);
     // Identity covers the raw (compressed) bytes, so the two files
@@ -557,14 +477,14 @@ TEST_F(IngestTest, GzipCorruptionIsTraceError)
     std::string gz = gzipCompress(raw);
     gz[gz.size() / 2] ^= 0x40; // damage the deflate stream
     const std::string path = spill("bad.ctext.gz", gz);
-    EXPECT_THROW(ingest::scanTrace(path, {}), TraceError);
+    EXPECT_THROW(ingest::scanTrace(path), TraceError);
 
     // Truncation of the compressed stream is also a TraceError, not
     // a silent short read.
     const std::string cut =
         spill("cut.ctext.gz",
               gzipCompress(raw).substr(0, gz.size() - 6));
-    EXPECT_THROW(ingest::scanTrace(cut, {}), TraceError);
+    EXPECT_THROW(ingest::scanTrace(cut), TraceError);
 }
 #endif // CRITMEM_HAVE_ZLIB
 
@@ -579,7 +499,7 @@ TEST_F(IngestTest, ExternalTraceReaderLoops)
                                    "0 L 0x10 0x40\n"
                                    "1 S 0x20 0x80\n"
                                    "0 A 0x14 0\n");
-    ingest::ExternalTraceReader reader("loop", path, {}, 0);
+    ingest::ExternalTraceReader reader("loop", path, 0);
     MicroOp op;
     for (int pass = 0; pass < 3; ++pass) {
         reader.next(op);
@@ -596,7 +516,7 @@ TEST_F(IngestTest, ExternalTraceReaderStarvedCoreThrows)
     const std::string path = spill("starve.ctext",
                                    "ctrace text 1 2\n"
                                    "0 L 0x10 0x40\n");
-    ingest::ExternalTraceReader reader("starve", path, {}, 1);
+    ingest::ExternalTraceReader reader("starve", path, 1);
     MicroOp op;
     EXPECT_THROW(reader.next(op), TraceError);
 }
@@ -608,7 +528,7 @@ TEST_F(IngestTest, RegistryValidatesAndRefreshes)
                                    "0 L 0x10 0x40\n"
                                    "1 S 0x20 0x80\n");
     const TraceWorkload &wl =
-        registerTraceWorkload("regt", path, {});
+        registerTraceWorkload("regt", path);
     EXPECT_EQ(wl.numCores, 2u);
     EXPECT_EQ(wl.records, 2u);
     EXPECT_NE(wl.contentHash, 0u);
@@ -618,18 +538,18 @@ TEST_F(IngestTest, RegistryValidatesAndRefreshes)
 
     // Misuse: bad names, collisions with the built-in registries,
     // and renaming a path out from under a workload.
-    EXPECT_THROW(registerTraceWorkload("", path, {}),
+    EXPECT_THROW(registerTraceWorkload("", path),
                  std::runtime_error);
-    EXPECT_THROW(registerTraceWorkload("has space", path, {}),
+    EXPECT_THROW(registerTraceWorkload("has space", path),
                  std::runtime_error);
-    EXPECT_THROW(registerTraceWorkload("a/b", path, {}),
+    EXPECT_THROW(registerTraceWorkload("a/b", path),
                  std::runtime_error);
-    EXPECT_THROW(registerTraceWorkload("art", path, {}),
+    EXPECT_THROW(registerTraceWorkload("art", path),
                  std::runtime_error);
     const std::string other = spill("reg2.ctext",
                                     "ctrace text 1 1\n"
                                     "0 L 0x10 0x40\n");
-    EXPECT_THROW(registerTraceWorkload("regt", other, {}),
+    EXPECT_THROW(registerTraceWorkload("regt", other),
                  std::runtime_error);
 
     // Same name + same path refreshes (file may have changed).
@@ -640,16 +560,10 @@ TEST_F(IngestTest, RegistryValidatesAndRefreshes)
           "1 S 0x20 0x80\n"
           "1 A 0x24 0\n");
     const TraceWorkload &fresh =
-        registerTraceWorkload("regt", path, {});
+        registerTraceWorkload("regt", path);
     EXPECT_EQ(fresh.records, 3u);
     EXPECT_NE(fresh.contentHash, before);
     EXPECT_EQ(traceWorkloads().size(), 1u);
-
-    // Invalid ingest options are rejected as misuse, not TraceError.
-    ingest::IngestOptions bad;
-    bad.limits.maxCores = 0;
-    EXPECT_THROW(registerTraceWorkload("regb", path, bad),
-                 std::runtime_error);
 }
 
 TEST_F(IngestTest, RegistryRejectsStarvedCores)
@@ -659,7 +573,7 @@ TEST_F(IngestTest, RegistryRejectsStarvedCores)
                                    "0 L 0x10 0x40\n"
                                    "1 S 0x20 0x80\n");
     try {
-        registerTraceWorkload("starved", path, {});
+        registerTraceWorkload("starved", path);
         FAIL() << "registered a trace with a record-less core";
     } catch (const TraceError &err) {
         EXPECT_NE(std::string(err.what()).find("core 2"),
@@ -671,7 +585,7 @@ TEST_F(IngestTest, RegistryRejectsEmptyTraces)
 {
     const std::string path =
         spill("empty.ctext", "ctrace text 1 1\n# nothing\n");
-    EXPECT_THROW(registerTraceWorkload("empty", path, {}),
+    EXPECT_THROW(registerTraceWorkload("empty", path),
                  TraceError);
 }
 
@@ -700,7 +614,7 @@ TEST_F(IngestTest, SystemFromTraceIsDeterministic)
 {
     const std::string path = spill("sys.ctext", twoCoreTrace());
     const TraceWorkload &wl =
-        registerTraceWorkload("syst", path, {});
+        registerTraceWorkload("syst", path);
 
     SystemConfig cfg = SystemConfig::parallelDefault();
     cfg.numCores = wl.numCores;
@@ -721,33 +635,39 @@ TEST_F(IngestTest, SweepSpecParsesTraceLines)
     std::istringstream in(
         "mode = parallel\n"
         "workloads = tr1\n"
-        "trace tr1 : path=/tmp/x.ctext policy=skip-record "
-        "skip-budget=5 format=text max-line=256\n"
+        "trace tr1 : path=/tmp/x.ctext\n"
         "variant base : sched=frfcfs\n");
     const exec::SweepSpec spec = exec::parseSweepSpec(in);
     ASSERT_EQ(spec.traces.size(), 1u);
     EXPECT_EQ(spec.traces[0].name, "tr1");
     EXPECT_EQ(spec.traces[0].path, "/tmp/x.ctext");
-    EXPECT_EQ(spec.traces[0].options.policy,
-              ingest::RecoveryPolicy::SkipRecord);
-    EXPECT_EQ(spec.traces[0].options.skipBudget, 5u);
-    EXPECT_EQ(spec.traces[0].options.format,
-              ingest::TraceFormat::Text);
-    EXPECT_EQ(spec.traces[0].options.limits.maxLineBytes, 256u);
 
-    // Malformed trace lines carry SweepError line info.
+    // Malformed trace lines carry SweepError line info: the trace
+    // line is line 2. The removed per-trace keys (format, policy,
+    // skip-budget and the three caps) are unknown keys.
     const std::vector<std::string> bad = {
         "trace t :\n",                       // missing path
-        "trace t : policy=bogus path=/x\n",  // unknown policy
         "trace t : path=/x nope=1\n",        // unknown key
-        "trace t : path=/x max-cores=0\n",   // cap out of range
+        "trace t : path=/x format=binary\n",
+        "trace t : path=/x policy=fail\n",
+        "trace t : policy=skip-record path=/x\n",
+        "trace t : path=/x skip-budget=5\n",
+        "trace t : path=/x max-line=8192\n",
+        "trace t : path=/x max-record=1024\n",
+        "trace t : path=/x max-cores=128\n",
         "trace a : path=/x\ntrace a : path=/y\n", // duplicate
     };
     for (const std::string &body : bad) {
         std::istringstream is("mode = parallel\n" + body +
                               "variant base : sched=frfcfs\n");
-        EXPECT_THROW(exec::parseSweepSpec(is), exec::SweepError)
-            << body;
+        try {
+            exec::parseSweepSpec(is);
+            ADD_FAILURE() << "accepted " << body;
+        } catch (const exec::SweepError &err) {
+            const std::size_t line =
+                body.find("trace a") == 0 ? 3 : 2;
+            EXPECT_EQ(err.lineNo(), line) << body;
+        }
     }
 }
 
@@ -756,7 +676,7 @@ TEST_F(IngestTest, SweepExpandsTraceJobs)
     const std::string path = spill("sweep.ctext", twoCoreTrace());
 
     exec::SweepSpec spec;
-    spec.traces.push_back({"swt", path, {}});
+    spec.traces.push_back({"swt", path});
     spec.variants.push_back(
         {"base", {{"sched", "frfcfs"}, {"cores", "8"}}});
     // Empty workload list: every parallel app plus the trace.
@@ -798,7 +718,7 @@ TEST_F(IngestTest, CampaignHashTracksTraceContent)
     const std::string path = spill("hash.ctext", twoCoreTrace());
 
     exec::SweepSpec spec;
-    spec.traces.push_back({"hsh", path, {}});
+    spec.traces.push_back({"hsh", path});
     spec.workloads = {"hsh"};
     spec.variants.push_back({"base", {{"sched", "frfcfs"}}});
 

@@ -51,13 +51,9 @@ usage()
         "                     register an external trace file as a\n"
         "                     workload (repeatable; default name is\n"
         "                     the file stem); with no --app it is also\n"
-        "                     the workload to run\n"
-        "  --trace-format F   auto (default) | text | binary\n"
-        "  --trace-policy P   fail (default) | skip-record |"
-        " truncate\n"
-        "  --trace-skip-budget N\n"
-        "                     damaged records tolerated per pass under"
-        " skip-record (default 64)\n"
+        "                     the workload to run; the format comes\n"
+        "                     from the file's magic and any decode\n"
+        "                     error is fatal\n"
         "  --alone            run --app on core 0 with the other cores"
         " idle\n"
         "  --fairness         (with --bundle) also run each bundle app\n"
@@ -151,15 +147,9 @@ listWorkloads()
     if (!traceWorkloads().empty()) {
         std::printf("trace-backed workloads (--trace / --app):\n");
         for (const TraceWorkload &wl : traceWorkloads()) {
-            std::printf("  %-12s %s  (%u cores, %llu records",
+            std::printf("  %-12s %s  (%u cores, %llu records)\n",
                         wl.name.c_str(), wl.path.c_str(), wl.numCores,
                         static_cast<unsigned long long>(wl.records));
-            if (wl.dropped != 0) {
-                std::printf(", %llu dropped",
-                            static_cast<unsigned long long>(
-                                wl.dropped));
-            }
-            std::printf(")\n");
         }
     }
 }

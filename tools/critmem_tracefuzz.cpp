@@ -391,7 +391,7 @@ main(int argc, char **argv)
     for (const CorpusEntry &entry : corpus) {
         const std::string path = corpusDir + "/" + entry.name;
         try {
-            ingest::scanTrace(path, ingest::IngestOptions{});
+            ingest::scanTrace(path);
         } catch (const std::exception &err) {
             std::fprintf(stderr, "seed corpus %s does not decode: %s\n",
                          entry.name.c_str(), err.what());
@@ -430,18 +430,10 @@ main(int argc, char **argv)
             std::fclose(f);
         }
 
-        // Rotate the recovery policy so every policy's error paths
-        // see every mutation class.
-        ingest::IngestOptions opts;
-        opts.policy = iter % 3 == 0 ? ingest::RecoveryPolicy::Fail
-            : iter % 3 == 1 ? ingest::RecoveryPolicy::SkipRecord
-                            : ingest::RecoveryPolicy::Truncate;
-        opts.skipBudget = 8;
-
         bool ok = true;
         std::string problem;
         try {
-            ingest::scanTrace(scratch, opts);
+            ingest::scanTrace(scratch);
             ++stats.accepted;
         } catch (const TraceError &err) {
             ++stats.rejected;
@@ -453,7 +445,7 @@ main(int argc, char **argv)
             // decompressed domain and cannot be window-checked
             // against compressed-file positions.
             if (!entry.gzip) {
-                const std::uint64_t slack = 4096 + 8;
+                const std::uint64_t slack = ingest::kMaxLineBytes + 8;
                 const std::uint64_t windowLo =
                     minStart == ~std::uint64_t{0} || minStart < slack
                     ? 0
@@ -482,13 +474,10 @@ main(int argc, char **argv)
         if (!ok) {
             ++stats.failures;
             std::fprintf(stderr,
-                         "FAIL seed=%llu iter=%llu corpus=%s "
-                         "policy=%s: %s\n",
+                         "FAIL seed=%llu iter=%llu corpus=%s: %s\n",
                          static_cast<unsigned long long>(seed),
                          static_cast<unsigned long long>(iter),
-                         entry.name.c_str(),
-                         ingest::toString(opts.policy),
-                         problem.c_str());
+                         entry.name.c_str(), problem.c_str());
         }
         if (!quiet && iter != 0 && iter % 2000 == 0) {
             std::fprintf(stderr,
