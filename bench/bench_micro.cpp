@@ -213,7 +213,6 @@ BM_DramChannelTick(benchmark::State &state)
     stats::Group root;
     SystemConfig sysCfg = SystemConfig::parallelDefault();
     sysCfg.dram.channels = 1;
-    validateOrFatal(sysCfg);
     const auto sched = makeScheduler(sysCfg);
     DramSystem dram(sysCfg.dram, *sched, root);
     Rng rng(7);
@@ -243,7 +242,6 @@ BM_DramReadyScan(benchmark::State &state)
     stats::Group root;
     SystemConfig sysCfg = SystemConfig::parallelDefault();
     sysCfg.dram.channels = 1;
-    validateOrFatal(sysCfg);
     const auto sched = makeScheduler(sysCfg);
     DramSystem dram(sysCfg.dram, *sched, root);
     Rng rng(13);

@@ -30,7 +30,7 @@ main(int argc, char **argv)
     const std::string bundleName = argc > 1 ? argv[1] : "RFGI";
     const std::uint64_t quota =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                 : defaultQuota(20000);
+                 : 20000;
 
     const Bundle *bundle = nullptr;
     for (const Bundle &b : multiprogBundles()) {

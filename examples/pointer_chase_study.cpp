@@ -72,7 +72,7 @@ main(int argc, char **argv)
     setQuiet(true);
     const std::uint64_t quota =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                 : defaultQuota(30000);
+                 : 30000;
 
     std::printf("The art pointer-chase anomaly "
                 "(quota=%llu instructions/core)\n\n",

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     const std::string app = argc > 1 ? argv[1] : "art";
     const std::uint64_t quota =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                 : defaultQuota(40000);
+                 : 40000;
 
     SystemConfig base = SystemConfig::parallelDefault();
     base.sched.algo = SchedAlgo::FrFcfs;

@@ -2,7 +2,7 @@
 # Regenerate every artifact: build, test suite (plain and sanitized),
 # checked smoke runs, then every figure spec and the micro-benchmarks.
 # CRITMEM_INSTRS scales simulation length (the --quota of the figure
-# specs); CRITMEM_WARMUP their warmup.
+# specs; each spec's warmup is half its quota).
 # CRITMEM_SKIP_ASAN=1 / CRITMEM_SKIP_TSAN=1 skip the sanitizer passes
 # (e.g. no clean rebuild budget); CRITMEM_SKIP_CHECKED=1 skips the
 # checked smoke runs.
@@ -14,7 +14,7 @@ cmake --build build -j"$(nproc)"
 
 # Static analysis first: critmem-lint over the checkout (per-file
 # source rules — determinism, clock domains, protocol and hygiene —
-# stale suppressions, and the timing-preset/sweep-spec data rules).
+# and stale suppressions).
 # Cheap, and a violation here fails fast before any sanitizer
 # rebuild.
 cmake --build build --target lint

@@ -103,11 +103,11 @@ ruleEnabled(const std::set<std::string> &ruleFilter,
 /**
  * Run the enabled source rules over @p file and append every finding
  * its lint:allow sites do not suppress. A site whose rule ran but
- * that suppressed nothing, or that names no registered source or
- * data rule (a typo suppresses nothing either), becomes a
- * stale-suppression finding (when that pseudo-rule is enabled). Sites
- * naming stale-suppression itself are exempt (no recursion), and the
- * finding itself honors lint:allow(stale-suppression).
+ * that suppressed nothing, or that names no registered rule (a typo
+ * suppresses nothing either), becomes a stale-suppression finding
+ * (when that pseudo-rule is enabled). Sites naming stale-suppression
+ * itself are exempt (no recursion), and the finding itself honors
+ * lint:allow(stale-suppression).
  */
 void
 lintFile(const SourceFile &file, const std::set<std::string> &ruleFilter,
@@ -205,14 +205,6 @@ runAnalysis(const AnalyzerOptions &opts, const Baseline &baseline)
     for (const fs::path &path : paths) {
         lintFile(loadSourceFile(path.string(), relativePath(root, path)),
                  opts.ruleFilter, all);
-    }
-
-    if (!opts.sourceOnly) {
-        const RepoContext repo{root.string()};
-        for (const DataRule *rule : dataRules()) {
-            if (ruleEnabled(opts.ruleFilter, rule->meta()))
-                rule->check(repo, all);
-        }
     }
 
     std::sort(all.begin(), all.end(), findingLess);

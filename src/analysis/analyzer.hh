@@ -3,8 +3,8 @@
  * The critmem-lint driver: walks the checkout, runs every registered
  * source rule over src/, tools/, bench/ and examples/ one file at a
  * time (honoring inline lint:allow suppressions), flags stale
- * suppressions, runs every data rule, and filters the result through
- * a checked-in baseline file.
+ * suppressions, and filters the result through a checked-in baseline
+ * file.
  *
  * The baseline exists so the lint target can be adopted on a tree
  * with known findings and still fail on NEW ones; this repository
@@ -49,8 +49,6 @@ struct AnalyzerOptions
     std::string root;
     /** When nonempty, only run rules whose id is listed. */
     std::set<std::string> ruleFilter;
-    /** Skip the data rules (fixture tests exercise them directly). */
-    bool sourceOnly = false;
 };
 
 /** Outcome of one analysis run. */

@@ -19,8 +19,6 @@ allRuleMetas()
     for (const SourceRule *rule : sourceRules())
         metas.push_back(rule->meta());
     metas.push_back(staleSuppressionMeta());
-    for (const DataRule *rule : dataRules())
-        metas.push_back(rule->meta());
     return metas;
 }
 

@@ -1,14 +1,11 @@
 /**
  * @file
- * Rule interfaces and the pluggable rule registry of critmem-lint.
- *
- * Two rule families exist. SourceRules pattern-match one SourceFile
- * at a time (determinism, clock-domain, protocol-bypass and hygiene
- * invariants over the C++ tree). DataRules validate checked-in data
- * against the simulator's own registries: every DDR3 timing preset
- * and every sweep campaign under specs/ is checked at build time,
- * before any workload runs — the static twin of the runtime protocol
- * checker (DESIGN.md section 8).
+ * Rule interfaces and the rule registry of critmem-lint. Every rule
+ * is a SourceRule that pattern-matches one SourceFile at a time
+ * (determinism, clock-domain, protocol-bypass and hygiene invariants
+ * over the C++ tree; DESIGN.md section 8). Checked-in data (timing
+ * presets, sweep specs, traces) is validated by the code that loads
+ * it, not here.
  */
 
 #ifndef CRITMEM_ANALYSIS_RULE_HH
@@ -39,30 +36,8 @@ class SourceRule
                        std::vector<Finding> &out) const = 0;
 };
 
-/** What a data rule may inspect: the repository checkout. */
-struct RepoContext
-{
-    /** Absolute path of the repository root. */
-    std::string root;
-};
-
-/** A repo-level rule over checked-in data (presets, sweep specs). */
-class DataRule
-{
-  public:
-    virtual ~DataRule() = default;
-
-    virtual const RuleMeta &meta() const = 0;
-
-    virtual void check(const RepoContext &repo,
-                       std::vector<Finding> &out) const = 0;
-};
-
 /** Every source rule, in stable registration order. */
 const std::vector<const SourceRule *> &sourceRules();
-
-/** Every data rule, in stable registration order. */
-const std::vector<const DataRule *> &dataRules();
 
 /**
  * Meta of the analyzer-implemented stale-suppression finding (a
@@ -70,10 +45,7 @@ const std::vector<const DataRule *> &dataRules();
  */
 const RuleMeta &staleSuppressionMeta();
 
-/**
- * Metadata of every registered rule (source, then stale-suppression,
- * then data).
- */
+/** Metadata of every registered rule (source, then stale-suppression). */
 std::vector<RuleMeta> allRuleMetas();
 
 /** @return whether @p id names a registered rule. */

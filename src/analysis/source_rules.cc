@@ -371,63 +371,6 @@ class ClockDomainRule : public SourceRule
 };
 
 /**
- * config-validate: SystemConfig::validate() is the choke point that
- * caught the inconsistent DDR3-1600 tRC preset. System's constructor
- * enforces it, so any code that assembles DramSystem / MemHierarchy /
- * DramChannel directly — bypassing System — must call
- * validateOrFatal()/validate() itself, or an inconsistent config
- * reaches the timing model unchecked. The implementing modules
- * (src/dram, src/mem, src/system) receive already-validated configs
- * and are exempt.
- */
-class ConfigValidateRule : public SourceRule
-{
-  public:
-    const RuleMeta &
-    meta() const override
-    {
-        static const RuleMeta kMeta{
-            "config-validate", Severity::Error,
-            "direct component assembly must validate its config"};
-        return kMeta;
-    }
-
-    void
-    check(const SourceFile &file, std::vector<Finding> &out)
-        const override
-    {
-        for (const char *exempt :
-             {"src/dram/", "src/mem/", "src/system/"}) {
-            if (file.path.rfind(exempt, 0) == 0)
-                return;
-        }
-        const std::string joined = file.joinedCode();
-        const bool validated =
-            joined.find("validateOrFatal") != std::string::npos ||
-            joined.find(".validate(") != std::string::npos;
-        if (validated)
-            return;
-        static const std::regex kConstruct(
-            "\\b(DramSystem|MemHierarchy|DramChannel)\\s+\\w+\\s*[({]|"
-            "make_unique<\\s*(DramSystem|MemHierarchy|DramChannel)\\b");
-        for (auto it = std::sregex_iterator(joined.begin(),
-                                            joined.end(), kConstruct);
-             it != std::sregex_iterator(); ++it) {
-            const std::string component =
-                (*it)[1].matched ? (*it)[1] : (*it)[2];
-            out.push_back(
-                {meta().id, meta().severity, file.path,
-                 file.lineOfOffset(
-                     static_cast<std::size_t>(it->position())),
-                 "direct " + component +
-                     " construction bypasses System's "
-                     "validateOrFatal(); call validateOrFatal(cfg) "
-                     "first"});
-        }
-    }
-};
-
-/**
  * include-hygiene: quoted includes are project-relative from src/
  * (so every file names its dependencies unambiguously and the
  * include graph is greppable), headers carry CRITMEM_* guards, no
@@ -811,16 +754,14 @@ sourceRules()
     static const UnorderedIterRule unorderedIter;
     static const NarrowCycleRule narrowCycle;
     static const ClockDomainRule clockDomain;
-    static const ConfigValidateRule configValidate;
     static const IncludeHygieneRule includeHygiene;
     static const DurableWriteRule durableWrite;
     static const HotPathAllocRule hotPathAlloc;
     static const NoTerminateRule noTerminate;
     static const std::vector<const SourceRule *> kRules{
-        &wallClock,      &unseededRandom, &unorderedIter,
-        &narrowCycle,    &clockDomain,    &configValidate,
-        &includeHygiene, &durableWrite,   &hotPathAlloc,
-        &noTerminate};
+        &wallClock,    &unseededRandom, &unorderedIter,
+        &narrowCycle,  &clockDomain,    &includeHygiene,
+        &durableWrite, &hotPathAlloc,   &noTerminate};
     return kRules;
 }
 

@@ -7,7 +7,8 @@ namespace critmem
 
 DramSystem::DramSystem(const DramConfig &cfg, Scheduler &sched,
                        stats::Group &parent)
-    : cfg_(cfg), map_(cfg), group_("dram", &parent), sched_(sched)
+    : cfg_(validateOrFatal(cfg)), map_(cfg_), group_("dram", &parent),
+      sched_(sched)
 {
     channels_.reserve(cfg_.channels);
     for (std::uint32_t i = 0; i < cfg_.channels; ++i) {

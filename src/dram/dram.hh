@@ -25,7 +25,8 @@ class DramSystem
 {
   public:
     /**
-     * @param cfg Organization and timing.
+     * @param cfg Organization and timing; fatal() when it fails
+     *            validation.
      * @param sched Scheduling policy shared by every channel; must
      *              outlive the DramSystem.
      * @param parent Statistics parent group.

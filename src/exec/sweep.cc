@@ -13,8 +13,10 @@ namespace critmem::exec
 
 SweepError::SweepError(const std::string &message, std::size_t lineNo,
                        std::uint64_t byteOffset)
-    : std::runtime_error(message + " (byte offset " +
-                         std::to_string(byteOffset) + ")"),
+    : std::runtime_error(lineNo == 0
+                             ? message
+                             : message + " (byte offset " +
+                                 std::to_string(byteOffset) + ")"),
       lineNo_(lineNo), byteOffset_(byteOffset)
 {
 }
@@ -22,10 +24,11 @@ SweepError::SweepError(const std::string &message, std::size_t lineNo,
 namespace
 {
 
+/** A spec that parses but does not expand: no line to point at. */
 [[noreturn]] void
 bad(const std::string &what)
 {
-    throw std::runtime_error(what);
+    throw SweepError(what, 0, 0);
 }
 
 std::string
@@ -145,11 +148,18 @@ SweepSpec::expand() const
         aloneAt = &*it;
     }
 
+    // Jobs each exclude pattern dropped: a pattern that drops none is
+    // a typo that would silently run the jobs it meant to skip.
+    std::vector<std::size_t> dropped(exclude.size(), 0);
     const auto excluded = [&](const std::string &jobName) {
-        return std::any_of(exclude.begin(), exclude.end(),
-                           [&](const std::string &pattern) {
-                               return globMatch(pattern, jobName);
-                           });
+        bool hit = false;
+        for (std::size_t i = 0; i < exclude.size(); ++i) {
+            if (globMatch(exclude[i], jobName)) {
+                ++dropped[i];
+                hit = true;
+            }
+        }
+        return hit;
     };
 
     std::vector<JobSpec> jobs;
@@ -223,6 +233,12 @@ SweepSpec::expand() const
             finishJob(job);
         }
     }
+    for (std::size_t i = 0; i < exclude.size(); ++i) {
+        if (dropped[i] == 0)
+            bad("exclude pattern '" + exclude[i] + "' excluded no job");
+    }
+    if (jobs.empty())
+        bad("sweep spec expands to zero jobs");
     return jobs;
 }
 

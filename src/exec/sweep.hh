@@ -31,7 +31,8 @@ namespace critmem::exec
  * A malformed .sweep spec. Carries the 1-based line number and the
  * byte offset of the offending line so drivers and fuzz harnesses can
  * point at the exact location (the analogue of TraceError for spec
- * files).
+ * files). Line 0 marks a spec that parses but does not expand; its
+ * message then carries no offset.
  */
 class SweepError : public std::runtime_error
 {
@@ -109,8 +110,10 @@ struct SweepSpec
 
     /**
      * Expand into the ordered job list. Validates workload names,
-     * variant settings and the resulting configs; throws
-     * std::runtime_error describing the first problem.
+     * variant settings and the resulting configs, and rejects an
+     * exclude pattern that drops no job (alone jobs included) and a
+     * campaign of zero jobs. Throws SweepError (line 0) describing
+     * the first problem, or the TraceError of a declared trace.
      */
     std::vector<JobSpec> expand() const;
 };

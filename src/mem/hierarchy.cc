@@ -35,7 +35,7 @@ MemHierarchy::Stats::Stats(stats::Group &parent)
 
 MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
                            stats::Group &parent)
-    : cfg_(cfg), dram_(dram), group_("hier", &parent),
+    : cfg_(validateOrFatal(cfg)), dram_(dram), group_("hier", &parent),
       clients_(cfg.numCores, nullptr),
       l2Mshr_(cfg.l2.mshrs, "L2 MSHR file"),
       directory_(std::size_t{cfg.numCores} *
@@ -200,7 +200,7 @@ MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
 }
 
 void
-MemHierarchy::l2Access(const L2Waiter &waiter)
+MemHierarchy::l2Access(const L2Waiter &waiter, bool retry)
 {
     const auto [core, l1Block, isInst, rfo] = waiter;
     const Addr l2Block = l2_->blockAlign(l1Block);
@@ -262,7 +262,8 @@ MemHierarchy::l2Access(const L2Waiter &waiter)
         return;
     }
     if (l2Mshr_.size() >= cfg_.l2.mshrs) {
-        ++stats_.l2MshrFull;
+        if (!retry)
+            ++stats_.l2MshrFull;
         l2MshrRetry_.push_back(waiter);
         return;
     }
@@ -582,7 +583,7 @@ MemHierarchy::tick(Cycle now)
     events_.drain(now, [this](Cycle, const Event &event) {
         switch (event.kind) {
           case EventKind::L2Access:
-            l2Access(event.waiter);
+            l2Access(event.waiter, /*retry=*/false);
             break;
           case EventKind::DeliverL1:
             deliverToL1(event.waiter);
@@ -597,7 +598,7 @@ MemHierarchy::tick(Cycle now)
         l2RetryScratch_.clear();
         l2RetryScratch_.swap(l2MshrRetry_);
         for (const L2Waiter &waiter : l2RetryScratch_)
-            l2Access(waiter);
+            l2Access(waiter, /*retry=*/true);
     }
     drainBlocked();
 }

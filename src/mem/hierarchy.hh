@@ -78,7 +78,10 @@ enum class MemResult : std::uint8_t
 class MemHierarchy : private FillListener
 {
   public:
-    /** Registers itself as @p dram's fill listener. */
+    /**
+     * Registers itself as @p dram's fill listener; fatal() when
+     * @p cfg fails validation.
+     */
     MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
                  stats::Group &parent);
 
@@ -221,7 +224,11 @@ class MemHierarchy : private FillListener
     };
 
     void schedule(Cycle delay, EventKind kind, const L2Waiter &waiter);
-    void l2Access(const L2Waiter &waiter);
+    /**
+     * Look @p waiter's block up in L2 and start or merge its miss.
+     * @p retry marks a miss already counted in l2MshrFull.
+     */
+    void l2Access(const L2Waiter &waiter, bool retry);
     /** A DRAM read or prefetch of the L2 block req.addr finished. */
     void onFill(const MemRequest &req) override;
     void deliverToL1(const L2Waiter &waiter);

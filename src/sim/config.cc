@@ -297,6 +297,10 @@ DramTiming::validate(ConfigErrors &errors) const
     if (burstLength == 0 || burstLength % 2 != 0)
         addError(errors, "dram.t.burstLength",
                  "must be a nonzero even burst length");
+    if (tCCD < dataCycles())
+        addError(errors, "dram.t.tCCD",
+                 "back-to-back CAS would overlap on the data bus "
+                 "(tCCD >= burstLength / 2)");
     if (tRAS < tRCD + tCCD)
         addError(errors, "dram.t.tRAS",
                  "row must stay open at least tRCD + tCCD to serve one "
@@ -305,9 +309,10 @@ DramTiming::validate(ConfigErrors &errors) const
         addError(errors, "dram.t.tRC",
                  "ACT-to-ACT must cover the row cycle (tRC >= tRAS + "
                  "tRP)");
-    if (tFAW < tRRD)
+    if (tFAW < 4 * tRRD)
         addError(errors, "dram.t.tFAW",
-                 "four-activate window cannot be shorter than tRRD");
+                 "four-activate window would never bind (tFAW >= "
+                 "4 * tRRD)");
     if (tREFI <= tRFC)
         addError(errors, "dram.t.tREFI",
                  "refresh interval must exceed the refresh cycle time");
@@ -330,6 +335,15 @@ DramConfig::validate(ConfigErrors &errors) const
     if (queueEntries == 0)
         addError(errors, "dram.queueEntries", "must be nonzero");
     t.validate(errors);
+    // DDR3 retires its 8192 refresh commands in one 64 ms window.
+    if (busMHz != 0 && t.tREFI != 0) {
+        const double windowMs = 8192.0 * t.tREFI / (busMHz * 1000.0);
+        if (std::abs(windowMs - 64.0) > 0.64)
+            addError(errors, "dram.t.tREFI",
+                     "8192 refresh intervals must span 64 ms (+/- 1%) "
+                     "at busMHz, got " + std::to_string(windowMs) +
+                         " ms");
+    }
 }
 
 void
@@ -463,10 +477,12 @@ SystemConfig::validate() const
     return errors;
 }
 
-void
-validateOrFatal(const SystemConfig &cfg)
+namespace
 {
-    const ConfigErrors errors = cfg.validate();
+
+void
+fatalOnErrors(const ConfigErrors &errors)
+{
     if (errors.empty())
         return;
     std::string joined;
@@ -478,6 +494,24 @@ validateOrFatal(const SystemConfig &cfg)
     }
     fatal("invalid configuration (", errors.size(), " error",
           errors.size() == 1 ? "" : "s", "):", joined);
+}
+
+} // namespace
+
+const SystemConfig &
+validateOrFatal(const SystemConfig &cfg)
+{
+    fatalOnErrors(cfg.validate());
+    return cfg;
+}
+
+const DramConfig &
+validateOrFatal(const DramConfig &cfg)
+{
+    ConfigErrors errors;
+    cfg.validate(errors);
+    fatalOnErrors(errors);
+    return cfg;
 }
 
 } // namespace critmem

@@ -403,14 +403,21 @@ struct SystemConfig
 
     /**
      * Validate every configuration block. Returns all problems found
-     * (empty = valid). Call before constructing a System; every entry
-     * point (critmem_cli, experiment helpers, bench harness) does.
+     * (empty = valid). System, DramSystem and MemHierarchy enforce it
+     * at construction (validateOrFatal).
      */
     ConfigErrors validate() const;
 };
 
-/** fatal() with every validation error when @p cfg is inconsistent. */
-void validateOrFatal(const SystemConfig &cfg);
+/**
+ * fatal() with every validation error when @p cfg is inconsistent;
+ * otherwise return @p cfg, so a constructor can validate in its
+ * initializer list before any member is sized from the config.
+ */
+const SystemConfig &validateOrFatal(const SystemConfig &cfg);
+
+/** validateOrFatal() for a DRAM subsystem's own config. */
+const DramConfig &validateOrFatal(const DramConfig &cfg);
 
 } // namespace critmem
 

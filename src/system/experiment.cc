@@ -1,30 +1,13 @@
 #include "system/experiment.hh"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "sim/log.hh"
 
 namespace critmem
 {
 
 std::uint64_t
-defaultQuota(std::uint64_t fallback)
-{
-    if (const char *env = std::getenv("CRITMEM_INSTRS")) {
-        const std::uint64_t value = std::strtoull(env, nullptr, 10);
-        if (value > 0)
-            return value;
-        warn("ignoring unparsable CRITMEM_INSTRS='", env, "'");
-    }
-    return fallback;
-}
-
-std::uint64_t
 defaultWarmup(std::uint64_t quota)
 {
-    if (const char *env = std::getenv("CRITMEM_WARMUP"))
-        return std::strtoull(env, nullptr, 10);
     return quota / 2;
 }
 

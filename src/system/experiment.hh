@@ -65,10 +65,7 @@ struct RunResult
     }
 };
 
-/** Read CRITMEM_INSTRS, else @p fallback (per-core commit quota). */
-std::uint64_t defaultQuota(std::uint64_t fallback);
-
-/** Read CRITMEM_WARMUP, else half the quota (warmup instructions). */
+/** The default warmup: half the quota (warmup instructions). */
 std::uint64_t defaultWarmup(std::uint64_t quota);
 
 /** Sentinel warmup value meaning "use defaultWarmup(quota)". */
@@ -89,8 +86,8 @@ class CycleLimitError : public std::runtime_error
  * methodology — cache prewarm, warmup window, measured run — and
  * collect the result. The System outlives the call, so callers can
  * export its stats or diagnostics afterwards.
- * @param warmup Warmup micro-ops; kDefaultWarmup reads the
- *        CRITMEM_WARMUP environment (else half the quota).
+ * @param warmup Warmup micro-ops; kDefaultWarmup runs
+ *        defaultWarmup(quota).
  * @param stopAtQuota See System::run().
  * @throws CycleLimitError when the warmup or the measured run stopped
  *         at the safety cycle limit: the numbers would describe a

@@ -2,9 +2,8 @@
  * @file
  * critmem-lint unit tests: every source rule proven to fire on its
  * bad fixture and stay silent on its good twin, suppression
- * mechanics, baseline round-trips, the data rules — including the
- * canary that a DDR3 timing preset with tRC < tRAS + tRP must fail
- * lint — and a seeded mutant fuzz over every C++ fixture.
+ * mechanics, baseline round-trips, and a seeded mutant fuzz over
+ * every C++ fixture.
  */
 
 #include <unistd.h>
@@ -19,9 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.hh"
-#include "analysis/data_rules.hh"
 #include "analysis/source_file.hh"
-#include "sim/config.hh"
 #include "sim/random.hh"
 
 namespace
@@ -121,29 +118,6 @@ TEST(LintClockDomain, SilentOnGoodFixture)
     // One domain only; the other's names live in comments and
     // string literals, which the blanked-code view hides.
     EXPECT_EQ(lintFixture("clock_domain_good.cc").size(), 0u);
-}
-
-TEST(LintConfigValidate, FiresOnBadFixture)
-{
-    const auto findings = lintFixture("config_validate_bad.cc");
-    EXPECT_EQ(countRule(findings, "config-validate"), 2u);
-}
-
-TEST(LintConfigValidate, SilentWhenValidated)
-{
-    // Identical assembly, but validateOrFatal() is called first.
-    EXPECT_EQ(countRule(lintFixture("config_validate_good.cc"),
-                        "config-validate"),
-              0u);
-}
-
-TEST(LintConfigValidate, ImplementingModulesAreExempt)
-{
-    // src/mem/ receives already-validated configs; the same code
-    // reported under that path must not be flagged.
-    const SourceFile file = loadSourceFile(
-        kFixtures + "config_validate_bad.cc", "src/mem/fake.cc");
-    EXPECT_EQ(countRule(analyzeFile(file), "config-validate"), 0u);
 }
 
 TEST(LintIncludeHygiene, FiresOnBadFixture)
@@ -350,125 +324,6 @@ TEST(LintBaseline, ShippedBaselineIsEmpty)
     EXPECT_TRUE(baseline.keys.empty())
         << "lint-baseline.txt must stay empty: fix or suppress "
            "findings at the source";
-}
-
-// The acceptance canary: corrupting a timing preset so tRC < tRAS +
-// tRP must produce a preset-timing finding.
-TEST(LintPresetTiming, CatchesCorruptedTRC)
-{
-    DramTiming t; // Table 3 defaults (consistent)
-    t.tRC = t.tRAS + t.tRP - 1;
-    std::vector<Finding> findings;
-    checkDramTiming(t, 1066, "corrupted", findings);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "preset-timing");
-    EXPECT_NE(findings[0].message.find("tRC"), std::string::npos);
-}
-
-TEST(LintPresetTiming, CatchesFourActivateWindowViolation)
-{
-    DramTiming t;
-    t.tFAW = 4 * t.tRRD - 1;
-    std::vector<Finding> findings;
-    checkDramTiming(t, 1066, "corrupted", findings);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("tFAW"), std::string::npos);
-}
-
-TEST(LintPresetTiming, CatchesRefreshWindowDrift)
-{
-    DramTiming t;
-    t.tREFI = t.tREFI * 2; // refresh window doubles to ~128 ms
-    std::vector<Finding> findings;
-    checkDramTiming(t, 1066, "corrupted", findings);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("64 ms"), std::string::npos);
-}
-
-TEST(LintPresetTiming, ShippedPresetsAreClean)
-{
-    for (const DramSpeed speed :
-         {DramSpeed::DDR3_1066, DramSpeed::DDR3_1600,
-          DramSpeed::DDR3_2133}) {
-        const DramConfig cfg = DramConfig::preset(speed);
-        std::vector<Finding> findings;
-        checkDramTiming(cfg.t, cfg.busMHz, toString(speed), findings);
-        EXPECT_TRUE(findings.empty())
-            << toString(speed) << ": " << findings.front().message;
-    }
-}
-
-TEST(LintSweepSpec, GoodFixtureIsClean)
-{
-    std::vector<Finding> findings;
-    checkSweepFile(kFixtures + "good.sweep", "good.sweep", findings);
-    EXPECT_TRUE(findings.empty())
-        << (findings.empty() ? "" : findings.front().message);
-}
-
-TEST(LintSweepSpec, FlagsUnknownWorkload)
-{
-    std::vector<Finding> findings;
-    checkSweepFile(kFixtures + "bad_unknown_workload.sweep",
-                   "bad_unknown_workload.sweep", findings);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "sweep-spec");
-    EXPECT_NE(findings[0].message.find("nosuchapp"), std::string::npos);
-}
-
-TEST(LintSweepSpec, FlagsUnsatisfiableExclude)
-{
-    std::vector<Finding> findings;
-    checkSweepFile(kFixtures + "bad_exclude.sweep",
-                   "bad_exclude.sweep", findings);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("matches no"), std::string::npos);
-}
-
-TEST(LintSweepSpec, ShippedCampaignsAreClean)
-{
-    namespace fs = std::filesystem;
-    const fs::path specs = fs::path(CRITMEM_REPO_ROOT) / "specs";
-    ASSERT_TRUE(fs::is_directory(specs));
-    for (const auto &entry : fs::directory_iterator(specs)) {
-        if (entry.path().extension() != ".sweep")
-            continue;
-        std::vector<Finding> findings;
-        checkSweepFile(entry.path().string(),
-                       entry.path().filename().string(), findings);
-        EXPECT_TRUE(findings.empty())
-            << entry.path() << ": "
-            << (findings.empty() ? "" : findings.front().message);
-    }
-}
-
-TEST(LintArenaCoverage, GoodFixtureIsClean)
-{
-    std::vector<Finding> findings;
-    checkArenaCoverage(kFixtures + "arena_good.sweep",
-                       "arena_good.sweep", findings);
-    EXPECT_TRUE(findings.empty())
-        << (findings.empty() ? "" : findings.front().message);
-}
-
-TEST(LintArenaCoverage, FlagsMissingScheduler)
-{
-    std::vector<Finding> findings;
-    checkArenaCoverage(kFixtures + "arena_bad_missing.sweep",
-                       "arena_bad_missing.sweep", findings);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "arena-coverage");
-    EXPECT_NE(findings[0].message.find("'bliss'"), std::string::npos);
-}
-
-TEST(LintArenaCoverage, ShippedArenaCoversRegistry)
-{
-    const std::string spec =
-        std::string(CRITMEM_REPO_ROOT) + "/specs/arena.sweep";
-    std::vector<Finding> findings;
-    checkArenaCoverage(spec, "specs/arena.sweep", findings);
-    EXPECT_TRUE(findings.empty())
-        << (findings.empty() ? "" : findings.front().message);
 }
 
 TEST(LintStaleSuppression, FlagsAllowThatSuppressesNothing)

@@ -212,13 +212,129 @@ TEST(ConfigValidate, TimingRelationsAreEnforced)
     SystemConfig cfg = SystemConfig::parallelDefault();
     cfg.dram.t.tRAS = 5; // below tRCD + tCCD
     cfg.dram.t.tRC = 10; // below tRAS + tRP
-    cfg.dram.t.tFAW = 2; // below tRRD
+    cfg.dram.t.tFAW = 2; // below 4 * tRRD
     cfg.dram.t.tREFI = cfg.dram.t.tRFC; // not past the refresh time
     const ConfigErrors errors = cfg.validate();
     EXPECT_TRUE(hasField(errors, "dram.t.tRAS"));
     EXPECT_TRUE(hasField(errors, "dram.t.tRC"));
     EXPECT_TRUE(hasField(errors, "dram.t.tFAW"));
     EXPECT_TRUE(hasField(errors, "dram.t.tREFI"));
+}
+
+// Each DDR3 timing invariant, alone, on a corrupted Table 3 timing:
+// exactly one error, on the named field, with the named reason.
+TEST(ConfigValidate, EachTimingInvariantFiresOnCorruptedTable3)
+{
+    struct Case
+    {
+        const char *what;
+        void (*corrupt)(DramTiming &);
+        const char *field;
+        const char *reason;
+    };
+    const Case cases[] = {
+        {"tRC < tRAS + tRP",
+         [](DramTiming &t) { t.tRC = t.tRAS + t.tRP - 1; }, "dram.t.tRC",
+         "tRC >= tRAS + tRP"},
+        {"tFAW < 4 * tRRD",
+         [](DramTiming &t) { t.tFAW = 4 * t.tRRD - 1; }, "dram.t.tFAW",
+         "tFAW >= 4 * tRRD"},
+        {"tCCD < BL/2",
+         [](DramTiming &t) { t.tCCD = t.dataCycles() - 1; },
+         "dram.t.tCCD", "tCCD >= burstLength / 2"},
+        {"tRAS < tRCD + tCCD",
+         [](DramTiming &t) { t.tRAS = t.tRCD + t.tCCD - 1; },
+         "dram.t.tRAS", "tRAS >= tRCD + tCCD"},
+        {"tRFC >= tREFI", [](DramTiming &t) { t.tRFC = t.tREFI; },
+         "dram.t.tREFI", "exceed the refresh cycle time"},
+        {"8192 * tREFI = 128 ms",
+         [](DramTiming &t) { t.tREFI *= 2; }, "dram.t.tREFI", "64 ms"},
+    };
+    for (const Case &c : cases) {
+        DramConfig cfg; // Table 3: DDR3-2133 at 1066 MHz
+        c.corrupt(cfg.t);
+        ConfigErrors errors;
+        cfg.validate(errors);
+        ASSERT_EQ(errors.size(), 1u) << c.what;
+        EXPECT_EQ(errors[0].field, c.field) << c.what;
+        EXPECT_NE(errors[0].message.find(c.reason), std::string::npos)
+            << c.what << ": " << errors[0].message;
+    }
+}
+
+// The LintPresetTiming tests keep the name of the lint rule that
+// checked the speed-grade presets before DramConfig::validate did: each
+// corrupts every preset at its own bus clock.
+namespace
+{
+
+constexpr DramSpeed kSpeeds[] = {DramSpeed::DDR3_1066,
+                                 DramSpeed::DDR3_1600,
+                                 DramSpeed::DDR3_2133};
+
+/** validate() finds exactly one error, @p field's, naming @p reason. */
+void
+expectSolePresetError(void (*corrupt)(DramTiming &), const char *field,
+                      const char *reason)
+{
+    for (const DramSpeed speed : kSpeeds) {
+        DramConfig cfg = DramConfig::preset(speed);
+        corrupt(cfg.t);
+        ConfigErrors errors;
+        cfg.validate(errors);
+        ASSERT_EQ(errors.size(), 1u) << toString(speed);
+        EXPECT_EQ(errors[0].field, field) << toString(speed);
+        EXPECT_NE(errors[0].message.find(reason), std::string::npos)
+            << toString(speed) << ": " << errors[0].message;
+    }
+}
+
+} // namespace
+
+TEST(LintPresetTiming, CatchesCorruptedTRC)
+{
+    expectSolePresetError(
+        [](DramTiming &t) { t.tRC = t.tRAS + t.tRP - 1; }, "dram.t.tRC",
+        "tRC >= tRAS + tRP");
+}
+
+TEST(LintPresetTiming, CatchesFourActivateWindowViolation)
+{
+    expectSolePresetError(
+        [](DramTiming &t) { t.tFAW = 4 * t.tRRD - 1; }, "dram.t.tFAW",
+        "tFAW >= 4 * tRRD");
+}
+
+TEST(LintPresetTiming, CatchesRefreshWindowDrift)
+{
+    // The refresh window doubles to ~128 ms.
+    expectSolePresetError([](DramTiming &t) { t.tREFI *= 2; },
+                          "dram.t.tREFI", "64 ms");
+}
+
+TEST(LintPresetTiming, ShippedPresetsAreClean)
+{
+    for (const DramSpeed speed : kSpeeds) {
+        ConfigErrors errors;
+        DramConfig::preset(speed).validate(errors);
+        EXPECT_TRUE(errors.empty())
+            << toString(speed) << ": " << errors.front().message;
+    }
+}
+
+TEST(ConfigValidate, RefreshWindowFollowsTheBusClock)
+{
+    // Table 3's tREFI on an 800 MHz bus spans 85 ms: the speed
+    // grade's own preset rescales it.
+    DramConfig cfg;
+    cfg.busMHz = 800;
+    ConfigErrors errors;
+    cfg.validate(errors);
+    EXPECT_TRUE(hasField(errors, "dram.t.tREFI"));
+    cfg.t = DramConfig::preset(DramSpeed::DDR3_1600).t;
+    errors.clear();
+    cfg.validate(errors);
+    EXPECT_TRUE(errors.empty());
 }
 
 TEST(ConfigValidate, GeometryMustBePowerOfTwoWhereRequired)

@@ -435,6 +435,19 @@ TEST_F(DramTest, CritInQueueTracksPromotions)
     EXPECT_EQ(crit.sum(), expected);
 }
 
+TEST(DramDeath, InvalidTimingFatalAtConstruction)
+{
+    stats::Group root;
+    FrFcfsScheduler sched;
+    DramConfig cfg; // Table 3
+    cfg.t.tFAW = 4 * cfg.t.tRRD - 1;
+    EXPECT_DEATH({ DramSystem dram(cfg, sched, root); }, "dram.t.tFAW");
+    cfg = DramConfig{};
+    cfg.channels = 0;
+    EXPECT_DEATH({ DramSystem dram(cfg, sched, root); },
+                 "dram.channels");
+}
+
 /**
  * Conservation fuzz: under any scheduling policy and random traffic,
  * every enqueued read completes exactly once and nothing is lost.

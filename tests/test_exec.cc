@@ -22,6 +22,7 @@
 
 #include "exec/job_runner.hh"
 #include "fair/baseline_cache.hh"
+#include "sched/registry.hh"
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
 #include "sim/stats.hh"
@@ -443,6 +444,102 @@ TEST(ExecSweep, ErrorsCarryLineNumbers)
         "variant x : sched=notasched\n");
     EXPECT_THROW(exec::parseSweepSpec(badSched).expand(),
                  std::runtime_error);
+}
+
+/** The SweepError message of expanding @p text, or "" if it expands. */
+std::string
+expandError(const std::string &text)
+{
+    std::istringstream in(text);
+    const exec::SweepSpec spec = exec::parseSweepSpec(in);
+    try {
+        spec.expand();
+    } catch (const exec::SweepError &err) {
+        EXPECT_EQ(err.lineNo(), 0u);
+        return err.what();
+    }
+    return "";
+}
+
+TEST(ExecSweep, RejectsUnknownWorkload)
+{
+    EXPECT_EQ(expandError("workloads = nosuchapp\n"
+                          "variant base : sched=frfcfs\n"),
+              "unknown workload 'nosuchapp' for this mode");
+}
+
+TEST(ExecSweep, RejectsDeadExclude)
+{
+    // A mistyped exclusion must not silently run the jobs it meant
+    // to drop.
+    EXPECT_EQ(expandError("workloads = art\n"
+                          "exclude = art/base, zz-no-such-workload/*\n"
+                          "variant base : sched=frfcfs\n"
+                          "variant tcm : sched=tcm\n"),
+              "exclude pattern 'zz-no-such-workload/*' excluded no job");
+    // A pattern that drops only alone baselines is live.
+    EXPECT_EQ(expandError("mode = multiprog\n"
+                          "workloads = RFGI\n"
+                          "alone = 1\n"
+                          "exclude = alone/mcf\n"
+                          "variant base : sched=frfcfs\n"),
+              "");
+}
+
+TEST(ExecSweep, RejectsEmptyCampaign)
+{
+    EXPECT_EQ(expandError("workloads = art, mg\n"
+                          "exclude = */base\n"
+                          "variant base : sched=frfcfs\n"),
+              "sweep spec expands to zero jobs");
+}
+
+// The LintSweepSpec tests keep the name of the lint rule whose checks
+// expand() now makes on every spec it loads.
+TEST(LintSweepSpec, GoodFixtureIsClean)
+{
+    EXPECT_EQ(expandError("# minimal valid campaign\n"
+                          "mode = parallel\n"
+                          "workloads = art\n"
+                          "quota = 1000\n"
+                          "seed = 1\n"
+                          "seed-mode = fixed\n"
+                          "variant base : sched=frfcfs\n"),
+              "");
+}
+
+TEST(LintSweepSpec, ShippedCampaignsAreClean)
+{
+    std::size_t specs = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(CRITMEM_REPO_ROOT) + "/specs")) {
+        if (entry.path().extension() != ".sweep")
+            continue;
+        ++specs;
+        try {
+            exec::parseSweepFile(entry.path().string()).expand();
+        } catch (const exec::SweepError &err) {
+            ADD_FAILURE() << entry.path() << ": " << err.what();
+        }
+    }
+    EXPECT_GE(specs, 30u);
+}
+
+TEST(ExecSweep, ShippedArenaFieldsEveryScheduler)
+{
+    // A registered scheduler without a variant here is kept off every
+    // arena leaderboard.
+    const exec::SweepSpec spec = exec::parseSweepFile(
+        std::string(CRITMEM_REPO_ROOT) + "/specs/arena.sweep");
+    std::set<std::string> fielded;
+    for (const exec::SweepVariant &variant : spec.variants) {
+        for (const auto &[key, value] : variant.settings) {
+            if (key == "sched")
+                fielded.insert(value);
+        }
+    }
+    for (const SchedInfo &info : schedulerRegistry())
+        EXPECT_EQ(fielded.count(info.cliName), 1u) << info.cliName;
 }
 
 TEST(ExecRunner, JsonlIdenticalAcrossThreadCounts)

@@ -536,6 +536,37 @@ TEST_F(HierarchyTest, L2MshrFileHoldsExactlyItsSize)
     EXPECT_TRUE(hier_->quiescent());
 }
 
+TEST_F(HierarchyTest, L2MshrFullCountsEachDelayedMissOnce)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.l2.mshrs = 2;
+    cfg.prefetch.enabled = false;
+    build(cfg);
+    // Four misses to distinct L2 blocks: two wait for a free entry,
+    // and retry every CPU cycle until a fill frees one.
+    std::vector<std::shared_ptr<Cycle>> done;
+    for (Addr i = 0; i < 4; ++i)
+        done.push_back(load(i % 2, 0x100000 + i * 0x1000));
+    tick(200);
+    EXPECT_EQ(hier_->memStats().l2MshrFull.value(), 2u);
+    tick(3000);
+    for (const auto &d : done)
+        EXPECT_NE(*d, kNoCycle);
+    EXPECT_EQ(hier_->memStats().demandMisses.value(), 4u);
+    EXPECT_EQ(hier_->memStats().l2MshrFull.value(), 2u);
+}
+
+TEST(HierarchyDeath, InvalidConfigFatalBeforeSizing)
+{
+    stats::Group root;
+    FrFcfsScheduler sched;
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    DramSystem dram(cfg.dram, sched, root);
+    cfg.dl1.blockBytes = 0; // the L1 directory is sized by it
+    EXPECT_DEATH({ MemHierarchy hier(cfg, dram, root); },
+                 "dl1.blockBytes");
+}
+
 TEST_F(HierarchyTest, MshrWaitersCompleteInPushOrder)
 {
     build();

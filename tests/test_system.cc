@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "dram/observer.hh"
@@ -332,17 +331,6 @@ TEST(Experiment, RunBundleMeasuresEveryApp)
                                multiprogBundles()[0].name, cfg, 1200);
     for (std::uint32_t i = 0; i < 4; ++i)
         EXPECT_GT(r.ipc(i, 1200), 0.0);
-}
-
-TEST(Experiment, DefaultQuotaReadsEnvironment)
-{
-    ::unsetenv("CRITMEM_INSTRS");
-    EXPECT_EQ(defaultQuota(1234), 1234u);
-    ::setenv("CRITMEM_INSTRS", "777", 1);
-    EXPECT_EQ(defaultQuota(1234), 777u);
-    ::setenv("CRITMEM_INSTRS", "garbage", 1);
-    EXPECT_EQ(defaultQuota(1234), 1234u);
-    ::unsetenv("CRITMEM_INSTRS");
 }
 
 TEST(Experiment, NaiveForwardingRunsEndToEnd)

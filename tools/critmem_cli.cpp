@@ -75,8 +75,8 @@ usage()
         "  --prob-shift N     probabilistic CBP updates at 2^-N"
         " (default 0 = exact)\n"
         "  --instrs N         commit quota per core (default 24000)\n"
-        "  --warmup N         warmup instructions (default\n"
-        "                     CRITMEM_WARMUP, else half the quota)\n"
+        "  --warmup N         warmup instructions (default half the"
+        " quota)\n"
         "  --seed N           simulation seed (default 1)\n"
         "  --ranks N          ranks per channel (default 4)\n"
         "  --channels N       DRAM channels (default 4; bundles 2)\n"

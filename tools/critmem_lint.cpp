@@ -3,9 +3,10 @@
  * critmem-lint: the project's static-analysis pass (DESIGN.md
  * section 8). Scans src/, tools/, bench/ and examples/ one file at a
  * time with the source rules (determinism, clock-domain, protocol
- * and hygiene), flags stale lint:allow suppressions, validates DDR3
- * timing presets and the .sweep campaigns with the data rules, and
- * reports everything not covered by the checked-in baseline.
+ * and hygiene), flags stale lint:allow suppressions, and reports
+ * everything not covered by the checked-in baseline. It lints source
+ * text only: timing presets, sweep specs and traces are checked by
+ * the code that loads them.
  *
  * Wired as the `lint` build target and the Lint.Repo ctest; run by
  * scripts/run_all.sh before the sanitizer passes.
