@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,9 +27,13 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const std::string bundleName = argc > 1 ? argv[1] : "RFGI";
-    const std::uint64_t quota =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                 : 20000;
+    std::uint64_t quota = 20000;
+    try {
+        if (argc > 2)
+            quota = exec::parseUint("quota", argv[2]);
+    } catch (const std::exception &err) {
+        fatal(err.what());
+    }
 
     const Bundle *bundle = nullptr;
     for (const Bundle &b : multiprogBundles()) {

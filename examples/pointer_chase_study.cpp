@@ -15,8 +15,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "exec/job.hh"
 #include "sim/log.hh"
 #include "system/experiment.hh"
 
@@ -70,9 +70,13 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const std::uint64_t quota =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                 : 30000;
+    std::uint64_t quota = 30000;
+    try {
+        if (argc > 1)
+            quota = exec::parseUint("quota", argv[1]);
+    } catch (const std::exception &err) {
+        fatal(err.what());
+    }
 
     std::printf("The art pointer-chase anomaly "
                 "(quota=%llu instructions/core)\n\n",

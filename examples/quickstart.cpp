@@ -8,7 +8,6 @@
  * Usage: quickstart [app] [instructions-per-core]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "exec/job.hh"
@@ -21,9 +20,13 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const std::string app = argc > 1 ? argv[1] : "art";
-    const std::uint64_t quota =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                 : 40000;
+    std::uint64_t quota = 40000;
+    try {
+        if (argc > 2)
+            quota = exec::parseUint("quota", argv[2]);
+    } catch (const std::exception &err) {
+        fatal(err.what());
+    }
 
     SystemConfig base = SystemConfig::parallelDefault();
     base.sched.algo = SchedAlgo::FrFcfs;

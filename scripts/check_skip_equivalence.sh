@@ -72,7 +72,7 @@ check "ocean + atlas/totalstall --check" \
     --app ocean --sched atlas --predictor totalstall --check \
     --instrs 4000
 check "trace mix4 + casras-crit/maxstall" \
-    --trace "$root/tests/trace/fixtures/mix4.ctext" \
+    --trace "$root/tests/trace/fixtures/mix4.cbin" \
     --sched casras-crit --predictor maxstall --instrs 2000
 check_saturated "saturated fft + parbs, 1 channel" \
     --app fft --sched parbs --channels 1 --instrs 6000

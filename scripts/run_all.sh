@@ -28,8 +28,8 @@ ctest --test-dir build --output-on-failure | tee test_output.txt
     specs/fig10.sweep
 
 # The same kill/resume contract over trace-backed jobs: external
-# trace ingestion (text + binary fixtures) must survive the SIGKILL
-# and resume byte-identically.
+# trace ingestion (the CTIB fixtures) must survive the SIGKILL and
+# resume byte-identically.
 ./scripts/check_resume.sh ./build/examples/critmem-sweep \
     specs/traces.sweep
 

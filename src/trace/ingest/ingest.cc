@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <string_view>
 
 #ifdef CRITMEM_HAVE_ZLIB
 #include <zlib.h>
@@ -30,8 +27,8 @@ namespace ingest
 namespace
 {
 
-constexpr std::size_t kBinHeaderBytes = 8;
-constexpr std::size_t kBinPayloadMin = 24;
+constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kPayloadMin = 24;
 
 // ------------------------------------------------------------- sources
 
@@ -279,39 +276,6 @@ class Input
     {
     }
 
-    /** Next byte, or -1 at end of stream. */
-    int
-    get()
-    {
-        if (pos_ == len_ && !fill())
-            return -1;
-        ++offset_;
-        return buf_[pos_++];
-    }
-
-    /**
-     * Copy the next @p n bytes without consuming them; returns how
-     * many were available (n must fit the buffer; callers peek <= 8).
-     */
-    std::size_t
-    peek(std::uint8_t *out, std::size_t n)
-    {
-        while (len_ - pos_ < n) {
-            std::memmove(buf_.data(), buf_.data() + pos_,
-                         len_ - pos_);
-            len_ -= pos_;
-            pos_ = 0;
-            const std::size_t got =
-                src_->read(buf_.data() + len_, buf_.size() - len_);
-            if (got == 0)
-                break;
-            len_ += got;
-        }
-        const std::size_t have = std::min(n, len_ - pos_);
-        std::memcpy(out, buf_.data() + pos_, have);
-        return have;
-    }
-
     /** Read up to @p n bytes; returns the count actually read. */
     std::size_t
     read(std::uint8_t *out, std::size_t n)
@@ -357,41 +321,6 @@ class Input
     std::uint64_t offset_ = 0;
 };
 
-// ------------------------------------------------------ field parsing
-
-/** Strict u64 parse: full token, decimal or 0x-hex, no sign. */
-bool
-parseU64(std::string_view text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    const char *begin = text.data();
-    const char *end = begin + text.size();
-    std::from_chars_result res{};
-    if (text.size() > 2 && begin[0] == '0' &&
-        (begin[1] == 'x' || begin[1] == 'X')) {
-        res = std::from_chars(begin + 2, end, out, 16);
-    } else {
-        res = std::from_chars(begin, end, out, 10);
-    }
-    return res.ec == std::errc() && res.ptr == end;
-}
-
-bool
-classFromLetter(char c, OpClass &cls)
-{
-    switch (c) {
-      case 'A': cls = OpClass::IntAlu; return true;
-      case 'M': cls = OpClass::IntMul; return true;
-      case 'F': cls = OpClass::FpAlu; return true;
-      case 'G': cls = OpClass::FpMul; return true;
-      case 'L': cls = OpClass::Load; return true;
-      case 'S': cls = OpClass::Store; return true;
-      case 'B': cls = OpClass::Branch; return true;
-    }
-    return false;
-}
-
 } // namespace
 
 // ----------------------------------------------------------- decoder
@@ -402,14 +331,7 @@ class DecoderImpl
     explicit DecoderImpl(const std::string &path)
         : path_(path), input_(openSource(path))
     {
-        detectFormat();
         parseHeader();
-    }
-
-    bool
-    next(TraceRecord &rec)
-    {
-        return binary_ ? parseBinaryRecord(rec) : parseTextRecord(rec);
     }
 
     void
@@ -419,325 +341,9 @@ class DecoderImpl
         parseHeader();
     }
 
-    std::string path_;
-    std::uint32_t numCores_ = 0;
-
-  private:
-    enum class LineStatus : std::uint8_t { Ok, Eof, TooLong };
-
-    struct Token
-    {
-        std::string_view text;
-        std::uint64_t off = 0;
-    };
-
-    void
-    detectFormat()
-    {
-        std::uint8_t magic[6] = {};
-        const std::size_t got = input_.peek(magic, 6);
-        if (got >= 4 && std::memcmp(magic, "CTIB", 4) == 0) {
-            binary_ = true;
-            return;
-        }
-        if (got >= 6 && std::memcmp(magic, "ctrace", 6) == 0)
-            return;
-        // The retired record/replay format's little-endian magic,
-        // for a friendlier message than "unrecognized".
-        static const std::uint8_t ctmt[4] = {0x54, 0x4d, 0x54, 0x43};
-        if (got >= 4 && std::memcmp(magic, ctmt, 4) == 0) {
-            throw TraceError(
-                "'" + path_ +
-                    "' is a legacy critmem record/replay trace "
-                    "(CTMT), which is no longer supported; ingest "
-                    "reads ctext/cbin",
-                0);
-        }
-        throw TraceError("unrecognized trace format in '" + path_ +
-                             "' (expected a 'ctrace text' or 'CTIB' "
-                             "header)",
-                         0);
-    }
-
-    void
-    parseHeader()
-    {
-        if (binary_)
-            parseBinaryHeader();
-        else
-            parseTextHeader();
-    }
-
-    void
-    parseBinaryHeader()
-    {
-        std::uint8_t hdr[kBinHeaderBytes] = {};
-        const std::uint64_t start = input_.offset();
-        const std::size_t got = input_.read(hdr, kBinHeaderBytes);
-        if (got < kBinHeaderBytes) {
-            throw TraceError("binary trace '" + path_ +
-                                 "' is shorter than its 8-byte "
-                                 "header",
-                             start + got);
-        }
-        static const char magic[4] = {'C', 'T', 'I', 'B'};
-        for (std::size_t i = 0; i < 4; ++i) {
-            if (hdr[i] != static_cast<std::uint8_t>(magic[i])) {
-                throw TraceError("binary trace '" + path_ +
-                                     "' has bad magic",
-                                 start + i);
-            }
-        }
-        if (hdr[4] != 1) {
-            throw TraceError("binary trace '" + path_ +
-                                 "' has unsupported version " +
-                                 std::to_string(hdr[4]),
-                             start + 4);
-        }
-        if (hdr[5] == 0) {
-            throw TraceError("binary trace '" + path_ +
-                                 "' declares zero cores",
-                             start + 5);
-        }
-        if (hdr[5] > kMaxCores) {
-            throw TraceError("binary trace '" + path_ +
-                                 "' declares " +
-                                 std::to_string(hdr[5]) +
-                                 " cores (cap " +
-                                 std::to_string(kMaxCores) + ")",
-                             start + 5);
-        }
-        if (hdr[6] != 0 || hdr[7] != 0) {
-            throw TraceError("binary trace '" + path_ +
-                                 "' has nonzero reserved header "
-                                 "bytes",
-                             start + (hdr[6] != 0 ? 6 : 7));
-        }
-        numCores_ = hdr[5];
-    }
-
-    void
-    parseTextHeader()
-    {
-        std::uint64_t lineStart = 0;
-        const LineStatus st = readLine(lineStart);
-        if (st == LineStatus::Eof) {
-            throw TraceError("text trace '" + path_ + "' is empty",
-                             0);
-        }
-        if (st == LineStatus::TooLong) {
-            throw TraceError(
-                "text trace '" + path_ +
-                    "' header line exceeds the " +
-                    std::to_string(kMaxLineBytes) + "-byte line cap",
-                input_.offset());
-        }
-        splitLine(lineStart);
-        if (toks_.size() != 4 || toks_[0].text != "ctrace" ||
-            toks_[1].text != "text") {
-            throw TraceError("text trace '" + path_ +
-                                 "' header must be 'ctrace text 1 "
-                                 "<numCores>'",
-                             lineStart);
-        }
-        std::uint64_t version = 0;
-        if (!parseU64(toks_[2].text, version) || version != 1) {
-            throw TraceError("text trace '" + path_ +
-                                 "' has unsupported version '" +
-                                 std::string(toks_[2].text) + "'",
-                             toks_[2].off);
-        }
-        std::uint64_t cores = 0;
-        if (!parseU64(toks_[3].text, cores)) {
-            throw TraceError("text trace '" + path_ +
-                                 "' core count '" +
-                                 std::string(toks_[3].text) +
-                                 "' is not a number",
-                             toks_[3].off);
-        }
-        if (cores == 0) {
-            throw TraceError("text trace '" + path_ +
-                                 "' declares zero cores",
-                             toks_[3].off);
-        }
-        if (cores > kMaxCores) {
-            throw TraceError("text trace '" + path_ + "' declares " +
-                                 std::to_string(cores) +
-                                 " cores (cap " +
-                                 std::to_string(kMaxCores) + ")",
-                             toks_[3].off);
-        }
-        numCores_ = static_cast<std::uint32_t>(cores);
-    }
-
-    /**
-     * Read one line into line_ (newline excluded, trailing CR
-     * stripped), bounded by the line cap.
-     */
-    LineStatus
-    readLine(std::uint64_t &lineStart)
-    {
-        line_.clear();
-        lineStart = input_.offset();
-        for (;;) {
-            const int c = input_.get();
-            if (c < 0) {
-                if (line_.empty())
-                    return LineStatus::Eof;
-                break;
-            }
-            if (c == '\n')
-                break;
-            if (line_.size() >= kMaxLineBytes)
-                return LineStatus::TooLong;
-            line_.push_back(static_cast<char>(c));
-        }
-        if (!line_.empty() && line_.back() == '\r')
-            line_.pop_back();
-        return LineStatus::Ok;
-    }
-
-    /** Whitespace-split line_ into toks_; '#' starts a comment. */
-    void
-    splitLine(std::uint64_t lineStart)
-    {
-        toks_.clear();
-        const std::string_view line(line_);
-        std::size_t i = 0;
-        while (i < line.size()) {
-            const unsigned char c =
-                static_cast<unsigned char>(line[i]);
-            if (line[i] == '#')
-                break;
-            if (std::isspace(c)) {
-                ++i;
-                continue;
-            }
-            std::size_t j = i;
-            while (j < line.size() && line[j] != '#' &&
-                   !std::isspace(
-                       static_cast<unsigned char>(line[j])))
-                ++j;
-            toks_.push_back({line.substr(i, j - i), lineStart + i});
-            i = j;
-        }
-    }
-
     /** Next record into @p rec; false at end of stream. */
     bool
-    parseTextRecord(TraceRecord &rec)
-    {
-        for (;;) {
-            std::uint64_t lineStart = 0;
-            const LineStatus st = readLine(lineStart);
-            if (st == LineStatus::Eof)
-                return false;
-            if (st == LineStatus::TooLong) {
-                throw TraceError("text line starting at byte " +
-                                     std::to_string(lineStart) +
-                                     " exceeds the " +
-                                     std::to_string(kMaxLineBytes) +
-                                     "-byte line cap",
-                                 input_.offset());
-            }
-            splitLine(lineStart);
-            if (!toks_.empty())
-                break; // a record; blank/comment lines loop
-        }
-        if (toks_.size() < 4) {
-            throw TraceError("record has only " +
-                                 std::to_string(toks_.size()) +
-                                 " fields (need core cls pc addr)",
-                             toks_[0].off);
-        }
-        if (toks_.size() > 8) {
-            throw TraceError("record has " +
-                                 std::to_string(toks_.size()) +
-                                 " fields (at most 8)",
-                             toks_[8].off);
-        }
-
-        std::uint64_t core = 0;
-        if (!parseU64(toks_[0].text, core)) {
-            throw TraceError("core id '" + std::string(toks_[0].text) +
-                                 "' is not a number",
-                             toks_[0].off);
-        }
-        if (core >= numCores_) {
-            throw TraceError("core id " + std::to_string(core) +
-                                 " out of range (trace declares " +
-                                 std::to_string(numCores_) +
-                                 " cores)",
-                             toks_[0].off);
-        }
-
-        OpClass cls = OpClass::IntAlu;
-        if (toks_[1].text.size() != 1 ||
-            !classFromLetter(toks_[1].text[0], cls)) {
-            throw TraceError("unknown op class '" +
-                                 std::string(toks_[1].text) +
-                                 "' (expected one of A M F G L S B)",
-                             toks_[1].off);
-        }
-
-        std::uint64_t pc = 0, addr = 0;
-        if (!parseU64(toks_[2].text, pc)) {
-            throw TraceError("pc '" + std::string(toks_[2].text) +
-                                 "' is not a number",
-                             toks_[2].off);
-        }
-        if (!parseU64(toks_[3].text, addr)) {
-            throw TraceError("address '" + std::string(toks_[3].text) +
-                                 "' is not a number",
-                             toks_[3].off);
-        }
-
-        std::uint64_t latency = 1;
-        if (toks_.size() > 4 &&
-            (!parseU64(toks_[4].text, latency) || latency == 0 ||
-             latency > 255)) {
-            throw TraceError("latency '" + std::string(toks_[4].text) +
-                                 "' is not in 1..255",
-                             toks_[4].off);
-        }
-        std::uint64_t dep1 = 0, dep2 = 0;
-        if (toks_.size() > 5 &&
-            (!parseU64(toks_[5].text, dep1) || dep1 > 0xffff)) {
-            throw TraceError("dep1 '" + std::string(toks_[5].text) +
-                                 "' is not in 0..65535",
-                             toks_[5].off);
-        }
-        if (toks_.size() > 6 &&
-            (!parseU64(toks_[6].text, dep2) || dep2 > 0xffff)) {
-            throw TraceError("dep2 '" + std::string(toks_[6].text) +
-                                 "' is not in 0..65535",
-                             toks_[6].off);
-        }
-        std::uint64_t mispredict = 0;
-        if (toks_.size() > 7 &&
-            (!parseU64(toks_[7].text, mispredict) ||
-             mispredict > 1)) {
-            throw TraceError("mispredict flag '" +
-                                 std::string(toks_[7].text) +
-                                 "' is not 0 or 1",
-                             toks_[7].off);
-        }
-
-        rec.core = static_cast<std::uint32_t>(core);
-        rec.op = MicroOp{};
-        rec.op.cls = cls;
-        rec.op.pc = pc;
-        rec.op.addr = addr;
-        rec.op.latency = static_cast<std::uint8_t>(latency);
-        rec.op.dep1 = static_cast<std::uint16_t>(dep1);
-        rec.op.dep2 = static_cast<std::uint16_t>(dep2);
-        rec.op.mispredict = mispredict != 0;
-        return true;
-    }
-
-    /** Next record into @p rec; false at end of stream. */
-    bool
-    parseBinaryRecord(TraceRecord &rec)
+    next(TraceRecord &rec)
     {
         const std::uint64_t recStart = input_.offset();
         std::uint8_t lenBuf[2] = {};
@@ -752,7 +358,7 @@ class DecoderImpl
         }
         const std::uint16_t len = static_cast<std::uint16_t>(
             lenBuf[0] | (lenBuf[1] << 8));
-        if (len < kBinPayloadMin) {
+        if (len < kPayloadMin) {
             throw TraceError("record at byte " +
                                  std::to_string(recStart) +
                                  " declares a " + std::to_string(len) +
@@ -811,10 +417,57 @@ class DecoderImpl
         return true;
     }
 
+    std::string path_;
+    std::uint32_t numCores_ = 0;
+
+  private:
+    void
+    parseHeader()
+    {
+        std::uint8_t hdr[kHeaderBytes] = {};
+        const std::size_t got = input_.read(hdr, kHeaderBytes);
+        // The magic is checked first, byte by byte, so that any file
+        // that is not CTIB (text, a retired format, random bytes)
+        // fails at its first foreign byte even when it is short.
+        static const char magic[4] = {'C', 'T', 'I', 'B'};
+        for (std::size_t i = 0; i < std::min<std::size_t>(got, 4); ++i) {
+            if (hdr[i] != static_cast<std::uint8_t>(magic[i])) {
+                throw TraceError("'" + path_ +
+                                     "' is not a CTIB trace (bad magic)",
+                                 i);
+            }
+        }
+        if (got < kHeaderBytes) {
+            throw TraceError("trace '" + path_ +
+                                 "' is shorter than its 8-byte header",
+                             got);
+        }
+        if (hdr[4] != 1) {
+            throw TraceError("trace '" + path_ +
+                                 "' has unsupported version " +
+                                 std::to_string(hdr[4]),
+                             4);
+        }
+        if (hdr[5] == 0) {
+            throw TraceError("trace '" + path_ + "' declares zero cores",
+                             5);
+        }
+        if (hdr[5] > kMaxCores) {
+            throw TraceError("trace '" + path_ + "' declares " +
+                                 std::to_string(hdr[5]) +
+                                 " cores (cap " +
+                                 std::to_string(kMaxCores) + ")",
+                             5);
+        }
+        if (hdr[6] != 0 || hdr[7] != 0) {
+            throw TraceError("trace '" + path_ +
+                                 "' has nonzero reserved header bytes",
+                             hdr[6] != 0 ? 6u : 7u);
+        }
+        numCores_ = hdr[5];
+    }
+
     Input input_;
-    bool binary_ = false; // detected format: cbin, else ctext
-    std::string line_;
-    std::vector<Token> toks_;
     std::vector<std::uint8_t> payload_;
 };
 

@@ -2,33 +2,24 @@
  * @file
  * Streaming, bounded-memory ingestion of external memory traces.
  *
- * Two on-disk formats are decoded into per-core MicroOp streams:
+ * One on-disk format, CTIB, is decoded into per-core MicroOp streams.
+ * An 8-byte header ("CTIB", u8 version = 1, u8 numCores, u16
+ * reserved = 0) is followed by records of a u16 little-endian payload
+ * length (>= 24) and the payload: core u8, cls u8 (OpClass, 0..6),
+ * latency u8 (>= 1), flags u8 (bit 0 = mispredict, others reserved
+ * = 0), pc u64le, addr u64le, dep1 u16le, dep2 u16le. Payload bytes
+ * past 24 are ignored (forward compat).
  *
- *  - "ctext": a ChampSim-style whitespace text format. The first line
- *    is the header `ctrace text 1 <numCores>`; every following line is
- *    `<core> <cls> <pc> <addr> [latency [dep1 [dep2 [mispredict]]]]`
- *    where cls is one of A M F G L S B (IntAlu, IntMul, FpAlu, FpMul,
- *    Load, Store, Branch) and pc/addr accept 0x-hex or decimal.
- *    `#` starts a comment; blank lines are skipped.
- *
- *  - "cbin": a length-prefixed binary format. An 8-byte header
- *    ("CTIB", u8 version = 1, u8 numCores, u16 reserved = 0) is
- *    followed by records of a u16 little-endian payload length
- *    (>= 24) and the payload: core u8, cls u8, latency u8, flags u8
- *    (bit 0 = mispredict), pc u64le, addr u64le, dep1 u16le,
- *    dep2 u16le. Payload bytes past 24 are ignored (forward compat).
- *
- * Either format may be gzip-compressed (transport, detected by the
- * 1f 8b file magic) when the build found zlib; see haveGzip().
+ * A trace may be gzip-compressed (transport, detected by the 1f 8b
+ * file magic) when the build found zlib; see haveGzip().
  *
  * Trace files are untrusted input. Decoding is strict and has one
- * path: the format is detected from the (decompressed) magic, and
- * the decoder never crashes, hangs, skips a record or silently
+ * path: the decoder never crashes, hangs, skips a record or silently
  * misparses. Every decode problem is a TraceError carrying the exact
  * byte offset of the offending field (offsets into the decompressed
- * stream for gzip sources), and memory use is bounded by the
- * kMaxLineBytes/kMaxRecordBytes/kMaxCores caps regardless of file
- * content.
+ * stream for gzip sources); a file that is not CTIB fails at its
+ * first byte that differs from the magic. Memory use is bounded by
+ * the kMaxRecordBytes/kMaxCores caps regardless of file content.
  */
 
 #ifndef CRITMEM_TRACE_INGEST_INGEST_HH
@@ -71,9 +62,7 @@ namespace ingest
 // input. A header or record exceeding a cap is a decode error (never
 // an allocation).
 
-/** Longest accepted text line, bytes (excluding the newline). */
-constexpr std::uint32_t kMaxLineBytes = 4096;
-/** Largest accepted binary record payload, bytes. */
+/** Largest accepted record payload, bytes. */
 constexpr std::uint32_t kMaxRecordBytes = 512;
 /** Highest accepted core count in a trace header. */
 constexpr std::uint32_t kMaxCores = 64;
@@ -88,7 +77,7 @@ struct TraceRecord
 /**
  * Pull-based streaming decoder over one trace file. Construction
  * opens the file and validates the header; next() decodes one record
- * at a time in O(kMaxLineBytes + kMaxRecordBytes) memory. rewind()
+ * at a time in O(kMaxRecordBytes) memory. rewind()
  * restarts the stream from the first record. Not thread-safe; use one
  * per consumer.
  */

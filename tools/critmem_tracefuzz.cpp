@@ -32,6 +32,7 @@
 #include <zlib.h>
 #endif
 
+#include "exec/job.hh"
 #include "sim/atomic_file.hh"
 #include "sim/random.hh"
 #include "trace/ingest/ingest.hh"
@@ -57,6 +58,18 @@ usage()
         "                     corpus into DIR and exit\n"
         "  --quiet            only print the final summary\n");
     std::exit(1);
+}
+
+/** exec::parseUint() of @p flag's value; exit 1 naming it if bad. */
+std::uint64_t
+numberArg(const char *flag, const char *value)
+{
+    try {
+        return exec::parseUint(flag, value);
+    } catch (const std::exception &err) {
+        std::fprintf(stderr, "critmem-tracefuzz: %s\n", err.what());
+        std::exit(1);
+    }
 }
 
 struct CorpusEntry
@@ -103,70 +116,10 @@ loadCorpus(const std::string &dir)
 }
 
 // --------------------------------------------------------------
-// Corpus generation (--write-corpus): small valid traces covering
-// every format the decoder speaks. Deterministic for a given seed so
-// the checked-in fixtures are reproducible.
+// Corpus generation (--write-corpus): small valid CTIB traces, plain
+// and behind gzip. Deterministic for a given seed so the checked-in
+// fixtures are reproducible.
 // --------------------------------------------------------------
-
-std::string
-makeTextTrace(Rng &rng)
-{
-    static const char kLetters[] = {'A', 'M', 'F', 'G',
-                                    'L', 'S', 'B'};
-    std::string out = "ctrace text 1 4\n";
-    out += "# 4-core mixed workload (seeded fuzz corpus)\n";
-    char line[160];
-    for (int i = 0; i < 200; ++i) {
-        const unsigned core = static_cast<unsigned>(i) % 4;
-        // Weight toward memory ops so the trace exercises the DRAM
-        // path when replayed.
-        const std::uint64_t pick = rng.below(10);
-        const char cls = pick < 4 ? 'L'
-            : pick < 6           ? 'S'
-            : kLetters[rng.below(4)]; // A M F G
-        const std::uint64_t pc =
-            0x400000ull + core * 0x100000ull +
-            static_cast<std::uint64_t>(i) * 4;
-        // MB-spread, line-aligned addresses per core.
-        const std::uint64_t addr = (1ull << 30) +
-            core * (1ull << 24) + (rng.below(1ull << 22) & ~63ull);
-        if (i % 11 == 0)
-            out += "# interleaved comment\n";
-        switch (i % 4) {
-          case 0: // minimal four-field form, hex
-            std::snprintf(line, sizeof(line),
-                          "%u %c 0x%llx 0x%llx\n", core, cls,
-                          static_cast<unsigned long long>(pc),
-                          static_cast<unsigned long long>(addr));
-            break;
-          case 1: // with latency, decimal addresses
-            std::snprintf(line, sizeof(line), "%u %c %llu %llu %u\n",
-                          core, cls,
-                          static_cast<unsigned long long>(pc),
-                          static_cast<unsigned long long>(addr),
-                          static_cast<unsigned>(1 + rng.below(8)));
-            break;
-          case 2: // with dependence distances
-            std::snprintf(line, sizeof(line),
-                          "%u %c 0x%llx 0x%llx %u %u %u\n", core, cls,
-                          static_cast<unsigned long long>(pc),
-                          static_cast<unsigned long long>(addr),
-                          static_cast<unsigned>(1 + rng.below(4)),
-                          static_cast<unsigned>(rng.below(8)),
-                          static_cast<unsigned>(rng.below(8)));
-            break;
-          default: // full form; branches sometimes mispredict
-            std::snprintf(line, sizeof(line),
-                          "%u B 0x%llx 0 1 %u 0 %u\n", core,
-                          static_cast<unsigned long long>(pc),
-                          static_cast<unsigned>(rng.below(4)),
-                          static_cast<unsigned>(rng.below(2)));
-            break;
-        }
-        out += line;
-    }
-    return out;
-}
 
 void
 putU16(std::string &out, std::uint16_t v)
@@ -182,37 +135,117 @@ putU64(std::string &out, std::uint64_t v)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
+/** The 8-byte CTIB header declaring @p cores cores. */
 std::string
-makeBinaryTrace(Rng &rng)
+header(std::uint8_t cores)
 {
     std::string out = "CTIB";
     out.push_back(1); // version
-    out.push_back(2); // cores
+    out.push_back(static_cast<char>(cores));
     out.push_back(0); // reserved
     out.push_back(0);
-    for (int i = 0; i < 120; ++i) {
-        const unsigned core = static_cast<unsigned>(i) % 2;
+    return out;
+}
+
+/** One record's fields; the payload bytes past 24 are appended apart. */
+struct Fields
+{
+    std::uint16_t len = 24;
+    std::uint8_t core = 0;
+    std::uint8_t cls = 0;
+    std::uint8_t latency = 1;
+    bool mispredict = false;
+    std::uint64_t pc = 0;
+    std::uint64_t addr = 0;
+    std::uint16_t dep1 = 0;
+    std::uint16_t dep2 = 0;
+};
+
+void
+putRecord(std::string &out, const Fields &f)
+{
+    putU16(out, f.len);
+    out.push_back(static_cast<char>(f.core));
+    out.push_back(static_cast<char>(f.cls));
+    out.push_back(static_cast<char>(f.latency));
+    out.push_back(f.mispredict ? 1 : 0);
+    putU64(out, f.pc);
+    putU64(out, f.addr);
+    putU16(out, f.dep1);
+    putU16(out, f.dep2);
+}
+
+/**
+ * A 4-core mixed workload of 200 plain 24-byte records. Every fourth
+ * record is a branch (sometimes mispredicted) with no address; the
+ * others carry optional latencies and dependence distances.
+ */
+std::string
+makeMixTrace(Rng &rng)
+{
+    std::string out = header(4);
+    for (int i = 0; i < 200; ++i) {
+        Fields f;
+        f.core = static_cast<std::uint8_t>(i % 4);
+        // Weight toward memory ops so the trace exercises the DRAM
+        // path when replayed.
         const std::uint64_t pick = rng.below(10);
-        const std::uint8_t cls = pick < 4 ? 4 // Load
-            : pick < 6                    ? 5 // Store
+        f.cls = pick < 4 ? 4                          // Load
+            : pick < 6   ? 5                          // Store
+            : static_cast<std::uint8_t>(rng.below(4)); // ALU/FP
+        f.pc = 0x400000ull + f.core * 0x100000ull +
+            static_cast<std::uint64_t>(i) * 4;
+        // MB-spread, line-aligned addresses per core.
+        f.addr = (1ull << 30) + f.core * (1ull << 24) +
+            (rng.below(1ull << 22) & ~63ull);
+        // Each case draws in the order the checked-in mix4.cbin was
+        // generated with (TraceFuzz.CorpusIsReproducible pins it).
+        switch (i % 4) {
+          case 0:
+            break;
+          case 1:
+            f.latency = static_cast<std::uint8_t>(1 + rng.below(8));
+            break;
+          case 2:
+            f.dep2 = static_cast<std::uint16_t>(rng.below(8));
+            f.dep1 = static_cast<std::uint16_t>(rng.below(8));
+            f.latency = static_cast<std::uint8_t>(1 + rng.below(4));
+            break;
+          default:
+            f.mispredict = rng.below(2) != 0;
+            f.dep1 = static_cast<std::uint16_t>(rng.below(4));
+            f.cls = 6; // Branch
+            f.addr = 0;
+            break;
+        }
+        putRecord(out, f);
+    }
+    return out;
+}
+
+std::string
+makeBinaryTrace(Rng &rng)
+{
+    std::string out = header(2);
+    for (int i = 0; i < 120; ++i) {
+        Fields f;
+        f.core = static_cast<std::uint8_t>(i % 2);
+        const std::uint64_t pick = rng.below(10);
+        f.cls = pick < 4 ? 4 // Load
+            : pick < 6   ? 5 // Store
             : static_cast<std::uint8_t>(rng.below(4));
         // ~10% extended records exercise forward compatibility.
-        const std::uint16_t len =
-            rng.below(10) == 0 ? 28 : 24;
-        putU16(out, len);
-        out.push_back(static_cast<char>(core));
-        out.push_back(static_cast<char>(cls));
-        out.push_back(
-            static_cast<char>(1 + rng.below(8)));       // latency
-        out.push_back(cls == 6 && rng.below(4) == 0 ? 1 // mispredict
-                                                    : 0);
-        putU64(out, 0x400000ull + core * 0x100000ull +
-                   static_cast<std::uint64_t>(i) * 4); // pc
-        putU64(out, (1ull << 28) + core * (1ull << 24) +
-                   (rng.below(1ull << 21) & ~63ull)); // addr
-        putU16(out, static_cast<std::uint16_t>(rng.below(8)));
-        putU16(out, static_cast<std::uint16_t>(rng.below(8)));
-        for (std::uint16_t extra = 24; extra < len; ++extra)
+        f.len = rng.below(10) == 0 ? 28 : 24;
+        f.latency = static_cast<std::uint8_t>(1 + rng.below(8));
+        f.mispredict = f.cls == 6 && rng.below(4) == 0;
+        f.pc = 0x400000ull + f.core * 0x100000ull +
+            static_cast<std::uint64_t>(i) * 4;
+        f.addr = (1ull << 28) + f.core * (1ull << 24) +
+            (rng.below(1ull << 21) & ~63ull);
+        f.dep1 = static_cast<std::uint16_t>(rng.below(8));
+        f.dep2 = static_cast<std::uint16_t>(rng.below(8));
+        putRecord(out, f);
+        for (std::uint16_t extra = 24; extra < f.len; ++extra)
             out.push_back(static_cast<char>(rng.below(256)));
     }
     return out;
@@ -253,7 +286,7 @@ writeCorpus(const std::string &dir, std::uint64_t seed)
 {
     std::filesystem::create_directories(dir);
     Rng rng(seed);
-    AtomicFile::writeAll(dir + "/mix4.ctext", makeTextTrace(rng));
+    AtomicFile::writeAll(dir + "/mix4.cbin", makeMixTrace(rng));
     const std::string bin = makeBinaryTrace(rng);
     AtomicFile::writeAll(dir + "/pair2.cbin", bin);
 #ifdef CRITMEM_HAVE_ZLIB
@@ -364,9 +397,9 @@ main(int argc, char **argv)
         if (arg == "--corpus") {
             corpusDir = nextArg(i);
         } else if (arg == "--iterations") {
-            iterations = std::strtoull(nextArg(i), nullptr, 10);
+            iterations = numberArg("--iterations", nextArg(i));
         } else if (arg == "--seed") {
-            seed = std::strtoull(nextArg(i), nullptr, 10);
+            seed = numberArg("--seed", nextArg(i));
         } else if (arg == "--scratch") {
             scratch = nextArg(i);
         } else if (arg == "--write-corpus") {
@@ -406,10 +439,10 @@ main(int argc, char **argv)
         const CorpusEntry &entry = corpus[rng.below(corpus.size())];
         buf = entry.bytes;
 
-        // The fixed-layout header is where "lies" (plausible but
-        // wrong counts/magics) live; everything after it is records.
-        // The binary header is 8 bytes, the text header line < 64.
-        const std::uint64_t headerSpan = 64;
+        // The fixed-layout 8-byte header is where "lies" (plausible
+        // but wrong counts/magics) live; everything after it is
+        // records.
+        const std::uint64_t headerSpan = 8;
         const std::uint64_t mutations = 1 + rng.below(3);
         std::uint64_t minStart = ~std::uint64_t{0};
         for (std::uint64_t m = 0; m < mutations; ++m)
@@ -440,12 +473,12 @@ main(int argc, char **argv)
             const std::uint64_t off = err.byteOffset();
             // The error must point inside the file, and either at
             // the header (always fair game for framing errors) or
-            // no earlier than one max-sized record/line before the
-            // first mutated byte. Gzip offsets are in the
+            // no earlier than one max-sized record (payload plus its
+            // 2-byte length) before the first mutated byte. Gzip offsets are in the
             // decompressed domain and cannot be window-checked
             // against compressed-file positions.
             if (!entry.gzip) {
-                const std::uint64_t slack = ingest::kMaxLineBytes + 8;
+                const std::uint64_t slack = ingest::kMaxRecordBytes + 2;
                 const std::uint64_t windowLo =
                     minStart == ~std::uint64_t{0} || minStart < slack
                     ? 0
