@@ -50,6 +50,9 @@ pid=$!
 # with jobs still unjournaled is mid-flight and gets the SIGKILL. One
 # that already journaled every job may have published its results, so
 # it is resumed and counts as finished before we could kill it.
+# A campaign that exits between the liveness probe and SIGSTOP is a
+# zombie the shell may reap at any moment, so a later signal to it can
+# fail with "No such process"; that is the finished case, not an error.
 journal="$camp/journal.txt"
 killed=0
 for _ in $(seq 1 2400); do
@@ -60,15 +63,16 @@ for _ in $(seq 1 2400); do
         kill -STOP "$pid" 2>/dev/null || break
         total=$(awk '$1 == "jobs" { print $3 }' "$camp/manifest.txt")
         if [ -z "$total" ]; then
-            kill -9 "$pid"
+            kill -9 "$pid" 2>/dev/null || true
             echo "FAIL: campaign manifest records no job count" >&2
             exit 1
         fi
         if [ "$(wc -l < "$journal")" -lt "$total" ]; then
-            kill -9 "$pid"
-            killed=1
+            if kill -9 "$pid" 2>/dev/null; then
+                killed=1
+            fi
         else
-            kill -CONT "$pid"
+            kill -CONT "$pid" 2>/dev/null || true
         fi
         break
     fi
