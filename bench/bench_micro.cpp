@@ -109,6 +109,16 @@ void
 BM_PickParBs(benchmark::State &state)
 {
     ParBsScheduler sched(4, 8, 8, 5);
+    // Mirror the candidates' transactions as the channel's enqueues
+    // would, so pick() finds their batch marks in a real queue.
+    for (const SchedCandidate &c :
+         makeCandidates(static_cast<std::size_t>(state.range(0)), 42)) {
+        MemRequest req;
+        req.id = c.seq;
+        req.core = c.core;
+        req.type = c.isWrite ? ReqType::Write : ReqType::Read;
+        sched.onEnqueue(0, req, c.coord, c.arrival);
+    }
     pickLoop(state, sched);
 }
 
@@ -170,31 +180,39 @@ BM_CmacLookup(benchmark::State &state)
 void
 BM_BankTimingUpdate(benchmark::State &state)
 {
-    // The per-command bookkeeping plus the ready/min scan the channel
-    // runs every tick, on the SoA layout the channel actually uses.
+    // The per-command bookkeeping plus an effective-window min scan,
+    // on the bank/rank layout the channel actually uses: each bank
+    // holds its own windows, each rank of 8 banks its rank-wide ones.
+    constexpr std::size_t kBanksPerRank = 8;
     const std::size_t nBanks =
         static_cast<std::size_t>(state.range(0));
     BankTimingSoA banks(nBanks);
+    std::vector<RankState> ranks(nBanks / kBanksPerRank);
     Rng rng(11);
     DramCycle now = 100;
     for (auto _ : state) {
         const std::size_t b = rng.next() % nBanks;
+        RankState &rank = ranks[b / kBanksPerRank];
         // One command's worth of state transitions.
         if (banks.open[b]) {
             banks.readyPre[b] = now + 24;
-            banks.readyRead[b] = now + 5;
-            banks.readyWrite[b] = now + 5;
+            rank.readyRead = now + 4;
+            rank.readyWrite = now + 20;
         } else {
             banks.open[b] = 1;
             banks.row[b] = rng.next() % 16384;
-            banks.readyAct[b] = now + 26;
+            banks.readyAct[b] = now + 50;
+            banks.readyRead[b] = now + 14;
+            rank.readyAct = now + 6;
+            rank.recordAct(now);
         }
         // The nextEventCycle-style min scan over all banks.
         DramCycle earliest = ~DramCycle{0};
         for (std::size_t i = 0; i < banks.size(); ++i) {
+            const RankState &r = ranks[i / kBanksPerRank];
             const DramCycle ready = banks.open[i]
-                                        ? banks.readyRead[i]
-                                        : banks.readyAct[i];
+                ? std::max(banks.readyRead[i], r.readyRead)
+                : std::max(banks.readyAct[i], r.readyAct);
             earliest = ready < earliest ? ready : earliest;
         }
         benchmark::DoNotOptimize(earliest);
@@ -203,16 +221,17 @@ BM_BankTimingUpdate(benchmark::State &state)
 }
 
 /**
- * Keep one channel range(0) transactions deep and measure tick(); 64
- * holds the unified queue full, the saturated case.
+ * Keep one channel range(0) transactions deep under @p algo and
+ * measure tick(); 64 holds the unified queue full, the saturated case.
  */
 void
-BM_DramChannelTick(benchmark::State &state)
+channelTick(benchmark::State &state, SchedAlgo algo)
 {
     const auto depth = static_cast<std::uint32_t>(state.range(0));
     stats::Group root;
     SystemConfig sysCfg = SystemConfig::parallelDefault();
     sysCfg.dram.channels = 1;
+    sysCfg.sched.algo = algo;
     const auto sched = makeScheduler(sysCfg);
     DramSystem dram(sysCfg.dram, *sched, root);
     Rng rng(7);
@@ -230,6 +249,19 @@ BM_DramChannelTick(benchmark::State &state)
         }
         dram.tick(++now);
     }
+}
+
+void
+BM_DramChannelTick(benchmark::State &state)
+{
+    channelTick(state, SystemConfig::parallelDefault().sched.algo);
+}
+
+/** The same with PAR-BS, whose pick() consults its batch marks. */
+void
+BM_DramChannelTickParBs(benchmark::State &state)
+{
+    channelTick(state, SchedAlgo::ParBs);
 }
 
 /**
@@ -503,6 +535,7 @@ BENCHMARK(BM_CbpUpdate);
 BENCHMARK(BM_CmacLookup);
 BENCHMARK(BM_BankTimingUpdate)->Arg(16)->Arg(64);
 BENCHMARK(BM_DramChannelTick)->Arg(16)->Arg(64);
+BENCHMARK(BM_DramChannelTickParBs)->Arg(64);
 BENCHMARK(BM_DramReadyScan);
 BENCHMARK(BM_SystemRunSkip)->Unit(benchmark::kMillisecond)
     ->Iterations(3)->Repetitions(3)->ReportAggregatesOnly(true);

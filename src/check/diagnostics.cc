@@ -66,7 +66,15 @@ formatSnapshot(const ChannelSnapshot &snap, std::size_t maxQueueEntries)
     for (std::size_t r = 0; r < snap.ranks.size(); ++r) {
         const auto &rank = snap.ranks[r];
         os << "  rank " << r << ": refresh due " << rank.refreshDue
-           << (rank.refreshPending ? " (PENDING)" : "") << "\n";
+           << (rank.refreshPending ? " (PENDING)" : "")
+           << ", readyAct " << rank.readyAct << " readyRead "
+           << rank.readyRead << " readyWrite " << rank.readyWrite
+           << ", last ACTs";
+        for (const DramCycle act : rank.lastActs)
+            os << " " << act;
+        if (snap.busFreeAt != 0 && r == snap.lastBusRank)
+            os << ", last on data bus";
+        os << "\n";
         for (std::size_t b = 0; b < banksPerRank; ++b) {
             const auto &bank = snap.banks[r * banksPerRank + b];
             os << "    bank " << b << ": ";

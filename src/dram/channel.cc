@@ -41,6 +41,7 @@ DramChannel::DramChannel(const DramConfig &cfg, std::uint32_t id,
       banks_(std::size_t{cfg.ranksPerChannel} * cfg.banksPerRank),
       ranks_(cfg.ranksPerChannel),
       completions_(std::max(cfg.t.tCL, cfg.t.tWL) + cfg.t.dataCycles()),
+      rankReady_(cfg.ranksPerChannel), bankStale_(banks_.size(), 0),
       stats_(parent, id)
 {
     // Stagger refresh deadlines so the ranks don't refresh in
@@ -79,11 +80,16 @@ DramChannel::enqueue(MemRequest req, const DramCoord &coord,
         ++critQueued_;
     Transaction &trans = (isWrite ? writeQ_ : readQ_)
                              .emplace_back(std::move(req), coord, now);
-    // An arrival changes no bank state: fold it into current values.
-    if (!readyStale_ && !ranks_[coord.rank].refreshPending) {
-        trans.ready = txnReady(coord, isWrite);
-        DramCycle &min = isWrite ? minWrite_ : minRead_;
-        min = std::min(min, trans.ready.at);
+    // An arrival changes no bank state: evaluate it against current
+    // values, unless a stale bank or a pending refresh defers that to
+    // the next walk.
+    if (!ranks_[coord.rank].refreshPending &&
+        !bankStale_[bankIdx(coord.rank, coord.bank)]) {
+        trans.ready = bankReady(coord, isWrite);
+        if (!readyStale_) {
+            DramCycle &min = isWrite ? minWrite_ : minRead_;
+            min = std::min(min, readyAt(trans));
+        }
     }
     return true;
 }
@@ -175,6 +181,7 @@ DramChannel::refreshTick(DramCycle now)
                     banks_.open[bi] = 0;
                     banks_.readyAct[bi] =
                         std::max(banks_.readyAct[bi], now + cfg_.t.tRP);
+                    markBankStale(bi);
                     ++stats_.precharges;
                     lastProgress_ = now;
                     return true; // consumed the command bus
@@ -183,12 +190,17 @@ DramChannel::refreshTick(DramCycle now)
                 readyRef = std::max(readyRef, banks_.readyAct[bi]);
             }
         }
+        // REF waits for every bank's effective ACT window, so the
+        // rank's tRRD window has passed and assigning tRFC to the
+        // bank windows below is exact.
+        readyRef = std::max(readyRef, rank.readyAct);
         if (allClosed && now >= readyRef) {
-            for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b)
+            for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b) {
                 banks_.readyAct[base + b] = now + cfg_.t.tRFC;
+                markBankStale(base + b);
+            }
             rank.refreshPending = false;
             rank.refreshDue += cfg_.t.tREFI;
-            readyStale_ = true;
             ++stats_.refreshes;
             lastProgress_ = now;
             if (observer_) {
@@ -206,53 +218,93 @@ DramChannel::refreshTick(DramCycle now)
 }
 
 DramChannel::TxnReady
-DramChannel::txnReady(const DramCoord &c, bool isWrite) const
+DramChannel::bankReady(const DramCoord &c, bool isWrite) const
 {
     ++readinessEvals_;
     const std::uint32_t bi = bankIdx(c.rank, c.bank);
-    if (!banks_.open[bi]) {
-        // ACT: the bank's own window plus the rank's tFAW window (a
-        // fifth ACT waits until the oldest of the last four is tFAW
-        // old; an empty slot, 0, admits at once).
-        const RankState &rank = ranks_[c.rank];
-        const DramCycle oldest = rank.actTimes[rank.actHead];
-        const DramCycle fawReady =
-            oldest == 0 ? 0 : oldest + cfg_.t.tFAW;
-        return {DramCmd::Act, false,
-                std::max(banks_.readyAct[bi], fawReady)};
-    }
+    if (!banks_.open[bi])
+        return {DramCmd::Act, false, banks_.readyAct[bi]};
     if (banks_.row[bi] == c.row) {
-        // CAS: the bank window and the shared data bus.
-        const DramCycle ready =
-            isWrite ? banks_.readyWrite[bi] : banks_.readyRead[bi];
-        const DramCycle busFree = dataBusFreeFor(c.rank);
-        const DramCycle casLead = isWrite ? cfg_.t.tWL : cfg_.t.tCL;
-        const DramCycle at =
-            std::max(ready, busFree > casLead ? busFree - casLead : 0);
-        return {isWrite ? DramCmd::Write : DramCmd::Read, true, at};
+        return {isWrite ? DramCmd::Write : DramCmd::Read, true,
+                isWrite ? banks_.readyWrite[bi] : banks_.readyRead[bi]};
     }
     return {DramCmd::Pre, false, banks_.readyPre[bi]};
 }
 
 void
+DramChannel::updateRankReady()
+{
+    const DramTiming &t = cfg_.t;
+    for (std::uint32_t r = 0; r < cfg_.ranksPerChannel; ++r) {
+        const RankState &rank = ranks_[r];
+        // A CAS must also find the shared data bus free when its
+        // burst starts, CAS latency after the command.
+        const DramCycle busFree = dataBusFreeFor(r);
+        auto casAt = [busFree](DramCycle ready, DramCycle casLead) {
+            return std::max(ready,
+                            busFree > casLead ? busFree - casLead : 0);
+        };
+        std::array<DramCycle, 4> &at = rankReady_[r];
+        at[static_cast<std::size_t>(DramCmd::Act)] =
+            std::max(rank.readyAct, rank.fawReady(t.tFAW));
+        at[static_cast<std::size_t>(DramCmd::Read)] =
+            casAt(rank.readyRead, t.tCL);
+        at[static_cast<std::size_t>(DramCmd::Write)] =
+            casAt(rank.readyWrite, t.tWL);
+        at[static_cast<std::size_t>(DramCmd::Pre)] = 0;
+    }
+}
+
+DramCycle
+DramChannel::walk(const std::vector<Transaction> &queue, bool isWrite,
+                  DramCycle now, std::uint32_t slack,
+                  std::vector<SchedCandidate> *out) const
+{
+    // Entries on a refresh-pending rank are skipped: they are not
+    // candidates, and the REF that clears the pending flag marks
+    // every bank of the rank stale.
+    DramCycle min = kNoCycle;
+    for (std::uint32_t i = 0; i < queue.size(); ++i) {
+        const Transaction &trans = queue[i];
+        const DramCoord &c = trans.coord;
+        if (ranks_[c.rank].refreshPending)
+            continue;
+        if (bankStale_[bankIdx(c.rank, c.bank)])
+            trans.ready = bankReady(c, isWrite);
+        const TxnReady &ready = trans.ready;
+        DramCycle at = readyAt(trans);
+        min = std::min(min, at);
+        if (!out)
+            continue;
+        if (injector_ && injector_->starveCore(trans.req.core))
+            continue; // fault: scheduler never sees this core
+        if (ready.rowHit)
+            at = at > slack ? at - slack : 0;
+        if (at > now)
+            continue;
+
+        SchedCandidate &cand = out->emplace_back();
+        cand.queueIndex = i;
+        cand.coord = c;
+        cand.isWrite = isWrite;
+        cand.isPrefetch = trans.req.type == ReqType::Prefetch;
+        cand.core = trans.req.core;
+        cand.crit = trans.req.crit;
+        cand.arrival = trans.arrival;
+        cand.seq = trans.req.id;
+        cand.cmd = ready.cmd;
+        cand.rowHit = ready.rowHit;
+    }
+    return min;
+}
+
+void
 DramChannel::refreshReady() const
 {
+    minRead_ = walk(readQ_, false, 0, 0, nullptr);
+    minWrite_ = walk(writeQ_, true, 0, 0, nullptr);
+    std::fill(bankStale_.begin(), bankStale_.end(), 0);
     readyStale_ = false;
-    // Entries on a refresh-pending rank are skipped: they are not
-    // candidates, and the REF that clears the pending flag marks the
-    // values stale again.
-    auto pass = [&](const std::vector<Transaction> &queue, bool isWrite) {
-        DramCycle min = kNoCycle;
-        for (const Transaction &trans : queue) {
-            if (ranks_[trans.coord.rank].refreshPending)
-                continue;
-            trans.ready = txnReady(trans.coord, isWrite);
-            min = std::min(min, trans.ready.at);
-        }
-        return min;
-    };
-    minRead_ = pass(readQ_, false);
-    minWrite_ = pass(writeQ_, true);
 }
 
 bool
@@ -288,9 +340,8 @@ DramChannel::buildCandidates(DramCycle now)
             draining_ = false;
     }
     const bool wElig = writesEligible();
-    if (readyStale_)
-        refreshReady();
-    if (!injector_ && std::min(minRead_, wElig ? minWrite_ : kNoCycle) > now)
+    if (!readyStale_ && !injector_ &&
+        std::min(minRead_, wElig ? minWrite_ : kNoCycle) > now)
         return;
 
     // EarlyCas fault: pretend CAS timing windows open `slack` cycles
@@ -300,41 +351,19 @@ DramChannel::buildCandidates(DramCycle now)
     // command.
     const std::uint32_t slack = injector_ ? injector_->casSlack(now) : 0;
 
-    auto consider = [&](const std::vector<Transaction> &queue,
-                        bool isWrite) {
-        for (std::uint32_t i = 0; i < queue.size(); ++i) {
-            const Transaction &trans = queue[i];
-            const DramCoord &c = trans.coord;
-            if (ranks_[c.rank].refreshPending)
-                continue;
-            if (injector_ && injector_->starveCore(trans.req.core))
-                continue; // fault: scheduler never sees this core
-
-            const TxnReady &ready = trans.ready;
-            DramCycle at = ready.at;
-            if (ready.rowHit)
-                at = at > slack ? at - slack : 0;
-            if (at > now)
-                continue;
-
-            SchedCandidate cand;
-            cand.queueIndex = i;
-            cand.coord = c;
-            cand.isWrite = isWrite;
-            cand.isPrefetch = trans.req.type == ReqType::Prefetch;
-            cand.core = trans.req.core;
-            cand.crit = trans.req.crit;
-            cand.arrival = trans.arrival;
-            cand.seq = trans.req.id;
-            cand.cmd = ready.cmd;
-            cand.rowHit = ready.rowHit;
-            cands_.push_back(cand);
-        }
-    };
-
-    consider(readQ_, false);
-    if (wElig)
-        consider(writeQ_, true);
+    // One walk per queue both refreshes stale values and gathers the
+    // candidates; a stale channel walks the write queue for its
+    // minimum even while writes are not eligible.
+    const DramCycle minRead = walk(readQ_, false, now, slack, &cands_);
+    if (!readyStale_) {
+        if (wElig)
+            walk(writeQ_, true, now, slack, &cands_);
+        return;
+    }
+    minRead_ = minRead;
+    minWrite_ = walk(writeQ_, true, now, slack, wElig ? &cands_ : nullptr);
+    std::fill(bankStale_.begin(), bankStale_.end(), 0);
+    readyStale_ = false;
 }
 
 void
@@ -347,15 +376,10 @@ DramChannel::applyRead(const DramCoord &c, DramCycle now)
     banks_.readyPre[bi] = std::max(banks_.readyPre[bi], now + t.tRTP);
     // Read-to-write turnaround: the write burst must start after the
     // read burst clears the bus plus a rank switch gap.
-    const DramCycle rdReady = now + t.tCCD;
-    const DramCycle wrCmd = burstEnd + t.tRTRS - t.tWL;
-    const std::uint32_t base = bankIdx(c.rank, 0);
-    for (std::uint32_t i = 0; i < cfg_.banksPerRank; ++i) {
-        banks_.readyRead[base + i] =
-            std::max(banks_.readyRead[base + i], rdReady);
-        banks_.readyWrite[base + i] =
-            std::max(banks_.readyWrite[base + i], wrCmd);
-    }
+    RankState &rank = ranks_[c.rank];
+    rank.readyRead = std::max(rank.readyRead, now + t.tCCD);
+    rank.readyWrite =
+        std::max(rank.readyWrite, burstEnd + t.tRTRS - t.tWL);
     busFreeAt_ = burstEnd;
     lastBusRank_ = c.rank;
     stats_.busyDataCycles += t.dataCycles();
@@ -370,15 +394,9 @@ DramChannel::applyWrite(const DramCoord &c, DramCycle now)
     const std::uint32_t bi = bankIdx(c.rank, c.bank);
     banks_.readyPre[bi] =
         std::max(banks_.readyPre[bi], burstEnd + t.tWR);
-    const DramCycle wrReady = now + t.tCCD;
-    const DramCycle rdReady = burstEnd + t.tWTR;
-    const std::uint32_t base = bankIdx(c.rank, 0);
-    for (std::uint32_t i = 0; i < cfg_.banksPerRank; ++i) {
-        banks_.readyWrite[base + i] =
-            std::max(banks_.readyWrite[base + i], wrReady);
-        banks_.readyRead[base + i] =
-            std::max(banks_.readyRead[base + i], rdReady);
-    }
+    RankState &rank = ranks_[c.rank];
+    rank.readyWrite = std::max(rank.readyWrite, now + t.tCCD);
+    rank.readyRead = std::max(rank.readyRead, burstEnd + t.tWTR);
     busFreeAt_ = burstEnd;
     lastBusRank_ = c.rank;
     stats_.busyDataCycles += t.dataCycles();
@@ -425,13 +443,19 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
     const std::uint32_t bi = bankIdx(cand.coord.rank, cand.coord.bank);
 
     lastProgress_ = now;
-    readyStale_ = true;
+    // Every command changes its own bank; the closed-page
+    // auto-precharge after a CAS closes that same bank.
+    markBankStale(bi);
     if (observer_)
         observer_->onCommand(id_, cand.cmd, cand.coord, now);
 
     switch (cand.cmd) {
       case DramCmd::Act: {
-        ranks_[cand.coord.rank].recordAct(now);
+        RankState &rank = ranks_[cand.coord.rank];
+        rank.recordAct(now);
+        // tRRD also covers the ACT's own bank: exact while tRC >= tRRD
+        // (DramTiming::validate), as tRC below dominates it there.
+        rank.readyAct = std::max(rank.readyAct, now + t.tRRD);
         banks_.open[bi] = 1;
         banks_.row[bi] = cand.coord.row;
         banks_.readyRead[bi] = std::max(banks_.readyRead[bi], now + t.tRCD);
@@ -439,13 +463,6 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
             std::max(banks_.readyWrite[bi], now + t.tRCD);
         banks_.readyPre[bi] = std::max(banks_.readyPre[bi], now + t.tRAS);
         banks_.readyAct[bi] = std::max(banks_.readyAct[bi], now + t.tRC);
-        const std::uint32_t base = bankIdx(cand.coord.rank, 0);
-        for (std::uint32_t i = 0; i < cfg_.banksPerRank; ++i) {
-            if (i != cand.coord.bank) {
-                banks_.readyAct[base + i] =
-                    std::max(banks_.readyAct[base + i], now + t.tRRD);
-            }
-        }
         ++stats_.activates;
         ++stats_.rowMisses;
         break;
@@ -486,6 +503,8 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
       case DramCmd::Ref:
         panic("refresh is issued by the refresh engine, not pick()");
     }
+    if (cand.cmd != DramCmd::Pre)
+        updateRankReady();
 
     sched_.onIssue(id_, cand, now);
 }
@@ -556,6 +575,7 @@ DramChannel::nextEventCycle(DramCycle now) const
                 readyRef = std::max(readyRef, banks_.readyAct[base + b]);
             }
         }
+        readyRef = std::max(readyRef, rank.readyAct);
         next = std::min(next, allClosed ? readyRef : preAt);
     }
 
@@ -644,13 +664,15 @@ DramChannel::snapshot(DramCycle now) const
     snap.writeQ = capture(writeQ_);
 
     snap.banks.reserve(banks_.size());
+    // Each bank reports its effective windows: its own and its rank's.
     for (std::size_t i = 0; i < banks_.size(); ++i) {
+        const RankState &r = ranks_[i / cfg_.banksPerRank];
         ChannelSnapshot::Bank bank;
         bank.open = banks_.open[i] != 0;
         bank.row = banks_.row[i];
-        bank.readyAct = banks_.readyAct[i];
-        bank.readyRead = banks_.readyRead[i];
-        bank.readyWrite = banks_.readyWrite[i];
+        bank.readyAct = std::max(banks_.readyAct[i], r.readyAct);
+        bank.readyRead = std::max(banks_.readyRead[i], r.readyRead);
+        bank.readyWrite = std::max(banks_.readyWrite[i], r.readyWrite);
         bank.readyPre = banks_.readyPre[i];
         snap.banks.push_back(bank);
     }
@@ -659,8 +681,16 @@ DramChannel::snapshot(DramCycle now) const
         ChannelSnapshot::Rank rank;
         rank.refreshDue = r.refreshDue;
         rank.refreshPending = r.refreshPending;
+        for (std::size_t k = 0; k < r.actTimes.size(); ++k) {
+            rank.lastActs[k] =
+                r.actTimes[(r.actHead + k) % r.actTimes.size()];
+        }
+        rank.readyAct = r.readyAct;
+        rank.readyRead = r.readyRead;
+        rank.readyWrite = r.readyWrite;
         snap.ranks.push_back(rank);
     }
+    snap.lastBusRank = lastBusRank_;
     return snap;
 }
 

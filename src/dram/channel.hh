@@ -7,6 +7,7 @@
 #ifndef CRITMEM_DRAM_CHANNEL_HH
 #define CRITMEM_DRAM_CHANNEL_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -27,10 +28,12 @@ namespace critmem
  * Timing state of every bank in a channel, stored struct-of-arrays:
  * one contiguous ready-time vector per command kind, indexed by
  * rank * banksPerRank + bank. The readyX vectors hold the earliest
- * DRAM cycle at which command X may be issued to that bank. They
- * change only when a command issues or the refresh engine acts;
- * DramChannel caches every queued transaction's readiness between
- * those changes.
+ * DRAM cycle the bank's own windows admit command X (tRC/tRP/tRFC for
+ * ACT, tRCD for a CAS, tRAS/tRTP/tWR for PRE); the windows a command
+ * puts on its whole rank live in RankState. The effective ready cycle
+ * is the max of the two. A bank's values change only when a command
+ * issues to it or the refresh engine acts on it; DramChannel caches
+ * every queued transaction's bank part between those changes.
  */
 struct BankTimingSoA
 {
@@ -50,18 +53,24 @@ struct BankTimingSoA
     std::vector<DramCycle> readyPre;
 };
 
-/** Refresh and activate-window bookkeeping for one rank. */
+/** Refresh, activate-window and rank-wide CAS bookkeeping of a rank. */
 struct RankState
 {
     DramCycle refreshDue = 0;  ///< next tREFI deadline
     bool refreshPending = false;
     /**
      * Issue times of the last four ACTs to this rank (tFAW sliding
-     * window); actHead_ points at the oldest slot. 0 means "never"
+     * window); actHead points at the oldest slot. 0 means "never"
      * (the DRAM clock starts at cycle 1).
      */
     std::array<DramCycle, 4> actTimes{};
     std::uint32_t actHead = 0;
+    /** tRRD: the earliest cycle any bank of the rank may ACT. */
+    DramCycle readyAct = 0;
+    /** tCCD / write-to-read turnaround for a read to any bank. */
+    DramCycle readyRead = 0;
+    /** tCCD / read-to-write turnaround for a write to any bank. */
+    DramCycle readyWrite = 0;
 
     /** Record an ACT issued to this rank at @p now. */
     void
@@ -69,6 +78,17 @@ struct RankState
     {
         actTimes[actHead] = now;
         actHead = (actHead + 1) % actTimes.size();
+    }
+
+    /**
+     * Earliest cycle tFAW admits another ACT: a fifth waits until the
+     * oldest of the last four is @p tFAW old (an empty slot admits).
+     */
+    DramCycle
+    fawReady(DramCycle tFAW) const
+    {
+        const DramCycle oldest = actTimes[actHead];
+        return oldest == 0 ? 0 : oldest + tFAW;
     }
 };
 
@@ -206,21 +226,22 @@ class DramChannel
 
     const Stats &channelStats() const { return stats_; }
 
-    /** txnReady() evaluations so far: a work counter, not a stat. */
+    /** bankReady() evaluations so far: a work counter, not a stat. */
     std::uint64_t readinessEvals() const { return readinessEvals_; }
 
   private:
     /**
      * The command a queued transaction wants under the current bank
-     * state, and the earliest DRAM cycle that command's timing
-     * windows open (without the injector's EarlyCas slack, which
-     * buildCandidates() subtracts from row-hit CASes when it reads).
+     * state, and the earliest DRAM cycle its bank's own windows admit
+     * that command. The full ready cycle also takes the rank/channel
+     * part, rankReady_[rank][cmd] (without the injector's EarlyCas
+     * slack, which buildCandidates() subtracts from row-hit CASes).
      */
     struct TxnReady
     {
         DramCmd cmd;
         bool rowHit;
-        DramCycle at;
+        DramCycle bankAt;
     };
 
     struct Transaction
@@ -228,7 +249,10 @@ class DramChannel
         MemRequest req;
         DramCoord coord;
         DramCycle arrival = 0;
-        /** txnReady() of this entry; current while !readyStale_. */
+        /**
+         * bankReady() of this entry; current while its bank is not
+         * stale and its rank has no refresh pending.
+         */
         mutable TxnReady ready{};
     };
 
@@ -244,13 +268,44 @@ class DramChannel
         return rank * cfg_.banksPerRank + bank;
     }
 
-    TxnReady txnReady(const DramCoord &coord, bool isWrite) const;
+    /** The bank part of a transaction's readiness: one evaluation. */
+    TxnReady bankReady(const DramCoord &coord, bool isWrite) const;
+
+    /** Full ready cycle of @p trans: its bank part and rank part. */
+    DramCycle
+    readyAt(const Transaction &trans) const
+    {
+        return std::max(
+            trans.ready.bankAt,
+            rankReady_[trans.coord.rank]
+                      [static_cast<std::size_t>(trans.ready.cmd)]);
+    }
+
+    /** Recompute rankReady_ from the rank and data-bus state. */
+    void updateRankReady();
+
+    /** A command or the refresh engine changed bank @p bi. */
+    void
+    markBankStale(std::uint32_t bi)
+    {
+        bankStale_[bi] = 1;
+        readyStale_ = true;
+    }
 
     /**
-     * Recompute every queued transaction's TxnReady and the minima
-     * over the ones whose rank has no refresh pending. Called on the
-     * first use after issue() or refreshTick() changed bank, rank or
-     * bus state.
+     * One in-order walk of @p queue: re-evaluate the bank part of
+     * every entry whose bank is stale, and return the earliest full
+     * ready cycle over the entries whose rank has no refresh pending.
+     * With @p out, also append every entry issuable at @p now (the
+     * EarlyCas @p slack taken off row-hit CASes) to it as a candidate.
+     */
+    DramCycle walk(const std::vector<Transaction> &queue, bool isWrite,
+                   DramCycle now, std::uint32_t slack,
+                   std::vector<SchedCandidate> *out) const;
+
+    /**
+     * Bring every cached readiness value and both minima up to date
+     * without gathering candidates (nextEventCycle()'s pass).
      */
     void refreshReady() const;
 
@@ -266,6 +321,7 @@ class DramChannel
     /** Report a stall when the forward-progress bound is exceeded. */
     void checkWatchdog(DramCycle now);
 
+    /** Gather this cycle's candidates into cands_ (one fused walk). */
     void buildCandidates(DramCycle now);
     void maybeAutoPrecharge(const DramCoord &coord, DramCycle now);
     void issue(const SchedCandidate &cand, DramCycle now);
@@ -300,7 +356,15 @@ class DramChannel
 
     /** Queued reads with crit > 0 (the critInQueue sample). */
     std::uint32_t critQueued_ = 0;
-    /** Some Transaction::ready and the minima below are out of date. */
+    /**
+     * Rank/channel part of readiness per rank, indexed by DramCmd:
+     * tRRD and tFAW for ACT, the rank-wide CAS windows plus the data
+     * bus and tRTRS for RD/WR, 0 for PRE. Updated after every ACT/CAS.
+     */
+    std::vector<std::array<DramCycle, 4>> rankReady_;
+    /** Per bank: its entries' cached TxnReady may be out of date. */
+    mutable std::vector<std::uint8_t> bankStale_;
+    /** Some bank is stale, or the minima below are out of date. */
     mutable bool readyStale_ = false;
     /** Earliest ready cycle per queue, refresh-pending ranks aside. */
     mutable DramCycle minRead_ = kNoCycle;

@@ -16,6 +16,7 @@
 #ifndef CRITMEM_DRAM_OBSERVER_HH
 #define CRITMEM_DRAM_OBSERVER_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -46,6 +47,7 @@ struct ChannelSnapshot
         DramCoord coord;
     };
 
+    /** readyX: the effective window, the max of bank and rank. */
     struct Bank
     {
         bool open = false;
@@ -60,6 +62,12 @@ struct ChannelSnapshot
     {
         DramCycle refreshDue = 0;
         bool refreshPending = false;
+        /** The tFAW window: the last four ACT times, oldest first. */
+        std::array<DramCycle, 4> lastActs{};
+        /** Rank-wide windows (tRRD; tCCD and turnarounds). */
+        DramCycle readyAct = 0;
+        DramCycle readyRead = 0;
+        DramCycle readyWrite = 0;
     };
 
     std::uint32_t channel = 0;
@@ -71,6 +79,8 @@ struct ChannelSnapshot
     std::vector<Bank> banks;
     std::vector<Rank> ranks;
     DramCycle busFreeAt = 0;
+    /** Rank of the latest data burst (tRTRS applies to the others). */
+    std::uint32_t lastBusRank = 0;
     bool draining = false;
 };
 

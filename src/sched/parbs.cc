@@ -1,6 +1,6 @@
 #include "sched/parbs.hh"
 
-#include <map>
+#include <algorithm>
 #include <tuple>
 
 namespace critmem
@@ -12,7 +12,8 @@ ParBsScheduler::ParBsScheduler(std::uint32_t channels,
                                std::uint32_t markingCap)
     : mirror_(channels), numCores_(numCores), banksPerRank_(banksPerRank),
       markingCap_(markingCap),
-      rank_(channels, std::vector<std::uint32_t>(numCores, 0))
+      rank_(channels, std::vector<std::uint32_t>(numCores, 0)),
+      marked_(channels)
 {
 }
 
@@ -27,56 +28,56 @@ void
 ParBsScheduler::onIssue(std::uint32_t channel, const SchedCandidate &cand,
                         DramCycle)
 {
-    if (cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write)
-        mirror_.onCas(channel, cand.seq);
-}
-
-bool
-ParBsScheduler::anyMarked(std::uint32_t channel) const
-{
-    for (const auto &entry : mirror_.queue(channel)) {
-        if (entry.marked)
-            return true;
-    }
-    return false;
+    if (cand.cmd != DramCmd::Read && cand.cmd != DramCmd::Write)
+        return;
+    mirror_.onCas(channel, cand.seq);
+    std::vector<std::uint64_t> &marked = marked_[channel];
+    const auto it = std::lower_bound(marked.begin(), marked.end(), cand.seq);
+    if (it != marked.end() && *it == cand.seq)
+        marked.erase(it);
 }
 
 void
 ParBsScheduler::formBatch(std::uint32_t channel)
 {
-    auto &queue = mirror_.queue(channel);
+    const auto &queue = mirror_.queue(channel);
     if (queue.empty())
         return;
 
+    std::uint32_t banks = 0;
+    for (const auto &entry : queue)
+        banks = std::max(banks, entry.bank + 1);
+    // Marked requests per (thread, bank), one row of banks per thread.
+    std::vector<std::uint32_t> load(std::size_t{numCores_} * banks, 0);
+
     // Mark the markingCap oldest requests of every (thread, bank).
-    // Ids grow with arrival, and the mirror preserves arrival order,
-    // so a single in-order pass suffices.
-    std::map<std::pair<CoreId, std::uint32_t>, std::uint32_t> perPair;
-    for (auto &entry : queue) {
-        if (entry.core >= numCores_) {
-            // Writebacks carry no thread; they stay unmarked.
-            entry.marked = false;
-            continue;
+    // The mirror preserves arrival order, so a single in-order pass
+    // suffices.
+    std::vector<std::uint64_t> &marked = marked_[channel];
+    marked.clear();
+    for (const auto &entry : queue) {
+        if (entry.core >= numCores_)
+            continue; // writebacks carry no thread; they stay unmarked
+        std::uint32_t &count = load[entry.core * banks + entry.bank];
+        if (count < markingCap_) {
+            ++count;
+            marked.push_back(entry.id);
         }
-        auto &count = perPair[{entry.core, entry.bank}];
-        entry.marked = count < markingCap_;
-        ++count;
     }
+    std::sort(marked.begin(), marked.end());
 
     // Shortest-job-first thread ranking: primary key is the thread's
     // maximum marked load on any single bank (the "max rule"),
     // secondary its total marked requests.
-    std::map<std::pair<CoreId, std::uint32_t>, std::uint32_t> markedPerBank;
+    std::vector<std::uint32_t> maxLoad(numCores_, 0);
     std::vector<std::uint32_t> total(numCores_, 0);
-    for (const auto &entry : queue) {
-        if (entry.marked) {
-            ++markedPerBank[{entry.core, entry.bank}];
-            ++total[entry.core];
+    for (CoreId c = 0; c < numCores_; ++c) {
+        for (std::uint32_t b = 0; b < banks; ++b) {
+            const std::uint32_t count = load[c * banks + b];
+            maxLoad[c] = std::max(maxLoad[c], count);
+            total[c] += count;
         }
     }
-    std::vector<std::uint32_t> maxLoad(numCores_, 0);
-    for (const auto &[key, count] : markedPerBank)
-        maxLoad[key.first] = std::max(maxLoad[key.first], count);
 
     std::vector<CoreId> order(numCores_);
     for (CoreId c = 0; c < numCores_; ++c)
@@ -95,8 +96,9 @@ int
 ParBsScheduler::pick(std::uint32_t channel,
                      const std::vector<SchedCandidate> &cands, DramCycle)
 {
-    if (!anyMarked(channel))
+    if (marked_[channel].empty())
         formBatch(channel);
+    const std::vector<std::uint64_t> &marks = marked_[channel];
 
     // Lower tuple = better: (unmarked, row-miss, thread rank, age).
     using Key = std::tuple<int, int, std::uint32_t, std::uint64_t>;
@@ -104,7 +106,8 @@ ParBsScheduler::pick(std::uint32_t channel,
     Key bestKey{};
     for (std::size_t i = 0; i < cands.size(); ++i) {
         const SchedCandidate &cand = cands[i];
-        const bool marked = mirror_.isMarked(channel, cand.seq);
+        const bool marked =
+            std::binary_search(marks.begin(), marks.end(), cand.seq);
         const std::uint32_t threadRank =
             cand.core < numCores_ ? rank_[channel][cand.core] : numCores_;
         const Key key{marked ? 0 : 1, cand.rowHit ? 0 : 1, threadRank,

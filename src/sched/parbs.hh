@@ -54,7 +54,6 @@ class ParBsScheduler : public Scheduler
 
   private:
     void formBatch(std::uint32_t channel);
-    bool anyMarked(std::uint32_t channel) const;
 
     QueueMirror mirror_;
     const std::uint32_t numCores_;
@@ -62,6 +61,12 @@ class ParBsScheduler : public Scheduler
     const std::uint32_t markingCap_;
     /** Thread rank per channel; smaller = higher priority. */
     std::vector<std::vector<std::uint32_t>> rank_;
+    /**
+     * Ids of each channel's marked requests still queued, ascending:
+     * filled by formBatch(), shrunk as their CASes issue. Empty means
+     * the batch is done.
+     */
+    std::vector<std::vector<std::uint64_t>> marked_;
     std::uint64_t batchesFormed_ = 0;
 };
 

@@ -28,7 +28,6 @@ struct MirrorEntry
     std::uint32_t rank = 0;
     std::uint32_t bank = 0; ///< bank index within the channel
     bool isWrite = false;
-    bool marked = false;    ///< PAR-BS batch membership
     DramCycle arrival = 0;
 };
 
@@ -46,7 +45,7 @@ class QueueMirror
         queues_[channel].push_back(MirrorEntry{
             req.id, req.core, coord.rank,
             coord.rank * banksPerRank + coord.bank,
-            req.type == ReqType::Write, false, now});
+            req.type == ReqType::Write, now});
     }
 
     /** Remove the entry once its CAS issues. */
@@ -69,16 +68,6 @@ class QueueMirror
     const std::vector<MirrorEntry> &queue(std::uint32_t channel) const
     {
         return queues_[channel];
-    }
-
-    bool
-    isMarked(std::uint32_t channel, std::uint64_t id) const
-    {
-        for (const auto &entry : queues_[channel]) {
-            if (entry.id == id)
-                return entry.marked;
-        }
-        return false;
     }
 
   private:

@@ -309,6 +309,12 @@ DramTiming::validate(ConfigErrors &errors) const
         addError(errors, "dram.t.tRC",
                  "ACT-to-ACT must cover the row cycle (tRC >= tRAS + "
                  "tRP)");
+    // DramChannel keeps tRRD as one rank-wide window that also covers
+    // the activating bank, whose own tRC must then dominate it.
+    if (tRC < tRRD)
+        addError(errors, "dram.t.tRC",
+                 "ACT-to-ACT on one bank must not be shorter than on "
+                 "two banks of a rank (tRC >= tRRD)");
     if (tFAW < 4 * tRRD)
         addError(errors, "dram.t.tFAW",
                  "four-activate window would never bind (tFAW >= "

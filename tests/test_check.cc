@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "check/diagnostics.hh"
 #include "check/fault_injector.hh"
 #include "check/protocol_checker.hh"
 #include "dram/dram.hh"
@@ -280,6 +281,33 @@ TEST(CheckWatchdog, StalledChannelThrowsWithDiagnostics)
     const std::string &msg = checker.violations().front().message;
     EXPECT_NE(msg.find("idle"), std::string::npos) << msg;
     EXPECT_NE(msg.find("core 5"), std::string::npos) << msg;
+}
+
+// A stall dump shows the rank-side inputs of readiness: the rank-wide
+// windows, the tFAW window and which rank drove the data bus last.
+TEST(CheckWatchdog, DumpShowsRankReadinessInputs)
+{
+    ChannelSnapshot snap;
+    snap.busFreeAt = 120;
+    snap.lastBusRank = 1;
+    snap.banks.resize(2);
+    snap.ranks.resize(2);
+    ChannelSnapshot::Rank &rank = snap.ranks[1];
+    rank.refreshDue = 900;
+    rank.lastActs = {10, 20, 30, 40};
+    rank.readyAct = 45;
+    rank.readyRead = 104;
+    rank.readyWrite = 113;
+    const std::string dump = formatSnapshot(snap);
+    EXPECT_NE(dump.find("  rank 0: refresh due 0, readyAct 0 readyRead 0 "
+                        "readyWrite 0, last ACTs 0 0 0 0\n"),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("  rank 1: refresh due 900, readyAct 45 readyRead "
+                        "104 readyWrite 113, last ACTs 10 20 30 40, last "
+                        "on data bus\n"),
+              std::string::npos)
+        << dump;
 }
 
 TEST(CheckWatchdog, HonestChannelNeverTrips)

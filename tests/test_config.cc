@@ -239,6 +239,12 @@ TEST(ConfigValidate, EachTimingInvariantFiresOnCorruptedTable3)
         {"tFAW < 4 * tRRD",
          [](DramTiming &t) { t.tFAW = 4 * t.tRRD - 1; }, "dram.t.tFAW",
          "tFAW >= 4 * tRRD"},
+        {"tRC < tRRD",
+         [](DramTiming &t) {
+             t.tRRD = t.tRC + 1;
+             t.tFAW = 4 * t.tRRD;
+         },
+         "dram.t.tRC", "tRC >= tRRD"},
         {"tCCD < BL/2",
          [](DramTiming &t) { t.tCCD = t.dataCycles() - 1; },
          "dram.t.tCCD", "tCCD >= burstLength / 2"},

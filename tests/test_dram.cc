@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "dram/dram.hh"
 #include "sched/frfcfs.hh"
 #include "sched/registry.hh"
+#include "sim/random.hh"
 
 using namespace critmem;
 
@@ -433,6 +436,215 @@ TEST_F(DramTest, CritInQueueTracksPromotions)
         dram_->channel(0).channelStats().critInQueue;
     EXPECT_EQ(crit.count(), now_);
     EXPECT_EQ(crit.sum(), expected);
+}
+
+namespace
+{
+
+/**
+ * The candidates @p snap's channel offers at snap.now, computed from
+ * scratch: every queued transaction's command and ready cycle straight
+ * from the (effective) bank windows, the rank's tFAW window and the
+ * data bus, in queue order (reads, then eligible writes), skipping
+ * ranks with a refresh pending.
+ */
+std::vector<SchedCandidate>
+referenceCandidates(const ChannelSnapshot &snap, const DramConfig &cfg)
+{
+    const DramTiming &t = cfg.t;
+    std::vector<SchedCandidate> out;
+    auto consider = [&](const std::vector<ChannelSnapshot::QueueEntry> &q,
+                        bool isWrite) {
+        for (std::uint32_t i = 0; i < q.size(); ++i) {
+            const DramCoord &c = q[i].coord;
+            const ChannelSnapshot::Rank &rank = snap.ranks[c.rank];
+            if (rank.refreshPending)
+                continue;
+            const ChannelSnapshot::Bank &bank =
+                snap.banks[c.rank * cfg.banksPerRank + c.bank];
+            SchedCandidate cand;
+            cand.queueIndex = i;
+            cand.coord = c;
+            cand.isWrite = isWrite;
+            cand.seq = q[i].id;
+            DramCycle at;
+            if (!bank.open) {
+                cand.cmd = DramCmd::Act;
+                const DramCycle oldest = rank.lastActs[0];
+                at = std::max(bank.readyAct,
+                              oldest == 0 ? 0 : oldest + t.tFAW);
+            } else if (bank.row == c.row) {
+                cand.cmd = isWrite ? DramCmd::Write : DramCmd::Read;
+                cand.rowHit = true;
+                const DramCycle busFree = snap.busFreeAt == 0
+                    ? 0
+                    : snap.busFreeAt +
+                        (c.rank != snap.lastBusRank ? t.tRTRS : 0);
+                const DramCycle lead = isWrite ? t.tWL : t.tCL;
+                at = std::max(isWrite ? bank.readyWrite : bank.readyRead,
+                              busFree > lead ? busFree - lead : 0);
+            } else {
+                cand.cmd = DramCmd::Pre;
+                at = bank.readyPre;
+            }
+            if (at <= snap.now)
+                out.push_back(cand);
+        }
+    };
+    consider(snap.readQ, false);
+    if (cfg.unifiedQueue || snap.draining ||
+        (snap.readQ.empty() && !snap.writeQ.empty()))
+        consider(snap.writeQ, true);
+    return out;
+}
+
+std::string
+describe(const std::vector<SchedCandidate> &cands)
+{
+    std::ostringstream os;
+    for (const SchedCandidate &c : cands) {
+        os << " [" << (c.isWrite ? "W" : "R") << c.queueIndex << " id "
+           << c.seq << " cmd " << static_cast<int>(c.cmd) << "]";
+    }
+    return os.str();
+}
+
+/**
+ * Checks at every pick() that the channel's candidates equal
+ * referenceCandidates(), then picks a seeded random one (or idles).
+ */
+class ReferenceScheduler : public Scheduler
+{
+  public:
+    ReferenceScheduler(const DramConfig &cfg, std::uint64_t seed)
+        : cfg_(cfg), rng_(seed)
+    {
+    }
+
+    int
+    pick(std::uint32_t channel, const std::vector<SchedCandidate> &cands,
+         DramCycle now) override
+    {
+        ++picks;
+        const std::vector<SchedCandidate> expected = referenceCandidates(
+            dram->channel(channel).snapshot(now), cfg_);
+        bool same = expected.size() == cands.size();
+        for (std::size_t i = 0; same && i < cands.size(); ++i) {
+            const SchedCandidate &a = cands[i];
+            const SchedCandidate &b = expected[i];
+            same = a.queueIndex == b.queueIndex && a.isWrite == b.isWrite &&
+                a.seq == b.seq && a.cmd == b.cmd && a.rowHit == b.rowHit &&
+                a.coord == b.coord;
+        }
+        if (!same && mismatches++ == 0) {
+            firstMismatch = "cycle " + std::to_string(now) + ": got" +
+                describe(cands) + ", expected" + describe(expected);
+        }
+        if (rng_.below(8) == 0)
+            return -1;
+        return static_cast<int>(rng_.below(cands.size()));
+    }
+
+    const char *name() const override { return "reference"; }
+
+    const DramSystem *dram = nullptr;
+    std::uint64_t picks = 0;
+    std::uint64_t mismatches = 0;
+    std::string firstMismatch;
+
+  private:
+    const DramConfig &cfg_;
+    Rng rng_;
+};
+
+/** Counts commands, refresh PREs and REFs included. */
+struct CmdCounter : ChannelObserver
+{
+    void
+    onCommand(std::uint32_t, DramCmd, const DramCoord &, DramCycle) override
+    {
+        ++commands;
+    }
+
+    std::uint64_t commands = 0;
+};
+
+} // namespace
+
+/*
+ * Differential test of the readiness cache: the channel caches each
+ * transaction's bank part until a command or the refresh engine
+ * touches its bank, and recomputes the rank part after each command.
+ * On seeded deep-queue traffic over four ranks, with refresh running,
+ * every pick() must see exactly the candidates a from-scratch
+ * computation gives; every tick that offered none must have none by
+ * that computation either; and nothing may become issuable before the
+ * cycle nextEventCycle() promised.
+ */
+TEST(DramReadinessCache, CandidatesMatchFromScratchReadiness)
+{
+    for (const bool unified : {true, false}) {
+        for (const bool closedPage : {false, true}) {
+            SCOPED_TRACE(std::string(unified ? "unified" : "split") +
+                         (closedPage ? " closed-page" : " open-page"));
+            DramConfig cfg = DramConfig::preset(DramSpeed::DDR3_2133);
+            cfg.channels = 1;
+            cfg.ranksPerChannel = 4;
+            cfg.unifiedQueue = unified;
+            cfg.closedPage = closedPage;
+            stats::Group root;
+            ReferenceScheduler sched(cfg, 0xd1ff + unified * 2 + closedPage);
+            DramSystem dram(cfg, sched, root);
+            sched.dram = &dram;
+            CmdCounter counter;
+            dram.setObserver(&counter);
+            const DramChannel &channel = dram.channel(0);
+
+            Rng rng(0x5eed + unified * 2 + closedPage);
+            DramCycle quietUntil = 0;
+            std::uint64_t idleChecks = 0;
+            const DramCycle kCycles = 3 * cfg.t.tREFI;
+            for (DramCycle now = 1; now <= kCycles; ++now) {
+                // Bursty load: a few rows per bank, so row hits,
+                // conflicts and empty banks all occur.
+                if (rng.below(4) != 0) {
+                    MemRequest req;
+                    req.addr = addrOf(4, rng.below(4), rng.below(8),
+                                      rng.below(3), rng.below(16));
+                    req.type = rng.below(4) == 0 ? ReqType::Write
+                                                 : ReqType::Read;
+                    req.core = static_cast<CoreId>(rng.below(8));
+                    if (dram.enqueue(std::move(req)))
+                        quietUntil = 0; // an arrival voids the promise
+                }
+                const std::uint64_t picks = sched.picks;
+                const std::uint64_t commands = counter.commands;
+                dram.tick(now);
+                const bool acted =
+                    sched.picks != picks || counter.commands != commands;
+                if (!acted) {
+                    ++idleChecks;
+                    EXPECT_TRUE(referenceCandidates(channel.snapshot(now),
+                                                    cfg)
+                                    .empty())
+                        << "cycle " << now << " offered no candidate";
+                }
+                EXPECT_FALSE(now < quietUntil && acted)
+                    << "cycle " << now << " acted before " << quietUntil;
+                if (now >= quietUntil)
+                    quietUntil = dram.nextEventCycle(now);
+            }
+            EXPECT_EQ(sched.mismatches, 0u) << sched.firstMismatch;
+            EXPECT_GT(sched.picks, kCycles / 4);
+            EXPECT_GT(idleChecks, 0u);
+            EXPECT_GE(channel.channelStats().refreshes.value(), 8u);
+            if (closedPage)
+                EXPECT_GT(channel.channelStats().autoPrecharges.value(), 0u);
+            else
+                EXPECT_GT(channel.channelStats().precharges.value(),
+                          channel.channelStats().refreshes.value());
+        }
+    }
 }
 
 TEST(DramDeath, InvalidTimingFatalAtConstruction)
