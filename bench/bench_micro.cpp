@@ -42,7 +42,7 @@ makeCandidates(std::size_t n, std::uint64_t seed)
         SchedCandidate &c = cands[i];
         const std::uint64_t draw = rng.next();
         c.cmd = static_cast<DramCmd>(draw % 4);
-        c.rowHit = c.cmd == DramCmd::Read || c.cmd == DramCmd::Write;
+        c.rowHit = c.isCas();
         c.isWrite = c.cmd == DramCmd::Write;
         c.coord.rank = draw % 4;
         c.coord.bank = (draw >> 8) % 8;
@@ -100,8 +100,7 @@ BM_PickAhb(benchmark::State &state)
 void
 BM_PickTcm(benchmark::State &state)
 {
-    SchedConfig cfg;
-    TcmScheduler sched(8, cfg, false, 7);
+    TcmScheduler sched(8, false, 7);
     pickLoop(state, sched);
 }
 

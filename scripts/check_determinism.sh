@@ -12,6 +12,13 @@
 #    needs a variant named base) must be byte-identical (the scheduler
 #    hands results to the sink in spec order regardless of completion
 #    order).
+# 3. Two critmem-lint --json runs over the checkout must be
+#    byte-identical.
+#
+# Determinism across a SIGKILL/--resume, cycle skipping on vs off, the
+# arena and --isolate have their own ctests (Exec.ResumeByteIdentical,
+# Skip.Equivalence, Arena.Smoke, Exec.IsolationByteIdentical); this
+# script does not run them again.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -58,36 +65,7 @@ if [ "$(grep -c '^Average ' "$tmp/report_1.txt")" != 2 ] ||
 fi
 echo "sweep: --jobs 1 and --jobs 4 results, speedup and stat reports byte-identical"
 
-# 3. Crash safety is determinism across a process boundary: a
-#    campaign SIGKILLed mid-flight and resumed must reproduce the
-#    uninterrupted run's result files byte-for-byte.
-"$(dirname "$0")/check_resume.sh" "$sweep" "$spec"
-
-# 4. Simulator-speed optimizations are not allowed to change results:
-#    event-driven cycle skipping on vs off must be byte-identical
-#    over the representative config matrix.
-"$(dirname "$0")/check_skip_equivalence.sh" "$sim"
-
-# 5. The scheduler arena: the fairness-annotated records and the
-#    ranked leaderboard must also be byte-identical for --jobs 1 vs
-#    --jobs 4 (the report is built from alone-run baselines banked by
-#    the aggregation thread, so this exercises that ordering too).
-arena_spec=$(dirname "$spec")/arena.sweep
-if [ -f "$arena_spec" ]; then
-    "$(dirname "$0")/check_arena.sh" "$sweep" "$arena_spec"
-fi
-
-# 6. Process isolation is determinism across fork(): --isolate must
-#    produce byte-identical result files, injected process faults
-#    must be contained as classified records, and a SIGKILLed
-#    worker/supervisor pair must resume byte-identically.
-isolation_spec=$(dirname "$spec")/isolation.sweep
-if [ -f "$isolation_spec" ]; then
-    "$(dirname "$0")/check_isolation.sh" "$sweep" "$isolation_spec" \
-        "$spec"
-fi
-
-# 7. The lint tool itself must be deterministic: two critmem-lint
+# 3. The lint tool itself must be deterministic: two critmem-lint
 #    --json runs over the same checkout (sorted file walk, every
 #    rule, suppression bookkeeping and all) must emit byte-identical
 #    reports.

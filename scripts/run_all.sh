@@ -19,37 +19,18 @@ cmake --build build -j"$(nproc)"
 # rebuild.
 cmake --build build --target lint
 
+# The suite includes every end-to-end check once: kill/resume over
+# fig10 and the traces (Exec.ResumeByteIdentical,
+# Exec.ResumeTraceByteIdentical), the arena (Arena.Smoke), --isolate
+# crash containment (Exec.IsolationByteIdentical), cycle skipping
+# (Skip.Equivalence) and determinism (Determinism.ByteIdentical).
 ctest --test-dir build --output-on-failure | tee test_output.txt
-
-# Crash-safety smoke: SIGKILL a checkpointed campaign mid-flight,
-# resume it, and demand byte-identical result files. Also a graceful
-# SIGINT must exit 3 (resumable) without publishing a torn file.
-./scripts/check_resume.sh ./build/examples/critmem-sweep \
-    specs/fig10.sweep
-
-# The same kill/resume contract over trace-backed jobs: external
-# trace ingestion (the CTIB fixtures) must survive the SIGKILL and
-# resume byte-identically.
-./scripts/check_resume.sh ./build/examples/critmem-sweep \
-    specs/traces.sweep
-
-# Scheduler-arena smoke (also runs as the Arena.Smoke ctest): the
-# tiny-quota tournament's leaderboard must be --jobs-independent and
-# rank every registered scheduler with fairness metrics.
-./scripts/check_arena.sh ./build/examples/critmem-sweep \
-    specs/arena.sweep
-
-# Crash containment: --isolate must contain an injected SIGSEGV and a
-# memory hog as classified records, keep results byte-identical to
-# in-process execution, and survive SIGKILL of worker + supervisor
-# with a byte-identical --resume.
-./scripts/check_isolation.sh ./build/examples/critmem-sweep \
-    specs/isolation.sweep specs/fig10.sweep
 
 # ASan+UBSan pass: the whole suite again under the sanitizers
 # (includes TraceFuzz.Corpus, so the 10k-mutant seed-1 fuzz run
-# happens under ASan/UBSan too), plus a second fuzz run on a
-# different seed so the sanitized pass covers mutants the plain
+# happens under ASan/UBSan too, and Exec.IsolationByteIdentical, so
+# crash containment is checked under ASan), plus a second fuzz run on
+# a different seed so the sanitized pass covers mutants the plain
 # ctest run never saw.
 if [ "${CRITMEM_SKIP_ASAN:-0}" != "1" ]; then
     cmake -B build-asan -DCRITMEM_SANITIZE=ON
@@ -59,13 +40,6 @@ if [ "${CRITMEM_SKIP_ASAN:-0}" != "1" ]; then
     ./build-asan/examples/critmem-tracefuzz \
         --corpus tests/trace/fixtures --iterations 10000 --seed 2 \
         --scratch build-asan/tracefuzz.scratch --quiet
-    # Crash containment under ASan as well: the script disables the
-    # sanitizer's SIGSEGV interception for the fault legs so the
-    # worker dies with the real signal, and allocator_may_return_null
-    # turns the RLIMIT_AS hit into the std::bad_alloc the oom
-    # classification expects.
-    ./scripts/check_isolation.sh ./build-asan/examples/critmem-sweep \
-        specs/isolation.sweep specs/fig10.sweep
 fi
 
 # TSan pass: the execution engine's worker pool and a parallel sweep

@@ -68,6 +68,13 @@ struct SchedCandidate
     DramCycle arrival = 0;
     /** Global FCFS id of the transaction (smaller = older). */
     std::uint64_t seq = 0;
+
+    /** True for a column command (Read or Write). */
+    bool
+    isCas() const
+    {
+        return cmd == DramCmd::Read || cmd == DramCmd::Write;
+    }
 };
 
 } // namespace critmem

@@ -12,6 +12,7 @@
 #include "fair/baseline_cache.hh"
 #include "sched/registry.hh"
 #include "sim/atomic_file.hh"
+#include "sim/fnv.hh"
 #include "trace/workloads.hh"
 
 namespace critmem::exec
@@ -23,43 +24,6 @@ namespace
 constexpr const char *kManifestMagic = "critmem-campaign v1";
 constexpr const char *kRecordMagic = "r1";
 constexpr std::size_t kPayloadFields = 28;
-
-/** Incremental FNV-1a-64 used by both the hash and the checksums. */
-struct Fnv
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-
-    void
-    byte(std::uint8_t b)
-    {
-        hash ^= b;
-        hash *= 0x100000001b3ull;
-    }
-
-    void
-    str(const std::string &s)
-    {
-        for (const char c : s)
-            byte(static_cast<std::uint8_t>(c));
-        byte(0x1f); // field separator: "ab","c" != "a","bc"
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<std::uint8_t>(v >> (i * 8)));
-    }
-};
-
-std::uint64_t
-lineChecksum(const std::string &payload)
-{
-    Fnv fnv;
-    for (const char c : payload)
-        fnv.byte(static_cast<std::uint8_t>(c));
-    return fnv.hash;
-}
 
 /** \ tab newline CR are the only bytes that would break a record. */
 std::string
@@ -209,7 +173,7 @@ lineDamage(const std::string &line, std::string &payload)
             std::string(kRecordMagic) + " <checksum> '";
     }
     payload = line.substr(headerLen);
-    const std::uint64_t have = lineChecksum(payload);
+    const std::uint64_t have = fnv1a(payload);
     if (have != want) {
         return "journal record fails its checksum (expected " +
             hashHex(want) + ", computed " + hashHex(have) + ")";
@@ -302,26 +266,26 @@ hashHex(std::uint64_t value)
 std::uint64_t
 campaignHash(const std::vector<JobSpec> &jobs)
 {
-    Fnv fnv;
-    fnv.str(kManifestMagic);
+    Fnv1a fnv;
+    fnv.field(kManifestMagic);
 
     // Registry identity: renaming/adding a scheduler, app or bundle
     // invalidates old campaigns even when the job list looks alike.
     for (const SchedInfo &info : schedulerRegistry())
-        fnv.str(info.cliName);
+        fnv.field(info.cliName);
     for (const AppParams &app : parallelApps())
-        fnv.str(app.name);
+        fnv.field(app.name);
     for (const AppParams &app : singleApps())
-        fnv.str(app.name);
+        fnv.field(app.name);
     for (const Bundle &bundle : multiprogBundles())
-        fnv.str(bundle.name);
+        fnv.field(bundle.name);
     // Trace workload identity covers the file CONTENT (FNV-1a of the
     // raw bytes from the registration scan), so a campaign resumed
     // against an edited trace file is refused as a different
     // campaign even when the path and job list are unchanged.
     for (const TraceWorkload &wl : traceWorkloads()) {
-        fnv.str(wl.name);
-        fnv.str(wl.path);
+        fnv.field(wl.name);
+        fnv.field(wl.path);
         fnv.u64(wl.contentHash);
         fnv.u64(wl.numCores);
         fnv.u64(wl.records);
@@ -329,10 +293,10 @@ campaignHash(const std::vector<JobSpec> &jobs)
 
     fnv.u64(jobs.size());
     for (const JobSpec &spec : jobs) {
-        fnv.str(spec.name);
+        fnv.field(spec.name);
         fnv.u64(spec.cfg.seed);
-        fnv.str(toString(spec.kind));
-        fnv.str(spec.workload);
+        fnv.field(toString(spec.kind));
+        fnv.field(spec.workload);
         fnv.u64(fair::configHash(spec.cfg));
         fnv.u64(static_cast<std::uint64_t>(spec.cfg.check.fault));
         fnv.u64(spec.cfg.check.faultPeriod);
@@ -450,7 +414,7 @@ encodeJournalRecord(const JobRecord &rec)
     add(escapeField(rec.statsJson));
 
     return std::string(kRecordMagic) + ' ' +
-        hashHex(lineChecksum(payload)) + ' ' + payload + '\n';
+        hashHex(fnv1a(payload)) + ' ' + payload + '\n';
 }
 
 JobRecord

@@ -7,6 +7,7 @@
 
 #include "check/check.hh"
 #include "sched/registry.hh"
+#include "sim/fnv.hh"
 #include "system/system.hh"
 #include "trace/ingest/ingest.hh"
 #include "trace/workloads.hh"
@@ -643,14 +644,9 @@ runJob(const JobSpec &spec, std::size_t index, std::uint32_t attempt,
 std::uint64_t
 deriveSeed(std::uint64_t campaignSeed, const std::string &jobName)
 {
-    // FNV-1a over the job name...
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : jobName) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    // ...then one splitmix64 step over the combination.
-    std::uint64_t z = campaignSeed ^ hash;
+    // FNV-1a over the job name, then one splitmix64 step over the
+    // combination.
+    std::uint64_t z = campaignSeed ^ fnv1a(jobName);
     z += 0x9e3779b97f4a7c15ull;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;

@@ -1,7 +1,8 @@
 #include "fair/baseline_cache.hh"
 
-#include <bit>
 #include <cstdio>
+
+#include "sim/fnv.hh"
 
 namespace critmem::fair
 {
@@ -9,25 +10,8 @@ namespace critmem::fair
 namespace
 {
 
-/** Incremental FNV-1a-64 (the campaign-hash flavor). */
-struct Fnv
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= static_cast<std::uint8_t>(v >> (i * 8));
-            hash *= 0x100000001b3ull;
-        }
-    }
-
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-};
-
 void
-hashCache(Fnv &fnv, const CacheConfig &c)
+hashCache(Fnv1a &fnv, const CacheConfig &c)
 {
     fnv.u64(c.sizeBytes);
     fnv.u64(c.blockBytes);
@@ -42,7 +26,7 @@ hashCache(Fnv &fnv, const CacheConfig &c)
 std::uint64_t
 configHash(const SystemConfig &cfg)
 {
-    Fnv fnv;
+    Fnv1a fnv;
     fnv.u64(cfg.numCores);
     fnv.u64(cfg.seed);
     fnv.f64(cfg.prewarmDirtyFrac);
@@ -99,16 +83,7 @@ configHash(const SystemConfig &cfg)
 
     const SchedConfig &sched = cfg.sched;
     fnv.u64(static_cast<std::uint64_t>(sched.algo));
-    fnv.u64(sched.starvationCap);
-    fnv.u64(sched.parbsMarkingCap);
-    fnv.u64(sched.tcmQuantum);
-    fnv.f64(sched.tcmClusterThresh);
     fnv.u64(sched.morseMaxCommands);
-    fnv.u64(sched.blissThreshold);
-    fnv.u64(sched.blissClearInterval);
-    fnv.u64(sched.batchCap);
-    fnv.u64(sched.dynThreshEpoch);
-    fnv.u64(sched.dynThreshTargetPct);
 
     const CritConfig &crit = cfg.crit;
     fnv.u64(static_cast<std::uint64_t>(crit.predictor));

@@ -18,7 +18,7 @@ AhbScheduler::onEnqueue(std::uint32_t, const MemRequest &req,
 void
 AhbScheduler::onIssue(std::uint32_t, const SchedCandidate &cand, DramCycle)
 {
-    if (cand.cmd != DramCmd::Read && cand.cmd != DramCmd::Write)
+    if (!cand.isCas())
         return;
     haveHistory_ = true;
     lastWasWrite_ = cand.cmd == DramCmd::Write;
@@ -55,12 +55,8 @@ AhbScheduler::pick(std::uint32_t, const std::vector<SchedCandidate> &cands,
                : 0.0;
     const bool wantWrite = issuedWriteFrac < targetWriteFrac_;
 
-    // Lower = better: (pattern cost, age).
-    using Key = std::tuple<int, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
+    // (pattern cost, age).
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
         int cost = 0;
         switch (cand.cmd) {
           case DramCmd::Read:
@@ -84,13 +80,8 @@ AhbScheduler::pick(std::uint32_t, const std::vector<SchedCandidate> &cands,
             cost = 8;
             break;
         }
-        const Key key{cost, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(cost, cand.seq);
+    });
 }
 
 } // namespace critmem

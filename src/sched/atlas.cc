@@ -20,10 +20,8 @@ void
 AtlasScheduler::onIssue(std::uint32_t, const SchedCandidate &cand,
                         DramCycle)
 {
-    if ((cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write) &&
-        cand.core < numCores_) {
+    if (cand.isCas() && cand.core < numCores_)
         current_[cand.core] += 1.0;
-    }
 }
 
 void
@@ -57,21 +55,12 @@ int
 AtlasScheduler::pick(std::uint32_t,
                      const std::vector<SchedCandidate> &cands, DramCycle)
 {
-    // Lower = better: (thread rank, row-miss, age).
-    using Key = std::tuple<std::uint32_t, int, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
+    // (thread rank, row-miss, age).
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
         const std::uint32_t threadRank =
             cand.core < numCores_ ? rank_[cand.core] : numCores_;
-        const Key key{threadRank, cand.rowHit ? 0 : 1, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(threadRank, cand.rowHit ? 0 : 1, cand.seq);
+    });
 }
 
 } // namespace critmem

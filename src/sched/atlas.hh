@@ -27,12 +27,21 @@ class AtlasScheduler : public Scheduler
 {
   public:
     /**
+     * Ranking quantum, DRAM cycles: this simulator's value, scaled to
+     * its short windows.
+     */
+    static constexpr DramCycle kQuantum = 100000;
+    /** Weight of past quanta in attained service (ATLAS's alpha [11]). */
+    static constexpr double kDecay = 0.875;
+
+    /**
      * @param numCores Hardware threads to rank.
      * @param quantum Ranking quantum, DRAM cycles.
      * @param decay Geometric decay of attained service per quantum.
      */
-    AtlasScheduler(std::uint32_t numCores, DramCycle quantum = 100000,
-                   double decay = 0.875);
+    explicit AtlasScheduler(std::uint32_t numCores,
+                            DramCycle quantum = kQuantum,
+                            double decay = kDecay);
 
     int pick(std::uint32_t channel,
              const std::vector<SchedCandidate> &cands,

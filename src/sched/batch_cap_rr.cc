@@ -25,9 +25,7 @@ void
 BatchCapRrScheduler::onIssue(std::uint32_t channel,
                              const SchedCandidate &cand, DramCycle)
 {
-    const bool cas =
-        cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write;
-    if (!cas || cand.core >= numCores_)
+    if (!cand.isCas() || cand.core >= numCores_)
         return;
     if (cand.core != active_[channel]) {
         // The active core had no ready CAS; the rotation moved on.
@@ -44,22 +42,13 @@ BatchCapRrScheduler::pick(std::uint32_t channel,
                           const std::vector<SchedCandidate> &cands,
                           DramCycle)
 {
-    // Lower = better: (rotation distance, row-miss, age). The active
-    // core sits at distance 0, so its batch drains first; when it has
-    // nothing ready, the nearest core in id order takes over.
-    using Key = std::tuple<std::uint32_t, int, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
-        const Key key{rrDistance(channel, cand.core),
-                      cand.rowHit ? 0 : 1, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+    // (rotation distance, row-miss, age). The active core sits at
+    // distance 0, so its batch drains first; when it has nothing
+    // ready, the nearest core in id order takes over.
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
+        return std::tuple(rrDistance(channel, cand.core),
+                          cand.rowHit ? 0 : 1, cand.seq);
+    });
 }
 
 } // namespace critmem

@@ -25,13 +25,16 @@ namespace critmem
 class BatchCapRrScheduler : public Scheduler
 {
   public:
+    /** CAS issues per batch: this simulator's choice, not a paper's. */
+    static constexpr std::uint32_t kCap = 8;
+
     /**
      * @param channels Channels served (per-channel rotation state).
      * @param numCores Hardware threads in the rotation.
      * @param cap CAS issues served per core before rotating.
      */
     BatchCapRrScheduler(std::uint32_t channels, std::uint32_t numCores,
-                        std::uint32_t cap);
+                        std::uint32_t cap = kCap);
 
     int pick(std::uint32_t channel,
              const std::vector<SchedCandidate> &cands,

@@ -21,9 +21,7 @@ void
 BlissScheduler::onIssue(std::uint32_t channel, const SchedCandidate &cand,
                         DramCycle)
 {
-    const bool cas =
-        cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write;
-    if (!cas || cand.core >= numCores_)
+    if (!cand.isCas() || cand.core >= numCores_)
         return;
     if (streak_[channel] > 0 && lastCore_[channel] == cand.core) {
         if (++streak_[channel] >= threshold_) {
@@ -52,21 +50,12 @@ int
 BlissScheduler::pick(std::uint32_t,
                      const std::vector<SchedCandidate> &cands, DramCycle)
 {
-    // Lower = better: (blacklisted, row-miss, age).
-    using Key = std::tuple<int, int, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
+    // (blacklisted, row-miss, age).
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
         const int black =
             cand.core < numCores_ && blacklisted_[cand.core] ? 1 : 0;
-        const Key key{black, cand.rowHit ? 0 : 1, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(black, cand.rowHit ? 0 : 1, cand.seq);
+    });
 }
 
 } // namespace critmem

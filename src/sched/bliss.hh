@@ -29,6 +29,11 @@ namespace critmem
 class BlissScheduler : public Scheduler
 {
   public:
+    /** Blacklisting threshold of Subramanian et al.: 4 requests. */
+    static constexpr std::uint32_t kThreshold = 4;
+    /** Their clearing interval, 10,000 cycles (here DRAM cycles). */
+    static constexpr DramCycle kClearInterval = 10000;
+
     /**
      * @param channels Channels served (per-channel streak tracking).
      * @param numCores Hardware threads that can be blacklisted.
@@ -37,7 +42,8 @@ class BlissScheduler : public Scheduler
      * @param clearInterval Blacklist clearing period, DRAM cycles.
      */
     BlissScheduler(std::uint32_t channels, std::uint32_t numCores,
-                   std::uint32_t threshold, DramCycle clearInterval);
+                   std::uint32_t threshold = kThreshold,
+                   DramCycle clearInterval = kClearInterval);
 
     int pick(std::uint32_t channel,
              const std::vector<SchedCandidate> &cands,

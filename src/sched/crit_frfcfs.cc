@@ -1,5 +1,6 @@
 #include "sched/crit_frfcfs.hh"
 
+#include <limits>
 #include <tuple>
 
 namespace critmem
@@ -11,22 +12,11 @@ CritFrFcfsScheduler::pick(std::uint32_t,
                           DramCycle now)
 {
     // Lower tuple compares better; fields are negated accordingly.
-    using Key = std::tuple<int, std::uint64_t, int, std::uint64_t>;
-
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
-        const bool cas =
-            cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write;
-
-        CritLevel crit = cand.crit;
-        if (starvationCap_ && crit == 0 &&
-            now - cand.arrival > starvationCap_) {
-            crit = std::numeric_limits<CritLevel>::max();
-            if (promoted_.insert(cand.seq).second)
-                ++starvationPromotions_;
-        }
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
+        const bool cas = cand.isCas();
+        const CritLevel crit = starved(cand, now)
+            ? std::numeric_limits<CritLevel>::max()
+            : cand.crit;
 
         // Priority class per Section 3.2.
         int cls;
@@ -38,14 +28,17 @@ CritFrFcfsScheduler::pick(std::uint32_t,
 
         // Magnitude is prepended to the age comparator: bigger
         // criticality first, then older (smaller seq) first.
-        const Key key{cls, ~static_cast<std::uint64_t>(crit),
-                      cand.isPrefetch ? 1 : 0, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(cls, ~static_cast<std::uint64_t>(crit),
+                          cand.isPrefetch ? 1 : 0, cand.seq);
+    });
+}
+
+void
+CritFrFcfsScheduler::onIssue(std::uint32_t, const SchedCandidate &cand,
+                             DramCycle now)
+{
+    if (cand.isCas() && starved(cand, now))
+        ++starvationPromotions_;
 }
 
 } // namespace critmem

@@ -8,18 +8,17 @@
  * criticality magnitude to the existing age comparator. Within a
  * priority class, larger criticality magnitude wins, then age.
  *
- * Starvation control: a non-critical request older than the
- * configured cap (6,000 DRAM cycles) is promoted to maximum
- * criticality. The paper observes this threshold is never reached for
- * its workloads; we count promotions in a stat the tests assert on.
+ * Starvation control: a non-critical request older than the cap
+ * (6,000 DRAM cycles) is promoted to maximum criticality. The paper
+ * observes this threshold is never reached for its workloads;
+ * starvationPromotions() counts the promoted requests served, for the
+ * tests to bound.
  */
 
 #ifndef CRITMEM_SCHED_CRIT_FRFCFS_HH
 #define CRITMEM_SCHED_CRIT_FRFCFS_HH
 
 #include <cstdint>
-#include <limits>
-#include <unordered_set>
 
 #include "sched/scheduler.hh"
 
@@ -37,13 +36,17 @@ enum class CritOrder
 class CritFrFcfsScheduler : public Scheduler
 {
   public:
+    /** Non-critical age cap of Section 3.2, DRAM cycles. */
+    static constexpr std::uint32_t kStarvationCap = 6000;
+
     /**
      * @param order Arbitration arrangement.
      * @param starvationCap Non-critical age cap in DRAM cycles; 0
      *        disables promotion.
      */
     explicit CritFrFcfsScheduler(CritOrder order,
-                                 std::uint32_t starvationCap = 6000)
+                                 std::uint32_t starvationCap =
+                                     kStarvationCap)
         : order_(order), starvationCap_(starvationCap)
     {
     }
@@ -52,6 +55,9 @@ class CritFrFcfsScheduler : public Scheduler
              const std::vector<SchedCandidate> &cands,
              DramCycle now) override;
 
+    void onIssue(std::uint32_t channel, const SchedCandidate &cand,
+                 DramCycle now) override;
+
     const char *
     name() const override
     {
@@ -59,17 +65,24 @@ class CritFrFcfsScheduler : public Scheduler
                                               : "CASRAS-Crit";
     }
 
-    /** Distinct non-critical requests promoted by the cap. */
+    /** Non-critical requests whose CAS issued past the cap. */
     std::uint64_t starvationPromotions() const
     {
         return starvationPromotions_;
     }
 
   private:
+    /** True when the cap promotes @p cand to maximum criticality. */
+    bool
+    starved(const SchedCandidate &cand, DramCycle now) const
+    {
+        return starvationCap_ && cand.crit == 0 &&
+            now - cand.arrival > starvationCap_;
+    }
+
     CritOrder order_;
     std::uint32_t starvationCap_;
     std::uint64_t starvationPromotions_ = 0;
-    std::unordered_set<std::uint64_t> promoted_;
 };
 
 } // namespace critmem

@@ -16,9 +16,7 @@ void
 DynThreshCritScheduler::onIssue(std::uint32_t, const SchedCandidate &cand,
                                 DramCycle)
 {
-    const bool cas =
-        cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write;
-    if (!cas)
+    if (!cand.isCas())
         return;
     ++casIssued_;
     if (cand.crit >= thresh_)
@@ -55,25 +53,15 @@ DynThreshCritScheduler::pick(std::uint32_t,
                              const std::vector<SchedCandidate> &cands,
                              DramCycle)
 {
-    // Lower = better: (class, row-miss, ~magnitude, age) with classes
-    // critical CAS < plain CAS < critical RAS/PRE < plain RAS/PRE.
-    using Key = std::tuple<int, int, std::uint64_t, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
-        const bool cas =
-            cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write;
+    // (class, row-miss, ~magnitude, age) with classes critical CAS <
+    // plain CAS < critical RAS/PRE < plain RAS/PRE.
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
+        const bool cas = cand.isCas();
         const bool crit = cand.crit >= thresh_;
         const int cls = crit ? (cas ? 0 : 2) : (cas ? 1 : 3);
-        const Key key{cls, cand.rowHit ? 0 : 1,
-                      ~static_cast<std::uint64_t>(cand.crit), cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(cls, cand.rowHit ? 0 : 1,
+                          ~static_cast<std::uint64_t>(cand.crit), cand.seq);
+    });
 }
 
 } // namespace critmem

@@ -28,12 +28,18 @@ namespace critmem
 class DynThreshCritScheduler : public Scheduler
 {
   public:
+    /** Adaptation epoch, DRAM cycles: this simulator's choice. */
+    static constexpr DramCycle kEpoch = 50000;
+    /** Target critical share of CAS issues: this simulator's choice. */
+    static constexpr std::uint32_t kTargetPct = 25;
+
     /**
      * @param epoch Threshold-adaptation period, DRAM cycles.
      * @param targetPct Target percentage of CAS issues treated
      *                  critical, in [1, 100].
      */
-    DynThreshCritScheduler(DramCycle epoch, std::uint32_t targetPct);
+    explicit DynThreshCritScheduler(DramCycle epoch = kEpoch,
+                                    std::uint32_t targetPct = kTargetPct);
 
     int pick(std::uint32_t channel,
              const std::vector<SchedCandidate> &cands,

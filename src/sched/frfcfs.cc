@@ -9,37 +9,20 @@ int
 FrFcfsScheduler::pick(std::uint32_t, const std::vector<SchedCandidate> &cands,
                       DramCycle)
 {
-    // Lower key = better: (row-miss, prefetch, age). Demands beat
-    // prefetches within a priority class.
-    int best = -1;
-    std::tuple<int, int, std::uint64_t> bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
-        const bool cas =
-            cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write;
-        const std::tuple<int, int, std::uint64_t> key{
-            cas ? 0 : 1, cand.isPrefetch ? 1 : 0, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+    // (row-miss, prefetch, age): demands beat prefetches within a
+    // priority class.
+    return pickLowest(cands, [](const SchedCandidate &cand) {
+        return std::tuple(cand.isCas() ? 0 : 1, cand.isPrefetch ? 1 : 0,
+                          cand.seq);
+    });
 }
 
 int
 FcfsScheduler::pick(std::uint32_t,
                     const std::vector<SchedCandidate> &cands, DramCycle)
 {
-    int best = -1;
-    std::uint64_t bestSeq = 0;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (best < 0 || cands[i].seq < bestSeq) {
-            best = static_cast<int>(i);
-            bestSeq = cands[i].seq;
-        }
-    }
-    return best;
+    return pickLowest(cands,
+                      [](const SchedCandidate &cand) { return cand.seq; });
 }
 
 } // namespace critmem

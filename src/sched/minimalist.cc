@@ -24,7 +24,7 @@ void
 MinimalistScheduler::onIssue(std::uint32_t channel,
                              const SchedCandidate &cand, DramCycle)
 {
-    if (cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write)
+    if (cand.isCas())
         mirror_.onCas(channel, cand.seq);
 }
 
@@ -40,22 +40,13 @@ MinimalistScheduler::pick(std::uint32_t channel,
             ++mlp[entry.core < numCores_ ? entry.core : numCores_];
     }
 
-    // Lower = better: (prefetch, thread MLP, row-miss, age).
-    using Key = std::tuple<int, std::uint32_t, int, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
+    // (prefetch, thread MLP, row-miss, age).
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
         const std::uint32_t threadMlp =
             mlp[cand.core < numCores_ ? cand.core : numCores_];
-        const Key key{cand.isPrefetch ? 1 : 0, threadMlp,
-                      cand.rowHit ? 0 : 1, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(cand.isPrefetch ? 1 : 0, threadMlp,
+                          cand.rowHit ? 0 : 1, cand.seq);
+    });
 }
 
 } // namespace critmem

@@ -82,7 +82,7 @@ void
 MorseScheduler::onIssue(std::uint32_t channel, const SchedCandidate &cand,
                         DramCycle)
 {
-    if (cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write) {
+    if (cand.isCas()) {
         mirror_.onCas(channel, cand.seq);
         // Data moved: the utilization reward credited to the decision
         // that issued this command.
@@ -171,8 +171,7 @@ MorseScheduler::pick(std::uint32_t channel,
         // An epsilon-scale prior breaks cold-start ties the FR-FCFS
         // way (CAS > ACT > PRE, then oldest); it is far below the
         // reward scale, so learned values dominate once trained.
-        const float tiebreak = cands[i].cmd == DramCmd::Read ||
-                cands[i].cmd == DramCmd::Write
+        const float tiebreak = cands[i].isCas()
             ? 2e-3f
             : (cands[i].cmd == DramCmd::Act ? 1e-3f : 0.0f);
         const float q = learner.cmac.value(tiles) + tiebreak;

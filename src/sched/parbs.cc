@@ -28,7 +28,7 @@ void
 ParBsScheduler::onIssue(std::uint32_t channel, const SchedCandidate &cand,
                         DramCycle)
 {
-    if (cand.cmd != DramCmd::Read && cand.cmd != DramCmd::Write)
+    if (!cand.isCas())
         return;
     mirror_.onCas(channel, cand.seq);
     std::vector<std::uint64_t> &marked = marked_[channel];
@@ -100,24 +100,15 @@ ParBsScheduler::pick(std::uint32_t channel,
         formBatch(channel);
     const std::vector<std::uint64_t> &marks = marked_[channel];
 
-    // Lower tuple = better: (unmarked, row-miss, thread rank, age).
-    using Key = std::tuple<int, int, std::uint32_t, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
+    // (unmarked, row-miss, thread rank, age).
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
         const bool marked =
             std::binary_search(marks.begin(), marks.end(), cand.seq);
         const std::uint32_t threadRank =
             cand.core < numCores_ ? rank_[channel][cand.core] : numCores_;
-        const Key key{marked ? 0 : 1, cand.rowHit ? 0 : 1, threadRank,
-                      cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(marked ? 0 : 1, cand.rowHit ? 0 : 1, threadRank,
+                          cand.seq);
+    });
 }
 
 } // namespace critmem

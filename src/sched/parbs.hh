@@ -27,16 +27,18 @@ namespace critmem
 class ParBsScheduler : public Scheduler
 {
   public:
+    /** Requests marked per (thread, bank): Mutlu & Moscibroda's 5. */
+    static constexpr std::uint32_t kMarkingCap = 5;
+
     /**
      * @param channels Number of DRAM channels.
      * @param numCores Number of cores (threads).
      * @param banksPerRank Banks per rank, for bank indexing.
-     * @param markingCap Requests marked per (thread, bank); paper
-     *        default 5.
+     * @param markingCap Requests marked per (thread, bank).
      */
     ParBsScheduler(std::uint32_t channels, std::uint32_t numCores,
                    std::uint32_t banksPerRank,
-                   std::uint32_t markingCap = 5);
+                   std::uint32_t markingCap = kMarkingCap);
 
     int pick(std::uint32_t channel,
              const std::vector<SchedCandidate> &cands,

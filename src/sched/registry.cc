@@ -26,20 +26,18 @@ makeScheduler(const SystemConfig &cfg)
       case SchedAlgo::FrFcfs:
         return std::make_unique<FrFcfsScheduler>();
       case SchedAlgo::CritCasRas:
-        return std::make_unique<CritFrFcfsScheduler>(
-            CritOrder::CritFirst, s.starvationCap);
+        return std::make_unique<CritFrFcfsScheduler>(CritOrder::CritFirst);
       case SchedAlgo::CasRasCrit:
         return std::make_unique<CritFrFcfsScheduler>(
-            CritOrder::CasRasFirst, s.starvationCap);
+            CritOrder::CasRasFirst);
       case SchedAlgo::ParBs:
         return std::make_unique<ParBsScheduler>(
-            cfg.dram.channels, cfg.numCores, cfg.dram.banksPerRank,
-            s.parbsMarkingCap);
+            cfg.dram.channels, cfg.numCores, cfg.dram.banksPerRank);
       case SchedAlgo::Tcm:
-        return std::make_unique<TcmScheduler>(cfg.numCores, s, false,
+        return std::make_unique<TcmScheduler>(cfg.numCores, false,
                                               cfg.seed);
       case SchedAlgo::TcmCrit:
-        return std::make_unique<TcmScheduler>(cfg.numCores, s, true,
+        return std::make_unique<TcmScheduler>(cfg.numCores, true,
                                               cfg.seed);
       case SchedAlgo::Ahb:
         return std::make_unique<AhbScheduler>();
@@ -52,21 +50,18 @@ makeScheduler(const SystemConfig &cfg)
             cfg.dram.channels, cfg.dram.banksPerRank, s.morseMaxCommands,
             true, cfg.seed);
       case SchedAlgo::Atlas:
-        return std::make_unique<AtlasScheduler>(cfg.numCores,
-                                                s.tcmQuantum);
+        return std::make_unique<AtlasScheduler>(cfg.numCores);
       case SchedAlgo::Minimalist:
         return std::make_unique<MinimalistScheduler>(
             cfg.dram.channels, cfg.numCores, cfg.dram.banksPerRank);
       case SchedAlgo::Bliss:
-        return std::make_unique<BlissScheduler>(
-            cfg.dram.channels, cfg.numCores, s.blissThreshold,
-            s.blissClearInterval);
+        return std::make_unique<BlissScheduler>(cfg.dram.channels,
+                                                cfg.numCores);
       case SchedAlgo::BatchCapRr:
-        return std::make_unique<BatchCapRrScheduler>(
-            cfg.dram.channels, cfg.numCores, s.batchCap);
+        return std::make_unique<BatchCapRrScheduler>(cfg.dram.channels,
+                                                     cfg.numCores);
       case SchedAlgo::DynThreshCrit:
-        return std::make_unique<DynThreshCritScheduler>(
-            s.dynThreshEpoch, s.dynThreshTargetPct);
+        return std::make_unique<DynThreshCritScheduler>();
     }
     fatal("unknown scheduler algorithm");
 }

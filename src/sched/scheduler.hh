@@ -90,6 +90,29 @@ class Scheduler
     virtual const char *name() const = 0;
 };
 
+/**
+ * The pick of a policy that is a ranking key: the index of the first
+ * candidate whose @p key is lowest under `<`, so a tie goes to the
+ * earlier candidate; -1 when @p cands is empty.
+ */
+template <typename KeyFn>
+int
+pickLowest(const std::vector<SchedCandidate> &cands, KeyFn key)
+{
+    // One call site, so the compiler inlines the key into the loop.
+    using Key = decltype(key(cands.front()));
+    int best = -1;
+    Key bestKey{};
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        Key k = key(cands[i]);
+        if (i == 0 || k < bestKey) {
+            best = static_cast<int>(i);
+            bestKey = k;
+        }
+    }
+    return best;
+}
+
 } // namespace critmem
 
 #endif // CRITMEM_SCHED_SCHEDULER_HH

@@ -7,13 +7,15 @@
 namespace critmem
 {
 
-TcmScheduler::TcmScheduler(std::uint32_t numCores, const SchedConfig &cfg,
-                           bool critTiebreak, std::uint64_t seed)
-    : numCores_(numCores), cfg_(cfg), critTiebreak_(critTiebreak),
+TcmScheduler::TcmScheduler(std::uint32_t numCores, bool critTiebreak,
+                           std::uint64_t seed, DramCycle quantum,
+                           double clusterThresh)
+    : numCores_(numCores), quantum_(quantum),
+      clusterThresh_(clusterThresh), critTiebreak_(critTiebreak),
       rng_(seed ^ 0x7c3ull), served_(numCores, 0),
       latencyCluster_(numCores, false), rank_(numCores, 0),
-      nextQuantum_(cfg.tcmQuantum),
-      nextShuffle_(std::max<DramCycle>(cfg.tcmQuantum / 10, 1))
+      nextQuantum_(quantum),
+      nextShuffle_(std::max<DramCycle>(quantum / 10, 1))
 {
     std::iota(rank_.begin(), rank_.end(), 0u);
 }
@@ -21,10 +23,8 @@ TcmScheduler::TcmScheduler(std::uint32_t numCores, const SchedConfig &cfg,
 void
 TcmScheduler::onIssue(std::uint32_t, const SchedCandidate &cand, DramCycle)
 {
-    if ((cand.cmd == DramCmd::Read || cand.cmd == DramCmd::Write) &&
-        cand.core < numCores_) {
+    if (cand.isCas() && cand.core < numCores_)
         ++served_[cand.core];
-    }
 }
 
 void
@@ -41,7 +41,7 @@ TcmScheduler::recluster()
     });
 
     const std::uint64_t budget = static_cast<std::uint64_t>(
-        cfg_.tcmClusterThresh * static_cast<double>(total));
+        clusterThresh_ * static_cast<double>(total));
     std::uint64_t used = 0;
     std::fill(latencyCluster_.begin(), latencyCluster_.end(), false);
     for (const CoreId core : order) {
@@ -97,11 +97,11 @@ TcmScheduler::tick(DramCycle now)
 {
     if (now >= nextQuantum_) {
         recluster();
-        nextQuantum_ += cfg_.tcmQuantum;
+        nextQuantum_ += quantum_;
     }
     if (now >= nextShuffle_) {
         shuffle();
-        nextShuffle_ += std::max<DramCycle>(cfg_.tcmQuantum / 10, 1);
+        nextShuffle_ += std::max<DramCycle>(quantum_ / 10, 1);
     }
 }
 
@@ -109,25 +109,16 @@ int
 TcmScheduler::pick(std::uint32_t, const std::vector<SchedCandidate> &cands,
                    DramCycle)
 {
-    // Lower = better: (thread rank, row-miss, ~crit, age).
-    using Key =
-        std::tuple<std::uint32_t, int, std::uint64_t, std::uint64_t>;
-    int best = -1;
-    Key bestKey{};
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const SchedCandidate &cand = cands[i];
+    // (thread rank, row-miss, ~crit, age).
+    return pickLowest(cands, [&](const SchedCandidate &cand) {
         const std::uint32_t threadRank =
             cand.core < numCores_ ? rank_[cand.core] : numCores_;
         const std::uint64_t critKey =
             critTiebreak_ ? ~static_cast<std::uint64_t>(cand.crit)
                           : ~std::uint64_t{0};
-        const Key key{threadRank, cand.rowHit ? 0 : 1, critKey, cand.seq};
-        if (best < 0 || key < bestKey) {
-            best = static_cast<int>(i);
-            bestKey = key;
-        }
-    }
-    return best;
+        return std::tuple(threadRank, cand.rowHit ? 0 : 1, critKey,
+                          cand.seq);
+    });
 }
 
 } // namespace critmem

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sched/scheduler.hh"
-#include "sim/config.hh"
 #include "sim/random.hh"
 
 namespace critmem
@@ -30,14 +29,28 @@ class TcmScheduler : public Scheduler
 {
   public:
     /**
+     * Re-clustering quantum, DRAM cycles: this simulator's value,
+     * scaled to its short windows. The shuffle runs ten times a
+     * quantum.
+     */
+    static constexpr DramCycle kQuantum = 100000;
+    /**
+     * Bandwidth share the latency-sensitive cluster may take (TCM's
+     * ClusterThresh [12]).
+     */
+    static constexpr double kClusterThresh = 0.10;
+
+    /**
      * @param numCores Number of hardware threads.
-     * @param cfg Quantum / cluster threshold configuration.
      * @param critTiebreak Replace the FR-FCFS tiebreak with
      *        criticality-aware FR-FCFS (TCM+Crit hybrid).
      * @param seed Seed for the fairness shuffle.
+     * @param quantum Re-clustering quantum, DRAM cycles.
+     * @param clusterThresh Latency-cluster bandwidth share, in (0, 1).
      */
-    TcmScheduler(std::uint32_t numCores, const SchedConfig &cfg,
-                 bool critTiebreak, std::uint64_t seed);
+    TcmScheduler(std::uint32_t numCores, bool critTiebreak,
+                 std::uint64_t seed, DramCycle quantum = kQuantum,
+                 double clusterThresh = kClusterThresh);
 
     int pick(std::uint32_t channel,
              const std::vector<SchedCandidate> &cands,
@@ -73,7 +86,8 @@ class TcmScheduler : public Scheduler
     void shuffle();
 
     const std::uint32_t numCores_;
-    const SchedConfig cfg_;
+    const DramCycle quantum_;
+    const double clusterThresh_;
     const bool critTiebreak_;
     Rng rng_;
 

@@ -454,28 +454,8 @@ SystemConfig::validate() const
         addError(errors, "crit.probShift", "must be below 32");
     if (crit.counterWidth > 64)
         addError(errors, "crit.counterWidth", "must be at most 64");
-    if (sched.starvationCap == 0)
-        addError(errors, "sched.starvationCap", "must be nonzero");
-    if (sched.parbsMarkingCap == 0)
-        addError(errors, "sched.parbsMarkingCap", "must be nonzero");
-    if (sched.tcmQuantum == 0)
-        addError(errors, "sched.tcmQuantum", "must be nonzero");
-    if (sched.tcmClusterThresh <= 0.0 || sched.tcmClusterThresh >= 1.0)
-        addError(errors, "sched.tcmClusterThresh",
-                 "must lie strictly between 0 and 1");
     if (sched.morseMaxCommands == 0)
         addError(errors, "sched.morseMaxCommands", "must be nonzero");
-    if (sched.blissThreshold == 0)
-        addError(errors, "sched.blissThreshold", "must be nonzero");
-    if (sched.blissClearInterval == 0)
-        addError(errors, "sched.blissClearInterval", "must be nonzero");
-    if (sched.batchCap == 0)
-        addError(errors, "sched.batchCap", "must be nonzero");
-    if (sched.dynThreshEpoch == 0)
-        addError(errors, "sched.dynThreshEpoch", "must be nonzero");
-    if (sched.dynThreshTargetPct == 0 || sched.dynThreshTargetPct > 100)
-        addError(errors, "sched.dynThreshTargetPct",
-                 "must lie in [1, 100]");
     if (check.fault == FaultKind::StarveCore &&
         check.faultVictim >= numCores)
         addError(errors, "check.faultVictim",

@@ -273,30 +273,16 @@ enum class SchedAlgo
 
 const char *toString(SchedAlgo algo);
 
-/** Scheduler configuration. */
+/**
+ * Scheduler configuration: what a spec, flag or preset can set. Each
+ * policy's own parameters are named defaults of its constructor
+ * (src/sched/).
+ */
 struct SchedConfig
 {
     SchedAlgo algo = SchedAlgo::FrFcfs;
-    /** Starvation cap for non-critical requests, DRAM cycles. */
-    std::uint32_t starvationCap = 6000;
-    /** PAR-BS marking cap (requests marked per thread per bank). */
-    std::uint32_t parbsMarkingCap = 5;
-    /** TCM: re-clustering quantum in DRAM cycles. */
-    std::uint32_t tcmQuantum = 100000;
-    /** TCM: latency-cluster bandwidth share threshold. */
-    double tcmClusterThresh = 0.10;
     /** MORSE: ready commands evaluable per DRAM cycle (Fig. 11). */
     std::uint32_t morseMaxCommands = 24;
-    /** BLISS: consecutive same-core CAS issues before blacklisting. */
-    std::uint32_t blissThreshold = 4;
-    /** BLISS: blacklist clearing interval in DRAM cycles. */
-    std::uint32_t blissClearInterval = 10000;
-    /** Batch-cap RR: CAS issues served per core before rotating. */
-    std::uint32_t batchCap = 8;
-    /** Dyn-thresh: adaptation epoch in DRAM cycles. */
-    std::uint32_t dynThreshEpoch = 50000;
-    /** Dyn-thresh: target percentage of CAS issues treated critical. */
-    std::uint32_t dynThreshTargetPct = 25;
 };
 
 /**

@@ -136,8 +136,9 @@ struct ScanSummary
 ScanSummary scanTrace(const std::string &path);
 
 /**
- * FNV-1a (64-bit) over a file's raw bytes, for trace identity in
- * campaign hashes. @throws TraceError when the file is unreadable.
+ * FNV-1a (64-bit, from a nonstandard offset basis) over a file's raw
+ * bytes, for trace identity in campaign hashes.
+ * @throws TraceError when the file is unreadable.
  */
 std::uint64_t hashFileBytes(const std::string &path);
 

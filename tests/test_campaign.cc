@@ -28,6 +28,7 @@
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
 #include "sim/atomic_file.hh"
+#include "sim/fnv.hh"
 
 using namespace critmem;
 
@@ -165,19 +166,6 @@ expectRecordsEqual(const exec::JobRecord &a, const exec::JobRecord &b)
     EXPECT_EQ(a.result.l2MissLatNonCrit, b.result.l2MissLatNonCrit);
     EXPECT_EQ(a.error, b.error);
     EXPECT_EQ(a.statsJson, b.statsJson);
-}
-
-/** FNV-1a-64 (the journal's checksum), reimplemented so fuzz cases
- *  can forge structurally valid lines with corrupt payloads. */
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
 }
 
 std::string

@@ -158,7 +158,9 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedAlgo::ParBs, SchedAlgo::Tcm,
                       SchedAlgo::TcmCrit, SchedAlgo::Ahb,
                       SchedAlgo::Morse, SchedAlgo::CritRl,
-                      SchedAlgo::Atlas, SchedAlgo::Minimalist));
+                      SchedAlgo::Atlas, SchedAlgo::Minimalist,
+                      SchedAlgo::Bliss, SchedAlgo::BatchCapRr,
+                      SchedAlgo::DynThreshCrit));
 
 TEST(CheckClean, ClosedPageAndSplitQueueStayClean)
 {

@@ -385,9 +385,6 @@ TEST(ConfigValidate, CheckBlockIsValidated)
 TEST(ConfigValidate, SchedulerKnobsAreValidated)
 {
     SystemConfig cfg = SystemConfig::parallelDefault();
-    cfg.sched.starvationCap = 0;
-    cfg.sched.tcmClusterThresh = 1.5;
-    const ConfigErrors errors = cfg.validate();
-    EXPECT_TRUE(hasField(errors, "sched.starvationCap"));
-    EXPECT_TRUE(hasField(errors, "sched.tcmClusterThresh"));
+    cfg.sched.morseMaxCommands = 0;
+    EXPECT_TRUE(hasField(cfg.validate(), "sched.morseMaxCommands"));
 }

@@ -8,6 +8,7 @@
 
 #include "cpu/core.hh"
 #include "sched/frfcfs.hh"
+#include "sim/fnv.hh"
 #include "trace/workloads.hh"
 
 using namespace critmem;
@@ -515,22 +516,6 @@ INSTANTIATE_TEST_SUITE_P(NonPowerOfTwo, CoreRobSizeTest,
                          ::testing::Values(96u, 100u, 192u));
 INSTANTIATE_TEST_SUITE_P(PowerOfTwo, CoreRobSizeTest,
                          ::testing::Values(8u, 32u, 256u));
-
-namespace
-{
-
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-} // namespace
 
 /**
  * Pins one-core art and mg runs exactly, at ROB sizes from one

@@ -25,9 +25,11 @@
 #include "sched/registry.hh"
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
+#include "sim/fnv.hh"
 #include "sim/stats.hh"
 #include "system/experiment.hh"
 #include "system/system.hh"
+#include "trace/ingest/ingest.hh"
 #include "trace/workloads.hh"
 
 using namespace critmem;
@@ -306,6 +308,21 @@ TEST(ExecSeed, DerivationIsStableAndDecorrelated)
               exec::deriveSeed(1, "art/maxstall"));
     EXPECT_NE(exec::deriveSeed(1, "art/base"),
               exec::deriveSeed(2, "art/base"));
+}
+
+TEST(Fnv1a, StandardVectorsAndPinnedIdentities)
+{
+    // The published FNV-1a-64 test vectors...
+    EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+    // ...and two identities stored on disk that hash through it: a
+    // job seed and a trace content hash. Changing either refuses
+    // every checkpointed campaign.
+    EXPECT_EQ(exec::deriveSeed(1, "art/base"), 0x295fda4f07868f9full);
+    EXPECT_EQ(ingest::hashFileBytes(std::string(CRITMEM_REPO_ROOT) +
+                                    "/tests/trace/fixtures/mix4.cbin"),
+              0xdb20d510ae36345bull);
 }
 
 TEST(ExecSweep, GlobMatch)

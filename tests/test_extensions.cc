@@ -25,7 +25,7 @@ cand(DramCmd cmd, std::uint64_t seq, CoreId core = 0,
 {
     SchedCandidate c;
     c.cmd = cmd;
-    c.rowHit = cmd == DramCmd::Read || cmd == DramCmd::Write;
+    c.rowHit = c.isCas();
     c.seq = seq;
     c.core = core;
     c.isPrefetch = prefetch;

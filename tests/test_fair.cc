@@ -119,7 +119,7 @@ TEST(FairBaselineCache, ConfigHashSeesSchedulerKnobs)
     EXPECT_NE(fair::configHash(base), fair::configHash(sched));
 
     SystemConfig knob = base;
-    knob.sched.blissThreshold += 1;
+    knob.sched.morseMaxCommands += 1;
     EXPECT_NE(fair::configHash(base), fair::configHash(knob));
 
     SystemConfig seed = base;

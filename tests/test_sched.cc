@@ -24,7 +24,7 @@ cand(DramCmd cmd, std::uint64_t seq, CritLevel crit = 0,
 {
     SchedCandidate c;
     c.cmd = cmd;
-    c.rowHit = cmd == DramCmd::Read || cmd == DramCmd::Write;
+    c.rowHit = c.isCas();
     c.seq = seq;
     c.crit = crit;
     c.core = core;
@@ -120,7 +120,33 @@ TEST(CasRasCrit, StarvationCapPromotesOldRequests)
     young.arrival = 999;
     // Past the cap, the old non-critical request outranks magnitude 7.
     EXPECT_EQ(sched.pick(0, {old, young}, 1000), 0);
-    EXPECT_GT(sched.starvationPromotions(), 0u);
+    sched.onIssue(0, old, 1000);
+    EXPECT_EQ(sched.starvationPromotions(), 1u);
+}
+
+TEST(CasRasCrit, StarvedRequestCountsOncePerIssue)
+{
+    CritFrFcfsScheduler sched(CritOrder::CasRasFirst, 50);
+    SchedCandidate act = cand(DramCmd::Act, 0, 0);
+    act.arrival = 100;
+    SchedCandidate old = cand(DramCmd::Read, 0, 0);
+    old.arrival = 100;
+    // Picks alone count nothing, however often the request is seen.
+    for (DramCycle now = 1000; now < 1100; ++now)
+        EXPECT_EQ(sched.pick(0, {old}, now), 0);
+    EXPECT_EQ(sched.starvationPromotions(), 0u);
+    // Its ACT issuing is no promotion served; its CAS is, once.
+    sched.onIssue(0, act, 1100);
+    sched.onIssue(0, old, 1101);
+    EXPECT_EQ(sched.starvationPromotions(), 1u);
+    // A critical or young request's CAS counts nothing.
+    SchedCandidate crit = cand(DramCmd::Read, 1, 3);
+    crit.arrival = 100;
+    SchedCandidate young = cand(DramCmd::Read, 2, 0);
+    young.arrival = 1100;
+    sched.onIssue(0, crit, 1102);
+    sched.onIssue(0, young, 1102);
+    EXPECT_EQ(sched.starvationPromotions(), 1u);
 }
 
 TEST(CasRasCrit, NoPromotionBeforeCap)
@@ -131,6 +157,7 @@ TEST(CasRasCrit, NoPromotionBeforeCap)
     SchedCandidate young = cand(DramCmd::Read, 9, 7);
     young.arrival = 999;
     EXPECT_EQ(sched.pick(0, {old, young}, 1000), 1);
+    sched.onIssue(0, old, 1000);
     EXPECT_EQ(sched.starvationPromotions(), 0u);
 }
 
@@ -213,9 +240,7 @@ TEST(ParBs, NewBatchWhenMarkedDrains)
 
 TEST(Tcm, LatencyClusterOutranksBandwidth)
 {
-    SchedConfig cfg;
-    cfg.tcmQuantum = 100;
-    TcmScheduler sched(2, cfg, false, 1);
+    TcmScheduler sched(2, false, 1, /*quantum=*/100);
     // Core 1 hogs bandwidth during the first quantum.
     for (int i = 0; i < 100; ++i)
         sched.onIssue(0, cand(DramCmd::Read, i, 0, 1), 10);
@@ -232,14 +257,13 @@ TEST(Tcm, LatencyClusterOutranksBandwidth)
 
 TEST(Tcm, CritTiebreakOnlyWithinRank)
 {
-    SchedConfig cfg;
-    TcmScheduler sched(2, cfg, /*critTiebreak=*/true, 1);
+    TcmScheduler sched(2, /*critTiebreak=*/true, 1);
     // Same thread, both row hits: criticality decides.
     SchedCandidate a = cand(DramCmd::Read, 1, 0, 0);
     SchedCandidate b = cand(DramCmd::Read, 9, 50, 0);
     EXPECT_EQ(sched.pick(0, {a, b}, 100), 1);
     // Without the hybrid flag, age decides.
-    TcmScheduler plain(2, cfg, false, 1);
+    TcmScheduler plain(2, false, 1);
     EXPECT_EQ(plain.pick(0, {a, b}, 100), 0);
 }
 
@@ -350,8 +374,7 @@ TEST_P(SchedFuzzTest, AlwaysPicksValidCandidate)
         for (std::size_t i = 0; i < n; ++i) {
             SchedCandidate c;
             c.cmd = static_cast<DramCmd>(rnd() % 4);
-            c.rowHit =
-                c.cmd == DramCmd::Read || c.cmd == DramCmd::Write;
+            c.rowHit = c.isCas();
             c.isWrite = c.cmd == DramCmd::Write;
             c.isPrefetch = rnd() % 8 == 0;
             c.coord.rank = rnd() % 4;
@@ -403,10 +426,8 @@ TEST(Ahb, AdaptsTargetMixAcrossEpochs)
 
 TEST(Tcm, ShuffleIsDeterministicPerSeed)
 {
-    SchedConfig cfg;
-    cfg.tcmQuantum = 50;
-    TcmScheduler a(8, cfg, false, 42);
-    TcmScheduler b(8, cfg, false, 42);
+    TcmScheduler a(8, false, 42, /*quantum=*/50);
+    TcmScheduler b(8, false, 42, /*quantum=*/50);
     // Drive identical issue + tick histories; picks must match.
     for (DramCycle now = 1; now < 2000; now += 7) {
         a.tick(now);
