@@ -106,10 +106,11 @@ class Cache
     LineState probe(Addr addr) const;
 
     /**
-     * LRU-updating lookup that counts a hit or a miss.
+     * LRU-updating lookup that counts a hit or, when @p countMiss, a
+     * miss.
      * @return the hit line, or kNoWay on a miss.
      */
-    Way access(Addr addr);
+    Way access(Addr addr, bool countMiss = true);
 
     /** Change a resident line's state; no-op when absent. */
     void setState(Addr addr, LineState state);
@@ -233,13 +234,13 @@ Cache::hit(Way way)
 }
 
 inline Cache::Way
-Cache::access(Addr addr)
+Cache::access(Addr addr, bool countMiss)
 {
     const Way way = lookup(addr);
-    if (way == kNoWay)
-        ++stats_.misses;
-    else
+    if (way != kNoWay)
         hit(way);
+    else if (countMiss)
+        ++stats_.misses;
     return way;
 }
 

@@ -212,7 +212,7 @@ MemHierarchy::l2Access(const L2Waiter &waiter, bool retry)
             // inclusive L2 absorbs the dirty data; the owner is
             // downgraded (or invalidated on a store miss).
             ++stats_.coherenceTransfers;
-            if (const Cache::Way line = l2_->access(l2Block);
+            if (const Cache::Way line = l2_->access(l2Block, !retry);
                 line != Cache::kNoWay)
                 l2_->setState(line, LineState::Modified);
             Cache &ownerL1 = *dl1_[owner.core];
@@ -226,7 +226,7 @@ MemHierarchy::l2Access(const L2Waiter &waiter, bool retry)
         }
     }
 
-    if (const Cache::Way line = l2_->access(l2Block);
+    if (const Cache::Way line = l2_->access(l2Block, !retry);
         line != Cache::kNoWay) {
         if (l2_->prefetched(line)) {
             ++stats_.prefetchUseful;

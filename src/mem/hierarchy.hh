@@ -226,7 +226,9 @@ class MemHierarchy : private FillListener
     void schedule(Cycle delay, EventKind kind, const L2Waiter &waiter);
     /**
      * Look @p waiter's block up in L2 and start or merge its miss.
-     * @p retry marks a miss already counted in l2MshrFull.
+     * @p retry marks a miss already counted in l2MshrFull and in the
+     * L2's misses: a retry that hits counts the hit, one that misses
+     * counts nothing.
      */
     void l2Access(const L2Waiter &waiter, bool retry);
     /** A DRAM read or prefetch of the L2 block req.addr finished. */

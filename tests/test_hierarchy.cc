@@ -556,6 +556,23 @@ TEST_F(HierarchyTest, L2MshrFullCountsEachDelayedMissOnce)
     EXPECT_EQ(hier_->memStats().l2MshrFull.value(), 2u);
 }
 
+TEST_F(HierarchyTest, L2MissesCountEachDelayedMissOnce)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.l2.mshrs = 2;
+    cfg.prefetch.enabled = false;
+    build(cfg);
+    // Two of the four misses wait for a free MSHR and are retried
+    // every CPU cycle until a fill frees one; each still counts one
+    // L2 miss, not one per retry.
+    for (Addr i = 0; i < 4; ++i)
+        load(i % 2, 0x100000 + i * 0x1000);
+    tick(3000);
+    EXPECT_EQ(hier_->memStats().demandMisses.value(), 4u);
+    EXPECT_EQ(hier_->l2().cacheStats().misses.value(), 4u);
+    EXPECT_EQ(hier_->l2().cacheStats().hits.value(), 0u);
+}
+
 TEST(HierarchyDeath, InvalidConfigFatalBeforeSizing)
 {
     stats::Group root;
