@@ -14,8 +14,19 @@
 #   {RFGI, AELV, GAMV, CMLI}
 #     x {frfcfs, casras-crit+maxstall, parbs, atlas} --fairness at 12k
 # --quick runs the same matrix at 20k / 3k instructions. Runs go four
-# at a time. Exit 0 when every config matches, 1 otherwise (each
-# mismatching config is listed), 2 on bad usage.
+# at a time.
+#
+# The matrix never reaches the campaign engine's fairness annotator,
+# result sinks or journal. So when a critmem-sweep binary sits next to
+# each critmem-sim (as in a CMake build tree), a campaign leg also runs
+# specs/{arena,fig12,fig10,ext-schedulers}.sweep under both builds with
+# --stats --jobs 4 --out FILE at --quota 8000 (3000 under --quick), and
+# compares each spec's JSONL, exit code and stdout (the arena spec runs
+# with --report arena). Without the sweep binaries the leg is skipped,
+# and says so.
+#
+# Exit 0 when every config and spec matches, 1 otherwise (each
+# mismatch is listed), 2 on bad usage.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ] ||
@@ -33,10 +44,13 @@ for bin in "$old" "$new"; do
 done
 app_instrs=120000
 bundle_instrs=12000
+sweep_quota=8000
 if [ $# -eq 3 ]; then
     app_instrs=20000
     bundle_instrs=3000
+    sweep_quota=3000
 fi
+specs=$(cd "$(dirname "$0")/../specs" && pwd)
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -100,6 +114,47 @@ done < <(nl -nln -w1 -s' ' "$configs")
 
 if [ "$failed" -ne 0 ]; then
     echo "FAIL: $failed of $total configs differ"
+else
+    echo "same output: $total configs byte-identical"
+fi
+
+old_sweep=$(dirname "$old")/critmem-sweep
+new_sweep=$(dirname "$new")/critmem-sweep
+if [ ! -x "$old_sweep" ] || [ ! -x "$new_sweep" ]; then
+    echo "campaign leg skipped: no critmem-sweep next to both binaries"
+    [ "$failed" -eq 0 ] || exit 1
+    exit 0
+fi
+
+spec_total=0
+spec_failed=0
+for spec in arena fig12 fig10 ext-schedulers; do
+    spec_total=$((spec_total + 1))
+    report=()
+    [ "$spec" = arena ] && report=(--report arena)
+    for side in old new; do
+        bin=$old_sweep
+        [ "$side" = new ] && bin=$new_sweep
+        set +e
+        "$bin" --spec "$specs/$spec.sweep" --stats --jobs 4 \
+            --quota "$sweep_quota" --out "$tmp/$side.$spec.jsonl" \
+            "${report[@]}" >"$tmp/$side.$spec.out" 2>/dev/null
+        echo $? >"$tmp/$side.$spec.code"
+        set -e
+    done
+    for part in jsonl code out; do
+        if ! cmp -s "$tmp/old.$spec.$part" "$tmp/new.$spec.$part"; then
+            echo "DIFFERS ($part): critmem-sweep --spec" \
+                 "specs/$spec.sweep --quota $sweep_quota"
+            spec_failed=$((spec_failed + 1))
+            break
+        fi
+    done
+done
+
+if [ "$spec_failed" -ne 0 ]; then
+    echo "FAIL: $spec_failed of $spec_total campaign specs differ"
     exit 1
 fi
-echo "same output: $total configs byte-identical"
+echo "same output: $spec_total campaign specs byte-identical"
+[ "$failed" -eq 0 ] || exit 1

@@ -10,7 +10,7 @@ namespace critmem
 
 ScriptedFaultInjector::ScriptedFaultInjector(const CheckConfig &cfg)
     : kind_(cfg.fault), period_(cfg.faultPeriod),
-      victim_(cfg.faultVictim), rng_(cfg.faultSeed)
+      victim_(cfg.faultVictim), rng_(kSeed)
 {
 }
 

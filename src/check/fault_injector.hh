@@ -50,6 +50,8 @@ class ScriptedFaultInjector : public FaultInjector
      */
     void processFault();
 
+    /** Seed of the private Rng: every run draws the same faults. */
+    static constexpr std::uint64_t kSeed = 12345;
     /** Size of one HogMemory mmap region (1 MiB). */
     static constexpr std::size_t kHogChunkBytes = std::size_t{1} << 20;
 

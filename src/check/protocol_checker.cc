@@ -46,7 +46,7 @@ ProtocolChecker::ProtocolChecker(const CheckConfig &check,
 void
 ProtocolChecker::attach(DramSystem &dram)
 {
-    dram.setObserver(this);
+    dram.setObserver(this, check_.watchdogCycles);
 }
 
 void
@@ -57,7 +57,7 @@ ProtocolChecker::record(RuleId rule, std::uint32_t channel,
     Violation v{rule, channel, now, std::move(message)};
     ++countsByRule_[rule];
     ++total_;
-    if (violations_.size() < check_.maxViolations)
+    if (violations_.size() < kMaxViolations)
         violations_.push_back(v);
     if (check_.failFast || forceThrow)
         throw CheckViolation(std::move(v));
@@ -308,7 +308,7 @@ ProtocolChecker::checkRef(ChannelShadow &ch, std::uint32_t channel,
     // Refresh-interval deadline: each REF must land within
     // tREFI (+slack) of the previous one; the first one within the
     // staggered initial deadline, which is at most one full tREFI.
-    const DramCycle bound = t_.tREFI + check_.refreshSlack;
+    const DramCycle bound = t_.tREFI + kRefreshSlack;
     const DramCycle since = now - rank.lastRef;
     if (since > bound) {
         record(RuleId::RefreshInterval, channel, now,
@@ -316,7 +316,7 @@ ProtocolChecker::checkRef(ChannelShadow &ch, std::uint32_t channel,
                    std::to_string(since) +
                    " cycles without a REF (tREFI=" +
                    std::to_string(t_.tREFI) + " + slack " +
-                   std::to_string(check_.refreshSlack) + ")");
+                   std::to_string(kRefreshSlack) + ")");
     }
 
     rank.lastRef = now;
@@ -468,7 +468,7 @@ ProtocolChecker::finalize(bool requireDrained)
 
     // Catch ranks whose refreshes stopped (or never started) even
     // when no further REF arrives to trigger the interval rule.
-    const DramCycle bound = t_.tREFI + check_.refreshSlack;
+    const DramCycle bound = t_.tREFI + kRefreshSlack;
     for (std::uint32_t c = 0; c < channels_.size(); ++c) {
         for (std::uint32_t r = 0; r < channels_[c].ranks.size(); ++r) {
             const DramCycle lastRef = channels_[c].ranks[r].lastRef;
@@ -479,7 +479,7 @@ ProtocolChecker::finalize(bool requireDrained)
                            std::to_string(lastSeenCycle_ - lastRef) +
                            " cycles of the run (tREFI=" +
                            std::to_string(t_.tREFI) + " + slack " +
-                           std::to_string(check_.refreshSlack) + ")");
+                           std::to_string(kRefreshSlack) + ")");
             }
         }
     }

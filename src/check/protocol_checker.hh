@@ -37,13 +37,16 @@ class ProtocolChecker : public ChannelObserver
 {
   public:
     /**
-     * @param check Harness policy (fail-fast, bounds, slack).
+     * @param check Harness policy (fail-fast, bounds).
      * @param dram The checked subsystem's geometry and timing; the
      *             checker keeps its own copy.
      */
     ProtocolChecker(const CheckConfig &check, const DramConfig &dram);
 
-    /** Convenience: attach to every channel of @p dram. */
+    /**
+     * Attach to every channel of @p dram, arming each channel's
+     * watchdog with CheckConfig::watchdogCycles.
+     */
     void attach(DramSystem &dram);
 
     // ChannelObserver interface.
@@ -83,7 +86,12 @@ class ProtocolChecker : public ChannelObserver
     /** Total violations detected (including ones past the store cap). */
     std::uint64_t totalViolations() const { return total_; }
 
-    /** Stored violation records (capped at CheckConfig::maxViolations). */
+    /** Allowed refresh-interval overshoot past tREFI, DRAM cycles. */
+    static constexpr DramCycle kRefreshSlack = 2000;
+    /** Cap on stored violation records (counting continues past it). */
+    static constexpr std::size_t kMaxViolations = 64;
+
+    /** Stored violation records (capped at kMaxViolations). */
     const std::vector<Violation> &violations() const
     {
         return violations_;

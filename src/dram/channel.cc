@@ -582,8 +582,8 @@ DramChannel::nextEventCycle(DramCycle now) const
     if (!readQ_.empty() || !writeQ_.empty()) {
         // The watchdog only fires while queued work exists; stop the
         // skip at its threshold so onStall() triggers on schedule.
-        if (cfg_.watchdogCycles != 0 && observer_)
-            next = std::min(next, lastProgress_ + cfg_.watchdogCycles);
+        if (watchdogCycles_ != 0 && observer_)
+            next = std::min(next, lastProgress_ + watchdogCycles_);
 
         // Earliest cycle any queued transaction becomes issuable: the
         // cached minima buildCandidates() admits against.
@@ -627,9 +627,9 @@ DramChannel::skipTo(DramCycle to)
 void
 DramChannel::checkWatchdog(DramCycle now)
 {
-    if (cfg_.watchdogCycles == 0 || !observer_)
+    if (watchdogCycles_ == 0 || !observer_)
         return;
-    if (now - lastProgress_ >= cfg_.watchdogCycles)
+    if (now - lastProgress_ >= watchdogCycles_)
         observer_->onStall(*this, now);
 }
 

@@ -185,9 +185,16 @@ class DramChannel
     /**
      * Attach a passive observer notified of every enqueue, command,
      * completion, promotion and watchdog trip. Pass nullptr to detach;
-     * the observer must outlive its attachment.
+     * the observer must outlive its attachment. With queued work and
+     * no command issued or completion popped for @p watchdogCycles
+     * DRAM cycles, the channel reports a stall (0 disables).
      */
-    void setObserver(ChannelObserver *observer) { observer_ = observer; }
+    void setObserver(ChannelObserver *observer,
+                     std::uint64_t watchdogCycles = 0)
+    {
+        observer_ = observer;
+        watchdogCycles_ = watchdogCycles;
+    }
 
     /** Attach a fault injector (nullptr = honest channel). */
     void setFaultInjector(FaultInjector *inj) { injector_ = inj; }
@@ -347,6 +354,7 @@ class DramChannel
     bool draining_ = false;
 
     ChannelObserver *observer_ = nullptr;
+    std::uint64_t watchdogCycles_ = 0;
     FaultInjector *injector_ = nullptr;
     FillListener *fill_ = nullptr;
     /** Last cycle this channel issued, completed, or was work-free. */

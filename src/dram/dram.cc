@@ -73,10 +73,11 @@ DramSystem::idle() const
 }
 
 void
-DramSystem::setObserver(ChannelObserver *observer)
+DramSystem::setObserver(ChannelObserver *observer,
+                        std::uint64_t watchdogCycles)
 {
     for (auto &channel : channels_)
-        channel->setObserver(observer);
+        channel->setObserver(observer, watchdogCycles);
 }
 
 void

@@ -95,8 +95,12 @@ class DramSystem
         return *channels_[i];
     }
 
-    /** Attach @p observer to every channel (nullptr detaches). */
-    void setObserver(ChannelObserver *observer);
+    /**
+     * Attach @p observer to every channel (nullptr detaches), with
+     * the channel watchdog bound (DramChannel::setObserver).
+     */
+    void setObserver(ChannelObserver *observer,
+                     std::uint64_t watchdogCycles = 0);
 
     /** Attach @p injector to every channel (nullptr detaches). */
     void setFaultInjector(FaultInjector *injector);

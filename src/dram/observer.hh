@@ -154,7 +154,7 @@ class ChannelObserver
 
     /**
      * The forward-progress watchdog tripped: @p channel has queued
-     * work but issued nothing for DramConfig::watchdogCycles. The
+     * work but issued nothing for its watchdog bound. The
      * handler should capture channel.snapshot(now) and fail loudly.
      */
     virtual void

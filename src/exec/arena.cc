@@ -17,11 +17,8 @@ FairnessAnnotator::operator()(JobRecord &rec)
         return;
 
     if (rec.spec.kind == RunKind::Alone) {
-        cache_.insert(rec.spec.workload, rec.spec.cfg, rec.spec.quota,
-                      rec.result.ipc(0, rec.spec.quota));
-        baselineRef_.insert_or_assign(
-            rec.spec.workload,
-            std::make_pair(rec.spec.cfg, rec.spec.quota));
+        baselines_.insert_or_assign(rec.spec.workload,
+                                    rec.result.ipc(0, rec.spec.quota));
         return;
     }
     if (rec.spec.kind != RunKind::Bundle)
@@ -37,14 +34,10 @@ FairnessAnnotator::operator()(JobRecord &rec)
     std::vector<double> alone;
     alone.reserve(cores);
     for (std::uint32_t core = 0; core < cores; ++core) {
-        const auto ref = baselineRef_.find(bundle->apps[core]);
-        const double *ipc = ref == baselineRef_.end()
-            ? nullptr
-            : cache_.find(bundle->apps[core], ref->second.first,
-                          ref->second.second);
-        if (ipc == nullptr)
+        const auto it = baselines_.find(bundle->apps[core]);
+        if (it == baselines_.end())
             return; // no baseline: fairness stays invalid
-        alone.push_back(*ipc);
+        alone.push_back(it->second);
     }
 
     rec.fairness = fair::computeFairness(

@@ -7,9 +7,11 @@
  * expansion emits every alone-run baseline before the bundle jobs
  * that need it, and the aggregation thread delivers records in
  * submission order, so the annotator simply banks each Alone record's
- * IPC in an AloneBaselineCache and decorates every later Bundle
- * record with fair::FairnessMetrics — deterministically, for any
- * --jobs count, on fresh and journal-replayed records alike.
+ * IPC under its app name and decorates every later Bundle record with
+ * fair::FairnessMetrics — deterministically, for any --jobs count, on
+ * fresh and journal-replayed records alike. A campaign has one alone
+ * job per app (at the base config or the spec's `alone` variant), so
+ * the app name is the whole key.
  */
 
 #ifndef CRITMEM_EXEC_ARENA_HH
@@ -18,10 +20,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 
 #include "exec/result_sink.hh"
-#include "fair/baseline_cache.hh"
+#include "fair/metrics.hh"
 
 namespace critmem::exec
 {
@@ -37,18 +38,14 @@ class FairnessAnnotator
     /** The RunnerOptions::annotate entry point. */
     void operator()(JobRecord &rec);
 
-    /** Baselines banked so far (tests assert each ran exactly once). */
-    const fair::AloneBaselineCache &cache() const { return cache_; }
+    /** Alone IPC per app banked so far (for tests). */
+    const std::map<std::string, double> &baselines() const
+    {
+        return baselines_;
+    }
 
   private:
-    fair::AloneBaselineCache cache_;
-    /**
-     * Per-app (config, quota) under which the baseline was banked:
-     * bundle jobs run variant configs whose hash differs from the
-     * base-config alone jobs, so lookups go through the recorded key.
-     */
-    std::map<std::string, std::pair<SystemConfig, std::uint64_t>>
-        baselineRef_;
+    std::map<std::string, double> baselines_;
 };
 
 /**

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "exec/result_sink.hh"
-#include "fair/baseline_cache.hh"
 #include "sched/registry.hh"
 #include "sim/atomic_file.hh"
 #include "sim/fnv.hh"
@@ -263,6 +262,95 @@ hashHex(std::uint64_t value)
     return out;
 }
 
+namespace
+{
+
+void
+hashCache(Fnv1a &fnv, const CacheConfig &c)
+{
+    fnv.u64(c.sizeBytes);
+    fnv.u64(c.blockBytes);
+    fnv.u64(c.ways);
+    fnv.u64(c.latency);
+    fnv.u64(c.mshrs);
+    fnv.u64(c.ports);
+}
+
+} // namespace
+
+std::uint64_t
+configHash(const SystemConfig &cfg)
+{
+    Fnv1a fnv;
+    fnv.u64(cfg.numCores);
+    fnv.u64(cfg.seed);
+    fnv.f64(cfg.prewarmDirtyFrac);
+    fnv.u64(cfg.burstiness.has_value());
+    fnv.f64(cfg.burstiness.value_or(0.0));
+
+    const CoreConfig &core = cfg.core;
+    fnv.u64(core.freqMHz);
+    fnv.u64(core.fetchWidth);
+    fnv.u64(core.issueWidth);
+    fnv.u64(core.commitWidth);
+    fnv.u64(core.robEntries);
+    fnv.u64(core.intIqEntries);
+    fnv.u64(core.fpIqEntries);
+    fnv.u64(core.lqEntries);
+    fnv.u64(core.sqEntries);
+    fnv.u64(core.intAlus);
+    fnv.u64(core.fpAlus);
+    fnv.u64(core.loadPorts);
+    fnv.u64(core.storePorts);
+    fnv.u64(core.branchUnits);
+    fnv.u64(core.intMuls);
+    fnv.u64(core.fpMuls);
+    fnv.u64(core.maxUnresolvedBranches);
+    fnv.u64(core.mispredictPenalty);
+
+    hashCache(fnv, cfg.il1);
+    hashCache(fnv, cfg.dl1);
+    hashCache(fnv, cfg.l2);
+
+    const PrefetchConfig &pf = cfg.prefetch;
+    fnv.u64(pf.enabled);
+    fnv.u64(pf.streams);
+    fnv.u64(pf.distance);
+    fnv.u64(pf.degree);
+
+    const DramConfig &dram = cfg.dram;
+    fnv.u64(static_cast<std::uint64_t>(dram.speed));
+    fnv.u64(dram.busMHz);
+    fnv.u64(dram.channels);
+    fnv.u64(dram.ranksPerChannel);
+    fnv.u64(dram.banksPerRank);
+    fnv.u64(dram.rowBytes);
+    fnv.u64(dram.queueEntries);
+    fnv.u64(dram.closedPage);
+    fnv.u64(static_cast<std::uint64_t>(dram.mapKind));
+    fnv.u64(dram.unifiedQueue);
+    const DramTiming &t = dram.t;
+    fnv.u64(t.tRCD); fnv.u64(t.tCL); fnv.u64(t.tWL); fnv.u64(t.tCCD);
+    fnv.u64(t.tWTR); fnv.u64(t.tWR); fnv.u64(t.tRTP); fnv.u64(t.tRP);
+    fnv.u64(t.tRRD); fnv.u64(t.tFAW); fnv.u64(t.tRTRS); fnv.u64(t.tRAS);
+    fnv.u64(t.tRC); fnv.u64(t.tRFC); fnv.u64(t.tREFI);
+    fnv.u64(t.burstLength);
+
+    const SchedConfig &sched = cfg.sched;
+    fnv.u64(static_cast<std::uint64_t>(sched.algo));
+    fnv.u64(sched.morseMaxCommands);
+
+    const CritConfig &crit = cfg.crit;
+    fnv.u64(static_cast<std::uint64_t>(crit.predictor));
+    fnv.u64(crit.tableEntries);
+    fnv.u64(crit.resetInterval);
+    fnv.u64(crit.clptThreshold);
+    fnv.u64(crit.counterWidth);
+    fnv.u64(crit.probShift);
+
+    return fnv.hash;
+}
+
 std::uint64_t
 campaignHash(const std::vector<JobSpec> &jobs)
 {
@@ -297,7 +385,7 @@ campaignHash(const std::vector<JobSpec> &jobs)
         fnv.u64(spec.cfg.seed);
         fnv.field(toString(spec.kind));
         fnv.field(spec.workload);
-        fnv.u64(fair::configHash(spec.cfg));
+        fnv.u64(configHash(spec.cfg));
         fnv.u64(static_cast<std::uint64_t>(spec.cfg.check.fault));
         fnv.u64(spec.cfg.check.faultPeriod);
         fnv.u64(spec.quota);
@@ -431,7 +519,7 @@ decodeJournalRecord(const std::string &rawLine, std::uint64_t offset)
 }
 
 JournalLoad
-loadJournal(const std::string &path, bool strict)
+loadJournal(const std::string &path)
 {
     const std::string text = readWholeFile(path, "campaign journal");
     JournalLoad load;
@@ -454,7 +542,7 @@ loadJournal(const std::string &path, bool strict)
             ? lineDamage(line, payload)
             : "journal record is missing its newline";
         if (!damage.empty()) {
-            if (!strict && finalLine) {
+            if (finalLine) {
                 load.tornTail = true;
                 break;
             }
@@ -509,7 +597,7 @@ CampaignJournal::create(const std::string &path)
 std::unique_ptr<CampaignJournal>
 CampaignJournal::resume(const std::string &path)
 {
-    JournalLoad load = loadJournal(path, /*strict=*/false);
+    JournalLoad load = loadJournal(path);
     std::unique_ptr<CampaignJournal> journal(new CampaignJournal);
     journal->path_ = path;
     journal->loaded_ = std::move(load.records);

@@ -22,8 +22,8 @@
  *
  * Durability contract: each journal line is `r1 <crc> <payload>`
  * where crc is the FNV-1a-64 of the payload. A crash (power loss,
- * SIGKILL) can only damage the final line; the non-strict loader
- * detects such a torn tail and truncates it, re-running that one
+ * SIGKILL) can only damage the final line; the loader detects
+ * such a torn tail and truncates it, re-running that one
  * job. Damage anywhere else — a failed checksum mid-file, a
  * duplicate job index, an unparseable field — is never silently
  * skipped: it throws CampaignError carrying the byte offset of the
@@ -69,10 +69,18 @@ class CampaignError : public std::runtime_error
 std::string hashHex(std::uint64_t value);
 
 /**
+ * FNV-1a-64 over every simulation-affecting SystemConfig field: two
+ * configurations with equal hashes produce identical runs. The
+ * checker settings are not folded in; campaignHash adds the injected
+ * fault itself.
+ */
+std::uint64_t configHash(const SystemConfig &cfg);
+
+/**
  * Identity hash of a fully expanded campaign: folds every field of
  * every job that the result files depend on (name, seed, kind,
  * workload, quota, warmup, the whole simulation config via
- * fair::configHash, and the injected fault) plus the registry
+ * configHash, and the injected fault) plus the registry
  * contents (scheduler/app/bundle name lists), so a code or spec
  * change that would alter the job list changes the hash.
  */
@@ -134,13 +142,12 @@ struct JournalLoad
 };
 
 /**
- * Load a journal. Non-strict mode (the --resume path) tolerates
- * exactly one kind of damage — a torn *final* line, the signature of
- * a crash mid-append — reporting it via JournalLoad::tornTail.
- * Everything else, and in strict mode a torn tail too, throws
- * CampaignError with the byte offset of the bad line.
+ * Load a journal. Exactly one kind of damage is tolerated — a torn
+ * *final* line, the signature of a crash mid-append — and reported
+ * via JournalLoad::tornTail. Everything else throws CampaignError
+ * with the byte offset of the bad line.
  */
-JournalLoad loadJournal(const std::string &path, bool strict = false);
+JournalLoad loadJournal(const std::string &path);
 
 /**
  * The append-side of the journal: the CampaignLog implementation the

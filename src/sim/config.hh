@@ -110,14 +110,6 @@ struct DramConfig
      * high/low watermark, which keeps writes off the read path.
      */
     bool unifiedQueue = true;
-    /**
-     * Forward-progress watchdog: a channel with queued work that
-     * issues no command and pops no completion for this many DRAM
-     * cycles reports a stall to its observer (see src/check/).
-     * 0 disables the watchdog; CheckConfig::watchdogCycles is copied
-     * here when checking is enabled system-wide.
-     */
-    std::uint64_t watchdogCycles = 0;
     DramTiming t;
 
     /** Construct the timing/bus parameters for a speed grade. */
@@ -316,23 +308,20 @@ struct CheckConfig
     bool enabled = false;
     /** Throw CheckViolation on the first violation (else record). */
     bool failFast = true;
-    /** DRAM cycles a non-idle channel may go without any command. */
+    /**
+     * Forward-progress watchdog: DRAM cycles a channel with queued
+     * work may go without issuing a command or popping a completion.
+     */
     std::uint64_t watchdogCycles = 200000;
     /** CPU cycles the whole system may go without a single commit. */
     std::uint64_t commitWatchdogCycles = 4'000'000;
     /** Max DRAM cycles any request may sit in a transaction queue. */
     std::uint64_t starvationCycles = 200000;
-    /** Allowed refresh-interval overshoot past tREFI, DRAM cycles. */
-    std::uint64_t refreshSlack = 2000;
-    /** Cap on stored violation records (counting continues past it). */
-    std::uint32_t maxViolations = 64;
 
     /** Which fault to inject; None leaves the channel honest. */
     FaultKind fault = FaultKind::None;
     /** Mean opportunities between injections (1 = every time). */
     std::uint64_t faultPeriod = 64;
-    /** Seed of the injector's private Rng. */
-    std::uint64_t faultSeed = 12345;
     /** Victim core for FaultKind::StarveCore. */
     CoreId faultVictim = 0;
 

@@ -43,11 +43,6 @@ System::buildShared()
 {
     validateOrFatal(cfg_);
 
-    // The channel-side watchdog defaults to the harness bound when
-    // checking is on and the DRAM config did not set its own.
-    if (cfg_.check.enabled && cfg_.dram.watchdogCycles == 0)
-        cfg_.dram.watchdogCycles = cfg_.check.watchdogCycles;
-
     sched_ = makeScheduler(cfg_);
     dram_ = std::make_unique<DramSystem>(cfg_.dram, *sched_, root_);
     if (cfg_.check.enabled) {

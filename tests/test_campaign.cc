@@ -227,7 +227,7 @@ TEST_F(CampaignTest, JournalRoundTripIsBitExact)
         log->record(sampleRecord(0));
         log->record(sampleRecord(5));
     }
-    const exec::JournalLoad load = exec::loadJournal(journal, true);
+    const exec::JournalLoad load = exec::loadJournal(journal);
     EXPECT_FALSE(load.tornTail);
     ASSERT_EQ(load.records.size(), 2u);
     expectRecordsEqual(load.records[0], sampleRecord(0));
@@ -249,14 +249,10 @@ TEST_F(CampaignTest, JournalTornTailDetectedAndTruncated)
     std::ofstream(journal, std::ios::app | std::ios::binary)
         << "r1 0123456789abcdef partial-record-without-newl";
 
-    const exec::JournalLoad load = exec::loadJournal(journal, false);
+    const exec::JournalLoad load = exec::loadJournal(journal);
     EXPECT_TRUE(load.tornTail);
     EXPECT_EQ(load.records.size(), 2u);
     EXPECT_EQ(load.validBytes, intact);
-
-    // Strict mode (anything but the --resume path) must refuse.
-    EXPECT_THROW(exec::loadJournal(journal, true),
-                 exec::CampaignError);
 
     // resume() truncates the torn tail on disk.
     auto log = exec::CampaignJournal::resume(journal);
@@ -278,9 +274,9 @@ TEST_F(CampaignTest, JournalFuzzMalformedRecords)
         std::string content;
         std::uint64_t offset; ///< expected CampaignError offset
     };
-    // Mid-file damage is never recoverable: every case must throw
-    // even in the forgiving (non-strict) resume mode, carrying the
-    // byte offset of the bad line.
+    // Mid-file damage is never recoverable (only a torn final line
+    // is): every case must throw, carrying the byte offset of the
+    // bad line.
     std::string badCrc = good0;
     badCrc[3] = badCrc[3] == '0' ? '1' : '0'; // corrupt the checksum
     const std::vector<Case> cases = {
@@ -306,18 +302,14 @@ TEST_F(CampaignTest, JournalFuzzMalformedRecords)
     for (const Case &fuzz : cases) {
         const std::string journal = path("fuzz.txt");
         spill(journal, fuzz.content);
-        for (const bool strict : {false, true}) {
-            try {
-                exec::loadJournal(journal, strict);
-                FAIL() << fuzz.label << " (strict=" << strict
-                       << ") did not throw";
-            } catch (const exec::CampaignError &err) {
-                EXPECT_EQ(err.byteOffset(), fuzz.offset)
-                    << fuzz.label;
-                EXPECT_NE(std::string(err.what()).find("byte offset"),
-                          std::string::npos)
-                    << fuzz.label;
-            }
+        try {
+            exec::loadJournal(journal);
+            FAIL() << fuzz.label << " did not throw";
+        } catch (const exec::CampaignError &err) {
+            EXPECT_EQ(err.byteOffset(), fuzz.offset) << fuzz.label;
+            EXPECT_NE(std::string(err.what()).find("byte offset"),
+                      std::string::npos)
+                << fuzz.label;
         }
     }
 }
@@ -410,6 +402,24 @@ TEST_F(CampaignTest, ManifestFuzzMalformedFiles)
                      exec::CampaignError)
             << fuzz.label;
     }
+}
+
+TEST_F(CampaignTest, ConfigHashSeesSchedulerKnobs)
+{
+    const SystemConfig base = SystemConfig::multiprogDefault();
+    EXPECT_EQ(exec::configHash(base), exec::configHash(base));
+
+    SystemConfig sched = base;
+    sched.sched.algo = SchedAlgo::Bliss;
+    EXPECT_NE(exec::configHash(base), exec::configHash(sched));
+
+    SystemConfig knob = base;
+    knob.sched.morseMaxCommands += 1;
+    EXPECT_NE(exec::configHash(base), exec::configHash(knob));
+
+    SystemConfig seed = base;
+    seed.seed += 1;
+    EXPECT_NE(exec::configHash(base), exec::configHash(seed));
 }
 
 TEST_F(CampaignTest, CampaignHashTracksJobIdentity)
@@ -510,7 +520,7 @@ TEST_F(CampaignTest, ResumedCampaignIsByteIdenticalToFreshRun)
 
     // Partial resume: keep only the first journaled record (whatever
     // completion order produced), re-run the rest — still identical.
-    const exec::JournalLoad load = exec::loadJournal(journal, true);
+    const exec::JournalLoad load = exec::loadJournal(journal);
     ASSERT_GT(load.records.size(), 1u);
     fs::resize_file(journal, load.offsets[1]);
 

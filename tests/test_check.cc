@@ -254,12 +254,12 @@ TEST(CheckWatchdog, StalledChannelThrowsWithDiagnostics)
     DramConfig cfg = DramConfig::preset(DramSpeed::DDR3_2133);
     cfg.channels = 1;
     cfg.ranksPerChannel = 1;
-    cfg.watchdogCycles = 100;
 
     IdleScheduler sched;
     DramSystem dram(cfg, sched, root);
     CheckConfig check;
     check.enabled = true;
+    check.watchdogCycles = 100;
     ProtocolChecker checker(check, cfg);
     checker.attach(dram);
 
@@ -316,9 +316,8 @@ TEST(CheckWatchdog, HonestChannelNeverTrips)
 {
     CheckConfig check;
     check.enabled = true;
-    CheckHarness h(SchedAlgo::FrFcfs, check, [](SystemConfig &cfg) {
-        cfg.dram.watchdogCycles = 500;
-    });
+    check.watchdogCycles = 500;
+    CheckHarness h(SchedAlgo::FrFcfs, check);
     // Tight watchdog plus long idle stretches: idling with an empty
     // queue is progress, not a stall.
     h.drive(2000);

@@ -20,8 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "exec/campaign.hh"
 #include "exec/job_runner.hh"
-#include "fair/baseline_cache.hh"
 #include "sched/registry.hh"
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
@@ -150,7 +150,7 @@ expectRoundTrip(const exec::JobSpec &spec)
     EXPECT_EQ(back.quota, spec.quota) << repro;
     EXPECT_EQ(back.warmup, spec.warmup) << repro;
     EXPECT_EQ(back.multiprogPreset, spec.multiprogPreset) << repro;
-    EXPECT_EQ(fair::configHash(back.cfg), fair::configHash(spec.cfg))
+    EXPECT_EQ(exec::configHash(back.cfg), exec::configHash(spec.cfg))
         << repro;
     // The checker settings sit outside the config hash.
     EXPECT_EQ(back.cfg.check.enabled, spec.cfg.check.enabled) << repro;
@@ -231,7 +231,7 @@ TEST(ExecSimCommand, ConfigFlagsAreSettings)
              {"sched", "morse"}, {"morse-cmds", "8"}, {"prefetch", "1"},
              {"split-wq", "1"}, {"entries", "0"}})
         exec::applySetting(cfg, key, value);
-    EXPECT_EQ(fair::configHash(cmd.spec.cfg), fair::configHash(cfg));
+    EXPECT_EQ(exec::configHash(cmd.spec.cfg), exec::configHash(cfg));
     EXPECT_EQ(cmd.spec.kind, exec::RunKind::Parallel);
     EXPECT_EQ(cmd.spec.quota, 5000u);
     EXPECT_EQ(cmd.spec.warmup, kDefaultWarmup);
@@ -316,13 +316,29 @@ TEST(Fnv1a, StandardVectorsAndPinnedIdentities)
     EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
     EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
     EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
-    // ...and two identities stored on disk that hash through it: a
-    // job seed and a trace content hash. Changing either refuses
-    // every checkpointed campaign.
+    // ...and the identities stored on disk that hash through it: a
+    // job seed, a trace content hash, two config hashes and the
+    // spec-hashes --campaign manifests of two shipped specs store.
+    // Changing any of them refuses every checkpointed campaign.
     EXPECT_EQ(exec::deriveSeed(1, "art/base"), 0x295fda4f07868f9full);
     EXPECT_EQ(ingest::hashFileBytes(std::string(CRITMEM_REPO_ROOT) +
                                     "/tests/trace/fixtures/mix4.cbin"),
               0xdb20d510ae36345bull);
+    EXPECT_EQ(exec::configHash(SystemConfig::parallelDefault()),
+              0x7fb6b10e20c2057full);
+    EXPECT_EQ(exec::configHash(SystemConfig::multiprogDefault()),
+              0x9cb1d609efc0aefdull);
+    // A spec-hash covers the trace registry, which parsing
+    // specs/traces.sweep in an earlier test of this process fills.
+    clearTraceWorkloads();
+    const auto specHash = [](const char *spec) {
+        return exec::campaignHash(
+            exec::parseSweepFile(std::string(CRITMEM_REPO_ROOT) +
+                                 "/specs/" + spec)
+                .expand());
+    };
+    EXPECT_EQ(specHash("fig10.sweep"), 0xa7b3919e4a0c10bdull);
+    EXPECT_EQ(specHash("arena.sweep"), 0xcf9d1d34c2311aacull);
 }
 
 TEST(ExecSweep, GlobMatch)

@@ -1,9 +1,8 @@
 /**
  * @file
- * Fairness-subsystem tests: hand-computed metric goldens, the
- * alone-baseline cache (each baseline computed exactly once), the
- * "fair" stats group, and the arena annotator end-to-end on a real
- * multiprogrammed campaign.
+ * Fairness-subsystem tests: hand-computed metric goldens, the "fair"
+ * stats group, and the arena annotator end-to-end on a real
+ * multiprogrammed campaign (each alone baseline run exactly once).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "exec/job_runner.hh"
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
-#include "fair/baseline_cache.hh"
 #include "fair/fairness_stats.hh"
 #include "fair/metrics.hh"
 
@@ -74,57 +72,6 @@ TEST(FairMetrics, InvalidInputsYieldZeroedMetrics)
         EXPECT_DOUBLE_EQ(m.maxSlowdown, 0.0);
         EXPECT_DOUBLE_EQ(m.unfairness, 0.0);
     }
-}
-
-TEST(FairBaselineCache, ComputesEachKeyExactlyOnce)
-{
-    fair::AloneBaselineCache cache;
-    const SystemConfig cfg = SystemConfig::multiprogDefault();
-    int computes = 0;
-    auto compute = [&] { return ++computes, 1.5; };
-
-    EXPECT_DOUBLE_EQ(cache.getOrCompute("art_st", cfg, 1000, compute),
-                     1.5);
-    EXPECT_DOUBLE_EQ(cache.getOrCompute("art_st", cfg, 1000, compute),
-                     1.5);
-    EXPECT_EQ(computes, 1);
-    EXPECT_EQ(cache.runsExecuted(), 1u);
-
-    // A different quota or app is a different baseline.
-    cache.getOrCompute("art_st", cfg, 2000, compute);
-    cache.getOrCompute("mcf", cfg, 1000, compute);
-    EXPECT_EQ(computes, 3);
-    EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(FairBaselineCache, InsertAndFindBypassCompute)
-{
-    fair::AloneBaselineCache cache;
-    const SystemConfig cfg = SystemConfig::multiprogDefault();
-    EXPECT_EQ(cache.find("lu", cfg, 500), nullptr);
-    cache.insert("lu", cfg, 500, 0.75);
-    const double *hit = cache.find("lu", cfg, 500);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_DOUBLE_EQ(*hit, 0.75);
-    EXPECT_EQ(cache.runsExecuted(), 0u);
-}
-
-TEST(FairBaselineCache, ConfigHashSeesSchedulerKnobs)
-{
-    const SystemConfig base = SystemConfig::multiprogDefault();
-    EXPECT_EQ(fair::configHash(base), fair::configHash(base));
-
-    SystemConfig sched = base;
-    sched.sched.algo = SchedAlgo::Bliss;
-    EXPECT_NE(fair::configHash(base), fair::configHash(sched));
-
-    SystemConfig knob = base;
-    knob.sched.morseMaxCommands += 1;
-    EXPECT_NE(fair::configHash(base), fair::configHash(knob));
-
-    SystemConfig seed = base;
-    seed.seed += 1;
-    EXPECT_NE(fair::configHash(base), fair::configHash(seed));
 }
 
 TEST(FairStats, PublishesGaugesAndJson)
@@ -216,9 +163,8 @@ TEST(FairArena, CampaignRunsEachBaselineOnceAndAnnotatesBundles)
     const exec::CampaignSummary summary = runner.run(jobs, {&memory});
     EXPECT_EQ(summary.failed, 0u);
 
-    // Every baseline banked exactly once, none recomputed on demand.
-    EXPECT_EQ(annotator.cache().size(), 7u);
-    EXPECT_EQ(annotator.cache().runsExecuted(), 0u);
+    // One baseline banked per app.
+    EXPECT_EQ(annotator.baselines().size(), 7u);
 
     for (const exec::JobRecord &rec : memory.records()) {
         if (rec.spec.kind != exec::RunKind::Bundle)

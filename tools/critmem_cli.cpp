@@ -20,11 +20,11 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 
 #include "exec/job.hh"
-#include "fair/baseline_cache.hh"
 #include "fair/fairness_stats.hh"
 #include "sched/registry.hh"
 #include "sim/log.hh"
@@ -259,23 +259,24 @@ main(int argc, char **argv)
                         std::max<std::uint64_t>(r.coreCycles, 1)),
                 r.l2MissLatCrit, r.l2MissLatNonCrit);
 
-    // --fairness: run each bundle app alone (deduped through the
-    // baseline cache, so a bundle with repeated apps runs each
-    // baseline once), derive the fairness metrics against the shared
-    // run, and attach them to the stats tree before either dump.
+    // --fairness: run each bundle app alone (once per distinct app,
+    // so a bundle with repeated apps runs each baseline once), derive
+    // the fairness metrics against the shared run, and attach them to
+    // the stats tree before either dump.
     std::optional<fair::FairnessStats> fairStats;
     if (cmd.fairness) {
-        fair::AloneBaselineCache baselines;
+        std::map<std::string, double> baselines;
         std::vector<double> aloneIpc;
         for (const std::string &name : findBundle(spec.workload)->apps) {
-            aloneIpc.push_back(baselines.getOrCompute(
-                name, cfg, spec.quota, [&] {
-                    exec::JobSpec alone = spec;
-                    alone.name = "alone/" + name;
-                    alone.kind = exec::RunKind::Alone;
-                    alone.workload = name;
-                    return exec::executeJob(alone).ipc(0, spec.quota);
-                }));
+            const auto [it, fresh] = baselines.try_emplace(name, 0.0);
+            if (fresh) {
+                exec::JobSpec alone = spec;
+                alone.name = "alone/" + name;
+                alone.kind = exec::RunKind::Alone;
+                alone.workload = name;
+                it->second = exec::executeJob(alone).ipc(0, spec.quota);
+            }
+            aloneIpc.push_back(it->second);
         }
         const fair::FairnessMetrics m = fair::computeFairness(
             fair::sharedIpcs(r, spec.quota, cfg.numCores), aloneIpc);
@@ -287,7 +288,7 @@ main(int argc, char **argv)
                         m.weightedSpeedup, m.harmonicSpeedup,
                         m.maxSlowdown, m.unfairness,
                         static_cast<unsigned long long>(
-                            baselines.runsExecuted()));
+                            baselines.size()));
         } else {
             std::printf(
                 "fair: invalid (a core never reached its quota)\n");
