@@ -1,5 +1,6 @@
 #include "exec/campaign.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdlib>
@@ -370,13 +371,24 @@ campaignHash(const std::vector<JobSpec> &jobs)
     // Trace workload identity covers the file CONTENT (FNV-1a of the
     // raw bytes from the registration scan), so a campaign resumed
     // against an edited trace file is refused as a different
-    // campaign even when the path and job list are unchanged.
-    for (const TraceWorkload &wl : traceWorkloads()) {
-        fnv.field(wl.name);
-        fnv.field(wl.path);
-        fnv.u64(wl.contentHash);
-        fnv.u64(wl.numCores);
-        fnv.u64(wl.records);
+    // campaign even when the path and job list are unchanged. Only
+    // the traces these jobs run count, in first-use order: the
+    // registry is process-wide and may hold other specs' traces.
+    std::vector<const TraceWorkload *> traces;
+    for (const JobSpec &spec : jobs) {
+        const TraceWorkload *wl = spec.kind == RunKind::Trace
+            ? findTraceWorkload(spec.workload)
+            : nullptr;
+        if (wl && std::find(traces.begin(), traces.end(), wl) ==
+                      traces.end())
+            traces.push_back(wl);
+    }
+    for (const TraceWorkload *wl : traces) {
+        fnv.field(wl->name);
+        fnv.field(wl->path);
+        fnv.u64(wl->contentHash);
+        fnv.u64(wl->numCores);
+        fnv.u64(wl->records);
     }
 
     fnv.u64(jobs.size());

@@ -301,16 +301,19 @@ System::runLoop(Cycle limit, bool skip, bool pollBounded,
     const Cycle start = cycle_;
     std::uint64_t lastCommitTotal = 0;
     Cycle lastCommitCycle = cycle_;
-    while (true) {
-        bool allDone = true;
+    // Cores only commit inside tickOnce() (fast-forward leaves them
+    // lazy), so one scan after each tick answers both the skip test
+    // and the next iteration's exit test. "All finished" is tested
+    // before the cycle limit.
+    const auto allFinished = [this] {
         for (const auto &core : cores_) {
-            if (!core->finished()) {
-                allDone = false;
-                break;
-            }
+            if (!core->finished())
+                return false;
         }
-        if (allDone)
-            break;
+        return true;
+    };
+    bool allDone = allFinished();
+    while (!allDone) {
         if (cycle_ >= limit) {
             warn("run() hit the ", limit - start,
                  "-cycle safety limit before all cores finished");
@@ -355,19 +358,11 @@ System::runLoop(Cycle limit, bool skip, bool pollBounded,
             }
         }
 
-        if (skip) {
-            // The loop exits before ticking again once every core is
-            // finished; skipping here would overrun that exit cycle.
-            bool done = true;
-            for (const auto &core : cores_) {
-                if (!core->finished()) {
-                    done = false;
-                    break;
-                }
-            }
-            if (!done)
-                fastForward(limit, pollBounded);
-        }
+        allDone = allFinished();
+        // The loop exits before ticking again once every core is
+        // finished; skipping here would overrun that exit cycle.
+        if (skip && !allDone)
+            fastForward(limit, pollBounded);
     }
 }
 

@@ -700,4 +700,27 @@ TEST_F(IngestTest, CampaignHashTracksTraceContent)
     EXPECT_NE(exec::campaignHash(jobs2), h1);
 }
 
+TEST_F(IngestTest, ShippedTraceSpecHashIsPinned)
+{
+    // The spec-hash a `--spec specs/traces.sweep --campaign` run from
+    // the repository root stores. Trace paths are folded as spelled,
+    // so expand from there.
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(CRITMEM_REPO_ROOT);
+    const std::vector<exec::JobSpec> jobs =
+        exec::parseSweepFile("specs/traces.sweep").expand();
+    std::filesystem::current_path(cwd);
+    const std::uint64_t pinned = 0x839d9db53124a944ull;
+    EXPECT_EQ(exec::campaignHash(jobs), pinned);
+
+    // A trace registered later that the jobs do not run leaves the
+    // hash alone.
+    exec::SweepSpec other;
+    other.traces.push_back({"other", spill("other.cbin", twoCoreTrace())});
+    other.workloads = {"other"};
+    other.variants.push_back({"base", {{"sched", "frfcfs"}}});
+    other.expand();
+    EXPECT_EQ(exec::campaignHash(jobs), pinned);
+}
+
 } // namespace
