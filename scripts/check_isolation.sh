@@ -8,10 +8,12 @@
 #    unboundedly. Under --isolate --job-mem-mb the campaign must
 #    COMPLETE (exit 2, not a crash), recording exactly those jobs as
 #    status=crashed / status=oom while every healthy job stays ok.
+#    Each job runs once: both failed records carry "attempts":1 and
+#    no error text carries a repeat-offender note.
 # 2. Byte-identity: CLEAN_SPEC results must be byte-identical between
 #    in-process execution and --isolate, for --jobs 1 and --jobs 4.
 # 3. Worker kill + resume: SIGKILL a live worker *child* (the
-#    supervisor re-dispatches it at the same attempt number), then
+#    supervisor runs its job again), then
 #    SIGKILL the supervisor itself and --resume; the result files
 #    must be byte-identical to an uninterrupted isolated run.
 #
@@ -64,6 +66,18 @@ if ! grep -q 'SIGSEGV' "$tmp/fault.log"; then
     echo "FAIL: crashed record does not name the fatal signal" >&2
     exit 1
 fi
+for status in crashed oom; do
+    if ! grep -q "\"status\":\"$status\",\"attempts\":1," \
+            "$tmp/fault.jsonl"; then
+        echo "FAIL: the $status record does not carry attempts=1" \
+             "(a failed job must run exactly once)" >&2
+        exit 1
+    fi
+done
+if grep -q 'quarant' "$tmp/fault.log" "$tmp/fault.jsonl"; then
+    echo "FAIL: a failed job carries a repeat-offender note" >&2
+    exit 1
+fi
 oks=$(grep -c '"status":"ok"' "$tmp/fault.jsonl" || true)
 if [ "$oks" -lt 3 ]; then
     echo "FAIL: healthy jobs did not survive the faulting ones" \
@@ -98,7 +112,7 @@ camp="$tmp/campaign"
 pid=$!
 
 # First casualty: a worker child (the supervisor must absorb the
-# external SIGKILL and re-dispatch the job at the same attempt).
+# external SIGKILL and run the job again).
 worker_killed=0
 for _ in $(seq 1 600); do
     kill -0 "$pid" 2>/dev/null || break

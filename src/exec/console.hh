@@ -1,7 +1,7 @@
 /**
  * @file
  * Single mutex-guarded stderr writer for campaign drivers. The job
- * runner's progress line, worker retry/timeout notices and the
+ * runner's progress line, worker respawn and circuit-breaker notices and the
  * tool-level summary/failure lines all funnel through one Console so
  * that no two threads ever interleave partial lines — and a sticky
  * progress line is cleanly erased before any full line is printed.

@@ -593,12 +593,11 @@ executeJob(const JobSpec &spec, std::string *statsJson,
 }
 
 JobRecord
-newRecord(const JobSpec &spec, std::size_t index, std::uint32_t attempt)
+newRecord(const JobSpec &spec, std::size_t index)
 {
     JobRecord rec;
     rec.index = index;
     rec.spec = spec;
-    rec.attempts = attempt;
     rec.warmupUsed = spec.warmup == kDefaultWarmup
         ? defaultWarmup(spec.quota)
         : spec.warmup;
@@ -607,10 +606,10 @@ newRecord(const JobSpec &spec, std::size_t index, std::uint32_t attempt)
 
 // Runs on a pool thread or in a forked worker.
 JobRecord
-runJob(const JobSpec &spec, std::size_t index, std::uint32_t attempt,
+runJob(const JobSpec &spec, std::size_t index,
        const std::atomic<bool> *cancel, std::uint64_t memBudgetMb)
 {
-    JobRecord rec = newRecord(spec, index, attempt);
+    JobRecord rec = newRecord(spec, index);
     try {
         rec.result = executeJob(spec, &rec.statsJson, cancel);
         rec.status = JobStatus::Ok;

@@ -41,7 +41,7 @@ enum class RunKind
 
 const char *toString(RunKind kind);
 
-/** Terminal outcome of a job (after any retries). */
+/** Terminal outcome of a job. */
 enum class JobStatus
 {
     Ok,             ///< completed, result is valid
@@ -102,11 +102,15 @@ struct JobRecord
     std::size_t index = 0;
     JobSpec spec;
     JobStatus status = JobStatus::Ok;
-    /** Executions performed (1 = succeeded or failed first try). */
+    /**
+     * Executions of the job: always 1, since every job runs once.
+     * Kept as a JSONL, CSV and journal column so result files keep
+     * their layout and older journals still replay.
+     */
     std::uint32_t attempts = 1;
     /** Warmup actually used (spec.warmup with the sentinel resolved). */
     std::uint64_t warmupUsed = 0;
-    /** What the failed attempt threw; empty when Ok. */
+    /** What the failed execution threw; empty when Ok. */
     std::string error;
     /** Simulation outcome; only meaningful when status == Ok. */
     RunResult result;
@@ -119,7 +123,7 @@ struct JobRecord
      * deterministically from other records, so never journaled.
      */
     fair::FairnessMetrics fairness;
-    /** Wall-clock of the final attempt, ms. Informational only —
+    /** Wall-clock of the execution, ms. Informational only —
      *  never serialized, so result files stay deterministic. */
     double wallMs = 0.0;
 
@@ -213,14 +217,13 @@ RunResult executeJob(const JobSpec &spec,
                      const std::atomic<bool> *cancel = nullptr);
 
 /**
- * The record of attempt @p attempt of job @p index before it runs:
- * index, spec, attempt count and the resolved warmup.
+ * The record of job @p index before it runs: index, spec and the
+ * resolved warmup.
  */
-JobRecord newRecord(const JobSpec &spec, std::size_t index,
-                    std::uint32_t attempt);
+JobRecord newRecord(const JobSpec &spec, std::size_t index);
 
 /**
- * Run one attempt of job @p index and classify its outcome — the one
+ * Run job @p index once and classify its outcome — the one
  * execution path of the in-thread runner and of a forked --isolate
  * worker alike. executeJob()'s exceptions become statuses:
  * CheckViolation, TraceError, CycleLimitError, std::bad_alloc -> Oom
@@ -230,7 +233,7 @@ JobRecord newRecord(const JobSpec &spec, std::size_t index,
  * caller.
  */
 JobRecord runJob(const JobSpec &spec, std::size_t index,
-                 std::uint32_t attempt, const std::atomic<bool> *cancel,
+                 const std::atomic<bool> *cancel,
                  std::uint64_t memBudgetMb = 0);
 
 /**

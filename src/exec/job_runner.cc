@@ -8,12 +8,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "exec/console.hh"
 #include "exec/worker.hh"
-#include "sim/random.hh"
 
 namespace critmem::exec
 {
@@ -35,16 +35,13 @@ enum class CancelReason : int
 };
 
 /**
- * An externally SIGKILLed worker runs its job again at the same attempt
- * number (the execution "never happened"), but only this many times:
+ * An externally SIGKILLed worker runs its job again (the execution
+ * "never happened"), but only this many times:
  * a job that keeps attracting SIGKILL — e.g. the kernel OOM killer
  * with no --job-mem-mb budget set — must eventually be recorded as
  * crashed instead of looping forever.
  */
 constexpr std::uint32_t kMaxRespawns = 3;
-
-/** Upper bound of the exponential retry backoff delay, ms. */
-constexpr std::uint64_t kBackoffCapMs = 5000;
 
 /** ms allowed for in-flight jobs to drain after a stop request. */
 constexpr std::int64_t kDrainDeadlineMs = 20000;
@@ -59,7 +56,7 @@ struct WorkerSlot
     static constexpr std::size_t kIdle = ~std::size_t{0};
 
     std::atomic<std::size_t> jobIndex{kIdle};
-    /** Start of the current attempt, in ms since the clock's epoch. */
+    /** Start of the current execution, in ms since the clock's epoch. */
     std::atomic<std::int64_t> startMs{0};
     std::atomic<bool> cancel{false};
     std::atomic<int> reason{static_cast<int>(CancelReason::None)};
@@ -87,13 +84,12 @@ struct Campaign
     // final record.
     std::vector<std::size_t> pending;
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> retries{0};
     std::atomic<std::size_t> respawns{0};
     std::atomic<unsigned> activeWorkers{0};
 
-    // Circuit breaker (--max-failures): once enough jobs have failed
-    // permanently, dispatch stops exactly like a graceful shutdown.
-    std::atomic<std::size_t> permanentFailures{0};
+    // Circuit breaker (--max-failures): once enough jobs have failed,
+    // dispatch stops exactly like a graceful shutdown.
+    std::atomic<std::size_t> failures{0};
     std::atomic<bool> breakerTripped{false};
 
     // Watchdog shutdown handshake.
@@ -135,24 +131,23 @@ struct Campaign
              opts.stopRequested->load(std::memory_order_relaxed) != 0);
     }
 
-    /** Count one permanent failure and trip the breaker at the
-     *  configured count or percentage threshold. */
+    /** Count one failure and trip the breaker at the configured
+     *  count or percentage threshold. */
     void
     noteFailure()
     {
-        const std::size_t failures =
-            permanentFailures.fetch_add(1) + 1;
+        const std::size_t failed = failures.fetch_add(1) + 1;
         const bool overCount =
-            opts.maxFailures != 0 && failures >= opts.maxFailures;
+            opts.maxFailures != 0 && failed >= opts.maxFailures;
         const bool overPct = opts.maxFailuresPct != 0 &&
             !jobs.empty() &&
-            failures * 100 >=
+            failed * 100 >=
                 static_cast<std::size_t>(opts.maxFailuresPct) *
                     jobs.size();
         if ((overCount || overPct) && !breakerTripped.exchange(true)) {
             Console::instance().line(
-                "circuit breaker: " + std::to_string(failures) +
-                " permanent failure(s) reached the --max-failures "
+                "circuit breaker: " + std::to_string(failed) +
+                " failure(s) reached the --max-failures "
                 "threshold; aborting dispatch");
             recordCv.notify_one();
         }
@@ -198,44 +193,11 @@ struct Campaign
     }
 
     /**
-     * Jittered exponential backoff before a retry. Deterministic:
-     * the jitter stream is seeded from (backoffSeed, attempt, job
-     * name), never from time. Sleeps in slices so a shutdown request
-     * cuts the wait short; returns false when interrupted.
-     */
-    bool
-    backoff(const JobSpec &spec, std::uint32_t nextAttempt)
-    {
-        if (opts.backoffBaseMs == 0)
-            return !stopping();
-        std::uint64_t delay = opts.backoffBaseMs;
-        for (std::uint32_t i = 1; i + 1 < nextAttempt; ++i) {
-            delay *= 2;
-            if (delay >= kBackoffCapMs)
-                break;
-        }
-        if (delay > kBackoffCapMs)
-            delay = kBackoffCapMs;
-        Rng rng(deriveSeed(opts.backoffSeed + nextAttempt, spec.name));
-        const std::uint64_t half = delay / 2;
-        delay = half + rng.below(half + 1);
-        const std::int64_t deadline =
-            nowMs() + static_cast<std::int64_t>(delay);
-        while (nowMs() < deadline) {
-            if (stopping())
-                return false;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        return !stopping();
-    }
-
-    /**
-     * Run job @p index until it has a final record, which goes to
-     * finish(). Retries (after their backoff) and external-SIGKILL
-     * respawns loop here, so a job is never re-queued. A job
-     * abandoned by the shutdown drain deadline gets no record at all:
-     * it stays out of the journal and the sinks, and --resume re-runs
-     * it from scratch.
+     * Run job @p index once and hand its record to finish(). Only an
+     * external SIGKILL of an isolated worker runs it again, so a job
+     * is never re-queued. A job abandoned by the shutdown drain
+     * deadline gets no record at all: it stays out of the journal and
+     * the sinks, and --resume re-runs it from scratch.
      */
     // Runs on a pool thread via workerLoop.
     void
@@ -243,7 +205,6 @@ struct Campaign
     {
         const JobSpec &spec = jobs[index];
         WorkerSlot &slot = *slots[worker];
-        std::uint32_t attempt = 1;
         std::uint32_t respawnCount = 0;
         for (;;) {
             slot.cancel.store(false);
@@ -264,12 +225,12 @@ struct Campaign
                 limits.memMb = opts.jobMemMb;
                 if (opts.jobTimeoutMs != 0)
                     limits.cpuSeconds = opts.jobTimeoutMs / 1000 * 2 + 5;
-                IsolatedRun run = runJobIsolated(spec, index, attempt,
-                                                 limits, &slot.cancel);
+                IsolatedRun run =
+                    runJobIsolated(spec, index, limits, &slot.cancel);
                 externalKill = run.externalKill;
                 record = std::move(run.record);
             } else {
-                record = runJob(spec, index, attempt, &slot.cancel);
+                record = runJob(spec, index, &slot.cancel);
             }
             record.wallMs = std::chrono::duration<double, std::milli>(
                                 Clock::now() - start)
@@ -280,9 +241,9 @@ struct Campaign
                 !stopping()) {
                 // An external SIGKILL (operator, kernel OOM killer)
                 // is an environmental event, not a property of the
-                // job: run it again at the same attempt number so the
-                // final record — and the result files — are
-                // byte-identical to a run where nobody interfered.
+                // job: run it again so the final record — and the
+                // result files — are byte-identical to a run where
+                // nobody interfered.
                 ++respawnCount;
                 respawns.fetch_add(1);
                 if (opts.progress) {
@@ -300,45 +261,8 @@ struct Campaign
                     static_cast<CancelReason>(slot.reason.load());
                 if (reason == CancelReason::Drain)
                     return; // abandoned: no record at all
-                if (reason == CancelReason::Timeout) {
+                if (reason == CancelReason::Timeout)
                     record.status = JobStatus::Timeout;
-                    // A rerun would be just as slow: never retried.
-                    finish(index, std::move(record));
-                    return;
-                }
-            }
-
-            if (!record.ok() && attempt < opts.maxAttempts &&
-                !stopping()) {
-                // Bounded retry after a jittered exponential backoff.
-                // The rerun is deterministic, so this only helps
-                // against transient environmental failures — which is
-                // exactly the point of recording the attempt count.
-                retries.fetch_add(1);
-                if (opts.progress) {
-                    Console::instance().line(
-                        "retry " + spec.name + " (attempt " +
-                        std::to_string(attempt + 1) + "/" +
-                        std::to_string(opts.maxAttempts) + ")");
-                }
-                if (backoff(spec, attempt + 1)) {
-                    ++attempt;
-                    respawnCount = 0;
-                    continue;
-                }
-                // Shutdown arrived mid-backoff: the retry will not
-                // run; record the failure we already have.
-            }
-            if (!record.ok() && opts.maxAttempts > 1 &&
-                attempt >= opts.maxAttempts &&
-                (record.status == JobStatus::Crashed ||
-                 record.status == JobStatus::Oom ||
-                 record.status == JobStatus::Exit)) {
-                // Repeat offender: every allowed attempt died at the
-                // process level. The record is permanent — this run
-                // will never dispatch the job again — and says so.
-                record.error += "; quarantined after " +
-                    std::to_string(attempt) + " failed attempts";
             }
             finish(index, std::move(record));
             return;
@@ -471,7 +395,6 @@ struct Campaign
             Console::instance().close();
         summary.pending = jobs.size() - consumed;
         summary.interrupted = summary.pending != 0 && stopping();
-        summary.retries = retries.load();
         summary.respawned = respawns.load();
         summary.breakerTripped = breakerTripped.load();
         summary.wallMs = std::chrono::duration<double, std::milli>(
@@ -488,6 +411,10 @@ JobRunner::run(const std::vector<JobSpec> &jobs,
                const std::vector<ResultSink *> &sinks,
                CampaignLog *log)
 {
+    if (opts_.maxAttempts != 1)
+        throw std::invalid_argument(
+            "RunnerOptions::maxAttempts must be 1: every job runs once");
+
     const std::size_t wanted = opts_.threads != 0
         ? opts_.threads
         : std::thread::hardware_concurrency();
@@ -495,8 +422,6 @@ JobRunner::run(const std::vector<JobSpec> &jobs,
         std::max<std::size_t>(1, std::min(wanted, jobs.size())));
 
     RunnerOptions opts = opts_;
-    if (opts.maxAttempts == 0)
-        opts.maxAttempts = 1;
     // The annotator, like the sinks, lives only in this frame: the
     // Campaign the workers share never sees it.
     const std::function<void(JobRecord &)> annotate =

@@ -11,14 +11,13 @@
  * that order too, records reach the sinks as soon as the jobs before
  * them are done.
  *
- * Failure isolation: every execution goes through runJob() (in the
+ * Failure isolation: every job runs once, through runJob() (in the
  * worker thread, or in a forked worker under --isolate), which turns
  * a CheckViolation / TraceError / std::exception into a record (with
- * a repro command line). Under the bounded retry policy the worker
- * runs the job again after a jittered exponential backoff; the
- * campaign itself never aborts. A per-job wall-clock timeout
- * cooperatively cancels wedged jobs (diagnostics snapshots attached
- * to the failure record).
+ * a repro command line); the campaign itself never aborts. A job is
+ * deterministic, so a rerun would fail the same way: a failed record
+ * is final. A per-job wall-clock timeout cooperatively cancels
+ * wedged jobs (diagnostics snapshots attached to the failure record).
  *
  * Crash safety: a CampaignLog (the durable journal behind
  * critmem-sweep --campaign/--resume) can pre-supply completed
@@ -68,7 +67,11 @@ struct RunnerOptions
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     unsigned threads = 0;
-    /** Total executions allowed per job (1 = no retries). */
+    /**
+     * Executions per job. Must be 1 (run() throws
+     * std::invalid_argument otherwise): every job runs once. Kept
+     * only because perfbench/campaign_bench.cpp still assigns it.
+     */
     unsigned maxAttempts = 1;
     /** Emit a live [done/total] throughput/ETA line on stderr. */
     bool progress = false;
@@ -76,19 +79,9 @@ struct RunnerOptions
     /**
      * Wall-clock budget per job execution, ms; 0 disables. A job past
      * its budget is cooperatively cancelled and recorded as
-     * JobStatus::Timeout (no retry), with channel snapshots in the
-     * error text.
+     * JobStatus::Timeout, with channel snapshots in the error text.
      */
     std::uint64_t jobTimeoutMs = 0;
-
-    /**
-     * Base of the jittered exponential backoff between retry
-     * attempts, ms; 0 disables the delay (retries stay immediate).
-     * Attempt k waits in [d/2, d] where d = min(base << (k-1), 5 s).
-     */
-    std::uint64_t backoffBaseMs = 0;
-    /** Seed of the (deterministic) backoff jitter stream. */
-    std::uint64_t backoffSeed = 1;
 
     /**
      * Graceful-shutdown request. nullptr or 0 = run normally; any
@@ -124,13 +117,13 @@ struct RunnerOptions
     std::uint64_t jobMemMb = 0;
     /**
      * Circuit breaker: stop dispatching once this many jobs have
-     * failed permanently (0 = off). The campaign drains like a
+     * failed (0 = off). The campaign drains like a
      * graceful shutdown and the summary reports breakerTripped, so a
      * broken build aborts in seconds instead of burning hours —
      * resumable once fixed.
      */
     std::size_t maxFailures = 0;
-    /** Circuit breaker, percent form: trip once permanent failures
+    /** Circuit breaker, percent form: trip once failures
      *  reach this percentage of the total job count (0 = off). */
     unsigned maxFailuresPct = 0;
 };
@@ -145,10 +138,8 @@ struct CampaignSummary
     std::size_t replayed = 0;
     /** Jobs never completed (graceful shutdown left them unrun). */
     std::size_t pending = 0;
-    /** Extra executions spent on retries (attempts beyond the first). */
-    std::size_t retries = 0;
     /** Isolated workers killed by an external SIGKILL and run
-     *  again at the same attempt number. */
+     *  again. */
     std::size_t respawned = 0;
     /** True when a stop request cut the campaign short. */
     bool interrupted = false;

@@ -180,8 +180,8 @@ onWorkerCrash(int sig)
  */
 [[noreturn]] void
 runWorkerChild(const JobSpec &spec, std::size_t index,
-               std::uint32_t attempt, const WorkerLimits &limits,
-               std::uint64_t memLimitBytes, int fd)
+               const WorkerLimits &limits, std::uint64_t memLimitBytes,
+               int fd)
 {
     // Own process group: a terminal ^C (sent to the supervisor's
     // group) must not reach workers mid-drain, and it gives the
@@ -218,7 +218,7 @@ runWorkerChild(const JobSpec &spec, std::size_t index,
     }
 
     const std::string line = encodeJournalRecord(
-        runJob(spec, index, attempt, nullptr, limits.memMb));
+        runJob(spec, index, nullptr, limits.memMb));
     writeAllFd(fd, line.data(), line.size());
     // lint:allow(no-terminate): the post-fork worker child must
     // terminate here; returning would run the supervisor's stack
@@ -283,10 +283,9 @@ killWorkerGroups()
 
 IsolatedRun
 runJobIsolated(const JobSpec &spec, std::size_t index,
-               std::uint32_t attempt, const WorkerLimits &limits,
-               const std::atomic<bool> *cancel)
+               const WorkerLimits &limits, const std::atomic<bool> *cancel)
 {
-    IsolatedRun out{false, newRecord(spec, index, attempt)};
+    IsolatedRun out{false, newRecord(spec, index)};
     JobRecord &rec = out.record;
 
     const std::uint64_t memLimitBytes = limits.memMb == 0
@@ -311,8 +310,7 @@ runJobIsolated(const JobSpec &spec, std::size_t index,
     }
     if (pid == 0) {
         ::close(fds[0]);
-        runWorkerChild(spec, index, attempt, limits, memLimitBytes,
-                       fds[1]);
+        runWorkerChild(spec, index, limits, memLimitBytes, fds[1]);
     }
     ::close(fds[1]);
     // Both sides call setpgid to close the race between the fork and

@@ -66,8 +66,8 @@ struct IsolatedRun
      * The worker died on a SIGKILL the supervisor did not send (an
      * operator, or the kernel OOM killer). The execution never
      * happened from the campaign's accounting viewpoint: the caller
-     * runs the job again at the *same* attempt number, keeping
-     * result files byte-identical to a run where nobody interfered.
+     * runs the job again, keeping result files byte-identical to a
+     * run where nobody interfered.
      */
     bool externalKill = false;
     /** The classified record. */
@@ -83,7 +83,6 @@ struct IsolatedRun
  * Never throws: every failure mode becomes a classified record.
  */
 IsolatedRun runJobIsolated(const JobSpec &spec, std::size_t index,
-                           std::uint32_t attempt,
                            const WorkerLimits &limits,
                            const std::atomic<bool> *cancel);
 

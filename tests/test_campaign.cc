@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -480,7 +481,7 @@ TEST_F(CampaignTest, SweepErrorCarriesLineAndByteOffset)
 }
 
 // ---------------------------------------------------------------
-// Runner integration: replay, stop, timeout, retries
+// Runner integration: replay, stop, timeout, run-once
 // ---------------------------------------------------------------
 
 TEST_F(CampaignTest, ResumedCampaignIsByteIdenticalToFreshRun)
@@ -564,14 +565,12 @@ TEST_F(CampaignTest, StopRequestBeforeRunLeavesEverythingPending)
 TEST_F(CampaignTest, TimeoutCancelsWedgedJobWithoutRetry)
 {
     // A quota this size takes minutes; the 150 ms budget must cancel
-    // it cooperatively, mark it Timeout, and NOT retry despite
-    // maxAttempts allowing two more executions.
+    // it cooperatively and mark it Timeout after one execution.
     std::vector<exec::JobSpec> jobs = {
         parallelJob("art/wedged", "art", 50000000)};
     exec::MemorySink sink;
     exec::RunnerOptions opts;
     opts.threads = 1;
-    opts.maxAttempts = 3;
     opts.jobTimeoutMs = 150;
     const exec::CampaignSummary summary =
         exec::JobRunner(opts).run(jobs, {&sink});
@@ -583,15 +582,12 @@ TEST_F(CampaignTest, TimeoutCancelsWedgedJobWithoutRetry)
     EXPECT_FALSE(rec.error.empty());
 }
 
-TEST_F(CampaignTest, RetriesAreCountedAndBackoffIsDeterministic)
+TEST_F(CampaignTest, FailureRecordsAreDeterministic)
 {
     std::vector<exec::JobSpec> jobs = {
         parallelJob("bogus", "no-such-app", 600)};
     exec::RunnerOptions opts;
     opts.threads = 1;
-    opts.maxAttempts = 3;
-    opts.backoffBaseMs = 1; // keep the test fast, exercise the path
-    opts.backoffSeed = 42;
 
     std::ostringstream first, second;
     for (std::ostringstream *out : {&first, &second}) {
@@ -599,12 +595,23 @@ TEST_F(CampaignTest, RetriesAreCountedAndBackoffIsDeterministic)
         const exec::CampaignSummary summary =
             exec::JobRunner(opts).run(jobs, {&sink});
         EXPECT_EQ(summary.failed, 1u);
-        EXPECT_EQ(summary.retries, 2u);
     }
-    // Identical options ⇒ identical failure records (the jitter is
-    // seeded, so nothing wall-clock-dependent leaks into results).
+    // Identical specs ⇒ identical failure records: nothing
+    // wall-clock-dependent leaks into results, and the job ran once.
     EXPECT_EQ(first.str(), second.str());
-    EXPECT_NE(first.str().find("\"attempts\":3"), std::string::npos);
+    EXPECT_NE(first.str().find("\"attempts\":1,"), std::string::npos);
+}
+
+TEST_F(CampaignTest, RunnerRefusesMoreThanOneAttempt)
+{
+    std::vector<exec::JobSpec> jobs = {
+        parallelJob("art/base", "art", 600)};
+    exec::MemorySink sink;
+    exec::RunnerOptions opts;
+    opts.maxAttempts = 2;
+    EXPECT_THROW(exec::JobRunner(opts).run(jobs, {&sink}),
+                 std::invalid_argument);
+    EXPECT_TRUE(sink.records().empty());
 }
 
 } // namespace

@@ -68,14 +68,12 @@ smallCampaign(std::uint64_t quota)
 }
 
 std::string
-runToJsonl(const std::vector<exec::JobSpec> &jobs, unsigned threads,
-           unsigned maxAttempts = 1)
+runToJsonl(const std::vector<exec::JobSpec> &jobs, unsigned threads)
 {
     std::ostringstream out;
     exec::JsonlSink sink(out);
     exec::RunnerOptions opts;
     opts.threads = threads;
-    opts.maxAttempts = maxAttempts;
     exec::JobRunner runner(opts);
     runner.run(jobs, {&sink});
     return out.str();
@@ -691,7 +689,7 @@ TEST(ExecRunner, StopMidCampaignKeepsEveryFinishedRecord)
     EXPECT_TRUE(summary.interrupted);
 }
 
-TEST(ExecRunner, FaultInjectionIsIsolatedAndRetried)
+TEST(ExecRunner, FaultInjectionIsIsolatedAndRunOnce)
 {
     std::vector<exec::JobSpec> jobs;
     jobs.push_back(parallelJob("healthy", "art", SchedAlgo::FrFcfs,
@@ -706,13 +704,11 @@ TEST(ExecRunner, FaultInjectionIsIsolatedAndRetried)
     exec::MemorySink sink;
     exec::RunnerOptions opts;
     opts.threads = 2;
-    opts.maxAttempts = 2;
     exec::JobRunner runner(opts);
     const exec::CampaignSummary summary = runner.run(jobs, {&sink});
 
     EXPECT_EQ(summary.ok, 1u);
     EXPECT_EQ(summary.failed, 1u);
-    EXPECT_EQ(summary.retries, 1u);
 
     const exec::JobRecord *healthy = sink.find("healthy");
     ASSERT_NE(healthy, nullptr);
@@ -721,7 +717,7 @@ TEST(ExecRunner, FaultInjectionIsIsolatedAndRetried)
     const exec::JobRecord *failed = sink.find("faulty");
     ASSERT_NE(failed, nullptr);
     EXPECT_EQ(failed->status, exec::JobStatus::CheckViolation);
-    EXPECT_EQ(failed->attempts, 2u);
+    EXPECT_EQ(failed->attempts, 1u);
     EXPECT_FALSE(failed->error.empty());
     const std::string repro = exec::reproCommand(failed->spec);
     EXPECT_NE(repro.find("--inject early-cas"), std::string::npos);

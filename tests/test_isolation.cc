@@ -3,9 +3,9 @@
  * Tests of process-isolated job execution (exec/worker.hh): the
  * byte-identity contract between in-thread and forked execution, the
  * failure taxonomy (crashed / oom / exit / timeout) incl. the
- * waitpid-status classifier, quarantine of repeat offenders, the
- * --max-failures circuit breaker, and the journal-line wire protocol
- * the worker pipe shares with the campaign journal.
+ * waitpid-status classifier, the --max-failures circuit breaker, and
+ * the journal-line wire protocol the worker pipe shares with the
+ * campaign journal.
  */
 
 #include <gtest/gtest.h>
@@ -90,7 +90,7 @@ TEST(Isolation, JsonlIdenticalToInThreadExecution)
     EXPECT_EQ(reference, runToJsonl(jobs, isolated));
 }
 
-TEST(Isolation, CrashIsContainedAndQuarantined)
+TEST(Isolation, CrashIsContained)
 {
     std::vector<exec::JobSpec> jobs;
     jobs.push_back(parallelJob("healthy", "art", 600));
@@ -101,7 +101,6 @@ TEST(Isolation, CrashIsContainedAndQuarantined)
     exec::RunnerOptions opts;
     opts.threads = 2;
     opts.isolate = true;
-    opts.maxAttempts = 2;
     exec::JobRunner runner(opts);
     const exec::CampaignSummary summary =
         runner.run(jobs, {&sink});
@@ -117,11 +116,9 @@ TEST(Isolation, CrashIsContainedAndQuarantined)
     EXPECT_EQ(doomed->status, exec::JobStatus::Crashed);
     EXPECT_NE(doomed->error.find("SIGSEGV"), std::string::npos)
         << doomed->error;
-    // Every allowed attempt died: the record carries the quarantine
-    // note and the attempt count.
-    EXPECT_EQ(doomed->attempts, 2u);
-    EXPECT_NE(doomed->error.find("quarantined after 2"),
-              std::string::npos)
+    // The crash is final after one execution: no rerun, no note.
+    EXPECT_EQ(doomed->attempts, 1u);
+    EXPECT_EQ(doomed->error.find("quarant"), std::string::npos)
         << doomed->error;
 }
 

@@ -77,8 +77,6 @@ usage()
         "       critmem-sweep --resume DIR [options]\n"
         "  --spec FILE        sweep specification (see specs/)\n"
         "  --jobs N           worker threads (default: all cores)\n"
-        "  --retries N        extra attempts per failed job"
-        " (default 1)\n"
         "  --out FILE         write one JSON object per job (JSONL);"
         " '-' = stdout\n"
         "  --csv FILE         write a flat CSV table; '-' = stdout\n"
@@ -108,8 +106,7 @@ usage()
         "  --max-failures N[%%]\n"
         "                     circuit breaker: abort dispatch once N"
         " jobs (or\n"
-        "                     N%% of the campaign) have failed"
-        " permanently;\n"
+        "                     N%% of the campaign) have failed;\n"
         "                     resumable with --resume once fixed\n"
         "  --campaign DIR     checkpoint into DIR: an atomic manifest"
         " plus a\n"
@@ -134,9 +131,9 @@ usage()
         " (specs/arena.sweep)\n"
         "    failures         failures by status x variant x workload,"
         " plus a\n"
-        "                     repro line per permanently failed job\n"
+        "                     repro line per failed job\n"
         "  --list             print the expanded job list and exit\n"
-        "exit status: 0 all jobs ok, 2 some jobs failed permanently,\n"
+        "exit status: 0 all jobs ok, 2 some jobs failed,\n"
         "             3 interrupted by SIGINT/SIGTERM (resumable with"
         " --resume)\n");
     std::exit(1);
@@ -172,7 +169,6 @@ main(int argc, char **argv)
     std::string campaignDir;
     bool resume = false;
     exec::RunnerOptions opts;
-    opts.maxAttempts = 2;
     bool listOnly = false;
     bool forceCheck = false;
     bool captureStats = false;
@@ -193,9 +189,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             opts.threads =
                 static_cast<unsigned>(numberArg(arg, nextArg(i)));
-        } else if (arg == "--retries") {
-            opts.maxAttempts =
-                1 + static_cast<unsigned>(numberArg(arg, nextArg(i)));
         } else if (arg == "--out") {
             outPath = nextArg(i);
         } else if (arg == "--csv") {
@@ -384,12 +377,6 @@ main(int argc, char **argv)
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
 
-    // Retries pause on a deterministic jittered exponential backoff
-    // keyed to the campaign seed, so transient environmental noise
-    // (the only thing a retry can fix) gets time to clear.
-    opts.backoffBaseMs = 200;
-    opts.backoffSeed = spec.campaignSeed;
-
     // Fairness annotation runs on the aggregation thread in
     // submission order, so every Bundle record is decorated after the
     // alone-run baselines it needs (sweep expansion puts those first).
@@ -418,9 +405,9 @@ main(int argc, char **argv)
     char buffer[256];
     std::snprintf(buffer, sizeof(buffer),
                   "campaign: %zu jobs, %zu ok, %zu failed, %zu "
-                  "replayed, %zu retries, %.1fs wall (%.2f jobs/s)",
+                  "replayed, %.1fs wall (%.2f jobs/s)",
                   summary.total, summary.ok, summary.failed,
-                  summary.replayed, summary.retries,
+                  summary.replayed,
                   summary.wallMs / 1000.0,
                   summary.wallMs > 0.0
                       ? summary.total * 1000.0 / summary.wallMs
@@ -433,9 +420,7 @@ main(int argc, char **argv)
     for (const exec::JobRecord &rec : memory.records()) {
         if (!rec.ok()) {
             console.line("failed: " + rec.spec.name + " [" +
-                         toString(rec.status) + "] after " +
-                         std::to_string(rec.attempts) +
-                         " attempt(s): " + rec.error +
+                         toString(rec.status) + "]: " + rec.error +
                          "\n  repro: " + exec::reproCommand(rec.spec));
         }
     }
