@@ -1,6 +1,7 @@
 #include "dram/channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/log.hh"
 
@@ -41,9 +42,18 @@ DramChannel::DramChannel(const DramConfig &cfg, std::uint32_t id,
       banks_(std::size_t{cfg.ranksPerChannel} * cfg.banksPerRank),
       ranks_(cfg.ranksPerChannel),
       completions_(std::max(cfg.t.tCL, cfg.t.tWL) + cfg.t.dataCycles()),
-      rankReady_(cfg.ranksPerChannel), bankStale_(banks_.size(), 0),
+      rankReady_(cfg.ranksPerChannel), bankReady_(banks_.size()),
+      entries_{std::vector<BankEntries>(banks_.size()),
+               std::vector<BankEntries>(banks_.size())},
+      occupied_{std::vector<std::uint64_t>((banks_.size() + 63) / 64),
+                std::vector<std::uint64_t>((banks_.size() + 63) / 64)},
       stats_(parent, id)
 {
+    for (std::uint32_t bi = 0; bi < banks_.size(); ++bi) {
+        bankReady_[bi].rank = bi / cfg_.banksPerRank;
+        bankReady(bi);
+    }
+    updateRankReady();
     // Stagger refresh deadlines so the ranks don't refresh in
     // lock-step and stall the whole channel at once.
     for (std::uint32_t r = 0; r < cfg_.ranksPerChannel; ++r) {
@@ -78,19 +88,27 @@ DramChannel::enqueue(MemRequest req, const DramCoord &coord,
     const bool isWrite = req.type == ReqType::Write;
     if (!isWrite && req.crit > 0)
         ++critQueued_;
-    Transaction &trans = (isWrite ? writeQ_ : readQ_)
-                             .emplace_back(std::move(req), coord, now);
-    // An arrival changes no bank state: evaluate it against current
-    // values, unless a stale bank or a pending refresh defers that to
-    // the next walk.
-    if (!ranks_[coord.rank].refreshPending &&
-        !bankStale_[bankIdx(coord.rank, coord.bank)]) {
-        trans.ready = bankReady(coord, isWrite);
-        if (!readyStale_) {
-            DramCycle &min = isWrite ? minWrite_ : minRead_;
-            min = std::min(min, readyAt(trans));
-        }
+    const std::size_t q = isWrite ? kWriteQ : kReadQ;
+    std::vector<Transaction> &entries = queue(q);
+    // An arrival changes no bank state: it joins its bank's class.
+    const std::uint64_t bit = std::uint64_t{1} << entries.size();
+    const std::uint32_t bi = bankIdx(coord.rank, coord.bank);
+    BankEntries &bank = entries_[q][bi];
+    bank.all |= bit;
+    occupied_[q][bi / 64] |= std::uint64_t{1} << (bi % 64);
+    const BankReady &at = bankReady_[bi];
+    std::size_t cmd = static_cast<std::size_t>(at.missCmd);
+    DramCycle bankAt = at.missAt;
+    if (banks_.open[bi] && banks_.row[bi] == coord.row) {
+        bank.hit |= bit;
+        cmd = casCmd(q);
+        bankAt = at.hitAt[q];
     }
+    if (!earliestStale_) {
+        earliest_[q] = std::min(
+            earliest_[q], std::max(bankAt, rankReady_[coord.rank][cmd]));
+    }
+    entries.emplace_back(std::move(req), coord, now);
     return true;
 }
 
@@ -155,7 +173,8 @@ DramChannel::refreshTick(DramCycle now)
                     continue;
                 }
                 rank.refreshPending = true;
-                readyStale_ = true;
+                updateRankReady();
+                earliestStale_ = true;
             } else {
                 continue;
             }
@@ -181,7 +200,10 @@ DramChannel::refreshTick(DramCycle now)
                     banks_.open[bi] = 0;
                     banks_.readyAct[bi] =
                         std::max(banks_.readyAct[bi], now + cfg_.t.tRP);
-                    markBankStale(bi);
+                    // The pending rank offers nothing until its REF, so
+                    // earliest_ stands.
+                    clearRowHits(bi);
+                    bankReady(bi);
                     ++stats_.precharges;
                     lastProgress_ = now;
                     return true; // consumed the command bus
@@ -197,9 +219,11 @@ DramChannel::refreshTick(DramCycle now)
         if (allClosed && now >= readyRef) {
             for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b) {
                 banks_.readyAct[base + b] = now + cfg_.t.tRFC;
-                markBankStale(base + b);
+                bankReady(base + b);
             }
             rank.refreshPending = false;
+            updateRankReady();
+            earliestStale_ = true;
             rank.refreshDue += cfg_.t.tREFI;
             ++stats_.refreshes;
             lastProgress_ = now;
@@ -217,18 +241,65 @@ DramChannel::refreshTick(DramCycle now)
     return false;
 }
 
-DramChannel::TxnReady
-DramChannel::bankReady(const DramCoord &c, bool isWrite) const
+void
+DramChannel::bankReady(std::uint32_t bi)
 {
     ++readinessEvals_;
-    const std::uint32_t bi = bankIdx(c.rank, c.bank);
-    if (!banks_.open[bi])
-        return {DramCmd::Act, false, banks_.readyAct[bi]};
-    if (banks_.row[bi] == c.row) {
-        return {isWrite ? DramCmd::Write : DramCmd::Read, true,
-                isWrite ? banks_.readyWrite[bi] : banks_.readyRead[bi]};
+    BankReady &ready = bankReady_[bi];
+    ready.hitAt = {banks_.readyRead[bi], banks_.readyWrite[bi]};
+    if (banks_.open[bi]) {
+        ready.missCmd = DramCmd::Pre;
+        ready.missAt = banks_.readyPre[bi];
+    } else {
+        ready.missCmd = DramCmd::Act;
+        ready.missAt = banks_.readyAct[bi];
     }
-    return {DramCmd::Pre, false, banks_.readyPre[bi]};
+}
+
+void
+DramChannel::markRowHits(std::uint32_t bi)
+{
+    const std::uint64_t row = banks_.row[bi];
+    for (std::size_t q : {kReadQ, kWriteQ}) {
+        const std::vector<Transaction> &entries = queue(q);
+        BankEntries &bank = entries_[q][bi];
+        bank.hit = 0;
+        for (std::uint64_t bits = bank.all; bits != 0; bits &= bits - 1) {
+            const int i = std::countr_zero(bits);
+            if (entries[i].coord.row == row)
+                bank.hit |= std::uint64_t{1} << i;
+        }
+    }
+}
+
+void
+DramChannel::clearRowHits(std::uint32_t bi)
+{
+    entries_[kReadQ][bi].hit = 0;
+    entries_[kWriteQ][bi].hit = 0;
+}
+
+DramChannel::Transaction
+DramChannel::eraseEntry(std::size_t q, std::uint32_t pos)
+{
+    std::vector<Transaction> &entries = queue(q);
+    Transaction trans = std::move(entries[pos]);
+    entries.erase(entries.begin() + pos);
+    // Every later entry moves down one position: keep the bits below
+    // pos, shift the ones above it down (dropping bit pos itself).
+    const std::uint64_t below = (std::uint64_t{1} << pos) - 1;
+    const std::vector<std::uint64_t> &occupied = occupied_[q];
+    for (std::size_t w = 0; w < occupied.size(); ++w) {
+        for (std::uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1) {
+            BankEntries &bank = entries_[q][w * 64 + std::countr_zero(bits)];
+            bank.all = (bank.all & below) | ((bank.all >> 1) & ~below);
+            bank.hit = (bank.hit & below) | ((bank.hit >> 1) & ~below);
+        }
+    }
+    const std::uint32_t bi = bankIdx(trans.coord.rank, trans.coord.bank);
+    if (entries_[q][bi].all == 0)
+        occupied_[q][bi / 64] &= ~(std::uint64_t{1} << (bi % 64));
+    return trans;
 }
 
 void
@@ -237,6 +308,13 @@ DramChannel::updateRankReady()
     const DramTiming &t = cfg_.t;
     for (std::uint32_t r = 0; r < cfg_.ranksPerChannel; ++r) {
         const RankState &rank = ranks_[r];
+        CmdCycles &at = rankReady_[r];
+        // A rank with a refresh pending offers nothing; its entries
+        // come back when REF re-evaluates every bank of the rank.
+        if (rank.refreshPending) {
+            at.fill(kNoCycle);
+            continue;
+        }
         // A CAS must also find the shared data bus free when its
         // burst starts, CAS latency after the command.
         const DramCycle busFree = dataBusFreeFor(r);
@@ -244,7 +322,6 @@ DramChannel::updateRankReady()
             return std::max(ready,
                             busFree > casLead ? busFree - casLead : 0);
         };
-        std::array<DramCycle, 4> &at = rankReady_[r];
         at[static_cast<std::size_t>(DramCmd::Act)] =
             std::max(rank.readyAct, rank.fawReady(t.tFAW));
         at[static_cast<std::size_t>(DramCmd::Read)] =
@@ -255,56 +332,102 @@ DramChannel::updateRankReady()
     }
 }
 
-DramCycle
-DramChannel::walk(const std::vector<Transaction> &queue, bool isWrite,
-                  DramCycle now, std::uint32_t slack,
-                  std::vector<SchedCandidate> *out) const
+namespace
 {
-    // Entries on a refresh-pending rank are skipped: they are not
-    // candidates, and the REF that clears the pending flag marks
-    // every bank of the rank stale.
-    DramCycle min = kNoCycle;
-    for (std::uint32_t i = 0; i < queue.size(); ++i) {
-        const Transaction &trans = queue[i];
-        const DramCoord &c = trans.coord;
-        if (ranks_[c.rank].refreshPending)
-            continue;
-        if (bankStale_[bankIdx(c.rank, c.bank)])
-            trans.ready = bankReady(c, isWrite);
-        const TxnReady &ready = trans.ready;
-        DramCycle at = readyAt(trans);
-        min = std::min(min, at);
-        if (!out)
-            continue;
+
+/** @p at when @p present, else kNoCycle (all ones), without a branch. */
+DramCycle
+orNone(DramCycle at, bool present)
+{
+    return at | (static_cast<DramCycle>(present) - 1);
+}
+
+/** @p bits when @p keep, else 0, without a branch. */
+std::uint64_t
+keepIf(std::uint64_t bits, bool keep)
+{
+    return bits & (0 - static_cast<std::uint64_t>(keep));
+}
+
+} // namespace
+
+void
+DramChannel::refreshEarliest() const
+{
+    const std::array<QueueScan, 2> queues = scan(0, 0);
+    earliest_ = {queues[kReadQ].earliest, queues[kWriteQ].earliest};
+    earliestStale_ = false;
+}
+
+std::array<DramChannel::QueueScan, 2>
+DramChannel::scan(DramCycle now, std::uint32_t slack) const
+{
+    // Which classes are empty is data, so the pass selects with masks
+    // instead of branching. The EarlyCas slack moves row-hit CASes
+    // earlier only, and leaves the minima alone. Both queues share a
+    // bank's miss class part.
+    const DramCycle hitBy = now + slack;
+    QueueScan reads;
+    QueueScan writes;
+    const std::vector<std::uint64_t> &readBanks = occupied_[kReadQ];
+    const std::vector<std::uint64_t> &writeBanks = occupied_[kWriteQ];
+    for (std::size_t w = 0; w < readBanks.size(); ++w) {
+        for (std::uint64_t bits = readBanks[w] | writeBanks[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::size_t bi = w * 64 + std::countr_zero(bits);
+            const BankReady &at = bankReady_[bi];
+            const CmdCycles &rankAt = rankReady_[at.rank];
+            const DramCycle missAt = std::max(
+                at.missAt, rankAt[static_cast<std::size_t>(at.missCmd)]);
+            const bool missReady = missAt <= now;
+            auto fold = [&](QueueScan &queue, std::size_t q) {
+                const BankEntries &bank = entries_[q][bi];
+                const DramCycle hitAt =
+                    std::max(at.hitAt[q], rankAt[casCmd(q)]);
+                const std::uint64_t misses = bank.all & ~bank.hit;
+                queue.hit |= keepIf(bank.hit, hitAt <= hitBy);
+                queue.miss |= keepIf(misses, missReady);
+                queue.earliest = std::min(queue.earliest,
+                                          orNone(hitAt, bank.hit != 0));
+                queue.earliest =
+                    std::min(queue.earliest, orNone(missAt, misses != 0));
+            };
+            fold(reads, kReadQ);
+            fold(writes, kWriteQ);
+        }
+    }
+    return {reads, writes};
+}
+
+void
+DramChannel::emitCandidates(std::size_t q, const QueueScan &ready)
+{
+    const bool isWrite = q == kWriteQ;
+    const std::vector<Transaction> &entries = queue(q);
+    for (std::uint64_t bits = ready.hit | ready.miss; bits != 0;
+         bits &= bits - 1) {
+        const int i = std::countr_zero(bits);
+        const Transaction &trans = entries[i];
+        ++entriesRead_;
         if (injector_ && injector_->starveCore(trans.req.core))
             continue; // fault: scheduler never sees this core
-        if (ready.rowHit)
-            at = at > slack ? at - slack : 0;
-        if (at > now)
-            continue;
+        const bool rowHit = (ready.hit >> i) & 1;
 
-        SchedCandidate &cand = out->emplace_back();
-        cand.queueIndex = i;
-        cand.coord = c;
+        SchedCandidate &cand = cands_.emplace_back();
+        cand.queueIndex = static_cast<std::uint32_t>(i);
+        cand.coord = trans.coord;
         cand.isWrite = isWrite;
         cand.isPrefetch = trans.req.type == ReqType::Prefetch;
         cand.core = trans.req.core;
         cand.crit = trans.req.crit;
         cand.arrival = trans.arrival;
         cand.seq = trans.req.id;
-        cand.cmd = ready.cmd;
-        cand.rowHit = ready.rowHit;
+        cand.cmd = rowHit
+            ? (isWrite ? DramCmd::Write : DramCmd::Read)
+            : bankReady_[bankIdx(trans.coord.rank, trans.coord.bank)]
+                  .missCmd;
+        cand.rowHit = rowHit;
     }
-    return min;
-}
-
-void
-DramChannel::refreshReady() const
-{
-    minRead_ = walk(readQ_, false, 0, 0, nullptr);
-    minWrite_ = walk(writeQ_, true, 0, 0, nullptr);
-    std::fill(bankStale_.begin(), bankStale_.end(), 0);
-    readyStale_ = false;
 }
 
 bool
@@ -339,31 +462,29 @@ DramChannel::buildCandidates(DramCycle now)
         else if (draining_ && writeQ_.size() <= lo)
             draining_ = false;
     }
-    const bool wElig = writesEligible();
-    if (!readyStale_ && !injector_ &&
-        std::min(minRead_, wElig ? minWrite_ : kNoCycle) > now)
+    const bool writes = writesEligible();
+    if (!earliestStale_ && !injector_ &&
+        std::min(earliest_[kReadQ], writes ? earliest_[kWriteQ] : kNoCycle) >
+            now)
         return;
 
     // EarlyCas fault: pretend CAS timing windows open `slack` cycles
-    // sooner than they really do (saturating: a window the slack
-    // fully covers opened at cycle 0). issue() applies honest
-    // timings, so the shadow checker sees a genuinely premature
-    // command.
+    // sooner than they really do (a row hit ready by now + slack is
+    // issuable). issue() applies honest timings, so the shadow
+    // checker sees a genuinely premature command.
     const std::uint32_t slack = injector_ ? injector_->casSlack(now) : 0;
 
-    // One walk per queue both refreshes stale values and gathers the
-    // candidates; a stale channel walks the write queue for its
-    // minimum even while writes are not eligible.
-    const DramCycle minRead = walk(readQ_, false, now, slack, &cands_);
-    if (!readyStale_) {
-        if (wElig)
-            walk(writeQ_, true, now, slack, &cands_);
-        return;
+    // Candidates in queue order: reads, then eligible writes. The scan
+    // covers the write queue while writes are not eligible too, which
+    // keeps its minimum.
+    const std::array<QueueScan, 2> queues = scan(now, slack);
+    if (earliestStale_) {
+        earliest_ = {queues[kReadQ].earliest, queues[kWriteQ].earliest};
+        earliestStale_ = false;
     }
-    minRead_ = minRead;
-    minWrite_ = walk(writeQ_, true, now, slack, wElig ? &cands_ : nullptr);
-    std::fill(bankStale_.begin(), bankStale_.end(), 0);
-    readyStale_ = false;
+    emitCandidates(kReadQ, queues[kReadQ]);
+    if (writes)
+        emitCandidates(kWriteQ, queues[kWriteQ]);
 }
 
 void
@@ -407,26 +528,15 @@ DramChannel::maybeAutoPrecharge(const DramCoord &coord, DramCycle now)
 {
     if (!cfg_.closedPage)
         return;
-    // Keep the row open while any queued transaction still wants it.
-    for (const Transaction &trans : readQ_) {
-        if (trans.coord.rank == coord.rank &&
-            trans.coord.bank == coord.bank &&
-            trans.coord.row == coord.row) {
-            return;
-        }
-    }
-    for (const Transaction &trans : writeQ_) {
-        if (trans.coord.rank == coord.rank &&
-            trans.coord.bank == coord.bank &&
-            trans.coord.row == coord.row) {
-            return;
-        }
-    }
+    // Keep the row open while any queued transaction still wants it:
+    // the CAS hit the open row, so those are the bank's hit bits.
+    const std::uint32_t bi = bankIdx(coord.rank, coord.bank);
+    if ((entries_[kReadQ][bi].hit | entries_[kWriteQ][bi].hit) != 0)
+        return;
     // CAS-with-auto-precharge: the bank closes once its restore
     // window (already folded into readyPre by applyRead/applyWrite)
     // elapses; model it as an immediate close whose next activate
-    // honors that window plus tRP.
-    const std::uint32_t bi = bankIdx(coord.rank, coord.bank);
+    // honors that window plus tRP. No hit bit is left to clear.
     banks_.open[bi] = 0;
     banks_.readyAct[bi] =
         std::max(banks_.readyAct[bi], banks_.readyPre[bi] + cfg_.t.tRP);
@@ -439,13 +549,9 @@ void
 DramChannel::issue(const SchedCandidate &cand, DramCycle now)
 {
     const DramTiming &t = cfg_.t;
-    auto &queue = cand.isWrite ? writeQ_ : readQ_;
     const std::uint32_t bi = bankIdx(cand.coord.rank, cand.coord.bank);
 
     lastProgress_ = now;
-    // Every command changes its own bank; the closed-page
-    // auto-precharge after a CAS closes that same bank.
-    markBankStale(bi);
     if (observer_)
         observer_->onCommand(id_, cand.cmd, cand.coord, now);
 
@@ -463,6 +569,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
             std::max(banks_.readyWrite[bi], now + t.tRCD);
         banks_.readyPre[bi] = std::max(banks_.readyPre[bi], now + t.tRAS);
         banks_.readyAct[bi] = std::max(banks_.readyAct[bi], now + t.tRC);
+        markRowHits(bi);
         ++stats_.activates;
         ++stats_.rowMisses;
         break;
@@ -472,8 +579,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
         applyRead(cand.coord, now);
         ++stats_.reads;
         ++stats_.rowHits;
-        Transaction trans = std::move(queue[cand.queueIndex]);
-        queue.erase(queue.begin() + cand.queueIndex);
+        const Transaction trans = eraseEntry(kReadQ, cand.queueIndex);
         critQueued_ -= trans.req.crit > 0;
         completions_.push(now + t.tCL + t.dataCycles(),
                           Completion{trans.req, trans.arrival});
@@ -485,8 +591,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
         applyWrite(cand.coord, now);
         ++stats_.writes;
         ++stats_.rowHits;
-        Transaction trans = std::move(queue[cand.queueIndex]);
-        queue.erase(queue.begin() + cand.queueIndex);
+        const Transaction trans = eraseEntry(kWriteQ, cand.queueIndex);
         completions_.push(now + t.tWL + t.dataCycles(),
                           Completion{trans.req, trans.arrival});
         maybeAutoPrecharge(cand.coord, now);
@@ -496,6 +601,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
       case DramCmd::Pre:
         banks_.open[bi] = 0;
         banks_.readyAct[bi] = std::max(banks_.readyAct[bi], now + t.tRP);
+        clearRowHits(bi);
         ++stats_.precharges;
         ++stats_.rowConflicts;
         break;
@@ -503,8 +609,14 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
       case DramCmd::Ref:
         panic("refresh is issued by the refresh engine, not pick()");
     }
+    // Every command changes only its own bank and its bits; the
+    // closed-page auto-precharge after a CAS closes that same bank.
+    // A CAS shifts other banks' bits too, but moves no entry between
+    // classes there.
+    bankReady(bi);
     if (cand.cmd != DramCmd::Pre)
         updateRankReady();
+    earliestStale_ = true;
 
     sched_.onIssue(id_, cand, now);
 }
@@ -585,15 +697,14 @@ DramChannel::nextEventCycle(DramCycle now) const
         if (watchdogCycles_ != 0 && observer_)
             next = std::min(next, lastProgress_ + watchdogCycles_);
 
-        // Earliest cycle any queued transaction becomes issuable: the
-        // cached minima buildCandidates() admits against.
+        // Earliest cycle any queued transaction becomes issuable.
         // Transactions on refresh-pending ranks resurface via the
         // refresh events above.
-        if (readyStale_)
-            refreshReady();
-        next = std::min(next, minRead_);
+        if (earliestStale_)
+            refreshEarliest();
+        next = std::min(next, earliest_[kReadQ]);
         if (writesEligible())
-            next = std::min(next, minWrite_);
+            next = std::min(next, earliest_[kWriteQ]);
     }
 
     if (next == kNoCycle)

@@ -33,7 +33,8 @@ namespace critmem
  * puts on its whole rank live in RankState. The effective ready cycle
  * is the max of the two. A bank's values change only when a command
  * issues to it or the refresh engine acts on it; DramChannel caches
- * every queued transaction's bank part between those changes.
+ * the bank part of each of its readiness classes between those
+ * changes.
  */
 struct BankTimingSoA
 {
@@ -135,7 +136,7 @@ class DramChannel
      * could do anything besides static idle accounting: a completion
      * popping, a refresh action (or a rank crossing its tREFI
      * deadline), a queued transaction's timing window opening (the
-     * cached per-queue minimum buildCandidates() admits against), or
+     * earliest ready cycle over its queue's classes), or
      * the forward-progress watchdog tripping. Returns kNoCycle when the
      * channel is fully drained and no refresh is on the horizon.
      * With a fault injector attached every cycle is an event (faults
@@ -236,19 +237,48 @@ class DramChannel
     /** bankReady() evaluations so far: a work counter, not a stat. */
     std::uint64_t readinessEvals() const { return readinessEvals_; }
 
+    /**
+     * Queue entries read while building candidates and the
+     * nextEventCycle() minima: a work counter, not a stat.
+     */
+    std::uint64_t entriesRead() const { return entriesRead_; }
+
   private:
     /**
-     * The command a queued transaction wants under the current bank
-     * state, and the earliest DRAM cycle its bank's own windows admit
-     * that command. The full ready cycle also takes the rank/channel
-     * part, rankReady_[rank][cmd] (without the injector's EarlyCas
-     * slack, which buildCandidates() subtracts from row-hit CASes).
+     * The bank part of readiness of every class of a bank's queued
+     * transactions, computed by bankReady(): a row hit wants a CAS
+     * (hitAt, per queue), every other entry wants missCmd (ACT on a
+     * closed bank, PRE on an open one) at missAt. A class's full ready
+     * cycle is the max with its rank part, rankReady_[rank][cmd].
      */
-    struct TxnReady
+    struct BankReady
     {
-        DramCmd cmd;
-        bool rowHit;
-        DramCycle bankAt;
+        std::array<DramCycle, 2> hitAt{}; ///< indexed by queue
+        DramCycle missAt = 0;
+        DramCmd missCmd = DramCmd::Act;
+        std::uint32_t rank = 0;
+    };
+
+    /**
+     * One queue's entries of one bank as bits of their queue
+     * positions (bit i = queue[i]), and the subset that hits the
+     * bank's open row (always empty while the bank is closed).
+     */
+    struct BankEntries
+    {
+        std::uint64_t all = 0;
+        std::uint64_t hit = 0;
+    };
+
+    /**
+     * scan()'s result for one queue: its entries issuable this cycle,
+     * as position bits, and its earliest full ready cycle.
+     */
+    struct QueueScan
+    {
+        std::uint64_t hit = 0;  ///< row-hit CASes
+        std::uint64_t miss = 0; ///< ACTs and PREs
+        DramCycle earliest = kNoCycle;
     };
 
     struct Transaction
@@ -256,11 +286,6 @@ class DramChannel
         MemRequest req;
         DramCoord coord;
         DramCycle arrival = 0;
-        /**
-         * bankReady() of this entry; current while its bank is not
-         * stale and its rank has no refresh pending.
-         */
-        mutable TxnReady ready{};
     };
 
     /** A CAS-issued transaction waiting for its data burst to end. */
@@ -270,51 +295,73 @@ class DramChannel
         DramCycle arrival;
     };
 
+    /** A cycle per DramCmd (Act, Read, Write, Pre). */
+    using CmdCycles = std::array<DramCycle, 4>;
+
+    /** Index of a queue in entries_: reads 0, writes 1. */
+    static constexpr std::size_t kReadQ = 0;
+    static constexpr std::size_t kWriteQ = 1;
+
     std::uint32_t bankIdx(std::uint32_t rank, std::uint32_t bank) const
     {
         return rank * cfg_.banksPerRank + bank;
     }
 
-    /** The bank part of a transaction's readiness: one evaluation. */
-    TxnReady bankReady(const DramCoord &coord, bool isWrite) const;
-
-    /** Full ready cycle of @p trans: its bank part and rank part. */
-    DramCycle
-    readyAt(const Transaction &trans) const
+    std::vector<Transaction> &queue(std::size_t q)
     {
-        return std::max(
-            trans.ready.bankAt,
-            rankReady_[trans.coord.rank]
-                      [static_cast<std::size_t>(trans.ready.cmd)]);
+        return q == kWriteQ ? writeQ_ : readQ_;
     }
 
-    /** Recompute rankReady_ from the rank and data-bus state. */
+    /**
+     * Re-evaluate bank @p bi's BankReady: after every command to it
+     * and every refresh PRE or REF that touches it.
+     */
+    void bankReady(std::uint32_t bi);
+
+    /**
+     * Recompute rankReady_ from the rank and data-bus state; a rank
+     * with a refresh pending gets kNoCycle for every command.
+     */
     void updateRankReady();
 
-    /** A command or the refresh engine changed bank @p bi. */
-    void
-    markBankStale(std::uint32_t bi)
+    /** The CAS a row hit in queue @p q wants, as a CmdCycles index. */
+    static constexpr std::size_t
+    casCmd(std::size_t q)
     {
-        bankStale_[bi] = 1;
-        readyStale_ = true;
+        return static_cast<std::size_t>(q == kWriteQ ? DramCmd::Write
+                                                     : DramCmd::Read);
     }
 
     /**
-     * One in-order walk of @p queue: re-evaluate the bank part of
-     * every entry whose bank is stale, and return the earliest full
-     * ready cycle over the entries whose rank has no refresh pending.
-     * With @p out, also append every entry issuable at @p now (the
-     * EarlyCas @p slack taken off row-hit CASes) to it as a candidate.
+     * Each queue's entries issuable at @p now (row hits @p slack
+     * cycles early) and its earliest ready cycle, ranks with a refresh
+     * pending skipped: one pass over the banks that hold entries of
+     * either queue, three max and four compares per bank, and no queue
+     * entry read.
      */
-    DramCycle walk(const std::vector<Transaction> &queue, bool isWrite,
-                   DramCycle now, std::uint32_t slack,
-                   std::vector<SchedCandidate> *out) const;
+    std::array<QueueScan, 2> scan(DramCycle now, std::uint32_t slack) const;
+
+    /** Bring earliest_ up to date after a command or refresh action. */
+    void refreshEarliest() const;
 
     /**
-     * Bring every cached readiness value and both minima up to date
-     * without gathering candidates (nextEventCycle()'s pass).
+     * Append queue @p q's entries in @p ready to cands_, in queue
+     * order; each is asked starveCore() first.
      */
-    void refreshReady() const;
+    void emitCandidates(std::size_t q, const QueueScan &ready);
+
+    /** Set bank @p bi's hit bits from its entries' rows (after ACT). */
+    void markRowHits(std::uint32_t bi);
+
+    /** Clear bank @p bi's hit bits (the bank closed). */
+    void clearRowHits(std::uint32_t bi);
+
+    /**
+     * Remove queue @p q's entry at @p pos (its CAS issued) and shift
+     * the bits above @p pos down one in every bank holding entries.
+     * @return the entry.
+     */
+    Transaction eraseEntry(std::size_t q, std::uint32_t pos);
 
     /** The write-drain watermark decision for the current queue sizes. */
     bool writesEligible() const;
@@ -328,7 +375,7 @@ class DramChannel
     /** Report a stall when the forward-progress bound is exceeded. */
     void checkWatchdog(DramCycle now);
 
-    /** Gather this cycle's candidates into cands_ (one fused walk). */
+    /** Gather this cycle's candidates into cands_. */
     void buildCandidates(DramCycle now);
     void maybeAutoPrecharge(const DramCoord &coord, DramCycle now);
     void issue(const SchedCandidate &cand, DramCycle now);
@@ -367,17 +414,28 @@ class DramChannel
     /**
      * Rank/channel part of readiness per rank, indexed by DramCmd:
      * tRRD and tFAW for ACT, the rank-wide CAS windows plus the data
-     * bus and tRTRS for RD/WR, 0 for PRE. Updated after every ACT/CAS.
+     * bus and tRTRS for RD/WR, 0 for PRE; kNoCycle for every command
+     * while the rank's refresh is pending. Updated after every ACT/CAS
+     * and when a refresh goes pending or its REF issues.
      */
-    std::vector<std::array<DramCycle, 4>> rankReady_;
-    /** Per bank: its entries' cached TxnReady may be out of date. */
-    mutable std::vector<std::uint8_t> bankStale_;
-    /** Some bank is stale, or the minima below are out of date. */
-    mutable bool readyStale_ = false;
-    /** Earliest ready cycle per queue, refresh-pending ranks aside. */
-    mutable DramCycle minRead_ = kNoCycle;
-    mutable DramCycle minWrite_ = kNoCycle;
-    mutable std::uint64_t readinessEvals_ = 0;
+    std::vector<CmdCycles> rankReady_;
+    /** Per bank: the bank part of each class (bankReady()). */
+    std::vector<BankReady> bankReady_;
+    /** Per queue, per bank: its entries' queue positions. */
+    std::array<std::vector<BankEntries>, 2> entries_;
+    /** Per queue: one bit per bank holding at least one entry. */
+    std::array<std::vector<std::uint64_t>, 2> occupied_;
+    /**
+     * Per queue: the earliest ready cycle over its classes, lowered by
+     * each arrival, so an idle tick and nextEventCycle() cost one
+     * compare. A command or refresh action sets earliestStale_, and the
+     * next candidate build (or nextEventCycle()) takes the minima from
+     * its scan instead of a pass of their own.
+     */
+    mutable std::array<DramCycle, 2> earliest_{kNoCycle, kNoCycle};
+    mutable bool earliestStale_ = false;
+    std::uint64_t readinessEvals_ = 0;
+    std::uint64_t entriesRead_ = 0;
 
     Stats stats_;
 };

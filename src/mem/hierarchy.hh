@@ -318,7 +318,6 @@ class MemHierarchy : private FillListener
      */
     TimingWheel<Event> events_;
     Cycle now_ = 0;
-    std::uint64_t inFlight_ = 0;
     std::vector<Addr> prefetchScratch_;
 
     Stats stats_;

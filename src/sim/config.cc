@@ -340,6 +340,10 @@ DramConfig::validate(ConfigErrors &errors) const
                  "must be a nonzero power of two");
     if (queueEntries == 0)
         addError(errors, "dram.queueEntries", "must be nonzero");
+    else if (queueEntries > 64)
+        addError(errors, "dram.queueEntries",
+                 "must be at most 64 (a channel keeps each bank's queue "
+                 "positions in one 64-bit mask)");
     t.validate(errors);
     // DDR3 retires its 8192 refresh commands in one 64 ms window.
     if (busMHz != 0 && t.tREFI != 0) {

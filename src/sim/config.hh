@@ -93,7 +93,7 @@ struct DramConfig
     std::uint32_t ranksPerChannel = 4; ///< quad rank per channel
     std::uint32_t banksPerRank = 8;
     std::uint32_t rowBytes = 1024;     ///< row buffer size
-    std::uint32_t queueEntries = 64;   ///< transaction queue entries
+    std::uint32_t queueEntries = 64;   ///< transaction queue entries, <= 64
     /**
      * Row policy: open page (Table 3) keeps rows open after a CAS;
      * closed page auto-precharges when no other queued transaction

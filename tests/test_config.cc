@@ -207,6 +207,17 @@ TEST(ConfigValidate, AssociativityFitsOneByteRanks)
     EXPECT_EQ(errors.size(), 1u);
 }
 
+TEST(ConfigValidate, QueueFitsOnePositionMask)
+{
+    SystemConfig cfg = SystemConfig::parallelDefault();
+    cfg.dram.queueEntries = 64;
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.dram.queueEntries = 65;
+    const ConfigErrors errors = cfg.validate();
+    EXPECT_TRUE(hasField(errors, "dram.queueEntries"));
+    EXPECT_EQ(errors.size(), 1u);
+}
+
 TEST(ConfigValidate, TimingRelationsAreEnforced)
 {
     SystemConfig cfg = SystemConfig::parallelDefault();

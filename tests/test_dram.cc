@@ -293,9 +293,10 @@ TEST_F(DramTest, ReadLatencyStatTracksCompletions)
 }
 
 /*
- * The channel caches each queued transaction's ready cycle until a
- * command issues or the refresh engine acts. Each test below pins an
- * exact command cycle that a missed invalidation would move.
+ * The channel caches each bank's readiness classes until a command
+ * issues or the refresh engine acts, and an arrival joins its class
+ * without a re-evaluation. Each test below pins an exact command cycle
+ * that a missed update would move.
  */
 
 TEST_F(DramTest, RowHitEnqueuedWhileReadinessIsCurrentIssuesAtOnce)
@@ -310,7 +311,7 @@ TEST_F(DramTest, RowHitEnqueuedWhileReadinessIsCurrentIssuesAtOnce)
     ASSERT_EQ(act, 1u);
     ASSERT_EQ(log.at(DramCmd::Read, 0, 0), act + cfg_.t.tRCD);
     // Nothing has issued since the CAS and the conflict's PRE is
-    // still tRAS away: the stored readiness is current.
+    // still tRAS away: the cached classes are current.
     ASSERT_EQ(log.entries.size(), 2u);
     ASSERT_LT(now_ + 1, act + cfg_.t.tRAS);
     ASSERT_GE(now_, act + cfg_.t.tRCD + cfg_.t.tCCD);
@@ -442,15 +443,58 @@ namespace
 {
 
 /**
+ * Acts in both hooks consulted while candidates are built: each tick
+ * draws an EarlyCas slack of 0-3 cycles, and in every other window of
+ * kWindow cycles all of core kVictim's transactions are hidden (a
+ * victim hidden for good would fill the queue with its requests).
+ */
+class CandidateFaults : public FaultInjector
+{
+  public:
+    static constexpr CoreId kVictim = 5;
+    static constexpr DramCycle kWindow = 1000;
+
+    explicit CandidateFaults(std::uint64_t seed) : rng_(seed) {}
+
+    std::uint32_t
+    casSlack(DramCycle now) override
+    {
+        starving = (now / kWindow) % 2 == 1;
+        slack = static_cast<std::uint32_t>(rng_.below(4));
+        return slack;
+    }
+
+    bool
+    starveCore(CoreId core) override
+    {
+        const bool hide = starving && core == kVictim;
+        hidden += hide;
+        return hide;
+    }
+
+    /** The slack and starvation the last candidate build saw. */
+    std::uint32_t slack = 0;
+    bool starving = false;
+    /** Entries hidden so far. */
+    std::uint64_t hidden = 0;
+
+  private:
+    Rng rng_;
+};
+
+/**
  * The candidates @p snap's channel offers at snap.now, computed from
  * scratch: every queued transaction's command and ready cycle straight
  * from the (effective) bank windows, the rank's tFAW window and the
  * data bus, in queue order (reads, then eligible writes), skipping
- * ranks with a refresh pending.
+ * ranks with a refresh pending. With @p faults, row-hit CASes are
+ * ready its slack early and a starved victim's entries are left out.
  */
 std::vector<SchedCandidate>
-referenceCandidates(const ChannelSnapshot &snap, const DramConfig &cfg)
+referenceCandidates(const ChannelSnapshot &snap, const DramConfig &cfg,
+                    const CandidateFaults *faults = nullptr)
 {
+    const std::uint32_t slack = faults ? faults->slack : 0;
     const DramTiming &t = cfg.t;
     std::vector<SchedCandidate> out;
     auto consider = [&](const std::vector<ChannelSnapshot::QueueEntry> &q,
@@ -459,6 +503,9 @@ referenceCandidates(const ChannelSnapshot &snap, const DramConfig &cfg)
             const DramCoord &c = q[i].coord;
             const ChannelSnapshot::Rank &rank = snap.ranks[c.rank];
             if (rank.refreshPending)
+                continue;
+            if (faults && faults->starving &&
+                q[i].core == CandidateFaults::kVictim)
                 continue;
             const ChannelSnapshot::Bank &bank =
                 snap.banks[c.rank * cfg.banksPerRank + c.bank];
@@ -483,6 +530,7 @@ referenceCandidates(const ChannelSnapshot &snap, const DramConfig &cfg)
                 const DramCycle lead = isWrite ? t.tWL : t.tCL;
                 at = std::max(isWrite ? bank.readyWrite : bank.readyRead,
                               busFree > lead ? busFree - lead : 0);
+                at = at > slack ? at - slack : 0;
             } else {
                 cand.cmd = DramCmd::Pre;
                 at = bank.readyPre;
@@ -527,7 +575,7 @@ class ReferenceScheduler : public Scheduler
     {
         ++picks;
         const std::vector<SchedCandidate> expected = referenceCandidates(
-            dram->channel(channel).snapshot(now), cfg_);
+            dram->channel(channel).snapshot(now), cfg_, faults);
         bool same = expected.size() == cands.size();
         for (std::size_t i = 0; same && i < cands.size(); ++i) {
             const SchedCandidate &a = cands[i];
@@ -548,6 +596,7 @@ class ReferenceScheduler : public Scheduler
     const char *name() const override { return "reference"; }
 
     const DramSystem *dram = nullptr;
+    const CandidateFaults *faults = nullptr;
     std::uint64_t picks = 0;
     std::uint64_t mismatches = 0;
     std::string firstMismatch;
@@ -569,80 +618,105 @@ struct CmdCounter : ChannelObserver
     std::uint64_t commands = 0;
 };
 
+/**
+ * One run of the differential test below: 3 tREFI of seeded traffic
+ * on one four-rank channel, every pick() and idle tick checked against
+ * referenceCandidates().
+ */
+void
+checkCandidatesFromScratch(bool unified, bool closedPage, bool faulty)
+{
+    DramConfig cfg = DramConfig::preset(DramSpeed::DDR3_2133);
+    cfg.channels = 1;
+    cfg.ranksPerChannel = 4;
+    cfg.unifiedQueue = unified;
+    cfg.closedPage = closedPage;
+    stats::Group root;
+    ReferenceScheduler sched(cfg, 0xd1ff + unified * 2 + closedPage);
+    DramSystem dram(cfg, sched, root);
+    sched.dram = &dram;
+    CandidateFaults faults(0xfa17 + unified * 2 + closedPage);
+    if (faulty) {
+        dram.setFaultInjector(&faults);
+        sched.faults = &faults;
+    }
+    CmdCounter counter;
+    dram.setObserver(&counter);
+    const DramChannel &channel = dram.channel(0);
+
+    Rng rng(0x5eed + unified * 2 + closedPage);
+    DramCycle quietUntil = 0;
+    std::uint64_t idleChecks = 0;
+    const DramCycle kCycles = 3 * cfg.t.tREFI;
+    for (DramCycle now = 1; now <= kCycles; ++now) {
+        // Bursty load: a few rows per bank, so row hits,
+        // conflicts and empty banks all occur.
+        if (rng.below(4) != 0) {
+            MemRequest req;
+            req.addr = addrOf(4, rng.below(4), rng.below(8),
+                              rng.below(3), rng.below(16));
+            req.type = rng.below(4) == 0 ? ReqType::Write
+                                         : ReqType::Read;
+            req.core = static_cast<CoreId>(rng.below(8));
+            if (dram.enqueue(std::move(req)))
+                quietUntil = 0; // an arrival voids the promise
+        }
+        const std::uint64_t picks = sched.picks;
+        const std::uint64_t commands = counter.commands;
+        dram.tick(now);
+        const bool acted =
+            sched.picks != picks || counter.commands != commands;
+        if (!acted) {
+            ++idleChecks;
+            EXPECT_TRUE(referenceCandidates(channel.snapshot(now),
+                                            cfg, sched.faults)
+                            .empty())
+                << "cycle " << now << " offered no candidate";
+        }
+        EXPECT_FALSE(now < quietUntil && acted)
+            << "cycle " << now << " acted before " << quietUntil;
+        if (now >= quietUntil)
+            quietUntil = dram.nextEventCycle(now);
+    }
+    EXPECT_EQ(sched.mismatches, 0u) << sched.firstMismatch;
+    EXPECT_GT(sched.picks, kCycles / 4);
+    if (faulty) {
+        EXPECT_GT(faults.hidden, 0u);
+    }
+    EXPECT_GT(idleChecks, 0u);
+    EXPECT_GE(channel.channelStats().refreshes.value(), 8u);
+    if (closedPage)
+        EXPECT_GT(channel.channelStats().autoPrecharges.value(), 0u);
+    else
+        EXPECT_GT(channel.channelStats().precharges.value(),
+                  channel.channelStats().refreshes.value());
+}
+
 } // namespace
 
 /*
- * Differential test of the readiness cache: the channel caches each
- * transaction's bank part until a command or the refresh engine
- * touches its bank, and recomputes the rank part after each command.
- * On seeded deep-queue traffic over four ranks, with refresh running,
- * every pick() must see exactly the candidates a from-scratch
- * computation gives; every tick that offered none must have none by
- * that computation either; and nothing may become issuable before the
- * cycle nextEventCycle() promised.
+ * Differential test of the readiness classes: the channel caches each
+ * bank's class parts until a command or the refresh engine touches the
+ * bank, recomputes the rank part after each command, and keeps each
+ * bank's entries and row hits as queue-position bits. On seeded
+ * deep-queue traffic over four ranks, with refresh running, every
+ * pick() must see exactly the candidates a from-scratch computation
+ * gives; every tick that offered none must have none by that
+ * computation either; and nothing may become issuable before the
+ * cycle nextEventCycle() promised. A second pass attaches a fault
+ * injector that gives row hits a nonzero EarlyCas slack and starves
+ * one core, the two hooks that act while candidates are built.
  */
 TEST(DramReadinessCache, CandidatesMatchFromScratchReadiness)
 {
-    for (const bool unified : {true, false}) {
-        for (const bool closedPage : {false, true}) {
-            SCOPED_TRACE(std::string(unified ? "unified" : "split") +
-                         (closedPage ? " closed-page" : " open-page"));
-            DramConfig cfg = DramConfig::preset(DramSpeed::DDR3_2133);
-            cfg.channels = 1;
-            cfg.ranksPerChannel = 4;
-            cfg.unifiedQueue = unified;
-            cfg.closedPage = closedPage;
-            stats::Group root;
-            ReferenceScheduler sched(cfg, 0xd1ff + unified * 2 + closedPage);
-            DramSystem dram(cfg, sched, root);
-            sched.dram = &dram;
-            CmdCounter counter;
-            dram.setObserver(&counter);
-            const DramChannel &channel = dram.channel(0);
-
-            Rng rng(0x5eed + unified * 2 + closedPage);
-            DramCycle quietUntil = 0;
-            std::uint64_t idleChecks = 0;
-            const DramCycle kCycles = 3 * cfg.t.tREFI;
-            for (DramCycle now = 1; now <= kCycles; ++now) {
-                // Bursty load: a few rows per bank, so row hits,
-                // conflicts and empty banks all occur.
-                if (rng.below(4) != 0) {
-                    MemRequest req;
-                    req.addr = addrOf(4, rng.below(4), rng.below(8),
-                                      rng.below(3), rng.below(16));
-                    req.type = rng.below(4) == 0 ? ReqType::Write
-                                                 : ReqType::Read;
-                    req.core = static_cast<CoreId>(rng.below(8));
-                    if (dram.enqueue(std::move(req)))
-                        quietUntil = 0; // an arrival voids the promise
-                }
-                const std::uint64_t picks = sched.picks;
-                const std::uint64_t commands = counter.commands;
-                dram.tick(now);
-                const bool acted =
-                    sched.picks != picks || counter.commands != commands;
-                if (!acted) {
-                    ++idleChecks;
-                    EXPECT_TRUE(referenceCandidates(channel.snapshot(now),
-                                                    cfg)
-                                    .empty())
-                        << "cycle " << now << " offered no candidate";
-                }
-                EXPECT_FALSE(now < quietUntil && acted)
-                    << "cycle " << now << " acted before " << quietUntil;
-                if (now >= quietUntil)
-                    quietUntil = dram.nextEventCycle(now);
+    for (const bool faulty : {false, true}) {
+        for (const bool unified : {true, false}) {
+            for (const bool closedPage : {false, true}) {
+                SCOPED_TRACE(std::string(unified ? "unified" : "split") +
+                             (closedPage ? " closed-page" : " open-page") +
+                             (faulty ? " faulty" : ""));
+                checkCandidatesFromScratch(unified, closedPage, faulty);
             }
-            EXPECT_EQ(sched.mismatches, 0u) << sched.firstMismatch;
-            EXPECT_GT(sched.picks, kCycles / 4);
-            EXPECT_GT(idleChecks, 0u);
-            EXPECT_GE(channel.channelStats().refreshes.value(), 8u);
-            if (closedPage)
-                EXPECT_GT(channel.channelStats().autoPrecharges.value(), 0u);
-            else
-                EXPECT_GT(channel.channelStats().precharges.value(),
-                          channel.channelStats().refreshes.value());
         }
     }
 }
