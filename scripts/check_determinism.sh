@@ -12,8 +12,8 @@
 #    needs a variant named base) must be byte-identical (the scheduler
 #    hands results to the sink in spec order regardless of completion
 #    order).
-# 3. Two critmem-lint --json runs over the checkout must be
-#    byte-identical.
+# 3. Two critmem-lint runs over the checkout must print byte-identical
+#    findings and exit with the same status.
 #
 # Determinism across a SIGKILL/--resume, cycle skipping on vs off, the
 # arena and --isolate have their own ctests (Exec.ResumeByteIdentical,
@@ -66,18 +66,21 @@ fi
 echo "sweep: --jobs 1 and --jobs 4 results, speedup and stat reports byte-identical"
 
 # 3. The lint tool itself must be deterministic: two critmem-lint
-#    --json runs over the same checkout (sorted file walk, every
-#    rule, suppression bookkeeping and all) must emit byte-identical
-#    reports.
+#    runs over the same checkout (sorted file walk, every rule,
+#    suppression bookkeeping and all) must print byte-identical
+#    findings and exit with the same status.
 lint=$(dirname "$sim")/critmem-lint
 if [ -x "$lint" ]; then
     root=$(cd "$(dirname "$0")/.." && pwd)
-    "$lint" --root "$root" --json "$tmp/lint_a.json" >/dev/null 2>&1 || true
-    "$lint" --root "$root" --json "$tmp/lint_b.json" >/dev/null 2>&1 || true
-    if ! cmp -s "$tmp/lint_a.json" "$tmp/lint_b.json"; then
-        echo "FAIL: critmem-lint --json differs across identical runs" >&2
-        diff "$tmp/lint_a.json" "$tmp/lint_b.json" >&2 || true
+    for run in a b; do
+        status=0
+        "$lint" --root "$root" >"$tmp/lint_$run.txt" 2>/dev/null || status=$?
+        echo "exit $status" >>"$tmp/lint_$run.txt"
+    done
+    if ! cmp -s "$tmp/lint_a.txt" "$tmp/lint_b.txt"; then
+        echo "FAIL: critmem-lint output differs across identical runs" >&2
+        diff "$tmp/lint_a.txt" "$tmp/lint_b.txt" >&2 || true
         exit 1
     fi
-    echo "lint: two --json runs byte-identical"
+    echo "lint: two runs byte-identical"
 fi

@@ -19,10 +19,11 @@
 # The matrix never reaches the campaign engine's fairness annotator,
 # result sinks or journal. So when a critmem-sweep binary sits next to
 # each critmem-sim (as in a CMake build tree), a campaign leg also runs
-# specs/{arena,fig12,fig10,ext-schedulers}.sweep under both builds with
-# --stats --jobs 4 --out FILE at --quota 8000 (3000 under --quick), and
-# compares each spec's JSONL, exit code and stdout (the arena spec runs
-# with --report arena). Without the sweep binaries the leg is skipped,
+# the five specs/{arena,fig12,fig10,ext-schedulers,traces}.sweep under
+# both builds with --stats --jobs 4 --out FILE at --quota 8000 (3000
+# under --quick), and compares each spec's JSONL, exit code and stdout
+# (the arena spec runs with --report arena; traces replays the
+# checked-in trace fixtures). Without the sweep binaries the leg is skipped,
 # and says so.
 #
 # Exit 0 when every config and spec matches, 1 otherwise (each
@@ -128,7 +129,7 @@ fi
 
 spec_total=0
 spec_failed=0
-for spec in arena fig12 fig10 ext-schedulers; do
+for spec in arena fig12 fig10 ext-schedulers traces; do
     spec_total=$((spec_total + 1))
     report=()
     [ "$spec" = arena ] && report=(--report arena)

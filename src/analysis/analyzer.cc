@@ -2,59 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace critmem::analysis
 {
 
 namespace fs = std::filesystem;
-
-bool
-Baseline::covers(const Finding &finding) const
-{
-    return keys.count(finding.baselineKey()) > 0;
-}
-
-Baseline
-loadBaseline(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read baseline " + path);
-    Baseline baseline;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        const std::size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        baseline.keys.insert(line);
-    }
-    return baseline;
-}
-
-std::string
-formatBaseline(const std::vector<Finding> &findings)
-{
-    std::vector<std::string> keys;
-    keys.reserve(findings.size());
-    for (const Finding &finding : findings)
-        keys.push_back(finding.baselineKey());
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-    std::ostringstream os;
-    os << "# critmem-lint baseline: known findings, one "
-          "rule<TAB>path<TAB>message per line.\n"
-       << "# Regenerate with: critmem-lint --root . "
-          "--write-baseline\n";
-    for (const std::string &key : keys)
-        os << key << '\n';
-    return os.str();
-}
 
 bool
 Report::clean() const
@@ -177,7 +130,7 @@ analyzeFile(const SourceFile &file)
 }
 
 Report
-runAnalysis(const AnalyzerOptions &opts, const Baseline &baseline)
+runAnalysis(const AnalyzerOptions &opts)
 {
     const fs::path root(opts.root);
     if (!fs::is_directory(root))
@@ -201,93 +154,13 @@ runAnalysis(const AnalyzerOptions &opts, const Baseline &baseline)
 
     Report report;
     report.filesScanned = paths.size();
-    std::vector<Finding> all;
     for (const fs::path &path : paths) {
         lintFile(loadSourceFile(path.string(), relativePath(root, path)),
-                 opts.ruleFilter, all);
+                 opts.ruleFilter, report.findings);
     }
-
-    std::sort(all.begin(), all.end(), findingLess);
-    for (Finding &finding : all) {
-        (baseline.covers(finding) ? report.baselined
-                                  : report.findings)
-            .push_back(std::move(finding));
-    }
+    std::sort(report.findings.begin(), report.findings.end(),
+              findingLess);
     return report;
-}
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char kHex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += kHex[(c >> 4) & 0xf];
-                out += kHex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-void
-appendFindingJson(std::ostringstream &os, const Finding &finding,
-                  const char *indent)
-{
-    os << indent << "{\"rule\": \"" << jsonEscape(finding.rule)
-       << "\", \"severity\": \"" << toString(finding.severity)
-       << "\", \"path\": \"" << jsonEscape(finding.path)
-       << "\", \"line\": " << finding.line << ", \"message\": \""
-       << jsonEscape(finding.message) << "\"}";
-}
-
-void
-appendFindingsJson(std::ostringstream &os,
-                   const std::vector<Finding> &findings)
-{
-    if (findings.empty()) {
-        os << "[]";
-        return;
-    }
-    os << "[\n";
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-        appendFindingJson(os, findings[i], "    ");
-        os << (i + 1 < findings.size() ? ",\n" : "\n");
-    }
-    os << "  ]";
-}
-
-} // namespace
-
-std::string
-formatJson(const Report &report)
-{
-    std::ostringstream os;
-    os << "{\n"
-       << "  \"filesScanned\": " << report.filesScanned << ",\n"
-       << "  \"clean\": " << (report.clean() ? "true" : "false")
-       << ",\n"
-       << "  \"findings\": ";
-    appendFindingsJson(os, report.findings);
-    os << ",\n  \"baselined\": ";
-    appendFindingsJson(os, report.baselined);
-    os << "\n}\n";
-    return os.str();
 }
 
 } // namespace critmem::analysis

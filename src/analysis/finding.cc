@@ -15,12 +15,6 @@ toString(Severity severity)
     return "?";
 }
 
-std::string
-Finding::baselineKey() const
-{
-    return rule + "\t" + path + "\t" + message;
-}
-
 std::ostream &
 operator<<(std::ostream &os, const Finding &finding)
 {

@@ -33,13 +33,6 @@ struct Finding
     /** 1-based line number; 0 when the finding is not line-anchored. */
     int line = 0;
     std::string message;
-
-    /**
-     * Baseline identity: rule, path and message — deliberately not
-     * the line number, so unrelated edits above a baselined finding
-     * do not resurrect it.
-     */
-    std::string baselineKey() const;
 };
 
 /** Render as "path:line: severity: [rule] message" (clickable). */
@@ -51,7 +44,7 @@ bool findingLess(const Finding &a, const Finding &b);
 /** Static description of one registered rule. */
 struct RuleMeta
 {
-    /** Stable lower-case id used in reports, suppressions, baseline. */
+    /** Stable lower-case id used in reports and suppressions. */
     const char *id;
     Severity severity;
     /** One-line rationale for --list-rules. */

@@ -369,16 +369,13 @@ campaignHash(const std::vector<JobSpec> &jobs)
     for (const Bundle &bundle : multiprogBundles())
         fnv.field(bundle.name);
     // Trace workload identity covers the file CONTENT (FNV-1a of the
-    // raw bytes from the registration scan), so a campaign resumed
+    // raw bytes from the expansion's scan), so a campaign resumed
     // against an edited trace file is refused as a different
-    // campaign even when the path and job list are unchanged. Only
-    // the traces these jobs run count, in first-use order: the
-    // registry is process-wide and may hold other specs' traces.
+    // campaign even when the path and job list are unchanged. Each
+    // trace the jobs run counts once, in first-use order.
     std::vector<const TraceWorkload *> traces;
     for (const JobSpec &spec : jobs) {
-        const TraceWorkload *wl = spec.kind == RunKind::Trace
-            ? findTraceWorkload(spec.workload)
-            : nullptr;
+        const TraceWorkload *wl = spec.trace.get();
         if (wl && std::find(traces.begin(), traces.end(), wl) ==
                       traces.end())
             traces.push_back(wl);

@@ -82,10 +82,9 @@ std::uint64_t configHash(const SystemConfig &cfg);
  * workload, quota, warmup, the whole simulation config via
  * configHash, and the injected fault) plus the registry
  * contents (scheduler/app/bundle name lists) and the identity of each
- * trace workload the jobs run, so a code or spec change that would
- * alter the job list changes the hash. Traces registered but not run
- * by @p jobs do not count: the hash of a spec does not depend on
- * which specs were expanded before it in the same process.
+ * trace workload the jobs carry (JobSpec::trace, in first-use
+ * order), so a code or spec change that would alter the job list
+ * changes the hash. A pure function of @p jobs.
  */
 std::uint64_t campaignHash(const std::vector<JobSpec> &jobs);
 

@@ -205,9 +205,8 @@ defaultCores(const JobSpec &spec, const SystemConfig &base)
     if (spec.kind == RunKind::Bundle) {
         if (const Bundle *bundle = findBundle(spec.workload))
             return static_cast<std::uint32_t>(bundle->apps.size());
-    } else if (spec.kind == RunKind::Trace) {
-        if (const TraceWorkload *wl = findTraceWorkload(spec.workload))
-            return wl->numCores;
+    } else if (spec.trace) {
+        return spec.trace->numCores;
     }
     return base.numCores;
 }
@@ -345,10 +344,14 @@ parseSimCommand(const std::vector<std::string> &args)
                 bundle = value();
             } else if (flag == "--trace") {
                 const std::string &arg = value();
-                traces.push_back(splitTraceArg(arg));
-                if (traces.back().first.empty() ||
-                    traces.back().second.empty())
+                const auto [name, path] = splitTraceArg(arg);
+                if (name.empty() || path.empty())
                     bad("needs [NAME=]PATH, got '" + arg + "'");
+                for (const auto &seen : traces) {
+                    if (seen.first == name)
+                        bad("duplicate trace '" + name + "'");
+                }
+                traces.emplace_back(name, path);
             } else if (flag == "--alone") {
                 alone = true;
             } else if (flag == "--fairness") {
@@ -396,7 +399,8 @@ parseSimCommand(const std::vector<std::string> &args)
 
     for (const auto &[name, path] : traces) {
         try {
-            registerTraceWorkload(name, path);
+            cmd.traces.push_back(std::make_shared<const TraceWorkload>(
+                scanTraceWorkload(name, path)));
         } catch (const std::exception &err) {
             bad("--trace " + name + ": " + err.what());
         }
@@ -404,8 +408,8 @@ parseSimCommand(const std::vector<std::string> &args)
     if (cmd.help || cmd.listWorkloads || cmd.listSchedulers)
         return cmd;
 
-    if (app.empty() && bundle.empty() && traces.size() == 1)
-        app = traces[0].first;
+    if (app.empty() && bundle.empty() && cmd.traces.size() == 1)
+        app = cmd.traces[0]->name;
     if (app.empty() == bundle.empty())
         bad("give exactly one of --app, --bundle or a lone --trace");
     if (alone && app.empty())
@@ -415,9 +419,13 @@ parseSimCommand(const std::vector<std::string> &args)
 
     spec.workload = app.empty() ? bundle : app;
     spec.name = spec.workload;
+    for (const auto &wl : cmd.traces) {
+        if (wl->name == app)
+            spec.trace = wl;
+    }
     if (!bundle.empty()) {
         spec.kind = RunKind::Bundle;
-    } else if (findTraceWorkload(app)) {
+    } else if (spec.trace) {
         if (alone)
             bad("--alone does not apply to trace workloads");
         spec.kind = RunKind::Trace;
@@ -444,13 +452,10 @@ reproCommand(const JobSpec &spec)
     if (spec.kind == RunKind::Bundle) {
         cmd << " --bundle " << spec.workload;
     } else if (spec.kind == RunKind::Trace) {
-        // Re-register the trace source, then select it by name.
-        if (const TraceWorkload *wl =
-                findTraceWorkload(spec.workload)) {
-            cmd << " --trace " << wl->name << '=' << wl->path;
-        } else {
-            cmd << " --trace " << spec.workload << "=<path>";
-        }
+        if (!spec.trace)
+            bad("trace job '" + spec.name + "' carries no trace");
+        cmd << " --trace " << spec.trace->name << '='
+            << spec.trace->path;
     } else {
         cmd << " --app " << spec.workload;
     }
@@ -559,9 +564,9 @@ buildSystem(const JobSpec &spec)
         return std::make_unique<System>(spec.cfg, perCore);
       }
       case RunKind::Trace: {
-        const TraceWorkload *wl = findTraceWorkload(spec.workload);
+        const TraceWorkload *wl = spec.trace.get();
         if (!wl)
-            bad("unknown trace workload '" + spec.workload + "'");
+            bad("trace job '" + spec.name + "' carries no trace");
         if (spec.cfg.burstiness)
             bad("trace job '" + spec.name +
                 "': burstiness applies to synthetic apps only");

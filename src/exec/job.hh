@@ -23,6 +23,7 @@
 #include "fair/metrics.hh"
 #include "sim/config.hh"
 #include "system/experiment.hh"
+#include "trace/workloads.hh"
 
 namespace critmem::exec
 {
@@ -66,8 +67,14 @@ struct JobSpec
     /** Unique campaign-wide key, e.g. "art/maxstall". */
     std::string name;
     RunKind kind = RunKind::Parallel;
-    /** App name (Parallel/Alone) or bundle name (Bundle). */
+    /** App name (Parallel/Alone), bundle name (Bundle) or trace
+     *  workload name (Trace). */
     std::string workload;
+    /**
+     * The scanned trace a Trace job replays; null for every other
+     * kind. All jobs of one trace share one scan.
+     */
+    std::shared_ptr<const TraceWorkload> trace;
     /** Complete configuration; cfg.seed is this job's seed. */
     SystemConfig cfg;
     std::uint64_t quota = 24000;
@@ -162,6 +169,8 @@ struct SimCommand
     bool dumpStats = false;
     /** --stats-json FILE ('-' = stdout); empty = none. */
     std::string statsJsonPath;
+    /** The --trace sources, scanned, in command-line order. */
+    std::vector<std::shared_ptr<const TraceWorkload>> traces;
     bool listWorkloads = false;
     bool listSchedulers = false;
     bool quiet = false;
@@ -172,13 +181,14 @@ struct SimCommand
  * Parse critmem-sim's arguments (argv without the program name): the
  * inverse of reproCommand(). Every config flag --KEY VALUE is
  * applySetting(cfg, KEY, VALUE); --prefetch, --closed-page and
- * --split-wq pass "1". Registers the --trace sources (after the flag
- * pass, so the recovery flags apply wherever they appear). Unless a
+ * --split-wq pass "1". Scans every --trace source into
+ * SimCommand::traces; a name given twice is an error. Unless a
  * listing or --help was asked for, resolves the workload: exactly
- * one of --app, --bundle or a lone --trace. The core count defaults
- * to the run kind's (the bundle's app count, the trace's core count,
- * else the preset's); --cores overrides it. Throws std::runtime_error
- * naming the offending flag.
+ * one of --app, --bundle or a lone --trace, where --app may name a
+ * --trace source. The core count defaults to the run kind's (the
+ * bundle's app count, the trace's core count, else the preset's);
+ * --cores overrides it. Throws std::runtime_error naming the
+ * offending flag.
  */
 SimCommand parseSimCommand(const std::vector<std::string> &args);
 

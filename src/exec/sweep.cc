@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -90,12 +92,16 @@ SweepSpec::expand() const
         bad("sweep spec has no variants (add 'scheds = ...' or "
             "'variant NAME : ...' lines)");
 
-    // Register declared trace sources first, so workload names can
-    // resolve to them. Registration scans + validates each file;
-    // TraceError (with its byte offset) propagates untouched.
+    // Scan this spec's trace sources first, so workload names can
+    // resolve to them. Each scan validates its file; TraceError (with
+    // its byte offset) propagates untouched.
+    std::map<std::string, std::shared_ptr<const TraceWorkload>> scanned;
     for (const TraceDecl &decl : traces) {
+        if (scanned.count(decl.name))
+            bad("duplicate trace '" + decl.name + "'");
         try {
-            registerTraceWorkload(decl.name, decl.path);
+            scanned[decl.name] = std::make_shared<const TraceWorkload>(
+                scanTraceWorkload(decl.name, decl.path));
         } catch (const TraceError &) {
             throw;
         } catch (const std::exception &err) {
@@ -119,7 +125,7 @@ SweepSpec::expand() const
     }
     for (const std::string &name : names) {
         if (mode == Mode::Parallel
-                ? !haveApp(name) && findTraceWorkload(name) == nullptr
+                ? !haveApp(name) && scanned.count(name) == 0
                 : findBundle(name) == nullptr)
             bad("unknown workload '" + name + "' for this mode");
     }
@@ -209,8 +215,10 @@ SweepSpec::expand() const
     }
 
     for (const std::string &workload : names) {
-        const TraceWorkload *trace = mode == Mode::Parallel
-            ? findTraceWorkload(workload)
+        const auto found = scanned.find(workload);
+        const std::shared_ptr<const TraceWorkload> trace =
+            mode == Mode::Parallel && found != scanned.end()
+            ? found->second
             : nullptr;
         for (const SweepVariant &variant : variants) {
             JobSpec job;
@@ -221,6 +229,7 @@ SweepSpec::expand() const
                 ? (trace ? RunKind::Trace : RunKind::Parallel)
                 : RunKind::Bundle;
             job.workload = workload;
+            job.trace = trace;
             job.cfg = base;
             job.cfg.seed = seedFor(job.name);
             job.tags["workload"] = workload;

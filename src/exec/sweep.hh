@@ -59,8 +59,9 @@ struct SweepVariant
 };
 
 /**
- * One external trace source declared by a spec. expand() registers it
- * (scanning and validating the file) before workload names resolve.
+ * One external trace source declared by a spec. expand() scans and
+ * validates the file before workload names resolve, and hands the
+ * scan to every job that replays it.
  */
 struct TraceDecl
 {
@@ -79,10 +80,10 @@ struct SweepSpec
      * App names (Parallel) or bundle names (Multiprog); empty or the
      * single entry "*" selects every workload of the mode (plus, in
      * Parallel mode, every trace declared by this spec). Parallel
-     * workload names may also name a declared/registered trace.
+     * workload names may also name a trace this spec declares.
      */
     std::vector<std::string> workloads;
-    /** External trace sources to register before expansion. */
+    /** External trace sources, scanned by each expansion. */
     std::vector<TraceDecl> traces;
     /** Configuration columns; at least one is required to expand. */
     std::vector<SweepVariant> variants;
@@ -114,6 +115,9 @@ struct SweepSpec
      * exclude pattern that drops no job (alone jobs included) and a
      * campaign of zero jobs. Throws SweepError (line 0) describing
      * the first problem, or the TraceError of a declared trace.
+     * Workload names resolve only against this spec's own trace
+     * lines, and nothing outlives the call: expanding one spec never
+     * changes what another expands to.
      */
     std::vector<JobSpec> expand() const;
 };

@@ -48,7 +48,7 @@ class System
 
     /**
      * Trace-backed system: core i replays its slice of the workload's
-     * external trace file (registered via registerTraceWorkload).
+     * external trace file (scanned by scanTraceWorkload).
      * cfg.numCores must match the trace's declared core count.
      * The delivered-record counter appears under the "trace" stats
      * group. @throws TraceError when the file fails to decode.

@@ -324,20 +324,8 @@ findBundle(const std::string &name)
     return nullptr;
 }
 
-namespace
-{
-
-std::vector<TraceWorkload> &
-traceRegistry()
-{
-    static std::vector<TraceWorkload> traces;
-    return traces;
-}
-
-} // namespace
-
-const TraceWorkload &
-registerTraceWorkload(const std::string &name, const std::string &path)
+TraceWorkload
+scanTraceWorkload(const std::string &name, const std::string &path)
 {
     if (name.empty())
         throw std::runtime_error("trace workload name is empty");
@@ -350,14 +338,6 @@ registerTraceWorkload(const std::string &name, const std::string &path)
         throw std::runtime_error(
             "trace workload name '" + name +
             "' collides with a built-in application or bundle");
-    }
-    for (const TraceWorkload &wl : traceRegistry()) {
-        if (wl.name == name && wl.path != path) {
-            throw std::runtime_error(
-                "trace workload '" + name +
-                "' is already registered with path '" + wl.path +
-                "'");
-        }
     }
 
     const ingest::ScanSummary sum = ingest::scanTrace(path);
@@ -380,37 +360,7 @@ registerTraceWorkload(const std::string &name, const std::string &path)
     entry.records = sum.records;
     entry.contentHash = sum.contentHash;
     entry.coreRegions = sum.coreRegions;
-
-    for (TraceWorkload &wl : traceRegistry()) {
-        if (wl.name == name) {
-            wl = std::move(entry);
-            return wl;
-        }
-    }
-    traceRegistry().push_back(std::move(entry));
-    return traceRegistry().back();
-}
-
-const std::vector<TraceWorkload> &
-traceWorkloads()
-{
-    return traceRegistry();
-}
-
-const TraceWorkload *
-findTraceWorkload(const std::string &name)
-{
-    for (const TraceWorkload &wl : traceRegistry()) {
-        if (wl.name == name)
-            return &wl;
-    }
-    return nullptr;
-}
-
-void
-clearTraceWorkloads()
-{
-    traceRegistry().clear();
+    return entry;
 }
 
 } // namespace critmem

@@ -3,8 +3,8 @@
  * Registry of workload models: the nine parallel applications of
  * Table 2, the single-threaded applications composing Table 4's
  * multiprogrammed bundles, the bundle definitions themselves, and
- * trace-backed workloads registered at run time from external trace
- * files (src/trace/ingest).
+ * the scan that turns an external trace file (src/trace/ingest) into
+ * a trace-backed workload.
  */
 
 #ifndef CRITMEM_TRACE_WORKLOADS_HH
@@ -51,10 +51,10 @@ const std::vector<Bundle> &multiprogBundles();
 const Bundle *findBundle(const std::string &name);
 
 /**
- * One registered trace-backed workload: an external trace file that
- * passed a full validating scan at registration time, plus the scan's
- * summary (identity hash, per-core footprints) that the execution
- * engine folds into campaign hashes and cache prewarming.
+ * One trace-backed workload: an external trace file that passed a
+ * full validating scan, plus the scan's summary (identity hash,
+ * per-core footprints) that the execution engine folds into campaign
+ * hashes and cache prewarming.
  */
 struct TraceWorkload
 {
@@ -68,31 +68,18 @@ struct TraceWorkload
 };
 
 /**
- * Scan, validate, and register @p path as trace workload @p name.
- * The whole file is decoded up front, so a registered workload is
- * known to stream cleanly (and to feed every declared
- * core, which the loop-at-EOF replay requires). Re-registering the
- * same name with the same path rescans and refreshes the entry.
- *
- * Registration happens on the main thread before any worker runs
- * jobs; the registry is not synchronized.
+ * Scan and validate @p path as trace workload @p name. The whole
+ * file is decoded up front, so the workload is known to stream
+ * cleanly and to feed every declared core, which the loop-at-EOF
+ * replay requires. Keeps no state: every call rescans the file.
  *
  * @throws TraceError when the file cannot be decoded or leaves a
  *         core without records.
- * @throws std::runtime_error on misuse: empty/conflicting names.
- * @return the registered entry (stable until the next registration).
+ * @throws std::runtime_error when @p name is empty, holds '/' or
+ *         whitespace, or names a built-in application or bundle.
  */
-const TraceWorkload &
-registerTraceWorkload(const std::string &name, const std::string &path);
-
-/** Every registered trace workload, in registration order. */
-const std::vector<TraceWorkload> &traceWorkloads();
-
-/** Look up a trace workload by name; nullptr when unknown. */
-const TraceWorkload *findTraceWorkload(const std::string &name);
-
-/** Drop every registered trace workload (tests only). */
-void clearTraceWorkloads();
+TraceWorkload scanTraceWorkload(const std::string &name,
+                                const std::string &path);
 
 } // namespace critmem
 

@@ -2,15 +2,12 @@
  * @file
  * critmem-lint unit tests: every source rule proven to fire on its
  * bad fixture and stay silent on its good twin, suppression
- * mechanics, baseline round-trips, and a seeded mutant fuzz over
+ * mechanics, report order, and a seeded mutant fuzz over
  * every C++ fixture.
  */
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -293,39 +290,6 @@ TEST(LintSuppression, OtherRulesStillFire)
     EXPECT_EQ(countRule(analyzeFile(file), "unseeded-random"), 1u);
 }
 
-TEST(LintBaseline, RoundTripAndCoverage)
-{
-    Finding finding{"wall-clock", Severity::Error, "tools/x.cc", 7,
-                    "'steady_clock' reads host time"};
-    const std::string path = testing::TempDir() + "lint_baseline_rt." +
-        std::to_string(::getpid()) + ".txt";
-    {
-        std::ofstream out(path);
-        out << formatBaseline({finding});
-    }
-    const Baseline baseline = loadBaseline(path);
-    EXPECT_EQ(baseline.keys.size(), 1u);
-    EXPECT_TRUE(baseline.covers(finding));
-
-    // Identity is (rule, path, message) — the line number is free to
-    // move without resurrecting the finding...
-    finding.line = 99;
-    EXPECT_TRUE(baseline.covers(finding));
-    // ...but a different message is a different finding.
-    finding.message = "something else";
-    EXPECT_FALSE(baseline.covers(finding));
-}
-
-TEST(LintBaseline, ShippedBaselineIsEmpty)
-{
-    const Baseline baseline =
-        loadBaseline(std::string(CRITMEM_REPO_ROOT) +
-                     "/lint-baseline.txt");
-    EXPECT_TRUE(baseline.keys.empty())
-        << "lint-baseline.txt must stay empty: fix or suppress "
-           "findings at the source";
-}
-
 TEST(LintStaleSuppression, FlagsAllowThatSuppressesNothing)
 {
     const SourceFile file = makeSourceFile(
@@ -395,36 +359,6 @@ TEST(LintStaleSuppression, ItselfSuppressible)
     EXPECT_EQ(countRule(analyzeFile(file), "stale-suppression"), 0u);
 }
 
-TEST(LintJson, DeterministicEscapedOutput)
-{
-    Report report;
-    report.filesScanned = 2;
-    report.findings.push_back(
-        {"wall-clock", Severity::Error, "a.cc", 3,
-         "'steady_clock' reads \"host\" time\tnow"});
-    report.baselined.push_back(
-        {"narrow-cycle", Severity::Error, "b.cc", 1, "m"});
-
-    const std::string once = formatJson(report);
-    EXPECT_EQ(once, formatJson(report));
-    EXPECT_NE(once.find("\"filesScanned\": 2"), std::string::npos);
-    EXPECT_NE(once.find("\"clean\": false"), std::string::npos);
-    // Quotes and tabs inside messages must round-trip escaped.
-    EXPECT_NE(once.find("\\\"host\\\" time\\tnow"),
-              std::string::npos);
-    EXPECT_NE(once.find("\"baselined\""), std::string::npos);
-    EXPECT_EQ(once.back(), '\n');
-}
-
-TEST(LintJson, EmptyReportIsClean)
-{
-    Report report;
-    report.filesScanned = 1;
-    const std::string json = formatJson(report);
-    EXPECT_NE(json.find("\"clean\": true"), std::string::npos);
-    EXPECT_NE(json.find("\"findings\": []"), std::string::npos);
-}
-
 TEST(LintReport, FindingRenderAndOrder)
 {
     const Finding a{"wall-clock", Severity::Error, "a.cc", 3, "m"};
@@ -435,6 +369,12 @@ TEST(LintReport, FindingRenderAndOrder)
     std::ostringstream os;
     os << a;
     EXPECT_EQ(os.str(), "a.cc:3: error: [wall-clock] m");
+
+    // An empty report is clean; one error finding makes it dirty.
+    Report report;
+    EXPECT_TRUE(report.clean());
+    report.findings.push_back(a);
+    EXPECT_FALSE(report.clean());
 }
 
 // Mutant fuzz: linting arbitrary mutations of real inputs must never

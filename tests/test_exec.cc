@@ -154,6 +154,14 @@ expectRoundTrip(const exec::JobSpec &spec)
     EXPECT_EQ(back.cfg.check.fault, spec.cfg.check.fault) << repro;
     EXPECT_EQ(back.cfg.check.faultPeriod, spec.cfg.check.faultPeriod)
         << repro;
+    // A trace job's rebuilt trace is the same file, rescanned.
+    EXPECT_EQ(back.trace == nullptr, spec.trace == nullptr) << repro;
+    if (spec.trace && back.trace) {
+        EXPECT_EQ(back.trace->name, spec.trace->name) << repro;
+        EXPECT_EQ(back.trace->path, spec.trace->path) << repro;
+        EXPECT_EQ(back.trace->contentHash, spec.trace->contentHash)
+            << repro;
+    }
 }
 
 TEST(ExecRepro, RoundTripsShippedSpecs)
@@ -327,7 +335,7 @@ TEST(Fnv1a, StandardVectorsAndPinnedIdentities)
               0x9cb1d609efc0aefdull);
     // A spec-hash covers only the traces its own jobs run, so it does
     // not depend on what this process expanded before: expanding
-    // specs/traces.sweep first registers mix4 and pair2 process-wide.
+    // specs/traces.sweep first scans mix4 and pair2.
     const auto specHash = [](const char *spec) {
         return exec::campaignHash(
             exec::parseSweepFile(std::string(CRITMEM_REPO_ROOT) +

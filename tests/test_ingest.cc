@@ -3,13 +3,14 @@
  * Tests for the external-trace ingestion frontend (src/trace/ingest):
  * byte-offset accuracy of every TraceError class in the CTIB format,
  * the resource caps, gzip transport, the loop-replay
- * TraceGenerator adapter, the trace-workload registry, and the
- * execution-engine integration (sweep specs, job execution, campaign
- * hashing).
+ * TraceGenerator adapter, the trace-workload scan, and the
+ * execution-engine integration (sweep specs, the CLI parse, job
+ * execution, campaign hashing).
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -49,13 +50,11 @@ class IngestTest : public ::testing::Test
         dir_ = std::filesystem::temp_directory_path() /
             ("critmem_ingest_test." + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
-        clearTraceWorkloads();
     }
 
     void
     TearDown() override
     {
-        clearTraceWorkloads();
         std::filesystem::remove_all(dir_);
     }
 
@@ -502,38 +501,30 @@ TEST_F(IngestTest, RegistryValidatesAndRefreshes)
     const std::string twoRecords = binHeader(2) +
         binRecord(0, 4, 0x10, 0x40) + binRecord(1, 5, 0x20, 0x80);
     const std::string path = spill("reg.cbin", twoRecords);
-    const TraceWorkload &wl =
-        registerTraceWorkload("regt", path);
+    const TraceWorkload wl = scanTraceWorkload("regt", path);
+    EXPECT_EQ(wl.name, "regt");
+    EXPECT_EQ(wl.path, path);
     EXPECT_EQ(wl.numCores, 2u);
     EXPECT_EQ(wl.records, 2u);
     EXPECT_NE(wl.contentHash, 0u);
     ASSERT_EQ(wl.coreRegions.size(), 2u);
     EXPECT_EQ(wl.coreRegions[0].first, 0x40u);
-    EXPECT_NE(findTraceWorkload("regt"), nullptr);
 
-    // Misuse: bad names, collisions with the built-in registries,
-    // and renaming a path out from under a workload.
-    EXPECT_THROW(registerTraceWorkload("", path),
+    // Misuse: bad names and collisions with the built-in
+    // applications and bundles.
+    EXPECT_THROW(scanTraceWorkload("", path), std::runtime_error);
+    EXPECT_THROW(scanTraceWorkload("has space", path),
                  std::runtime_error);
-    EXPECT_THROW(registerTraceWorkload("has space", path),
-                 std::runtime_error);
-    EXPECT_THROW(registerTraceWorkload("a/b", path),
-                 std::runtime_error);
-    EXPECT_THROW(registerTraceWorkload("art", path),
-                 std::runtime_error);
-    const std::string other =
-        spill("reg2.cbin", binHeader(1) + binRecord(0, 4, 0x10, 0x40));
-    EXPECT_THROW(registerTraceWorkload("regt", other),
-                 std::runtime_error);
+    EXPECT_THROW(scanTraceWorkload("a/b", path), std::runtime_error);
+    EXPECT_THROW(scanTraceWorkload("art", path), std::runtime_error);
+    EXPECT_THROW(scanTraceWorkload("RFGI", path), std::runtime_error);
 
-    // Same name + same path refreshes (file may have changed).
-    const std::uint64_t before = wl.contentHash;
+    // A rescan sees the edited file; the earlier value keeps its own.
     spill("reg.cbin", twoRecords + binRecord(1, 0, 0x24, 0));
-    const TraceWorkload &fresh =
-        registerTraceWorkload("regt", path);
+    const TraceWorkload fresh = scanTraceWorkload("regt", path);
     EXPECT_EQ(fresh.records, 3u);
-    EXPECT_NE(fresh.contentHash, before);
-    EXPECT_EQ(traceWorkloads().size(), 1u);
+    EXPECT_NE(fresh.contentHash, wl.contentHash);
+    EXPECT_EQ(wl.records, 2u);
 }
 
 TEST_F(IngestTest, RegistryRejectsStarvedCores)
@@ -542,8 +533,8 @@ TEST_F(IngestTest, RegistryRejectsStarvedCores)
         spill("starved.cbin", binHeader(3) + binRecord(0, 4, 0x10, 0x40) +
                                   binRecord(1, 5, 0x20, 0x80));
     try {
-        registerTraceWorkload("starved", path);
-        FAIL() << "registered a trace with a record-less core";
+        scanTraceWorkload("starved", path);
+        FAIL() << "scanned a trace with a record-less core";
     } catch (const TraceError &err) {
         EXPECT_NE(std::string(err.what()).find("core 2"),
                   std::string::npos);
@@ -553,8 +544,7 @@ TEST_F(IngestTest, RegistryRejectsStarvedCores)
 TEST_F(IngestTest, RegistryRejectsEmptyTraces)
 {
     const std::string path = spill("empty.cbin", binHeader(1));
-    EXPECT_THROW(registerTraceWorkload("empty", path),
-                 TraceError);
+    EXPECT_THROW(scanTraceWorkload("empty", path), TraceError);
 }
 
 // ---------------------------------------------------------------
@@ -579,8 +569,7 @@ twoCoreTrace()
 TEST_F(IngestTest, SystemFromTraceIsDeterministic)
 {
     const std::string path = spill("sys.cbin", twoCoreTrace());
-    const TraceWorkload &wl =
-        registerTraceWorkload("syst", path);
+    const TraceWorkload wl = scanTraceWorkload("syst", path);
 
     SystemConfig cfg = SystemConfig::parallelDefault();
     cfg.numCores = wl.numCores;
@@ -649,10 +638,14 @@ TEST_F(IngestTest, SweepExpandsTraceJobs)
     const std::vector<exec::JobSpec> all = spec.expand();
     bool sawTrace = false;
     for (const exec::JobSpec &job : all) {
-        if (job.workload != "swt")
+        if (job.workload != "swt") {
+            EXPECT_EQ(job.trace, nullptr) << job.name;
             continue;
+        }
         sawTrace = true;
         EXPECT_EQ(job.kind, exec::RunKind::Trace);
+        ASSERT_NE(job.trace, nullptr);
+        EXPECT_EQ(job.trace->path, path);
         // The trace dictates the core count over the cores= setting.
         EXPECT_EQ(job.cfg.numCores, 2u);
     }
@@ -666,9 +659,15 @@ TEST_F(IngestTest, SweepExpandsTraceJobs)
     const RunResult r = exec::executeJob(jobs[0]);
     EXPECT_GT(r.cycles, 0u);
 
-    // The repro command round-trips the trace registration.
+    // The repro command names the trace source.
     const std::string repro = exec::reproCommand(jobs[0]);
     EXPECT_NE(repro.find("--trace swt=" + path), std::string::npos);
+
+    // Two declarations of one name do not expand, as they do not
+    // parse.
+    exec::SweepSpec twice = spec;
+    twice.traces.push_back({"swt", path});
+    EXPECT_THROW(twice.expand(), exec::SweepError);
 
     // A spec declaring a missing trace file fails to expand with the
     // underlying TraceError.
@@ -713,14 +712,136 @@ TEST_F(IngestTest, ShippedTraceSpecHashIsPinned)
     const std::uint64_t pinned = 0x839d9db53124a944ull;
     EXPECT_EQ(exec::campaignHash(jobs), pinned);
 
-    // A trace registered later that the jobs do not run leaves the
-    // hash alone.
+    // Expanding another spec with its own trace leaves the hash
+    // alone.
     exec::SweepSpec other;
     other.traces.push_back({"other", spill("other.cbin", twoCoreTrace())});
     other.workloads = {"other"};
     other.variants.push_back({"base", {{"sched", "frfcfs"}}});
     other.expand();
     EXPECT_EQ(exec::campaignHash(jobs), pinned);
+}
+
+/** A one-variant spec replaying @p path as trace workload "t". */
+exec::SweepSpec
+specOfTrace(const std::string &path)
+{
+    exec::SweepSpec spec;
+    spec.traces.push_back({"t", path});
+    spec.workloads = {"t"};
+    spec.quota = 500;
+    spec.variants.push_back({"base", {{"sched", "frfcfs"}}});
+    return spec;
+}
+
+/** campaignHash of @p spec expanded in a fresh child process. */
+std::uint64_t
+hashInFreshProcess(const exec::SweepSpec &spec)
+{
+    int fds[2];
+    EXPECT_EQ(::pipe(fds), 0);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::close(fds[0]);
+        std::uint64_t hash = 0;
+        try {
+            hash = exec::campaignHash(spec.expand());
+        } catch (...) {
+        }
+        const bool sent =
+            ::write(fds[1], &hash, sizeof hash) == sizeof hash;
+        ::_exit(sent ? 0 : 1);
+    }
+    ::close(fds[1]);
+    std::uint64_t hash = 0;
+    EXPECT_EQ(::read(fds[0], &hash, sizeof hash),
+              static_cast<ssize_t>(sizeof hash));
+    ::close(fds[0]);
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    return hash;
+}
+
+TEST_F(IngestTest, SpecsInOneProcessKeepTheirOwnTraceFiles)
+{
+    // Two specs both declare trace "t", for different files, as a
+    // campaign over several specs would.
+    const std::string pathA = spill("a.cbin", twoCoreTrace());
+    const std::string pathB = spill(
+        "b.cbin", twoCoreTrace() + binRecord(0, 4, 0x900, 0x900000));
+    const exec::SweepSpec specA = specOfTrace(pathA);
+    const exec::SweepSpec specB = specOfTrace(pathB);
+    const std::uint64_t aloneA = hashInFreshProcess(specA);
+    const std::uint64_t aloneB = hashInFreshProcess(specB);
+    EXPECT_NE(aloneA, 0u);
+    EXPECT_NE(aloneB, 0u);
+    EXPECT_NE(aloneA, aloneB);
+
+    const std::vector<exec::JobSpec> jobsA = specA.expand();
+    const RunResult runA = exec::executeJob(jobsA.at(0));
+    const std::vector<exec::JobSpec> jobsB = specB.expand();
+    ASSERT_EQ(jobsA.size(), 1u);
+    ASSERT_EQ(jobsB.size(), 1u);
+    ASSERT_NE(jobsA[0].trace, nullptr);
+    ASSERT_NE(jobsB[0].trace, nullptr);
+    EXPECT_EQ(jobsA[0].trace->path, pathA);
+    EXPECT_EQ(jobsB[0].trace->path, pathB);
+    EXPECT_EQ(jobsA[0].trace->records, 64u);
+    EXPECT_EQ(jobsB[0].trace->records, 65u);
+    EXPECT_NE(jobsA[0].trace->contentHash, jobsB[0].trace->contentHash);
+
+    // Each job still builds from its own file...
+    EXPECT_EQ(exec::executeJob(jobsA[0]).cycles, runA.cycles);
+    EXPECT_GT(exec::executeJob(jobsB[0]).cycles, 0u);
+    // ...and each spec-hash is the one its spec stores alone.
+    EXPECT_EQ(exec::campaignHash(jobsA), aloneA);
+    EXPECT_EQ(exec::campaignHash(jobsB), aloneB);
+    EXPECT_EQ(exec::campaignHash(specA.expand()), aloneA);
+}
+
+TEST_F(IngestTest, UndeclaredTraceNameIsUnknown)
+{
+    specOfTrace(spill("decl.cbin", twoCoreTrace())).expand();
+
+    // A second spec names "t" without a trace line of its own: the
+    // first spec's file must not leak into it.
+    exec::SweepSpec undeclared;
+    undeclared.workloads = {"t"};
+    undeclared.variants.push_back({"base", {{"sched", "frfcfs"}}});
+    try {
+        undeclared.expand();
+        FAIL() << "expanded a trace workload the spec never declared";
+    } catch (const exec::SweepError &err) {
+        EXPECT_NE(std::string(err.what()).find("unknown workload 't'"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST_F(IngestTest, SimCommandRejectsARepeatedTraceName)
+{
+    const std::string a = spill("x1.cbin", twoCoreTrace());
+    const std::string b = spill("x2.cbin", twoCoreTrace());
+    for (const std::string &second : {b, a}) {
+        try {
+            exec::parseSimCommand(
+                {"--trace", "x=" + a, "--trace", "x=" + second});
+            ADD_FAILURE() << "accepted trace 'x' twice";
+        } catch (const std::runtime_error &err) {
+            EXPECT_EQ(std::string(err.what()).rfind("--trace", 0), 0u)
+                << err.what();
+        }
+    }
+
+    // Distinct names: both are scanned, and --app picks one of them.
+    const exec::SimCommand cmd = exec::parseSimCommand(
+        {"--trace", "x=" + a, "--trace", "y=" + b, "--app", "y"});
+    ASSERT_EQ(cmd.traces.size(), 2u);
+    EXPECT_EQ(cmd.traces[0]->name, "x");
+    EXPECT_EQ(cmd.spec.kind, exec::RunKind::Trace);
+    EXPECT_EQ(cmd.spec.trace, cmd.traces[1]);
+    EXPECT_EQ(cmd.spec.cfg.numCores, 2u);
 }
 
 } // namespace

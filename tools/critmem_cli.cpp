@@ -21,8 +21,10 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "exec/job.hh"
 #include "fair/fairness_stats.hh"
@@ -129,7 +131,7 @@ usage()
 }
 
 void
-listWorkloads()
+listWorkloads(const std::vector<std::shared_ptr<const TraceWorkload>> &traces)
 {
     std::printf("parallel applications (--app):\n");
     for (const AppParams &app : parallelApps())
@@ -144,12 +146,12 @@ listWorkloads()
                     bundle.apps[1].c_str(), bundle.apps[2].c_str(),
                     bundle.apps[3].c_str());
     }
-    if (!traceWorkloads().empty()) {
+    if (!traces.empty()) {
         std::printf("trace-backed workloads (--trace / --app):\n");
-        for (const TraceWorkload &wl : traceWorkloads()) {
+        for (const auto &wl : traces) {
             std::printf("  %-12s %s  (%u cores, %llu records)\n",
-                        wl.name.c_str(), wl.path.c_str(), wl.numCores,
-                        static_cast<unsigned long long>(wl.records));
+                        wl->name.c_str(), wl->path.c_str(), wl->numCores,
+                        static_cast<unsigned long long>(wl->records));
         }
     }
 }
@@ -197,7 +199,7 @@ main(int argc, char **argv)
     }
     if (cmd.listWorkloads || cmd.listSchedulers) {
         if (cmd.listWorkloads)
-            listWorkloads();
+            listWorkloads(cmd.traces);
         if (cmd.listSchedulers)
             listSchedulers();
         return 0;
